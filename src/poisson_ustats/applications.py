@@ -172,8 +172,9 @@ def gilbert_kernel(delta: float, mode: str = "unit") -> UStatKernel:
     """Order-2 proximity kernel: (1/2) g(|x - y|) on pairs within delta.
 
     mode "unit" weighs each close pair 1 (edge count); "euclidean" weighs it
-    by the distance (total edge length).  Carries locality delta so sums can
-    run on neighbor cells only.
+    by the distance (total edge length).  Carries locality delta, so
+    ``evaluate`` sums only over pairs in adjacent cells of a grid with edge
+    delta.
     """
     delta = float(delta)
     if not delta > 0:

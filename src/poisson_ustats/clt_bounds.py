@@ -37,7 +37,7 @@ from .errors import (
     LocalityError,
 )
 from .point_process import IntensityModel, LineWindow, sample_points, unit_ball_volume, window_measure
-from .ustat_core import Estimate, Integrator, UStatKernel, combine_se, variance, variance_terms
+from .ustat_core import Estimate, Integrator, UStatKernel, assemble_variance, variance, variance_terms
 
 __all__ = [
     "MTerm",
@@ -157,12 +157,6 @@ def _sqrt_estimate(value: float, se: float) -> tuple:
     return 0.0, math.sqrt(max(se, 0.0))
 
 
-def _assemble_variance(terms: Sequence[Estimate], lam: float, k: int) -> Estimate:
-    parts = [lam ** (2 * k - i) * t.value for i, t in enumerate(terms, start=1)]
-    ses = [lam ** (2 * k - i) * t.se for i, t in enumerate(terms, start=1)]
-    return Estimate(math.fsum(parts), combine_se(*ses), max(t.n for t in terms))
-
-
 def _sign_note(kernel: UStatKernel, window, integrator: Integrator) -> str:
     rng = integrator.rng("sign-check")
     pts = window.sample(rng, 256 * kernel.order).reshape(256, kernel.order, -1)
@@ -245,7 +239,7 @@ def geometric_bound(kernel: UStatKernel, intensity: IntensityModel, integrator: 
             root, _ = _sqrt_estimate(est.value, est.se)
             root_sum.append(root)
     rate_factor = 2.0 * k**3.5 * math.fsum(root_sum) / vtilde.value
-    var = _assemble_variance(terms, lam, k)
+    var = assemble_variance(terms, lam)
     return BoundReport(
         mode="geometric",
         k=k,
@@ -362,7 +356,7 @@ def local_bound(kernel: UStatKernel, intensity: IntensityModel, integrator: Inte
         contribution = weight * norm / vtilde.value
         local_terms.append(LocalTerm(i=i, norm=norm, norm_se=norm_se, weight=weight, contribution=contribution))
         contributions.append(contribution)
-    var = _assemble_variance(terms, lam, k)
+    var = assemble_variance(terms, lam)
     return BoundReport(
         mode="local",
         k=k,

@@ -32,7 +32,7 @@ from .point_process import (
     sample_lines,
     sample_points,
 )
-from .ustat_core import Estimate, Integrator, UStatKernel, combine_se, evaluate, variance_terms
+from .ustat_core import Estimate, Integrator, UStatKernel, assemble_variance, evaluate, variance_terms
 
 __all__ = [
     "ExperimentConfig",
@@ -219,9 +219,7 @@ def _formula_moments(kernel: UStatKernel, lam: float, mean_integral: Estimate, t
     k = kernel.order
     factor = 1.0 if kernel.intensity_factor is None else float(kernel.intensity_factor(lam))
     mean = lam**k * factor * mean_integral.value
-    parts = [lam ** (2 * k - i) * factor**2 * t.value for i, t in enumerate(terms, start=1)]
-    ses = [lam ** (2 * k - i) * factor**2 * t.se for i, t in enumerate(terms, start=1)]
-    return mean, Estimate(math.fsum(parts), combine_se(*ses), max(t.n for t in terms))
+    return mean, assemble_variance(terms, lam, factor)
 
 
 def moment_table(config: ExperimentConfig) -> list:

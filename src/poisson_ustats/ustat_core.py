@@ -1,9 +1,10 @@
 """U-statistics of Poisson processes and their Malliavin-type operators.
 
 A U-statistic of order k sums a symmetric kernel f over all k-tuples of
-distinct points of a configuration.  This module evaluates such sums (with an
-optional cell-grid shortcut for local kernels), estimates moments by Monte
-Carlo against the intensity measure ``lambda * theta``, and implements the
+distinct points of a configuration.  This module evaluates such sums (for
+local kernels only over subsets in adjacent cells of a grid, found by
+sorting the points by cell id), estimates moments by Monte Carlo against
+the intensity measure ``lambda * theta``, and implements the
 add-one-point difference operators, the generator L of the associated
 Ornstein-Uhlenbeck semigroup, its pseudo-inverse, the projection kernels of
 the chaos decomposition, and the closed-form variance
@@ -25,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._streams import spawn_rng
-from .errors import ConfigError, IntegrationError
+from .errors import CapacityError, ConfigError, IntegrationError
 from .point_process import (
     BallWindow,
     IntensityModel,
@@ -38,7 +39,6 @@ __all__ = [
     "Estimate",
     "Integrator",
     "UStatKernel",
-    "KernelEstimate",
     "evaluate",
     "expectation",
     "difference",
@@ -47,7 +47,6 @@ __all__ = [
     "ou_generator_direct",
     "ou_inverse",
     "chaos_kernel",
-    "chaos_kernel_map",
     "variance",
     "variance_terms",
     "check_symmetry",
@@ -81,7 +80,8 @@ class UStatKernel:
     ``geometric`` marks kernels whose value does not depend on the intensity
     rate (up to the optional scalar factor ``intensity_factor(lam)``), and
     ``locality`` is a radius beyond which the kernel vanishes: if set, ``fn``
-    must return 0 whenever two tuple points are farther apart than it.
+    must return 0 whenever the Euclidean distance between two tuple points
+    exceeds it.
     """
 
     order: int
@@ -111,17 +111,6 @@ class UStatKernel:
         g = float(self.intensity_factor(float(lam)))
         base = self.fn
         return replace(self, fn=lambda tuples: g * np.asarray(base(tuples)), intensity_factor=None)
-
-
-@dataclass(frozen=True)
-class KernelEstimate:
-    """A kernel of the chaos decomposition, evaluated by Monte Carlo."""
-
-    index: int
-    fn: Callable[[np.ndarray], Estimate]
-
-    def __call__(self, points) -> Estimate:
-        return self.fn(np.asarray(points, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -219,62 +208,58 @@ def _subset_batches(n: int, k: int, batch: int = 1 << 15):
         yield np.array(chunk, dtype=np.intp)
 
 
-def _cell_lists(points: np.ndarray, delta: float) -> dict:
+def _local_subset_batches(points: np.ndarray, delta: float, k: int, batch: int = 1 << 15):
+    """Yield index arrays (m, k) covering every k-subset of diameter <= delta.
+
+    Points are binned on an axis-aligned grid with cell edge delta and ranked
+    by cell id.  A subset of diameter <= delta lies in the 3^d cell
+    neighbourhood of its lowest-ranked point, and its other points sit in
+    cells of equal or higher id there.  Those points are the anchor's
+    partners, and a candidate subset is an anchor plus k - 1 of its partners,
+    so each subset is enumerated once.  Candidates wider than delta
+    contribute exactly 0 under the locality contract.
+    """
+    n, d = points.shape
     keys = np.floor(points / delta).astype(np.int64)
-    cells: dict = {}
-    for i, key in enumerate(map(tuple, keys)):
-        cells.setdefault(key, []).append(i)
-    return {key: np.array(v, dtype=np.intp) for key, v in cells.items()}
-
-
-def _local_pair_batches(points: np.ndarray, delta: float):
-    # cell-list enumeration: candidate pairs live in the same or an adjacent
-    # cell of an axis-aligned grid with edge delta; extra candidates beyond
-    # distance delta contribute exactly 0 under the locality contract
-    cells = _cell_lists(points, delta)
-    d = points.shape[1]
-    zero = (0,) * d
-    offsets = [off for off in itertools.product((-1, 0, 1), repeat=d) if off > zero]
-    for key in sorted(cells):
-        idx = cells[key]
-        if len(idx) > 1:
-            a, b = np.triu_indices(len(idx), 1)
-            yield np.stack([idx[a], idx[b]], axis=1)
-        for off in offsets:
-            nb = tuple(k + o for k, o in zip(key, off))
-            other = cells.get(nb)
-            if other is not None:
-                pairs = np.stack(np.meshgrid(idx, other, indexing="ij"), axis=-1)
-                yield pairs.reshape(-1, 2)
-
-
-def _local_anchor_batches(points: np.ndarray, delta: float, k: int, batch: int = 1 << 14):
-    # every subset of diameter <= delta lies in the 3^d cell neighborhood of
-    # its lowest-index point, which enumerates each candidate exactly once
-    cells = _cell_lists(points, delta)
-    keys = np.floor(points / delta).astype(np.int64)
-    d = points.shape[1]
-    offsets = list(itertools.product((-1, 0, 1), repeat=d))
+    # per axis, shrink gaps of two or more cells to exactly two: adjacency is
+    # unchanged and the mixed-radix cell id below stays small
+    for a in range(d):
+        values, inverse = np.unique(keys[:, a], return_inverse=True)
+        keys[:, a] = np.concatenate(([1], 1 + np.cumsum(np.minimum(np.diff(values), 2))))[inverse]
+    radix = keys.max(axis=0) + 2
+    if math.prod(int(r) for r in radix) >= 1 << 62:
+        raise CapacityError(f"grid of {n} points in dimension {d} has too many cells to index")
+    weights = np.concatenate(([1], np.cumprod(radix[:-1])))
+    cell = keys @ weights
+    order = np.argsort(cell)
+    cell = cell[order]
+    # ids are mixed radix with axis 0 fastest, so the three cells along axis 0
+    # at a fixed offset h of the other axes have consecutive ids: the
+    # partners of rank r are the run from r + 1 to the end of its cell id + 1,
+    # plus one three-cell run for each h that raises the id
+    others = np.array(list(itertools.product((-1, 0, 1), repeat=d - 1)), dtype=np.int64)
+    raise_id = others.reshape(3 ** (d - 1), d - 1) @ weights[1:]
+    raise_id = raise_id[raise_id > 0]
+    lo = np.column_stack([np.arange(1, n + 1), np.searchsorted(cell, cell[:, None] + raise_id - 1, "left")])
+    hi = np.column_stack([np.searchsorted(cell, cell + 1, "right"), np.searchsorted(cell, cell[:, None] + raise_id + 1, "right")])
+    lo, hi = lo.ravel(), hi.ravel()
+    counts = hi - lo
+    start = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    partner = order[np.arange(len(start)) + start]
+    per_anchor = counts.reshape(n, -1).sum(axis=1)
+    if k == 2:
+        pairs = np.stack([np.repeat(order, per_anchor), partner], axis=1)
+        for s in range(0, len(pairs), batch):
+            yield pairs[s : s + batch]
+        return
+    bounds = np.concatenate(([0], np.cumsum(per_anchor)))
     buf = []
-    size = 0
-    for i in range(len(points)):
-        key = tuple(keys[i])
-        nbh = []
-        for off in offsets:
-            got = cells.get(tuple(key[a] + off[a] for a in range(d)))
-            if got is not None:
-                nbh.append(got[got > i])
-        if not nbh:
-            continue
-        cand = np.sort(np.concatenate(nbh))
-        if len(cand) < k - 1:
-            continue
-        for rest in itertools.combinations(cand.tolist(), k - 1):
-            buf.append((i, *rest))
-            size += 1
-            if size >= batch:
-                yield np.array(buf, dtype=np.intp)
-                buf, size = [], 0
+    for r, anchor in enumerate(order.tolist()):
+        partners = partner[bounds[r] : bounds[r + 1]].tolist()
+        buf.extend((anchor, *rest) for rest in itertools.combinations(partners, k - 1))
+        if len(buf) >= batch:
+            yield np.array(buf, dtype=np.intp)
+            buf = []
     if buf:
         yield np.array(buf, dtype=np.intp)
 
@@ -283,8 +268,10 @@ def evaluate(kernel: UStatKernel, config: PointConfiguration, *, exhaustive: boo
     """Sum of the kernel over ordered tuples of distinct configuration points.
 
     Computed as k! times the sum over unordered subsets, which requires the
-    declared symmetry.  Local kernels use a cell-grid enumeration unless
-    ``exhaustive`` is set; both paths sum the same nonzero terms.
+    declared symmetry.  Local kernels sum only over subsets whose points lie
+    in adjacent cells of a grid with edge ``locality`` (found by sorting the
+    points by cell id) unless ``exhaustive`` is set; both paths sum the same
+    nonzero terms.
     """
     if not kernel.symmetric:
         raise ConfigError("evaluate needs a symmetric kernel")
@@ -293,10 +280,7 @@ def evaluate(kernel: UStatKernel, config: PointConfiguration, *, exhaustive: boo
     if k > n:
         return 0.0
     if kernel.locality is not None and not exhaustive:
-        if k == 2:
-            batches = _local_pair_batches(pts, kernel.locality)
-        else:
-            batches = _local_anchor_batches(pts, kernel.locality, k)
+        batches = _local_subset_batches(pts, kernel.locality, k)
     else:
         batches = _subset_batches(n, k)
     parts = [float(kernel(pts[idx]).sum()) for idx in batches]
@@ -496,11 +480,6 @@ def chaos_kernel(kernel: UStatKernel, i: int, ys, intensity: IntensityModel, int
     return Estimate(c * est.value, c * est.se, est.n)
 
 
-def chaos_kernel_map(kernel: UStatKernel, i: int, intensity: IntensityModel, integrator: Integrator) -> KernelEstimate:
-    """The i-th chaos kernel as a reusable evaluator."""
-    return KernelEstimate(i, lambda ys: chaos_kernel(kernel, i, ys, intensity, integrator))
-
-
 # ---------------------------------------------------------------------------
 # variance
 
@@ -568,14 +547,20 @@ def _inner_product_samples(kernel, window, integrator, i, n_out, n_in, rng_y, in
     return factors
 
 
+def assemble_variance(terms, lam: float, factor: float = 1.0) -> Estimate:
+    """Var F = sum_i lam^(2k-i) factor^2 T_i from the rate-free terms T_1..T_k.
+
+    ``factor`` is the kernel's scalar intensity factor at ``lam``.
+    """
+    k = len(terms)
+    parts = [lam ** (2 * k - i) * factor**2 * t.value for i, t in enumerate(terms, start=1)]
+    ses = [lam ** (2 * k - i) * factor**2 * t.se for i, t in enumerate(terms, start=1)]
+    return Estimate(math.fsum(parts), combine_se(*ses), max(t.n for t in terms))
+
+
 def variance(kernel: UStatKernel, intensity: IntensityModel, integrator: Integrator) -> Estimate:
     """Variance of the U-statistic from the chaos decomposition."""
-    terms = variance_terms(kernel, intensity.window, integrator)
-    k = kernel.order
-    lam = float(intensity.lam)
-    value = math.fsum(lam ** (2 * k - i) * t.value for i, t in zip(range(1, k + 1), terms))
-    se = combine_se(*(lam ** (2 * k - i) * t.se for i, t in zip(range(1, k + 1), terms)))
-    return Estimate(value, se, integrator.samples)
+    return assemble_variance(variance_terms(kernel, intensity.window, integrator), float(intensity.lam))
 
 
 def check_symmetry(kernel: UStatKernel, window: Window, seed: int = 0, trials: int = 64, tol: float = 1e-9) -> bool:

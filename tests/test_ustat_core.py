@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poisson_ustats import (
     BallWindow,
     BoxWindow,
+    CapacityError,
     ConfigError,
     Estimate,
     IntegrationError,
@@ -106,15 +109,59 @@ def test_evaluate_matches_itertools_oracle():
     assert evaluate(kern, cfg, exhaustive=True) == pytest.approx(brute, rel=1e-12)
 
 
-def test_locality_matches_exhaustive():
-    kern = gilbert_kernel(0.15)
-    assert kern.locality == 0.15
-    im = IntensityModel(60.0, UNIT_SQUARE)
-    for seed in range(5):
-        cfg = sample_points(im, seed)
-        fast = evaluate(kern, cfg)
-        slow = evaluate(kern, cfg, exhaustive=True)
-        assert fast == pytest.approx(slow, rel=1e-12)
+def _diameter_kernel(order: int, delta: float, weighted: bool) -> UStatKernel:
+    """1 (or a smooth positive weight) on tuples of diameter <= delta, else 0."""
+
+    def fn(t):
+        gaps = np.linalg.norm(t[:, :, None, :] - t[:, None, :, :], axis=-1)
+        close = np.all(gaps <= delta, axis=(1, 2))
+        if not weighted:
+            return close.astype(float)
+        return close * np.exp(-np.abs(t).sum(axis=(1, 2)))
+
+    return UStatKernel(order, fn, locality=delta)
+
+
+@st.composite
+def _local_cases(draw):
+    dim = draw(st.integers(1, 3))
+    order = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        window = BallWindow(draw(st.floats(0.5, 2.0)), dim)
+    else:
+        corner = draw(st.lists(st.floats(-20.0, 20.0), min_size=dim, max_size=dim))
+        window = BoxWindow(tuple((lo, lo + draw(st.floats(0.5, 3.0))) for lo in corner))
+    n = draw(st.integers(order, 30 if order == 3 else 60))
+    pts = window.sample(spawn_rng(draw(st.integers(0, 2**16)), "locality"), n)
+    return order, draw(st.floats(0.02, 1.5)), PointConfiguration(pts)
+
+
+@given(_local_cases())
+@settings(max_examples=80, deadline=None)
+def test_locality_matches_exhaustive(case):
+    order, delta, cfg = case
+    count = _diameter_kernel(order, delta, weighted=False)
+    assert evaluate(count, cfg) == evaluate(count, cfg, exhaustive=True)
+    smooth = _diameter_kernel(order, delta, weighted=True)
+    assert evaluate(smooth, cfg) == pytest.approx(evaluate(smooth, cfg, exhaustive=True), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "pts, delta",
+    [([[0.0, 0.0], [0.1, 0.0]], 0.1), ([[0.25, 0.5], [0.5, 0.5]], 0.25)],
+)
+def test_locality_counts_pairs_exactly_delta_apart(pts, delta):
+    # the second point sits on a cell edge, exactly delta away in floats
+    kern = gilbert_kernel(delta)
+    cfg = PointConfiguration(np.array(pts))
+    assert evaluate(kern, cfg, exhaustive=True) == 1.0
+    assert evaluate(kern, cfg) == 1.0
+
+
+def test_locality_grid_too_large_to_index():
+    cfg = PointConfiguration(spawn_rng(8, "wide").random((100, 10)))
+    with pytest.raises(CapacityError):
+        evaluate(gilbert_kernel(1e-3), cfg)
 
 
 def test_difference_identity():
