@@ -30,7 +30,7 @@ from .harness import (
     emit_report,
     moment_table,
     rate_experiment,
-    run_replicates,
+    run_replicates,  # unused; perfbench/tracing.py SITES wraps it here
 )
 from .point_process import LineWindow, sample_lines, sample_points, write_points_csv
 from ._streams import spawn_rng
@@ -180,9 +180,10 @@ def _cmd_bound(args) -> int:
         report = geometric_bound(kernel, intensity, config.integrator)
     else:
         report = wasserstein_bound(kernel, intensity, config.integrator)
-    if args.out:
-        emit_report(report, args.out)
-        print(f"wrote {report.mode} report to {args.out}")
+    out = args.out or config.report_path
+    if out:
+        emit_report(report, out)
+        print(f"wrote {report.mode} report to {out}")
     else:
         print(report.to_json())
     return 0
@@ -200,7 +201,7 @@ def _cmd_rate(args) -> int:
         for lam, dw, dk, b, ratio in zip(fit.lambdas, fit.d_w, fit.d_k, fit.bounds, fit.ratios):
             print(f"{lam:.17g},{dw:.17g},{dk:.17g},{b:.17g},{ratio:.17g}")
     if config.records_path:
-        emit_csv(run_replicates(config), config.records_path)
+        emit_csv(fit.records, config.records_path)
         print(f"wrote records to {config.records_path}")
     print(f"slope={fit.slope:.6g} se={fit.slope_se:.6g} intercept={fit.intercept:.6g}")
     return 0

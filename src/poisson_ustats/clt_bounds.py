@@ -12,6 +12,10 @@ Three assembly modes share one report type:
   powers of the rescaled chaos kernels, where b is the largest mass a
   4*delta-ball can carry.
 
+The geometric and local modes depend on lam only through explicit powers:
+estimate_ingredients estimates their lam-free integrals once into an
+Ingredients record, whose report method assembles the bound at any lam.
+
 A small Monte Carlo oracle (r_terms_small) simulates the inner-product
 fluctuation terms that the M quantities dominate, on cell-grid kernels
 where the chaos integrals reduce to finite sums.
@@ -36,13 +40,15 @@ from .errors import (
     DegenerateFunctionalError,
     LocalityError,
 )
-from .point_process import IntensityModel, LineWindow, sample_points, unit_ball_volume, window_measure
+from .point_process import IntensityModel, LineWindow, Window, sample_points, unit_ball_volume, window_measure
 from .ustat_core import Estimate, Integrator, UStatKernel, assemble_variance, variance, variance_terms
 
 __all__ = [
     "MTerm",
     "LocalTerm",
     "BoundReport",
+    "Ingredients",
+    "estimate_ingredients",
     "wasserstein_bound",
     "geometric_bound",
     "local_bound",
@@ -201,60 +207,6 @@ def wasserstein_bound(kernel: UStatKernel, intensity: IntensityModel, integrator
     )
 
 
-def geometric_bound(kernel: UStatKernel, intensity: IntensityModel, integrator: Integrator) -> BoundReport:
-    """Rate-form bound for an intensity-independent kernel at lam >= 1.
-
-    Evaluates all ingredients at unit intensity: vtilde is the leading
-    variance coefficient k^2 int (int f dtheta^{k-1})^2 dtheta, the m
-    entries are the unit-intensity fourth-moment terms, and
-
-        bound(lam) = rate_factor / sqrt(lam)
-
-    holds exactly (bit for bit, so quadrupling lam halves the bound) with
-    rate_factor = 2 k^{7/2} sum sqrt(M~_ij) / vtilde.
-    The reported variance is assembled at the requested lam from the same
-    unit-intensity integrals.
-    """
-    k = kernel.order
-    if not kernel.geometric or kernel.intensity_factor is not None:
-        raise ConfigError("kernel is not flagged intensity-independent")
-    lam = float(intensity.lam)
-    if lam < 1.0:
-        raise AssumptionViolationError(f"rate form needs lam >= 1, got {lam}")
-    terms = variance_terms(kernel, intensity.window, integrator)
-    vtilde = terms[0]
-    if not vtilde.value > 3.0 * vtilde.se:
-        raise AssumptionViolationError(
-            "first-order variance coefficient is consistent with zero "
-            f"({vtilde.value:.3g}, se {vtilde.se:.3g}); the normalized sum "
-            "has no Gaussian first-order part"
-        )
-    unit = intensity.with_lam(1.0)
-    m_terms = []
-    root_sum = []
-    for i in range(1, k + 1):
-        for j in range(i, k + 1):
-            est = m_ij(kernel, i, j, unit, integrator)
-            m_terms.append(MTerm(i, j, est.value, est.se))
-            root, _ = _sqrt_estimate(est.value, est.se)
-            root_sum.append(root)
-    rate_factor = 2.0 * k**3.5 * math.fsum(root_sum) / vtilde.value
-    var = assemble_variance(terms, lam)
-    return BoundReport(
-        mode="geometric",
-        k=k,
-        lam=lam,
-        variance=var.value,
-        variance_se=var.se,
-        m=tuple(m_terms),
-        bound=rate_factor / math.sqrt(lam),
-        vtilde=vtilde.value,
-        vtilde_se=vtilde.se,
-        rate_factor=rate_factor,
-        notes=_sign_note(kernel, intensity.window, integrator),
-    )
-
-
 @lru_cache(maxsize=None)
 def default_local_constant(k: int) -> float:
     """Documented default for the local mode's order constant.
@@ -316,6 +268,117 @@ def _fourth_power_norms(kernel: UStatKernel, window, integrator: Integrator) -> 
     return out
 
 
+@dataclass(frozen=True)
+class Ingredients:
+    """The lambda-free integrals of one (kernel, window, integrator).
+
+    E F = lam^k mean and Var F = sum_i lam^(2k-i) terms[i-1].  A "local"
+    record adds the fourth-power norms int (f~_i)^4 dtheta^i, a "geometric"
+    one the unit-intensity M~_ij; either passed the check that vtilde = T_1
+    clears three standard errors of zero.
+    """
+
+    kernel: UStatKernel
+    window: Window
+    mean: Estimate
+    terms: tuple
+    mode: Optional[str] = None
+    norms: tuple = ()
+    m: tuple = ()
+    notes: str = ""
+
+    def moments(self, lam: float) -> tuple:
+        """Formula mean and variance estimate at rate lam."""
+        factor = 1.0 if self.kernel.intensity_factor is None else float(self.kernel.intensity_factor(lam))
+        return lam**self.kernel.order * factor * self.mean.value, assemble_variance(self.terms, lam, factor)
+
+    def report(self, lam: float, c_k: Optional[float] = None) -> BoundReport:
+        """Rate-form bound at lam >= 1; c_k (local mode) defaults to default_local_constant(k)."""
+        if self.mode is None:
+            raise ConfigError("these ingredients carry no rate-form bound")
+        lam = float(lam)
+        if lam < 1.0:
+            raise AssumptionViolationError(f"rate form needs lam >= 1, got {lam}")
+        k = self.kernel.order
+        vtilde = self.terms[0]
+        if self.mode == "geometric":
+            rate_factor = 2.0 * k**3.5 * math.fsum(_sqrt_estimate(t.value, t.se)[0] for t in self.m) / vtilde.value
+            detail = dict(bound=rate_factor / math.sqrt(lam), rate_factor=rate_factor, notes=self.notes)
+        else:
+            c_k = default_local_constant(k) if c_k is None else float(c_k)
+            if not c_k > 0:
+                raise ConfigError(f"c_k must be positive, got {c_k}")
+            delta = float(self.kernel.locality)
+            d = self.window.dimension
+            b = lam * unit_ball_volume(d) * (4.0 * delta) ** d
+            local_terms = []
+            for i, q in enumerate(self.norms, start=1):
+                norm, norm_se = _sqrt_estimate(q.value, q.se)
+                weight = lam ** (1.0 - 1.5 * i) * max(1.0, b ** (i / 2.0))
+                local_terms.append(LocalTerm(i, norm, norm_se, weight, weight * norm / vtilde.value))
+            bound = c_k * math.fsum(t.contribution for t in local_terms)
+            detail = dict(bound=bound, b_delta=b, c_k=c_k, delta=delta, local_terms=tuple(local_terms))
+        var = assemble_variance(self.terms, lam)
+        return BoundReport(
+            mode=self.mode, k=k, lam=lam, variance=var.value, variance_se=var.se,
+            m=self.m, vtilde=vtilde.value, vtilde_se=vtilde.se, **detail,
+        )
+
+
+def estimate_ingredients(kernel: UStatKernel, window: Window, integrator: Integrator, mode: Optional[str] = None) -> Ingredients:
+    """Estimate the lambda-free ingredients, each on its own integrator stream.
+
+    mode None gives the moment integrals only; "local" or "geometric" adds
+    what that bound needs (the caller picks: a kernel can be both)."""
+    k = kernel.order
+    if mode == "local":
+        if kernel.locality is None:
+            raise LocalityError("kernel declares no support diameter; not a local kernel")
+        if isinstance(window, LineWindow):
+            raise ConfigError("local bounds need a spatial window")
+    elif mode == "geometric":
+        if not kernel.geometric or kernel.intensity_factor is not None:
+            raise ConfigError("kernel is not flagged intensity-independent")
+    elif mode is not None:
+        raise ConfigError(f"unknown mode {mode!r}")
+    mean = integrator.integrate(kernel, window, k, path=("expectation",))
+    terms = tuple(variance_terms(kernel, window, integrator))
+    if mode is None:
+        return Ingredients(kernel, window, mean, terms)
+    vtilde = terms[0]
+    if not vtilde.value > 3.0 * vtilde.se:
+        raise AssumptionViolationError(
+            "first-order variance coefficient is consistent with zero "
+            f"({vtilde.value:.3g}, se {vtilde.se:.3g}); the normalized sum "
+            "has no Gaussian first-order part"
+        )
+    if mode == "local":
+        return Ingredients(kernel, window, mean, terms, mode, norms=tuple(_fourth_power_norms(kernel, window, integrator)))
+    m = []
+    for i in range(1, k + 1):
+        for j in range(i, k + 1):
+            est = m_ij(kernel, i, j, IntensityModel(1.0, window), integrator)
+            m.append(MTerm(i, j, est.value, est.se))
+    return Ingredients(kernel, window, mean, terms, mode, m=tuple(m), notes=_sign_note(kernel, window, integrator))
+
+
+def geometric_bound(kernel: UStatKernel, intensity: IntensityModel, integrator: Integrator) -> BoundReport:
+    """Rate-form bound for an intensity-independent kernel at lam >= 1.
+
+    Evaluates all ingredients at unit intensity: vtilde is the leading
+    variance coefficient k^2 int (int f dtheta^{k-1})^2 dtheta, the m
+    entries are the unit-intensity fourth-moment terms, and
+
+        bound(lam) = rate_factor / sqrt(lam)
+
+    holds exactly (bit for bit, so quadrupling lam halves the bound) with
+    rate_factor = 2 k^{7/2} sum sqrt(M~_ij) / vtilde.
+    The reported variance is assembled at the requested lam from the same
+    unit-intensity integrals.
+    """
+    return estimate_ingredients(kernel, intensity.window, integrator, "geometric").report(intensity.lam)
+
+
 def local_bound(kernel: UStatKernel, intensity: IntensityModel, integrator: Integrator, c_k: Optional[float] = None) -> BoundReport:
     """Rate-form bound for a kernel supported on tuples of diameter <= delta.
 
@@ -324,54 +387,7 @@ def local_bound(kernel: UStatKernel, intensity: IntensityModel, integrator: Inte
     b = lam * (volume of a radius-4*delta ball) upper-bounds the mass any
     such ball can carry.  c_k defaults to default_local_constant(k).
     """
-    k = kernel.order
-    if kernel.locality is None:
-        raise LocalityError("kernel declares no support diameter; not a local kernel")
-    if isinstance(intensity.window, LineWindow):
-        raise ConfigError("local bounds need a spatial window")
-    lam = float(intensity.lam)
-    if lam < 1.0:
-        raise AssumptionViolationError(f"rate form needs lam >= 1, got {lam}")
-    if c_k is None:
-        c_k = default_local_constant(k)
-    c_k = float(c_k)
-    if not c_k > 0:
-        raise ConfigError(f"c_k must be positive, got {c_k}")
-    delta = float(kernel.locality)
-    d = intensity.window.dimension
-    b = lam * unit_ball_volume(d) * (4.0 * delta) ** d
-    terms = variance_terms(kernel, intensity.window, integrator)
-    vtilde = terms[0]
-    if not vtilde.value > 3.0 * vtilde.se:
-        raise AssumptionViolationError(
-            "first-order variance coefficient is consistent with zero "
-            f"({vtilde.value:.3g}, se {vtilde.se:.3g})"
-        )
-    norms = _fourth_power_norms(kernel, intensity.window, integrator)
-    local_terms = []
-    contributions = []
-    for i, q in enumerate(norms, start=1):
-        norm, norm_se = _sqrt_estimate(q.value, q.se)
-        weight = lam ** (1.0 - 1.5 * i) * max(1.0, b ** (i / 2.0))
-        contribution = weight * norm / vtilde.value
-        local_terms.append(LocalTerm(i=i, norm=norm, norm_se=norm_se, weight=weight, contribution=contribution))
-        contributions.append(contribution)
-    var = assemble_variance(terms, lam)
-    return BoundReport(
-        mode="local",
-        k=k,
-        lam=lam,
-        variance=var.value,
-        variance_se=var.se,
-        m=(),
-        bound=c_k * math.fsum(contributions),
-        vtilde=vtilde.value,
-        vtilde_se=vtilde.se,
-        b_delta=b,
-        c_k=c_k,
-        delta=delta,
-        local_terms=tuple(local_terms),
-    )
+    return estimate_ingredients(kernel, intensity.window, integrator, "local").report(intensity.lam, c_k)
 
 
 def r_terms_small(chaos_fns: Sequence[SimpleFunction], intensity: IntensityModel, replicates: int, seed: int = 0, batches: int = 20) -> tuple:

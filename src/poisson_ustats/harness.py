@@ -2,9 +2,12 @@
 
 Replicates standardize with formula moments (mean and variance assembled
 from intensity-free integrals), not sample moments, so the recorded values
-are exactly the normalized quantity the distance estimates refer to.  Every
-random stream derives from (master seed, lambda index, replicate index);
-rerunning a config byte-reproduces its outputs.
+are exactly the normalized quantity the distance estimates refer to.  The
+integrals are estimated once per run (clt_bounds.Ingredients); a rate
+experiment shares them with its bound column and returns the records it
+simulated (RateFitResult.records).  Every random stream derives from
+(master seed, lambda index, replicate index); rerunning a config
+byte-reproduces its outputs.
 """
 
 from __future__ import annotations
@@ -13,14 +16,15 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from ._streams import spawn_rng, stream_token
 from .applications import make_kernel
-from .clt_bounds import BoundReport, geometric_bound, local_bound
+# geometric_bound, local_bound and variance_terms are unused here; perfbench/tracing.py SITES wraps them
+from .clt_bounds import BoundReport, Ingredients, estimate_ingredients, geometric_bound, local_bound
 from .distance import SampleSet, kolmogorov_to_normal, wasserstein_to_normal
 from .errors import ConfigError, DegenerateFunctionalError
 from .point_process import (
@@ -32,7 +36,7 @@ from .point_process import (
     sample_lines,
     sample_points,
 )
-from .ustat_core import Estimate, Integrator, UStatKernel, assemble_variance, evaluate, variance_terms
+from .ustat_core import Integrator, UStatKernel, evaluate, variance_terms
 
 __all__ = [
     "ExperimentConfig",
@@ -204,32 +208,13 @@ class RateFitResult:
     slope_se: float
     intercept: float
     replicates: int
-
-
-def _moment_scales(kernel: UStatKernel, config: ExperimentConfig) -> tuple:
-    """Intensity-free ingredients: mean integral and variance terms."""
-    mean_integral = config.integrator.integrate(
-        kernel, config.window, kernel.order, path=("expectation",)
-    )
-    terms = variance_terms(kernel, config.window, config.integrator)
-    return mean_integral, terms
-
-
-def _formula_moments(kernel: UStatKernel, lam: float, mean_integral: Estimate, terms: Sequence[Estimate]) -> tuple:
-    k = kernel.order
-    factor = 1.0 if kernel.intensity_factor is None else float(kernel.intensity_factor(lam))
-    mean = lam**k * factor * mean_integral.value
-    return mean, assemble_variance(terms, lam, factor)
+    records: tuple = field(default=(), repr=False)  # the ReplicateRecords the fit used
 
 
 def moment_table(config: ExperimentConfig) -> list:
     """Formula moments per lambda: rows of (lambda, mean, variance estimate)."""
-    kernel = config.resolve_kernel()
-    mean_integral, terms = _moment_scales(kernel, config)
-    return [
-        (lam,) + _formula_moments(kernel, lam, mean_integral, terms)
-        for lam in config.lambdas
-    ]
+    ingredients = estimate_ingredients(config.resolve_kernel(), config.window, config.integrator)
+    return [(lam,) + ingredients.moments(lam) for lam in config.lambdas]
 
 
 def run_replicates(config: ExperimentConfig) -> list:
@@ -238,19 +223,21 @@ def run_replicates(config: ExperimentConfig) -> list:
     Aborts before sampling a lambda whose formula variance is statistically
     indistinguishable from zero, naming that lambda.
     """
-    kernel = config.resolve_kernel()
-    mean_integral, terms = _moment_scales(kernel, config)
+    return _simulate(config, estimate_ingredients(config.resolve_kernel(), config.window, config.integrator))
+
+
+def _simulate(config: ExperimentConfig, ingredients: Ingredients) -> list:
     is_lines = isinstance(config.window, LineWindow)
     records = []
     for li, lam in enumerate(config.lambdas):
-        mean, var = _formula_moments(kernel, lam, mean_integral, terms)
+        mean, var = ingredients.moments(lam)
         if not var.value > 3.0 * var.se:
             raise DegenerateFunctionalError(
                 f"variance at lambda={lam:g} is consistent with zero "
                 f"({var.value:.3g}, se {var.se:.3g})"
             )
         sd = math.sqrt(var.value)
-        kern = kernel if kernel.intensity_factor is None else kernel.at_intensity(lam)
+        kern = ingredients.kernel.at_intensity(lam)
         intensity = config.intensity(lam)
         for r in range(config.replicates):
             rng = spawn_rng(config.seed, li, r)
@@ -301,17 +288,13 @@ def rate_experiment(config: ExperimentConfig) -> RateFitResult:
     local = kernel.locality is not None
     if not (local or kernel.geometric):
         raise ConfigError("rate experiments need a geometric or local kernel")
-    records = run_replicates(config)
+    ingredients = estimate_ingredients(
+        kernel, config.window, config.integrator, "local" if local else "geometric"
+    )
+    records = _simulate(config, ingredients)
+    bounds = [ingredients.report(lam, config.c_k).bound for lam in config.lambdas]
     d_w = []
     d_k = []
-    bounds = []
-    if local:
-        for lam in config.lambdas:
-            rep = local_bound(kernel, config.intensity(lam), config.integrator, c_k=config.c_k)
-            bounds.append(rep.bound)
-    else:
-        rep = geometric_bound(kernel, config.intensity(config.lambdas[0]), config.integrator)
-        bounds = [rep.rate_factor / math.sqrt(lam) for lam in config.lambdas]
     for lam in config.lambdas:
         values = np.array([r.standardized for r in records if r.lam == lam])
         sample = SampleSet(values, label=f"lambda={lam:g}")
@@ -328,6 +311,7 @@ def rate_experiment(config: ExperimentConfig) -> RateFitResult:
         slope_se=slope_se,
         intercept=intercept,
         replicates=config.replicates,
+        records=tuple(records),
     )
 
 

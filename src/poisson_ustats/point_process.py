@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -205,9 +205,6 @@ class IntensityModel:
 
     def mean_count(self) -> float:
         return self.lam * window_measure(self.window)
-
-    def with_lam(self, lam: float) -> "IntensityModel":
-        return replace(self, lam=lam)
 
 
 @dataclass(frozen=True, eq=False)

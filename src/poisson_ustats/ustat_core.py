@@ -500,16 +500,15 @@ def variance_terms(kernel: UStatKernel, window: Window, integrator: Integrator) 
         rng_y = integrator.rng("variance", i, 0)
         scale = math.factorial(i) * math.comb(k, i) ** 2 * theta**i
         if i == k:
-            pts = window.sample(rng_y, n_out * k).reshape(n_out, k, window.point_dim)
-            v = kernel(pts) ** 2
+            v = kernel(integrator.draw(window, k, n_out, rng_y)) ** 2
         else:
             rng_a = integrator.rng("variance", i, 1)
             rng_b = integrator.rng("variance", i, 2)
             v = _inner_product_samples(kernel, window, integrator, i, n_out, n_in, rng_y, (rng_a, rng_b))
         if not np.all(np.isfinite(v)):
             raise IntegrationError(f"non-finite value in variance term {i}")
-        se = scale * float(v.std(ddof=1)) / math.sqrt(n_out) if n_out > 1 else math.inf
-        terms.append(Estimate(scale * float(v.mean()), se, n_out))
+        se = scale * float(v.std(ddof=1)) / math.sqrt(len(v)) if len(v) > 1 else math.inf
+        terms.append(Estimate(scale * float(v.mean()), se, len(v)))
     return terms
 
 

@@ -2,10 +2,12 @@
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from poisson_ustats import clt_bounds, harness
 from poisson_ustats import (
     BallWindow,
     BoxWindow,
@@ -20,7 +22,10 @@ from poisson_ustats import (
     default_window,
     emit_csv,
     emit_report,
+    geometric_bound,
     gilbert_kernel,
+    local_bound,
+    make_kernel,
     moment_table,
     rate_experiment,
     read_points_csv,
@@ -38,6 +43,17 @@ UNIT_SQUARE = BoxWindow(((0.0, 1.0), (0.0, 1.0)))
 
 def flat_count_kernel() -> UStatKernel:
     return UStatKernel(1, lambda t: np.ones(t.shape[0]), name="flat-count", geometric=True)
+
+
+def count_calls(monkeypatch, module, name: str, calls: Counter) -> None:
+    """Count the calls made through ``module.name`` in ``calls[name]``."""
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
 
 
 def flat_config(**overrides) -> ExperimentConfig:
@@ -317,17 +333,40 @@ def test_rate_experiment_flat_count():
     assert fit.slope_se >= 0.0
 
 
-def test_rate_experiment_local_kernel_bounds_per_lambda():
+def test_rate_experiment_local_kernel_bounds_per_lambda(monkeypatch):
     config = flat_config(
         kernel=gilbert_kernel(0.3),
         lambdas=(1.0, 2.0, 4.0),
         replicates=120,
         integrator=Integrator(samples=400, seed=5),
     )
+    calls = Counter()
+    count_calls(monkeypatch, harness, "variance_terms", calls)
+    count_calls(monkeypatch, clt_bounds, "variance_terms", calls)
+    count_calls(monkeypatch, clt_bounds, "_fourth_power_norms", calls)
     fit = rate_experiment(config)
+    # the lambda-free ingredients are estimated once for the whole grid
+    assert calls == {"variance_terms": 1, "_fourth_power_norms": 1}
     assert len(fit.bounds) == 3
     assert all(math.isfinite(b) and b > 0 for b in fit.bounds)
     assert all(d > 0 for d in fit.d_w)
+    for lam, b in zip(config.lambdas, fit.bounds):
+        assert b == local_bound(config.kernel, config.intensity(lam), config.integrator, c_k=config.c_k).bound
+    assert fit.records == tuple(run_replicates(config))
+
+
+def test_rate_experiment_geometric_kernel_bounds_per_lambda():
+    config = flat_config(
+        kernel=make_kernel("pairwise-distance"),
+        lambdas=(1.0, 3.0, 9.0),
+        replicates=100,
+        integrator=Integrator(samples=300, seed=8),
+    )
+    fit = rate_experiment(config)
+    for lam, b in zip(config.lambdas, fit.bounds):
+        rep = geometric_bound(config.kernel, config.intensity(lam), config.integrator)
+        assert b == rep.rate_factor / math.sqrt(lam)
+    assert fit.records == tuple(run_replicates(config))
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +429,13 @@ def test_cli_bound_report_cycle(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "report is valid" in out
     assert "mode: geometric" in out
+    # without --out the report goes to the config's out.report
+    config["out"] = {"report": str(tmp_path / "from_config.json")}
+    cfg_path.write_text(json.dumps(config))
+    assert main(["bound", "--config", str(cfg_path)]) == 0
+    assert (tmp_path / "from_config.json").read_text() == report_path.read_text()
+    assert main(["report", str(tmp_path / "from_config.json")]) == 0
+    assert "report is valid" in capsys.readouterr().out
 
 
 def test_cli_bound_degenerate_exits_3(tmp_path, capsys):
@@ -427,7 +473,7 @@ def test_cli_report_rejects_incomplete_json(tmp_path, capsys):
     assert "misses fields" in capsys.readouterr().err
 
 
-def test_cli_rate_writes_requested_outputs(tmp_path, capsys):
+def test_cli_rate_writes_requested_outputs(tmp_path, capsys, monkeypatch):
     config = {
         "kernel": "pairwise-distance",
         "lambdas": [1, 2, 4],
@@ -438,7 +484,11 @@ def test_cli_rate_writes_requested_outputs(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))
     rates_path = tmp_path / "rates.csv"
+    calls = Counter()
+    count_calls(monkeypatch, harness, "sample_points", calls)
     assert main(["experiment", "rate", "--config", str(cfg_path), "--out", str(rates_path)]) == 0
+    # every (lambda, replicate) cell is sampled once, for the fit and the records alike
+    assert calls["sample_points"] == 300
     out = capsys.readouterr().out
     assert "slope=" in out
     rows = read_rates(rates_path)
@@ -447,6 +497,9 @@ def test_cli_rate_writes_requested_outputs(tmp_path, capsys):
     assert rows[2][3] == rows[0][3] / 2.0
     records = read_records(tmp_path / "records.csv")
     assert len(records) == 300
+    again = tmp_path / "again.csv"
+    emit_csv(run_replicates(ExperimentConfig.from_json(cfg_path.read_text())), again)
+    assert (tmp_path / "records.csv").read_bytes() == again.read_bytes()
 
 
 def test_cli_flag_overrides_apply(capsys):

@@ -291,6 +291,14 @@ def test_variance_terms_constant_kernel():
     assert terms[0].se == 0.0
 
 
+def test_variance_terms_stratify_the_top_order_term():
+    # level 2 on a 2-fold integral over the square makes 2^4 = 16 strata, so a
+    # stratified draw of 100 tuples keeps 16 * 6 = 96 of them
+    terms = variance_terms(pairwise_distance_kernel(), UNIT_SQUARE, Integrator(samples=100, seed=3, strata=2))
+    assert terms[1].n == 96
+    assert terms[1].value > 0 and 0 < terms[1].se < math.inf
+
+
 def test_variance_counterexample_exact():
     kern = counterexample_kernel()
     win = BoxWindow(((-1.0, 1.0),))
