@@ -24,8 +24,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CapacityError, ConfigError
-from .point_process import IntensityModel, PointConfiguration, window_measure
-from .ustat_core import Estimate, Integrator, UStatKernel, combine_se
+from .point_process import IntensityModel, PointConfiguration
+from .ustat_core import Estimate, Integrator, UStatKernel, _product_integral, combine_se
 
 __all__ = [
     "CellGrid",
@@ -381,42 +381,37 @@ def m_ij(kernel: UStatKernel, i: int, j: int, intensity: IntensityModel, integra
     Sums, over connected diagrams of four factors with (i, i, j, j)
     identified arguments, the integral of the absolute product of four
     kernel copies; factors 1-2 keep k-i free arguments and factors 3-4
-    keep k-j.  Each diagram integral runs over at most 4k-i-j variables
-    and is estimated on its own stream; the total carries the square
-    C(k,i)^2 C(k,j)^2.
+    keep k-j.  Each diagram integral runs over at most 4k-i-j variables,
+    all drawn jointly (and stratified together under ``strata`` > 1) on the
+    diagram's own stream; the total carries the square C(k,i)^2 C(k,j)^2.
     """
     k = kernel.order
     if not 1 <= i <= j <= k:
         raise ConfigError(f"need 1 <= i <= j <= order, got i={i}, j={j}, order={k}")
     sizes = (i, i, j, j)
     free = (k - i, k - i, k - j, k - j)
-    diagrams = enumerate_pi_bar(sizes)
-    win = intensity.window
     lam = float(intensity.lam)
-    value_parts = []
-    se_parts = []
-    for d_idx, diagram in enumerate(diagrams):
-        nb = diagram.n_blocks
-        slots = []
-        pos = nb
+
+    def absolute(tuples: np.ndarray) -> np.ndarray:
+        return np.abs(kernel(tuples))
+
+    values, ses, n = [], [], integrator.samples
+    for d_idx, diagram in enumerate(enumerate_pi_bar(sizes)):
+        slots = [[0] * size for size in sizes]
+        for b, members in enumerate(diagram.blocks):
+            for l, t in members:
+                slots[l - 1][t - 1] = b
+        pos = diagram.n_blocks
         for l in range(4):
-            arg = [diagram.block_of(l + 1, t) for t in range(1, sizes[l] + 1)]
-            arg.extend(range(pos, pos + free[l]))
+            slots[l].extend(range(pos, pos + free[l]))
             pos += free[l]
-            slots.append(arg)
-        dims = pos  # nb + 2(k-i) + 2(k-j), at most 4k-i-j
-
-        def integrand(pts: np.ndarray, slots=slots) -> np.ndarray:
-            out = np.ones(pts.shape[0])
-            for sl in slots:
-                out = out * np.abs(kernel(pts[:, sl, :]))
-            return out
-
-        est = integrator.integrate(integrand, win, dims, path=("m", i, j, d_idx))
-        value_parts.append(lam**dims * est.value)
-        se_parts.append(lam**dims * est.se)
+        # pos = n_blocks + 2(k-i) + 2(k-j) variables, at most 4k-i-j
+        est = _product_integral(absolute, k, intensity.window, integrator, pos, slots, ("m", i, j, d_idx), scale=lam**pos)
+        values.append(est.value)
+        ses.append(est.se)
+        n = min(n, est.n)
     scale = math.comb(k, i) ** 2 * math.comb(k, j) ** 2
-    return Estimate(scale * math.fsum(value_parts), scale * combine_se(*se_parts), integrator.samples)
+    return Estimate(scale * math.fsum(values), scale * combine_se(*ses), n)
 
 
 def chaos_kernels_simple(fn: SimpleFunction, intensity: IntensityModel) -> list:

@@ -40,8 +40,8 @@ from .errors import (
     DegenerateFunctionalError,
     LocalityError,
 )
-from .point_process import IntensityModel, LineWindow, Window, sample_points, unit_ball_volume, window_measure
-from .ustat_core import Estimate, Integrator, UStatKernel, assemble_variance, variance, variance_terms
+from .point_process import IntensityModel, LineWindow, Window, sample_points, unit_ball_volume
+from .ustat_core import Estimate, Integrator, UStatKernel, _product_integral, assemble_variance, variance, variance_terms
 
 __all__ = [
     "MTerm",
@@ -227,45 +227,19 @@ def _fourth_power_norms(kernel: UStatKernel, window, integrator: Integrator) -> 
 
     The order-i rescaled chaos kernel f~_i(y) = C(k,i) int f(y, x) dtheta^{k-i}
     enters through its fourth power, estimated without nesting bias as the
-    product of four independent inner integral estimates per outer point.
+    product of four independent inner integral estimates of
+    max(32, samples // 32) draws per outer point.  Under ``strata`` > 1 the
+    outer points and each inner batch are stratified separately.
     """
     k = kernel.order
-    theta = window_measure(window)
-    out = []
-    n = integrator.samples
-    inner = max(32, n // 32)
-    for i in range(1, k + 1):
-        if i == k:
-            out.append(
-                integrator.integrate(
-                    lambda ys: np.asarray(kernel(ys), dtype=float) ** 4,
-                    window,
-                    k,
-                    path=("fourth-power", k),
-                )
-            )
-            continue
-        rng = integrator.rng("fourth-power", i)
-        r = k - i
-        scale_in = math.comb(k, i) * theta**r
-        prods = np.empty(n)
-        chunk = max(1, (1 << 18) // (inner * 4))
-        done = 0
-        while done < n:
-            m = min(chunk, n - done)
-            ys = window.sample(rng, m * i).reshape(m, i, -1)
-            acc = np.full(m, theta**i)
-            for _ in range(4):
-                xs = window.sample(rng, m * inner * r).reshape(m, inner, r, -1)
-                tup = np.concatenate([np.repeat(ys[:, None], inner, axis=1), xs], axis=2)
-                vals = np.asarray(kernel(tup.reshape(m * inner, k, -1)), dtype=float)
-                acc *= scale_in * vals.reshape(m, inner).mean(axis=1)
-            prods[done : done + m] = acc
-            done += m
-        mean = float(np.mean(prods))
-        se = float(np.std(prods, ddof=1) / math.sqrt(n))
-        out.append(Estimate(mean, se, n))
-    return out
+    inner = max(32, integrator.samples // 32)
+    return [
+        _product_integral(
+            kernel, k, window, integrator, i, [range(i)] * 4, ("fourth-power", i),
+            inner=inner, scale=math.comb(k, i) ** 4,
+        )
+        for i in range(1, k + 1)
+    ]
 
 
 @dataclass(frozen=True)

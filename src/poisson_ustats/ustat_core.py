@@ -12,8 +12,14 @@ the chaos decomposition, and the closed-form variance
     Var F = sum_{i=1..k} i! C(k,i)^2 lam^(2k-i)
             int (int f dtheta^(k-i))^2 dtheta^i.
 
-Squared inner integrals are estimated without bias by multiplying two
-independent inner replicates.
+The variance terms, the fourth-power norms of the local bound and the
+fourth-moment terms M_ij are all integrals of a product of kernel copies
+that share some variables; one estimator, _product_integral, computes them.
+It draws the shared variables through Integrator.integrate and averages
+each factor's free variables over an independent inner batch, so the
+product of inner means (for a square: two independent inner replicates) is
+unbiased.  Under ``strata`` > 1 the shared variables and each inner batch
+are stratified separately.
 """
 
 from __future__ import annotations
@@ -121,8 +127,11 @@ class Integrator:
     switches on tensor stratification of the unit-cube driver: with level L
     and a q-fold integral over a d-dimensional window the cube splits into
     L^(q*d) equal strata with equal allocation (the remainder of ``samples``
-    modulo the stratum count is dropped).  Stratification needs a window
-    with an inverse unit-cube map, which excludes balls.
+    modulo the stratum count is dropped).  In a nested integral the shared
+    outer variables and each inner batch are stratified separately; an inner
+    batch smaller than its stratum count is drawn unstratified.
+    Stratification needs a window with an inverse unit-cube map, which
+    excludes balls.
     """
 
     samples: int = 4096
@@ -138,11 +147,12 @@ class Integrator:
     def rng(self, *path) -> np.random.Generator:
         return spawn_rng(self.seed, *path)
 
-    def draw(self, window: Window, arity: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw n tuples of ``arity`` theta-uniform points, shape (n, arity, dim)."""
+    def draw(self, window: Window, arity: int, n: int, rng: np.random.Generator, groups: int = 1) -> np.ndarray:
+        """Draw ``groups`` batches of n tuples of ``arity`` theta-uniform points,
+        each stratified on its own, shape (groups * n, arity, dim)."""
         dim = window.point_dim
         if self.strata <= 1:
-            return window.sample(rng, n * arity).reshape(n, arity, dim)
+            return window.sample(rng, groups * n * arity).reshape(groups * n, arity, dim)
         if isinstance(window, BallWindow):
             raise ConfigError("stratified sampling needs an invertible window map; balls sample by rejection")
         d_total = arity * dim
@@ -153,15 +163,13 @@ class Integrator:
                 f"sample count {n} is below the stratum count {count} (level {self.strata}, {d_total} axes)"
             )
         corners = np.stack(np.unravel_index(np.arange(count), (self.strata,) * d_total), axis=-1)
-        u = (corners[:, None, :] + rng.random((count, n_per, d_total))) / self.strata
-        return window.from_unit(u.reshape(n_per * count, arity, dim))
+        u = (corners[:, None, :] + rng.random((groups, count, n_per, d_total))) / self.strata
+        return window.from_unit(u.reshape(groups * count * n_per, arity, dim))
 
-    def integrate(self, fn, window: Window, arity: int, *, path=(), rng=None, samples=None) -> Estimate:
+    def integrate(self, fn, window: Window, arity: int, *, path=()) -> Estimate:
         """Estimate of int_{W^arity} fn dtheta^arity with its standard error."""
-        if rng is None:
-            rng = self.rng(*path) if path else self.rng("integrate")
-        n = int(samples) if samples else self.samples
-        pts = self.draw(window, arity, n, rng)
+        rng = self.rng(*path) if path else self.rng("integrate")
+        pts = self.draw(window, arity, self.samples, rng)
         vals = np.asarray(fn(pts), dtype=float).reshape(-1)
         if not np.all(np.isfinite(vals)):
             bad = int(np.flatnonzero(~np.isfinite(vals))[0])
@@ -180,6 +188,50 @@ class Integrator:
         else:
             se = scale * float(vals.std(ddof=1)) / math.sqrt(n_eff) if n_eff > 1 else math.inf
         return Estimate(scale * mean, se, n_eff)
+
+
+def _product_integral(fn, order: int, window: Window, integrator: Integrator, q: int, slots, path, inner: int = 0, scale: float = 1.0) -> Estimate:
+    """Estimate of scale * int prod_l (int fn(y[slots_l], x_l) dtheta^(order-|slots_l|)) dtheta^q(y).
+
+    ``fn`` maps (m, order, dim) tuples to m values; factor l puts the shared
+    variables y[slots_l] first and its own free variables x_l after them.
+    The q shared variables are drawn by ``integrator.integrate`` on stream
+    path + (0,), which stratifies them and gives the standard error.  A
+    factor with free variables averages ``inner`` draws per outer sample on
+    stream path + (l,) (each batch stratified on its own, or unstratified if
+    it is smaller than its stratum count); the product of these independent
+    inner means is unbiased for the product of the inner integrals.  A
+    factor without free variables spawns no stream and ignores ``inner``.
+    """
+    dim = window.point_dim
+    factors = []
+    for l, sl in enumerate(slots, start=1):
+        r = order - len(sl)
+        if r == 0:
+            factors.append((list(sl), 0, 1.0, None, None))
+            continue
+        drawer = integrator if inner >= integrator.strata ** (r * dim) else replace(integrator, strata=1)
+        factors.append((list(sl), r, window_measure(window) ** r, drawer, integrator.rng(*path, l)))
+
+    def integrand(ys: np.ndarray) -> np.ndarray:
+        out = np.ones(len(ys))
+        for sl, r, theta_r, drawer, rng in factors:
+            if r == 0:
+                out = out * fn(ys[:, sl])
+                continue
+            means = np.empty(len(ys))
+            chunk = max(1, (1 << 18) // inner)
+            for s in range(0, len(ys), chunk):
+                y = ys[s : s + chunk, sl]
+                m = len(y)
+                xs = drawer.draw(window, r, inner, rng, groups=m).reshape(m, -1, r, dim)
+                tup = np.concatenate([np.broadcast_to(y[:, None], (m, xs.shape[1], len(sl), dim)), xs], axis=2)
+                means[s : s + m] = fn(tup.reshape(-1, order, dim)).reshape(m, -1).mean(axis=1)
+            out = out * (theta_r * means)
+        return out
+
+    est = integrator.integrate(integrand, window, q, path=(*path, 0))
+    return Estimate(scale * est.value, scale * est.se, est.n)
 
 
 # ---------------------------------------------------------------------------
@@ -405,50 +457,23 @@ def ou_inverse(kernel: UStatKernel, config: PointConfiguration, intensity: Inten
     """
     k = kernel.order
     lam = float(intensity.lam)
-    win = intensity.window
-    theta = window_measure(win)
     mean_est = expectation(kernel, intensity, integrator, path=("ou-inverse", 0))
     harmonic = math.fsum(1.0 / m for m in range(1, k + 1))
     value = harmonic * mean_est.value
     var = (harmonic * mean_est.se) ** 2
-    pts = config.points
-    n = len(pts)
-    for m in range(1, k + 1):
-        if m == k:
-            u_val, u_se = evaluate(kernel, config), 0.0
-        elif m > n:
-            u_val, u_se = 0.0, 0.0
-        else:
-            subs = np.array(list(itertools.combinations(range(n), m)), dtype=np.intp)
-            rng = integrator.rng("ou-inverse", m)
-            ys = integrator.draw(win, k - m, integrator.samples, rng)
-            w = _cross_sums(kernel, pts[subs], ys)
-            scale = math.factorial(m) * lam ** (k - m) * theta ** (k - m)
-            u_val = scale * float(w.mean())
-            u_se = scale * float(w.std(ddof=1)) / math.sqrt(len(w)) if len(w) > 1 else math.inf
-        value -= u_val / m
-        var += (u_se / m) ** 2
-    return Estimate(value, math.sqrt(var), integrator.samples)
-
-
-def _cross_sums(kernel: UStatKernel, subs: np.ndarray, ys: np.ndarray, chunk: int = 1 << 16) -> np.ndarray:
-    """For each ys[j] (shape (n, r, d)), sum of f(sub, ys[j]) over subs (S, m, d)."""
-    count, m, d = subs.shape
-    n, r, _ = ys.shape
-    out = np.zeros(n)
-    step = max(1, chunk // max(count, 1))
-    for s in range(0, n, step):
-        yb = ys[s : s + step]
-        nn = len(yb)
-        tup = np.concatenate(
-            [
-                np.broadcast_to(subs[None], (nn, count, m, d)),
-                np.broadcast_to(yb[:, None, :, :], (nn, count, r, d)),
-            ],
-            axis=2,
-        ).reshape(nn * count, m + r, d)
-        out[s : s + step] = kernel(tup).reshape(nn, count).sum(axis=1)
-    return out
+    n = mean_est.n
+    for m in range(1, k):
+        est = integrator.integrate(
+            lambda ys: _ordered_prefix_sums(kernel, config, ys),
+            intensity.window,
+            k - m,
+            path=("ou-inverse", m),
+        )
+        value -= lam ** (k - m) * est.value / m
+        var += (lam ** (k - m) * est.se / m) ** 2
+        n = min(n, est.n)
+    value -= evaluate(kernel, config) / k
+    return Estimate(value, math.sqrt(var), n)
 
 
 def chaos_kernel(kernel: UStatKernel, i: int, ys, intensity: IntensityModel, integrator: Integrator) -> Estimate:
@@ -488,62 +513,17 @@ def variance_terms(kernel: UStatKernel, window: Window, integrator: Integrator) 
     """Rate-free variance terms T_i = i! C(k,i)^2 int (int f dtheta^{k-i})^2 dtheta^i.
 
     Var F = sum_i lam^(2k-i) T_i.  Inner squared integrals are estimated as
-    the product of two independent inner replicates, which is unbiased; the
-    i = k term needs no inner integral.  Index 0 of the returned list is T_1.
+    the product of two independent inner replicates of ``samples`` draws
+    each, which is unbiased.  Index 0 of the returned list is T_1.
     """
     k = kernel.order
-    theta = window_measure(window)
-    n_out = integrator.samples
-    n_in = integrator.samples
-    terms = []
-    for i in range(1, k + 1):
-        rng_y = integrator.rng("variance", i, 0)
-        scale = math.factorial(i) * math.comb(k, i) ** 2 * theta**i
-        if i == k:
-            v = kernel(integrator.draw(window, k, n_out, rng_y)) ** 2
-        else:
-            rng_a = integrator.rng("variance", i, 1)
-            rng_b = integrator.rng("variance", i, 2)
-            v = _inner_product_samples(kernel, window, integrator, i, n_out, n_in, rng_y, (rng_a, rng_b))
-        if not np.all(np.isfinite(v)):
-            raise IntegrationError(f"non-finite value in variance term {i}")
-        se = scale * float(v.std(ddof=1)) / math.sqrt(len(v)) if len(v) > 1 else math.inf
-        terms.append(Estimate(scale * float(v.mean()), se, len(v)))
-    return terms
-
-
-def _inner_product_samples(kernel, window, integrator, i, n_out, n_in, rng_y, inner_rngs) -> np.ndarray:
-    """Outer samples of prod_s (theta^(k-i) mean_x f(y, x_s)) over independent
-    inner streams s; unbiased for (int f(y, .) dtheta^(k-i))^len(inner_rngs)."""
-    k = kernel.order
-    dim = window.point_dim
-    r = k - i
-    theta_r = window_measure(window) ** r
-    ys = window.sample(rng_y, n_out * i).reshape(n_out, i, dim)
-    factors = np.ones(n_out)
-    if integrator.strata > 1:
-        # per-outer-point inner batches keep each stratification balanced
-        for rng in inner_rngs:
-            means = np.empty(n_out)
-            for j in range(n_out):
-                xs = integrator.draw(window, r, n_in, rng)
-                tup = np.concatenate([np.broadcast_to(ys[j], (len(xs), i, dim)), xs], axis=1)
-                means[j] = kernel(tup).mean()
-            factors *= theta_r * means
-        return factors
-    chunk = max(1, (1 << 18) // max(n_in, 1))
-    for rng in inner_rngs:
-        means = np.empty(n_out)
-        for s in range(0, n_out, chunk):
-            mm = min(chunk, n_out - s)
-            xs = window.sample(rng, mm * n_in * r).reshape(mm, n_in, r, dim)
-            tup = np.concatenate(
-                [np.broadcast_to(ys[s : s + mm, None, :, :], (mm, n_in, i, dim)), xs],
-                axis=2,
-            ).reshape(mm * n_in, k, dim)
-            means[s : s + mm] = kernel(tup).reshape(mm, n_in).mean(axis=1)
-        factors *= theta_r * means
-    return factors
+    return [
+        _product_integral(
+            kernel, k, window, integrator, i, [range(i)] * 2, ("variance", i),
+            inner=integrator.samples, scale=math.factorial(i) * math.comb(k, i) ** 2,
+        )
+        for i in range(1, k + 1)
+    ]
 
 
 def assemble_variance(terms, lam: float, factor: float = 1.0) -> Estimate:

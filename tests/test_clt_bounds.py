@@ -23,6 +23,7 @@ from poisson_ustats import (
     MTerm,
     SimpleFunction,
     UStatKernel,
+    chaos_kernels_simple,
     counterexample_kernel,
     default_local_constant,
     enumerate_pi_bar,
@@ -32,8 +33,10 @@ from poisson_ustats import (
     make_kernel,
     r_terms_small,
     unit_ball_volume,
+    variance_terms,
     wasserstein_bound,
 )
+from poisson_ustats.clt_bounds import _fourth_power_norms
 
 UNIT_SQUARE = BoxWindow(((0.0, 1.0), (0.0, 1.0)))
 
@@ -267,6 +270,22 @@ def test_local_report_ingredients():
     assert rep.bound == pytest.approx(
         rep.c_k * math.fsum(t.contribution for t in rep.local_terms), rel=1e-12
     )
+
+
+def test_stratified_ingredients_exact_on_cell_kernel():
+    # strata of level 4 on [0, 1] coincide with the 4 cells, so every outer
+    # and inner batch integrates the piecewise-constant kernel exactly
+    win = BoxWindow(((0.0, 1.0),))
+    coeffs = np.array([[0.0, 1.0, 2.0, 0.5], [1.0, 0.0, 3.0, -1.0], [2.0, 3.0, 0.0, 4.0], [0.5, -1.0, 4.0, 0.0]])
+    fn = SimpleFunction(CellGrid.regular((0.0,), (1.0,), (4,)), coeffs)
+    kern = fn.as_kernel(locality=1.0)
+    integ = Integrator(samples=4096, seed=0, strata=4)
+    terms = variance_terms(kern, win, integ)
+    norms = _fourth_power_norms(kern, win, integ)
+    im = IntensityModel(1.0, win)
+    for i, f_i in enumerate(chaos_kernels_simple(fn, im), start=1):
+        assert terms[i - 1].value == pytest.approx(math.factorial(i) * f_i.norm_sq(im), rel=1e-12)
+        assert norms[i - 1].value == pytest.approx(SimpleFunction(f_i.grid, f_i.coeffs**2).norm_sq(im), rel=1e-12)
 
 
 def test_local_bound_accepts_a_sharper_constant():

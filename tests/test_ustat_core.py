@@ -27,6 +27,7 @@ from poisson_ustats import (
     expectation,
     gilbert_kernel,
     iterated_difference,
+    m_ij,
     ou_generator,
     ou_generator_direct,
     ou_inverse,
@@ -297,6 +298,33 @@ def test_variance_terms_stratify_the_top_order_term():
     terms = variance_terms(pairwise_distance_kernel(), UNIT_SQUARE, Integrator(samples=100, seed=3, strata=2))
     assert terms[1].n == 96
     assert terms[1].value > 0 and 0 < terms[1].se < math.inf
+
+
+def test_variance_terms_stratified_se_matches_the_spread():
+    # order 1, so T_1 = int f^2 is the top-order term; the per-stratum
+    # standard error must track the spread of the estimate over seeds
+    kern = UStatKernel(1, lambda t: t[:, 0, 0] + t[:, 0, 1], name="coordinate-sum")
+    est = [variance_terms(kern, UNIT_SQUARE, Integrator(samples=1600, seed=s, strata=4))[0] for s in range(50)]
+    spread = float(np.std([e.value for e in est], ddof=1))
+    assert np.mean([e.se for e in est]) == pytest.approx(spread, rel=0.3)
+
+
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda win, integ: m_ij(UStatKernel(1, lambda t: 1.0 + t[:, 0, 0]), 1, 1, IntensityModel(1.0, win), integ),
+        lambda win, integ: ou_inverse(
+            pairwise_distance_kernel(), sample_points(IntensityModel(3.0, win), 1), IntensityModel(3.0, win), integ
+        ),
+    ],
+    ids=["m_ij", "ou_inverse"],
+)
+def test_estimate_counts_the_draws_made(estimate):
+    # on [0, 1] level 2 makes 2 strata per variable: of 101 requested draws a
+    # 1-fold integral keeps 2 * 50 and a 2-fold one 4 * 25 (m_ij here is one
+    # 1-fold diagram integral, ou_inverse a 2-fold and a 1-fold integral)
+    est = estimate(BoxWindow(((0.0, 1.0),)), Integrator(samples=101, seed=0, strata=2))
+    assert est.n == 100
 
 
 def test_variance_counterexample_exact():
