@@ -2,7 +2,8 @@
 """Partition diagrams behind the moment formulas.
 
 Enumerates the constrained partition family for small size vectors, shows
-the connected subfamily, and prints the fourth-moment terms they produce
+the connected subfamily and how many block-type orbits it falls into (the
+integrals M_ij actually runs), and prints the fourth-moment terms they produce
 for the order-2 sign kernel, where every integral is exact.
 """
 
@@ -15,14 +16,16 @@ from poisson_ustats import (
     enumerate_pi_bar,
     m_ij,
 )
+from poisson_ustats.chaos_algebra import _block_type_orbits
 
 
 def main() -> None:
-    print("size vector  |Pi|  |Pi-bar|")
-    for sizes in ((1, 1), (2, 2), (1, 1, 1, 1), (2, 1, 1), (2, 2, 2), (2, 2, 1, 1)):
+    print("size vector  |Pi|  |Pi-bar|  orbits")
+    for sizes in ((1, 1), (2, 2), (1, 1, 1, 1), (2, 1, 1), (2, 2, 2), (2, 2, 1, 1), (2, 2, 3, 3), (3, 3, 3, 3)):
         full = len(enumerate_pi(sizes))
         connected = len(enumerate_pi_bar(sizes))
-        print(f"{str(sizes):12} {full:5d} {connected:9d}")
+        orbits = len(_block_type_orbits(sizes))
+        print(f"{str(sizes):12} {full:5d} {connected:9d} {orbits:7d}")
 
     print("\nconnected diagrams for sizes (2, 2):")
     for diagram in enumerate_pi_bar((2, 2)):

@@ -9,9 +9,15 @@ compensated process is the polynomial
 Moments of products of such integrals reduce to sums over partitions of the
 argument variables subject to three constraints: variables of one factor
 never share a block, every block has at least two elements, and (for the
-connected family) the blocks hook all factors together.  The enumeration
-here is the exact combinatorial input to the fourth-moment quantities
-M_ij computed by :func:`m_ij`.
+connected family) the blocks hook all factors together.
+
+The fourth-moment quantities M_ij (:func:`m_ij`) sum one integral per
+connected diagram.  For a symmetric kernel that integral depends only on the
+diagram's block-type vector (which sets of factors its blocks join, and how
+often), so m_ij integrates once per type, weighted by the number of diagrams
+of that type.  The types and weights are built from the factor sizes alone;
+the explicit enumerations enumerate_pi and enumerate_pi_bar remain as the
+reference they are tested against.
 """
 
 from __future__ import annotations
@@ -42,9 +48,13 @@ __all__ = [
     "m_ij",
     "chaos_kernels_simple",
     "MAX_PARTITION_VARIABLES",
+    "MAX_DIAGRAM_DRAWS",
 ]
 
 MAX_PARTITION_VARIABLES = 16
+# m_ij draws samples * |Pi-bar(i,i,j,j)| tuples; 10^8 admits M_33 at 1,024
+# samples (42.4M) and refuses an order-4 M_44 at 256 (4.7e9)
+MAX_DIAGRAM_DRAWS = 10**8
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,14 +295,9 @@ def enumerate_pi(sizes: Sequence[int]) -> tuple:
     return tuple(PartitionDiagram(sizes, b) for b in sorted(set(found)))
 
 
-def is_connected(diagram: PartitionDiagram) -> bool:
-    """True when the blocks hook every factor index together.
-
-    Equivalent to: no split of the factors into two nonempty groups leaves
-    every block inside a single group.  A single factor is connected.
-    """
-    m = len(diagram.sizes)
-    parent = list(range(m + 1))
+def _joins_all(m: int, groups) -> bool:
+    """True when the groups (iterables of 0-based factor indices) hook all m factors together."""
+    parent = list(range(m))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -300,11 +305,20 @@ def is_connected(diagram: PartitionDiagram) -> bool:
             x = parent[x]
         return x
 
-    for block in diagram.blocks:
-        anchor = find(block[0][0])
-        for l, _ in block[1:]:
+    for first, *rest in groups:
+        anchor = find(first)
+        for l in rest:
             parent[find(l)] = anchor
-    return len({find(l) for l in range(1, m + 1)}) == 1
+    return len({find(l) for l in range(m)}) == 1
+
+
+def is_connected(diagram: PartitionDiagram) -> bool:
+    """True when the blocks hook every factor index together.
+
+    Equivalent to: no split of the factors into two nonempty groups leaves
+    every block inside a single group.  A single factor is connected.
+    """
+    return _joins_all(len(diagram.sizes), ([l - 1 for l, _ in block] for block in diagram.blocks))
 
 
 def enumerate_pi_bar(sizes: Sequence[int]) -> tuple:
@@ -375,41 +389,113 @@ def product_expectation(factors: Sequence[SimpleFunction], intensity: IntensityM
     return Estimate(total, 0.0, 0)
 
 
+def _block_type_orbits(sizes: Sequence[int]) -> tuple:
+    """Connected block-type vectors over the factor sizes, with their weights.
+
+    A diagram's block-type vector counts, for every set S of at least two
+    factors (0-based indices), the blocks c_S whose members come from exactly
+    the factors in S; factor l lies in sum_{S contains l} c_S = sizes[l]
+    blocks.  Returns ((types, weight), ...) where ``types`` lists the pairs
+    (S, c_S) with c_S > 0 and ``weight`` = prod_l sizes[l]! / prod_S c_S! is
+    the number of labelled diagrams of that type; only connected types are
+    kept.  Built from the sizes alone: the sets are visited grouped by their
+    smallest factor, which must absorb what its earlier sets left of it.
+    """
+    sizes = tuple(int(s) for s in sizes)
+    if any(s < 1 for s in sizes):
+        raise ConfigError(f"factor sizes must be >= 1, got {sizes}")
+    m = len(sizes)
+    # by_min[l]: the other members of each set whose smallest factor is l
+    by_min = [[S for r in range(1, m - l) for S in itertools.combinations(range(l + 1, m), r)] for l in range(m)]
+    labelled = math.prod(math.factorial(s) for s in sizes)
+    rem = list(sizes)
+    chosen: list = []
+    found = []
+
+    def rec(l: int, t: int) -> None:
+        if l == m:
+            if _joins_all(m, (S for S, _ in chosen)):
+                found.append((tuple(chosen), labelled // math.prod(math.factorial(c) for _, c in chosen)))
+            return
+        if t == len(by_min[l]):
+            if rem[l] == 0:
+                rec(l + 1, 0)
+            return
+        S = (l, *by_min[l][t])
+        cap = min(rem[x] for x in S)
+        # the last set of factor l takes all of its remaining blocks
+        for c in [rem[l]] if t == len(by_min[l]) - 1 else range(cap + 1):
+            if c > cap:
+                return
+            for x in S:
+                rem[x] -= c
+            if c:
+                chosen.append((S, c))
+            rec(l, t + 1)
+            if c:
+                chosen.pop()
+            for x in S:
+                rem[x] += c
+
+    rec(0, 0)
+    return tuple(found)
+
+
 def m_ij(kernel: UStatKernel, i: int, j: int, intensity: IntensityModel, integrator: Integrator) -> Estimate:
     """Fourth-moment quantity M_ij of the kernel at the given intensity.
 
     Sums, over connected diagrams of four factors with (i, i, j, j)
     identified arguments, the integral of the absolute product of four
     kernel copies; factors 1-2 keep k-i free arguments and factors 3-4
-    keep k-j.  Each diagram integral runs over at most 4k-i-j variables,
-    all drawn jointly (and stratified together under ``strata`` > 1) on the
-    diagram's own stream; the total carries the square C(k,i)^2 C(k,j)^2.
+    keep k-j.  For a symmetric kernel the integral depends on a diagram only
+    through its block-type vector, so the sum runs over those orbits: an
+    orbit of weight w averages w batches of ``samples`` draws of its at most
+    4k-i-j variables (drawn jointly, each batch stratified on its own under
+    ``strata`` > 1) on the orbit's own stream, and enters w times.  The
+    total draws and the expected standard error equal those of one
+    integral per diagram, and ``n`` counts the draws made per diagram.
+    Raises CapacityError, before any draw, when ``samples`` times the
+    diagram count exceeds MAX_DIAGRAM_DRAWS.  The total carries the square
+    C(k,i)^2 C(k,j)^2.
     """
     k = kernel.order
     if not 1 <= i <= j <= k:
         raise ConfigError(f"need 1 <= i <= j <= order, got i={i}, j={j}, order={k}")
+    if not kernel.symmetric:
+        raise ConfigError("m_ij sums diagrams by block type, which needs a symmetric kernel")
     sizes = (i, i, j, j)
     free = (k - i, k - i, k - j, k - j)
+    orbits = _block_type_orbits(sizes)
+    draws = integrator.samples * sum(weight for _, weight in orbits)
+    if draws > MAX_DIAGRAM_DRAWS:
+        raise CapacityError(
+            f"M_{i}{j} needs {draws:,} draws, above the guard of {MAX_DIAGRAM_DRAWS:,}"
+        )
     lam = float(intensity.lam)
 
     def absolute(tuples: np.ndarray) -> np.ndarray:
         return np.abs(kernel(tuples))
 
     values, ses, n = [], [], integrator.samples
-    for d_idx, diagram in enumerate(enumerate_pi_bar(sizes)):
-        slots = [[0] * size for size in sizes]
-        for b, members in enumerate(diagram.blocks):
-            for l, t in members:
-                slots[l - 1][t - 1] = b
-        pos = diagram.n_blocks
+    for o_idx, (types, weight) in enumerate(orbits):
+        slots = [[] for _ in sizes]
+        pos = 0
+        for S, count in types:
+            for b in range(pos, pos + count):
+                for l in S:
+                    slots[l].append(b)
+            pos += count
         for l in range(4):
             slots[l].extend(range(pos, pos + free[l]))
             pos += free[l]
-        # pos = n_blocks + 2(k-i) + 2(k-j) variables, at most 4k-i-j
-        est = _product_integral(absolute, k, intensity.window, integrator, pos, slots, ("m", i, j, d_idx), scale=lam**pos)
+        # pos = blocks + 2(k-i) + 2(k-j) variables, at most 4k-i-j
+        est = _product_integral(
+            absolute, k, intensity.window, integrator, pos, slots, ("m", i, j, o_idx),
+            scale=weight * lam**pos, repeat=weight,
+        )
         values.append(est.value)
         ses.append(est.se)
-        n = min(n, est.n)
+        n = min(n, est.n // weight)
     scale = math.comb(k, i) ** 2 * math.comb(k, j) ** 2
     return Estimate(scale * math.fsum(values), scale * combine_se(*ses), n)
 

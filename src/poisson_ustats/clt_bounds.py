@@ -32,7 +32,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._streams import spawn_rng
-from .chaos_algebra import SimpleFunction, cell_counts, enumerate_pi_bar, m_ij
+# enumerate_pi_bar is no longer called here; the import stays because the
+# benchmark's tracing wraps it at this import site (perfbench/tracing.py SITES)
+from .chaos_algebra import SimpleFunction, _block_type_orbits, cell_counts, enumerate_pi_bar, m_ij
 from .errors import (
     AssumptionViolationError,
     CapacityError,
@@ -212,13 +214,13 @@ def default_local_constant(k: int) -> float:
     """Documented default for the local mode's order constant.
 
     2 k^{7/2} times the total count of connected diagrams over the
-    (i, i, j, j) factor sizes, summed over 1 <= i <= j <= k; callers with
-    sharper constants may override.
+    (i, i, j, j) factor sizes, summed over 1 <= i <= j <= k (as the weights
+    of their block-type orbits); callers with sharper constants may override.
     """
     total = 0
     for i in range(1, k + 1):
         for j in range(i, k + 1):
-            total += len(enumerate_pi_bar((i, i, j, j)))
+            total += sum(weight for _, weight in _block_type_orbits((i, i, j, j)))
     return 2.0 * k**3.5 * total
 
 

@@ -58,6 +58,9 @@ __all__ = [
     "check_symmetry",
 ]
 
+# tuples drawn at once when an integral repeats its batches (Integrator.integrate)
+CHUNK_DRAWS = 1 << 14
+
 
 @dataclass(frozen=True)
 class Estimate:
@@ -166,23 +169,34 @@ class Integrator:
         u = (corners[:, None, :] + rng.random((groups, count, n_per, d_total))) / self.strata
         return window.from_unit(u.reshape(groups * count * n_per, arity, dim))
 
-    def integrate(self, fn, window: Window, arity: int, *, path=()) -> Estimate:
-        """Estimate of int_{W^arity} fn dtheta^arity with its standard error."""
+    def integrate(self, fn, window: Window, arity: int, *, path=(), repeat: int = 1) -> Estimate:
+        """Estimate of int_{W^arity} fn dtheta^arity with its standard error.
+
+        ``repeat`` > 1 averages that many independent batches of ``samples``
+        draws, each stratified on its own.  The batches come from the path's
+        one stream in chunks of at most about CHUNK_DRAWS tuples, so only the
+        integrand values, not the drawn tuples, grow with ``repeat``.
+        """
         rng = self.rng(*path) if path else self.rng("integrate")
-        pts = self.draw(window, arity, self.samples, rng)
-        vals = np.asarray(fn(pts), dtype=float).reshape(-1)
-        if not np.all(np.isfinite(vals)):
-            bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-            raise IntegrationError(f"non-finite integrand value at tuple {pts[bad].tolist()}")
+        per_chunk = max(1, CHUNK_DRAWS // self.samples)
+        parts = []
+        for start in range(0, repeat, per_chunk):
+            pts = self.draw(window, arity, self.samples, rng, groups=min(per_chunk, repeat - start))
+            vals = np.asarray(fn(pts), dtype=float).reshape(-1)
+            if not np.all(np.isfinite(vals)):
+                bad = int(np.flatnonzero(~np.isfinite(vals))[0])
+                raise IntegrationError(f"non-finite integrand value at tuple {pts[bad].tolist()}")
+            parts.append(vals)
+        vals = np.concatenate(parts)
         scale = window_measure(window) ** arity
         n_eff = len(vals)
         mean = float(vals.mean())
         if self.strata > 1:
             count = self.strata ** (arity * window.point_dim)
-            n_per = n_eff // count
+            n_per = n_eff // (count * repeat)
             if n_per >= 2:
-                per_stratum = vals.reshape(count, n_per).var(axis=1, ddof=1)
-                se = scale * math.sqrt(float(per_stratum.sum()) / n_per) / count
+                per_stratum = vals.reshape(repeat * count, n_per).var(axis=1, ddof=1)
+                se = scale * math.sqrt(float(per_stratum.sum()) / n_per) / (count * repeat)
             else:
                 se = scale * float(vals.std(ddof=1)) / math.sqrt(n_eff) if n_eff > 1 else math.inf
         else:
@@ -190,18 +204,20 @@ class Integrator:
         return Estimate(scale * mean, se, n_eff)
 
 
-def _product_integral(fn, order: int, window: Window, integrator: Integrator, q: int, slots, path, inner: int = 0, scale: float = 1.0) -> Estimate:
+def _product_integral(fn, order: int, window: Window, integrator: Integrator, q: int, slots, path, inner: int = 0, scale: float = 1.0, repeat: int = 1) -> Estimate:
     """Estimate of scale * int prod_l (int fn(y[slots_l], x_l) dtheta^(order-|slots_l|)) dtheta^q(y).
 
     ``fn`` maps (m, order, dim) tuples to m values; factor l puts the shared
     variables y[slots_l] first and its own free variables x_l after them.
     The q shared variables are drawn by ``integrator.integrate`` on stream
-    path + (0,), which stratifies them and gives the standard error.  A
-    factor with free variables averages ``inner`` draws per outer sample on
-    stream path + (l,) (each batch stratified on its own, or unstratified if
-    it is smaller than its stratum count); the product of these independent
-    inner means is unbiased for the product of the inner integrals.  A
-    factor without free variables spawns no stream and ignores ``inner``.
+    path + (0,), which stratifies them, averages ``repeat`` batches and gives
+    the standard error.  A factor with free variables averages ``inner``
+    draws per outer sample on stream path + (l,) (each batch stratified on
+    its own, or unstratified if it is smaller than its stratum count); the
+    product of these independent inner means is unbiased for the product of
+    the inner integrals.  A factor without free variables spawns no stream,
+    ignores ``inner``, and reuses the values of an earlier such factor with
+    the same slot list.
     """
     dim = window.point_dim
     factors = []
@@ -215,9 +231,13 @@ def _product_integral(fn, order: int, window: Window, integrator: Integrator, q:
 
     def integrand(ys: np.ndarray) -> np.ndarray:
         out = np.ones(len(ys))
+        copies = {}  # slot list -> kernel values of a factor without free variables
         for sl, r, theta_r, drawer, rng in factors:
             if r == 0:
-                out = out * fn(ys[:, sl])
+                key = tuple(sl)
+                if key not in copies:
+                    copies[key] = fn(ys[:, sl])
+                out = out * copies[key]
                 continue
             means = np.empty(len(ys))
             chunk = max(1, (1 << 18) // inner)
@@ -230,7 +250,7 @@ def _product_integral(fn, order: int, window: Window, integrator: Integrator, q:
             out = out * (theta_r * means)
         return out
 
-    est = integrator.integrate(integrand, window, q, path=(*path, 0))
+    est = integrator.integrate(integrand, window, q, path=(*path, 0), repeat=repeat)
     return Estimate(scale * est.value, scale * est.se, est.n)
 
 

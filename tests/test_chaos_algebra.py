@@ -15,11 +15,14 @@ from poisson_ustats import (
     ConfigError,
     IntensityModel,
     Integrator,
+    MAX_DIAGRAM_DRAWS,
     PointConfiguration,
     SimpleFunction,
+    UStatKernel,
     apply_replacement,
     cell_counts,
     chaos_kernels_simple,
+    convex_position_kernel,
     counterexample_kernel,
     enumerate_pi,
     enumerate_pi_bar,
@@ -32,6 +35,7 @@ from poisson_ustats import (
     wiener_ito_counts,
 )
 from poisson_ustats._streams import spawn_rng
+from poisson_ustats.chaos_algebra import _block_type_orbits
 
 UNIT_SQUARE = BoxWindow(((0.0, 1.0), (0.0, 1.0)))
 GRID4 = CellGrid.regular((0.0, 0.0), (1.0, 1.0), (2, 2))
@@ -360,6 +364,123 @@ def test_m_ij_rejects_bad_orders():
         m_ij(kern, 2, 1, im, integ)
     with pytest.raises(ConfigError):
         m_ij(kern, 0, 1, im, integ)
+
+
+def _block_type(diagram) -> tuple:
+    types = {}
+    for block in diagram.blocks:
+        S = tuple(sorted(l - 1 for l, _ in block))
+        types[S] = types.get(S, 0) + 1
+    return tuple(sorted(types.items()))
+
+
+def _check_orbits_against_oracle(sizes) -> None:
+    expected = {}
+    for d in enumerate_pi_bar(sizes):
+        t = _block_type(d)
+        expected[t] = expected.get(t, 0) + 1
+    got = {tuple(sorted(types)): weight for types, weight in _block_type_orbits(sizes)}
+    assert len(got) == len(_block_type_orbits(sizes)), sizes
+    assert got == expected, sizes
+
+
+def test_block_type_orbits_match_the_diagram_oracle():
+    # every size vector of criterion 03 (total <= 8), then (i, i, j, j) for k <= 3
+    for total in range(1, 9):
+        for m in range(1, total + 1):
+            for sizes in itertools.product(range(1, total + 1), repeat=m):
+                if sum(sizes) == total:
+                    _check_orbits_against_oracle(sizes)
+    for i in range(1, 4):
+        for j in range(i, 4):
+            _check_orbits_against_oracle((i, i, j, j))
+    assert [len(_block_type_orbits((n, n, n, n))) for n in (2, 3)] == [13, 46]
+    assert len(_block_type_orbits((2, 2, 3, 3))) == 20
+
+
+def _per_diagram_m(kernel, i, j, lam, samples, seed) -> tuple:
+    """M_ij on the unit square with one plain Monte Carlo integral per diagram."""
+    k = kernel.order
+    sizes = (i, i, j, j)
+    free = (k - i, k - i, k - j, k - j)
+    rng = np.random.default_rng(seed)
+    values, variances = [], []
+    for d in enumerate_pi_bar(sizes):
+        slots = [[0] * s for s in sizes]
+        for b, members in enumerate(d.blocks):
+            for l, t in members:
+                slots[l - 1][t - 1] = b
+        q = d.n_blocks
+        for l in range(4):
+            slots[l] += list(range(q, q + free[l]))
+            q += free[l]
+        ys = rng.random((samples, q, 2))
+        vals = lam**q * np.prod([np.abs(kernel(ys[:, sl])) for sl in slots], axis=0)
+        values.append(vals.mean())
+        variances.append(vals.var(ddof=1) / samples)
+    c = math.comb(k, i) ** 2 * math.comb(k, j) ** 2
+    return c * math.fsum(values), c * math.sqrt(math.fsum(variances))
+
+
+@pytest.mark.parametrize(
+    "kernel, pairs",
+    [
+        (
+            UStatKernel(2, lambda t: np.exp(-3.0 * np.sum((t[:, 0] - t[:, 1]) ** 2, axis=-1)), name="gauss"),
+            ((1, 1), (1, 2), (2, 2)),
+        ),
+        (
+            UStatKernel(3, lambda t: t[:, :, 0].sum(axis=1) * (0.5 + t[:, :, 1].prod(axis=1)), name="sum-prod"),
+            ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3)),
+        ),
+    ],
+    ids=["order2", "order3"],
+)
+def test_m_ij_orbits_agree_with_per_diagram_sum(kernel, pairs):
+    lam = 1.5
+    im = IntensityModel(lam, UNIT_SQUARE)
+    for i, j in pairs:
+        est = m_ij(kernel, i, j, im, Integrator(samples=400, seed=3))
+        want, want_se = _per_diagram_m(kernel, i, j, lam, 400, seed=100 * i + j)
+        assert abs(est.value - want) <= 4.0 * math.hypot(est.se, want_se), (i, j, est, want, want_se)
+
+
+def test_m_ij_convex_position_counts_diagrams_exactly():
+    # the order-3 convex-position kernel is 1 almost surely, so each M_ij is
+    # C(3,i)^2 C(3,j)^2 |Pi-bar(i,i,j,j)| at unit intensity on the unit square
+    kern = convex_position_kernel(3)
+    im = IntensityModel(1.0, UNIT_SQUARE)
+    integ = Integrator(samples=8, seed=0)
+    for i in range(1, 4):
+        for j in range(i, 4):
+            est = m_ij(kern, i, j, im, integ)
+            count = len(enumerate_pi_bar((i, i, j, j)))
+            assert est.value == math.comb(3, i) ** 2 * math.comb(3, j) ** 2 * count
+            assert est.se == 0.0 and est.n == 8
+    assert m_ij(kern, 3, 3, im, integ).value == 41364.0
+
+
+def test_m_ij_refuses_a_non_symmetric_kernel():
+    kern = UStatKernel(2, lambda t: t[:, 0, 0] - t[:, 1, 1], symmetric=False)
+    with pytest.raises(ConfigError, match="symmetric"):
+        m_ij(kern, 1, 1, IntensityModel(1.0, UNIT_SQUARE), Integrator(samples=64))
+
+
+def test_m_ij_guards_the_predicted_draws():
+    calls = []
+
+    def constant(t):
+        calls.append(len(t))
+        return np.ones(len(t))
+
+    kern = UStatKernel(4, constant, name="constant-4")
+    im = IntensityModel(1.0, UNIT_SQUARE)
+    # an order-4 M_44 at 256 samples needs 256 * 18,365,184 draws
+    with pytest.raises(CapacityError, match="draws"):
+        m_ij(kern, 4, 4, im, Integrator(samples=256))
+    assert calls == []
+    # M_33 of an order-3 kernel at 1,024 samples stays admitted
+    assert 1024 * sum(w for _, w in _block_type_orbits((3, 3, 3, 3))) <= MAX_DIAGRAM_DRAWS
 
 
 def test_chaos_kernels_simple_variance_cross_check():

@@ -220,6 +220,12 @@ def test_default_local_constant_counts_connected_diagrams():
     assert default_local_constant(2) == 2.0 * 2**3.5 * expected
 
 
+def test_default_local_constant_order_four_from_orbit_weights():
+    # 19,118,455 connected diagrams over (i, i, j, j), i <= j <= 4: far past
+    # what the explicit enumeration can hold, counted from the orbit weights
+    assert default_local_constant(4) == 2.0 * 4**3.5 * 19_118_455
+
+
 def test_local_mode_needs_a_support_radius():
     kern = make_kernel("pairwise-distance")
     with pytest.raises(LocalityError, match="support diameter"):

@@ -37,6 +37,7 @@ from poisson_ustats import (
     variance_terms,
 )
 from poisson_ustats._streams import spawn_rng
+from poisson_ustats.ustat_core import _product_integral
 
 UNIT_SQUARE = BoxWindow(((0.0, 1.0), (0.0, 1.0)))
 
@@ -325,6 +326,39 @@ def test_estimate_counts_the_draws_made(estimate):
     # 1-fold diagram integral, ou_inverse a 2-fold and a 1-fold integral)
     est = estimate(BoxWindow(((0.0, 1.0),)), Integrator(samples=101, seed=0, strata=2))
     assert est.n == 100
+
+
+def test_product_integral_reuses_repeated_top_order_copies():
+    # four copies of an order-2 kernel on the same two shared variables: the
+    # kernel is evaluated once per integrand call, and the estimate equals the
+    # plain product of four evaluations bit for bit
+    calls = []
+
+    def fn(t):
+        calls.append(len(t))
+        return 1.0 + t[:, 0, 0] * t[:, 1, 1] + t[:, 1, 0] * t[:, 0, 1]
+
+    win = BoxWindow(((0.0, 1.0), (0.0, 1.0)))
+    for integ in (Integrator(samples=500, seed=4), Integrator(samples=512, seed=4, strata=2)):
+        calls.clear()
+        est = _product_integral(fn, 2, win, integ, 2, [range(2)] * 4, ("reuse",), scale=3.0)
+        assert len(calls) == 1
+        calls.clear()
+        plain = integ.integrate(lambda ys: np.ones(len(ys)) * fn(ys) * fn(ys) * fn(ys) * fn(ys), win, 2, path=("reuse", 0))
+        assert len(calls) == 4
+        assert (est.value, est.se, est.n) == (3.0 * plain.value, 3.0 * plain.se, plain.n)
+
+
+def test_integrate_repeat_averages_independent_batches():
+    # repeat batches are drawn in chunks; the value is their mean, n counts
+    # every draw, and under strata > 1 each batch is stratified on its own
+    win = BoxWindow(((0.0, 1.0),))
+    integ = Integrator(samples=2000, seed=5, strata=2)
+    est = integ.integrate(lambda x: x[:, 0, 0] ** 2, win, 1, path=("repeat",), repeat=20)
+    assert est.n == 40_000
+    assert est.within(1.0 / 3.0, 4.0)
+    single = integ.integrate(lambda x: x[:, 0, 0] ** 2, win, 1, path=("repeat",))
+    assert est.se == pytest.approx(single.se / math.sqrt(20), rel=0.2)
 
 
 def test_variance_counterexample_exact():
