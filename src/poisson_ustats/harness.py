@@ -8,6 +8,13 @@ experiment shares them with its bound column and returns the records it
 simulated (RateFitResult.records).  Every random stream derives from
 (master seed, lambda index, replicate index); rerunning a config
 byte-reproduces its outputs.
+
+The replicates of one lambda run as a batch.  Each cell spawns one
+generator, whose SeedSequence also gives the record's stream token (the
+stream_token value), and is sampled once through sample_points or
+sample_lines, which validate the configuration.  The kernel sums of all
+cells are then computed together by ustat_core._evaluate_many, grouped by
+configuration size; every value equals evaluate on that cell alone.
 """
 
 from __future__ import annotations
@@ -21,6 +28,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+# stream_token and evaluate are unused here (_simulate takes the token from
+# its generator's SeedSequence and calls _evaluate_many); perfbench/tracing.py
+# SITES wraps both names at this import site
 from ._streams import spawn_rng, stream_token
 from .applications import make_kernel
 # geometric_bound, local_bound and variance_terms are unused here; perfbench/tracing.py SITES wraps them
@@ -36,7 +46,7 @@ from .point_process import (
     sample_lines,
     sample_points,
 )
-from .ustat_core import Integrator, UStatKernel, evaluate, variance_terms
+from .ustat_core import Integrator, UStatKernel, _evaluate_many, evaluate, variance_terms
 
 __all__ = [
     "ExperimentConfig",
@@ -227,7 +237,7 @@ def run_replicates(config: ExperimentConfig) -> list:
 
 
 def _simulate(config: ExperimentConfig, ingredients: Ingredients) -> list:
-    is_lines = isinstance(config.window, LineWindow)
+    draw = sample_lines if isinstance(config.window, LineWindow) else sample_points
     records = []
     for li, lam in enumerate(config.lambdas):
         mean, var = ingredients.moments(lam)
@@ -237,22 +247,19 @@ def _simulate(config: ExperimentConfig, ingredients: Ingredients) -> list:
                 f"({var.value:.3g}, se {var.se:.3g})"
             )
         sd = math.sqrt(var.value)
-        kern = ingredients.kernel.at_intensity(lam)
         intensity = config.intensity(lam)
+        tokens = []
+        samples = []
         for r in range(config.replicates):
             rng = spawn_rng(config.seed, li, r)
-            token = stream_token(config.seed, li, r)
-            sample = sample_lines(intensity, rng) if is_lines else sample_points(intensity, rng)
-            value = evaluate(kern, sample)
-            records.append(
-                ReplicateRecord(
-                    lam=lam,
-                    index=r,
-                    value=value,
-                    standardized=(value - mean) / sd,
-                    seed=token,
-                )
-            )
+            # the generator's own SeedSequence gives the stream_token value
+            tokens.append(int(rng.bit_generator.seed_seq.generate_state(1, np.uint64)[0]))
+            samples.append(draw(intensity, rng).points)
+        values = _evaluate_many(ingredients.kernel.at_intensity(lam), samples)
+        records.extend(
+            ReplicateRecord(lam=lam, index=r, value=value, standardized=(value - mean) / sd, seed=token)
+            for r, (value, token) in enumerate(zip(values, tokens))
+        )
     return records
 
 

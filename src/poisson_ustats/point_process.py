@@ -69,6 +69,13 @@ class BoxWindow:
         for lo, hi in b:
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise WindowError(f"degenerate box axis ({lo}, {hi})")
+        # corners and edge lengths as read-only arrays, built once for the
+        # per-draw maps below
+        low = np.array([lo for lo, _ in b])
+        high = np.array([hi for _, hi in b])
+        for name, arr in (("_low", low), ("_high", high), ("_span", high - low)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def dimension(self) -> int:
@@ -82,21 +89,25 @@ class BoxWindow:
         return float(np.prod([hi - lo for lo, hi in self.bounds]))
 
     def lows(self) -> np.ndarray:
-        return np.array([lo for lo, _ in self.bounds])
+        return self._low.copy()
 
     def highs(self) -> np.ndarray:
-        return np.array([hi for _, hi in self.bounds])
+        return self._high.copy()
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.all((pts >= self.lows()) & (pts <= self.highs()), axis=-1)
+        return ((pts >= self._low) & (pts <= self._high)).all(axis=-1)
 
     def from_unit(self, u: np.ndarray) -> np.ndarray:
         """Map uniform unit-cube variates (shape (..., d)) into the box."""
-        return self.lows() + (self.highs() - self.lows()) * u
+        return self._low + self._span * u
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.from_unit(rng.random((n, self.dimension)))
+        # from_unit in place on the fresh draw: the same products and sums
+        u = rng.random((n, self.dimension))
+        u *= self._span
+        u += self._low
+        return u
 
 
 @dataclass(frozen=True)
@@ -225,17 +236,19 @@ class PointConfiguration:
             pts = pts.reshape(-1, 1)
         if pts.ndim != 2:
             raise ConfigError(f"points must be a (n, d) array, got shape {pts.shape}")
-        if pts.size and not np.all(np.isfinite(pts)):
+        if pts.size and not np.isfinite(pts).all():
             raise ConfigError("configuration contains non-finite coordinates")
         if self.kind not in ("spatial", "lines"):
             raise ConfigError(f"unknown configuration kind {self.kind!r}")
         if len(pts) > 1:
-            # the process is simple: exact duplicates are rejected
-            uniq = np.unique(pts, axis=0)
-            if len(uniq) != len(pts):
+            # the process is simple: exact duplicates are rejected.  Equal rows
+            # are adjacent once sorted lexicographically, with -0.0 == 0.0 as
+            # in np.unique(axis=0)
+            srt = pts[np.lexsort(pts.T[::-1])]
+            if (srt[1:] == srt[:-1]).all(axis=1).any():
                 raise ConfigError("configuration has repeated points")
         if self.window is not None and len(pts):
-            if not np.all(self.window.contains(pts)):
+            if not self.window.contains(pts).all():
                 raise ConfigError("configuration has points outside its window")
         pts = pts.copy()
         pts.flags.writeable = False

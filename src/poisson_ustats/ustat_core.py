@@ -257,8 +257,11 @@ def _product_integral(fn, order: int, window: Window, integrator: Integrator, q:
 # ---------------------------------------------------------------------------
 # tuple enumeration
 
+# subsets per enumerated batch, and tuples per kernel call of _evaluate_many
+_SUBSET_BATCH = 1 << 15
 
-def _subset_batches(n: int, k: int, batch: int = 1 << 15):
+
+def _subset_batches(n: int, k: int, batch: int = _SUBSET_BATCH):
     """Yield index arrays (m, k) covering all unordered k-subsets of range(n)."""
     if k > n:
         return
@@ -280,7 +283,7 @@ def _subset_batches(n: int, k: int, batch: int = 1 << 15):
         yield np.array(chunk, dtype=np.intp)
 
 
-def _local_subset_batches(points: np.ndarray, delta: float, k: int, batch: int = 1 << 15):
+def _local_subset_batches(points: np.ndarray, delta: float, k: int, batch: int = _SUBSET_BATCH):
     """Yield index arrays (m, k) covering every k-subset of diameter <= delta.
 
     Points are binned on an axis-aligned grid with cell edge delta and ranked
@@ -343,20 +346,48 @@ def evaluate(kernel: UStatKernel, config: PointConfiguration, *, exhaustive: boo
     declared symmetry.  Local kernels sum only over subsets whose points lie
     in adjacent cells of a grid with edge ``locality`` (found by sorting the
     points by cell id) unless ``exhaustive`` is set; both paths sum the same
-    nonzero terms.
+    nonzero terms.  This is the one-configuration case of _evaluate_many.
+    """
+    return _evaluate_many(kernel, [config.points], exhaustive=exhaustive)[0]
+
+
+def _evaluate_many(kernel: UStatKernel, point_arrays, *, exhaustive: bool = False) -> list:
+    """evaluate for each (n_i, d) point array, as a list of floats.
+
+    Each value is k! times the fsum of per-batch sums over the batches of
+    _subset_batches (or _local_subset_batches), so it does not depend on
+    which other arrays are passed.  Exhaustive sums group the arrays by
+    size: each subset batch is indexed once per size and applied to as many
+    same-size arrays as fit in one kernel call of at most _SUBSET_BATCH
+    tuples, whose row sums are each array's batch sums.  Local kernels
+    enumerate their grid per array.
     """
     if not kernel.symmetric:
         raise ConfigError("evaluate needs a symmetric kernel")
-    pts = config.points
-    n, k = len(pts), kernel.order
-    if k > n:
-        return 0.0
+    k = kernel.order
+    parts = [[] for _ in point_arrays]
     if kernel.locality is not None and not exhaustive:
-        batches = _local_subset_batches(pts, kernel.locality, k)
+        for pts, out in zip(point_arrays, parts):
+            if len(pts) >= k:
+                out.extend(float(kernel(pts[idx]).sum()) for idx in _local_subset_batches(pts, kernel.locality, k))
     else:
-        batches = _subset_batches(n, k)
-    parts = [float(kernel(pts[idx]).sum()) for idx in batches]
-    return math.factorial(k) * math.fsum(parts)
+        by_size = {}
+        for i, pts in enumerate(point_arrays):
+            if len(pts) >= k:
+                by_size.setdefault(len(pts), []).append(i)
+        for n, members in by_size.items():
+            rows = np.concatenate([point_arrays[i] for i in members])
+            for idx in _subset_batches(n, k):
+                step = max(1, _SUBSET_BATCH // len(idx))
+                for s in range(0, len(members), step):
+                    group = members[s : s + step]
+                    # row indices into the stacked arrays, so that the tuples
+                    # are C-ordered as pts[idx] is for a single array
+                    at = (n * np.arange(s, s + len(group)))[:, None, None] + idx
+                    sums = kernel(rows[at.reshape(-1, k)]).reshape(len(group), len(idx)).sum(axis=1)
+                    for i, v in zip(group, sums.tolist()):
+                        parts[i].append(v)
+    return [math.factorial(k) * math.fsum(p) for p in parts]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poisson_ustats import clt_bounds, harness
 from poisson_ustats import (
@@ -35,8 +37,12 @@ from poisson_ustats import (
     window_from_spec,
     window_to_spec,
 )
-from poisson_ustats.clt_bounds import BoundReport, MTerm
+from poisson_ustats._streams import spawn_rng, stream_token
+from poisson_ustats.applications import line_intersection_kernel, pairwise_distance_kernel
+from poisson_ustats.clt_bounds import BoundReport, Ingredients, MTerm
 from poisson_ustats.cli import main
+from poisson_ustats.point_process import sample_lines, sample_points
+from poisson_ustats.ustat_core import Estimate, evaluate
 
 UNIT_SQUARE = BoxWindow(((0.0, 1.0), (0.0, 1.0)))
 
@@ -219,6 +225,60 @@ def test_replicates_abort_on_degenerate_variance():
     config = flat_config(kernel=dead, lambdas=(3.0,))
     with pytest.raises(DegenerateFunctionalError, match="lambda=3"):
         run_replicates(config)
+
+
+def _order3_kernel() -> UStatKernel:
+    return UStatKernel(3, lambda t: np.prod(t[..., 0], axis=1) + t.sum(axis=(1, 2)), name="order-3", geometric=True)
+
+
+# (window, kernel, lambdas, replicates).  The small lambdas give empty and
+# below-order configurations; at lam 40 the order-3 size groups need several
+# kernel calls of 32,768 tuples each, and at lam 300 a configuration has more
+# than 256 points and so more than one batch of pairs.
+SIMULATE_CASES = {
+    "box-pairs": (UNIT_SQUARE, pairwise_distance_kernel(), (0.5, 3.0, 12.0), 40),
+    "ball-order-1": (BallWindow(1.0, 3), UStatKernel(1, lambda t: t[:, 0, 0] ** 2, name="x2"), (0.2, 2.0), 40),
+    "lines": (LineWindow(1.0), line_intersection_kernel(LineWindow(1.0)), (0.1, 1.0, 4.0), 40),
+    "box-order-3": (UNIT_SQUARE, _order3_kernel(), (1.0, 40.0), 100),
+    "local": (UNIT_SQUARE, gilbert_kernel(0.2), (2.0, 60.0), 30),
+    "large": (UNIT_SQUARE, pairwise_distance_kernel(), (300.0,), 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIMULATE_CASES))
+@given(seed=st.integers(min_value=0, max_value=2**20))
+@settings(max_examples=4, deadline=None)
+def test_simulate_matches_per_cell_oracle(case, seed):
+    window, kernel, lambdas, replicates = SIMULATE_CASES[case]
+    config = ExperimentConfig(kernel=kernel, window=window, lambdas=lambdas, replicates=replicates, seed=seed)
+    terms = tuple(Estimate(0.25 * i, 0.0) for i in range(1, kernel.order + 1))
+    ingredients = Ingredients(kernel, window, Estimate(0.3, 0.0), terms)
+    draw = sample_lines if isinstance(window, LineWindow) else sample_points
+    oracle = []
+    sizes = {}
+    for li, lam in enumerate(config.lambdas):
+        mean, var = ingredients.moments(lam)
+        for r in range(replicates):
+            sample = draw(config.intensity(lam), spawn_rng(seed, li, r))
+            sizes.setdefault(lam, []).append(sample.size)
+            value = evaluate(kernel, sample)
+            oracle.append(ReplicateRecord(lam, r, value, (value - mean) / math.sqrt(var.value), stream_token(seed, li, r)))
+    assert harness._simulate(config, ingredients) == oracle
+    if case == "box-order-3":
+        counts = Counter(sizes[40.0])
+        assert any(c > (1 << 15) // math.comb(n, 3) for n, c in counts.items())
+    if case == "large":
+        assert max(sizes[300.0]) > 256
+
+
+def test_rate_run_spawns_one_stream_per_cell(monkeypatch):
+    calls = Counter()
+    count_calls(monkeypatch, harness, "spawn_rng", calls)
+    count_calls(monkeypatch, harness, "stream_token", calls)
+    fit = rate_experiment(flat_config(lambdas=(1.0, 2.0, 4.0), replicates=100))
+    assert len(fit.records) == 300
+    assert calls["spawn_rng"] == 300
+    assert calls["stream_token"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poisson_ustats import (
     BallWindow,
@@ -150,10 +152,39 @@ def test_stream_tokens_distinct():
 def test_configuration_validation():
     with pytest.raises(ConfigError):
         PointConfiguration(np.array([[0.2, 0.2], [0.2, 0.2]]))
+    with pytest.raises(ConfigError, match="repeated"):
+        PointConfiguration(np.array([[0.0, 1.0], [0.5, 0.5], [-0.0, 1.0]]))
     with pytest.raises(ConfigError):
         PointConfiguration(np.array([[np.nan, 0.0]]))
     with pytest.raises(ConfigError):
         PointConfiguration(np.array([[2.0, 2.0]]), window=UNIT_SQUARE)
+
+
+@st.composite
+def _integer_grid_configurations(draw):
+    dim = draw(st.integers(min_value=1, max_value=3))
+    coord = st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0])
+    rows = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), max_size=9))
+    return np.array(rows, dtype=float).reshape(len(rows), dim)
+
+
+@given(_integer_grid_configurations())
+@settings(max_examples=150, deadline=None)
+def test_duplicate_check_agrees_with_unique_rows(pts):
+    repeated = len(pts) > 1 and len(np.unique(pts, axis=0)) != len(pts)
+    if repeated:
+        with pytest.raises(ConfigError, match="repeated"):
+            PointConfiguration(pts)
+    else:
+        assert PointConfiguration(pts).size == len(pts)
+
+
+def test_box_sampling_matches_from_unit():
+    box = BoxWindow(((-0.3, 1.7), (2.0, 2.5), (-4.0, -1.0)))
+    drawn = box.sample(spawn_rng(5, "box"), 50)
+    mapped = box.from_unit(spawn_rng(5, "box").random((50, 3)))
+    assert np.array_equal(drawn, mapped)
+    assert np.all(box.contains(drawn))
 
 
 def test_with_point_and_without_index():
