@@ -14,10 +14,10 @@ connected family) the blocks hook all factors together.
 The fourth-moment quantities M_ij (:func:`m_ij`) sum one integral per
 connected diagram.  For a symmetric kernel that integral depends only on the
 diagram's block-type vector (which sets of factors its blocks join, and how
-often), so m_ij integrates once per type, weighted by the number of diagrams
-of that type.  The types and weights are built from the factor sizes alone;
-the explicit enumerations enumerate_pi and enumerate_pi_bar remain as the
-reference they are tested against.
+often), so M_ij integrates once per type, weighted by the number of diagrams
+of that type, into a polynomial in lam whose coefficients are lambda-free.
+The types and weights are built from the factor sizes alone; the explicit
+enumerations enumerate_pi and enumerate_pi_bar remain as their reference.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CapacityError, ConfigError
-from .point_process import IntensityModel, PointConfiguration
+from .point_process import IntensityModel, PointConfiguration, Window
 from .ustat_core import Estimate, Integrator, UStatKernel, _product_integral, combine_se
 
 __all__ = [
@@ -441,22 +441,20 @@ def _block_type_orbits(sizes: Sequence[int]) -> tuple:
     return tuple(found)
 
 
-def m_ij(kernel: UStatKernel, i: int, j: int, intensity: IntensityModel, integrator: Integrator) -> Estimate:
-    """Fourth-moment quantity M_ij of the kernel at the given intensity.
+def _m_orbit_integrals(kernel: UStatKernel, i: int, j: int, window: Window, integrator: Integrator) -> tuple:
+    """The lambda-free orbit integrals of M_ij, as ((v_o, I_o), ...).
 
-    Sums, over connected diagrams of four factors with (i, i, j, j)
+    M_ij sums, over connected diagrams of four factors with (i, i, j, j)
     identified arguments, the integral of the absolute product of four
-    kernel copies; factors 1-2 keep k-i free arguments and factors 3-4
-    keep k-j.  For a symmetric kernel the integral depends on a diagram only
-    through its block-type vector, so the sum runs over those orbits: an
-    orbit of weight w averages w batches of ``samples`` draws of its at most
-    4k-i-j variables (drawn jointly, each batch stratified on its own under
-    ``strata`` > 1) on the orbit's own stream, and enters w times.  The
-    total draws and the expected standard error equal those of one
-    integral per diagram, and ``n`` counts the draws made per diagram.
-    Raises CapacityError, before any draw, when ``samples`` times the
-    diagram count exceeds MAX_DIAGRAM_DRAWS.  The total carries the square
-    C(k,i)^2 C(k,j)^2.
+    kernel copies; factors 1-2 keep k-i free arguments and factors 3-4 keep
+    k-j.  For a symmetric kernel the integral depends only on the diagram's
+    block-type orbit o: I_o is the orbit weight w times the mean of w
+    batches of ``samples`` unit-intensity draws of its v_o <= 4k-i-j
+    variables (drawn jointly on stream ("m", i, j, o, 0), each batch
+    stratified on its own under ``strata`` > 1), so the draws and expected
+    standard error equal those of one integral per diagram, and ``n``
+    counts the draws per diagram.  Raises CapacityError, before any draw,
+    when ``samples`` times the diagram count exceeds MAX_DIAGRAM_DRAWS.
     """
     k = kernel.order
     if not 1 <= i <= j <= k:
@@ -471,12 +469,11 @@ def m_ij(kernel: UStatKernel, i: int, j: int, intensity: IntensityModel, integra
         raise CapacityError(
             f"M_{i}{j} needs {draws:,} draws, above the guard of {MAX_DIAGRAM_DRAWS:,}"
         )
-    lam = float(intensity.lam)
 
     def absolute(tuples: np.ndarray) -> np.ndarray:
         return np.abs(kernel(tuples))
 
-    values, ses, n = [], [], integrator.samples
+    out = []
     for o_idx, (types, weight) in enumerate(orbits):
         slots = [[] for _ in sizes]
         pos = 0
@@ -490,14 +487,26 @@ def m_ij(kernel: UStatKernel, i: int, j: int, intensity: IntensityModel, integra
             pos += free[l]
         # pos = blocks + 2(k-i) + 2(k-j) variables, at most 4k-i-j
         est = _product_integral(
-            absolute, k, intensity.window, integrator, pos, slots, ("m", i, j, o_idx),
-            scale=weight * lam**pos, repeat=weight,
+            absolute, k, window, integrator, pos, slots, ("m", i, j, o_idx), scale=weight, repeat=weight,
         )
-        values.append(est.value)
-        ses.append(est.se)
-        n = min(n, est.n // weight)
-    scale = math.comb(k, i) ** 2 * math.comb(k, j) ** 2
-    return Estimate(scale * math.fsum(values), scale * combine_se(*ses), n)
+        out.append((pos, Estimate(est.value, est.se, est.n // weight)))
+    return tuple(out)
+
+
+def _assemble_m(k: int, i: int, j: int, orbit_integrals, lam: float, factor: float = 1.0) -> Estimate:
+    """M_ij = C(k,i)^2 C(k,j)^2 factor^4 sum_o lam^(v_o) I_o, with the kernel's intensity factor at lam."""
+    scale = math.comb(k, i) ** 2 * math.comb(k, j) ** 2 * factor**4
+    value = math.fsum(lam**v * est.value for v, est in orbit_integrals)
+    se = combine_se(*(lam**v * est.se for v, est in orbit_integrals))
+    return Estimate(scale * value, scale * se, min(est.n for _, est in orbit_integrals))
+
+
+def m_ij(kernel: UStatKernel, i: int, j: int, intensity: IntensityModel, integrator: Integrator) -> Estimate:
+    """Fourth-moment quantity M_ij of the kernel at the given intensity: the lam
+    polynomial C(k,i)^2 C(k,j)^2 sum_o lam^(v_o) I_o of the orbit integrals
+    I_o over v_o variables that _m_orbit_integrals draws."""
+    orbit_integrals = _m_orbit_integrals(kernel, i, j, intensity.window, integrator)
+    return _assemble_m(kernel.order, i, j, orbit_integrals, float(intensity.lam))
 
 
 def chaos_kernels_simple(fn: SimpleFunction, intensity: IntensityModel) -> list:

@@ -2,8 +2,9 @@
 
 Three assembly modes share one report type:
 
-* general: 2 k^{7/2} sum_{i<=j} sqrt(M_ij) / Var F, with the fourth-moment
-  quantities M_ij integrated at the full intensity;
+* general: 2 k^{7/2} sum_{i<=j} sqrt(M_ij) / Var F at the full intensity,
+  where each M_ij = C(k,i)^2 C(k,j)^2 sum_o lam^(v_o) I_o is a polynomial
+  in lam whose coefficients are lam-free block-type orbit integrals I_o;
 * geometric: for an intensity-independent kernel and lam >= 1 the same
   shape factors as lam^{-1/2} times a lam-free constant, with M and the
   leading variance coefficient V-tilde evaluated at unit intensity;
@@ -12,9 +13,10 @@ Three assembly modes share one report type:
   powers of the rescaled chaos kernels, where b is the largest mass a
   4*delta-ball can carry.
 
-The geometric and local modes depend on lam only through explicit powers:
-estimate_ingredients estimates their lam-free integrals once into an
-Ingredients record, whose report method assembles the bound at any lam.
+Every mode depends on lam only through explicit powers: estimate_ingredients
+estimates its lam-free integrals once into an Ingredients record, whose
+report method assembles the bound at any lam; each *_bound function is that
+estimation followed by one report.
 
 A small Monte Carlo oracle (r_terms_small) simulates the inner-product
 fluctuation terms that the M quantities dominate, on cell-grid kernels
@@ -32,9 +34,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._streams import spawn_rng
-# enumerate_pi_bar is no longer called here; the import stays because the
-# benchmark's tracing wraps it at this import site (perfbench/tracing.py SITES)
-from .chaos_algebra import SimpleFunction, _block_type_orbits, cell_counts, enumerate_pi_bar, m_ij
+# enumerate_pi_bar, m_ij and (below) variance are no longer called here; the imports stay
+# because the benchmark's tracing wraps them at these import sites (perfbench/tracing.py SITES)
+from .chaos_algebra import SimpleFunction, _assemble_m, _block_type_orbits, _m_orbit_integrals, cell_counts, enumerate_pi_bar, m_ij
 from .errors import (
     AssumptionViolationError,
     CapacityError,
@@ -176,37 +178,12 @@ def _sign_note(kernel: UStatKernel, window, integrator: Integrator) -> str:
 def wasserstein_bound(kernel: UStatKernel, intensity: IntensityModel, integrator: Integrator) -> BoundReport:
     """Distance bound from fourth-moment terms at the full intensity.
 
-    bound = 2 k^{7/2} sum_{1<=i<=j<=k} sqrt(M_ij) / Var F.  The variance
-    must clear three standard errors of zero; a flat kernel is refused
-    because the normalized sum does not exist.
+    bound = 2 k^{7/2} sum_{1<=i<=j<=k} sqrt(M_ij) / Var F, both assembled at
+    lam from the "general" Ingredients.  The variance must clear three
+    standard errors of zero; a flat kernel is refused because the
+    normalized sum does not exist.
     """
-    k = kernel.order
-    var = variance(kernel, intensity, integrator)
-    if not var.value > 3.0 * var.se:
-        raise DegenerateFunctionalError(
-            f"variance {var.value:.3g} (se {var.se:.3g}) is consistent with zero"
-        )
-    terms = []
-    root_sum = []
-    root_ses = []
-    for i in range(1, k + 1):
-        for j in range(i, k + 1):
-            est = m_ij(kernel, i, j, intensity, integrator)
-            terms.append(MTerm(i, j, est.value, est.se))
-            root, root_se = _sqrt_estimate(est.value, est.se)
-            root_sum.append(root)
-            root_ses.append(root_se)
-    bound = 2.0 * k**3.5 * math.fsum(root_sum) / var.value
-    return BoundReport(
-        mode="general",
-        k=k,
-        lam=float(intensity.lam),
-        variance=var.value,
-        variance_se=var.se,
-        m=tuple(terms),
-        bound=bound,
-        notes=_sign_note(kernel, intensity.window, integrator),
-    )
+    return estimate_ingredients(kernel, intensity.window, integrator, "general").report(intensity.lam)
 
 
 @lru_cache(maxsize=None)
@@ -248,10 +225,11 @@ def _fourth_power_norms(kernel: UStatKernel, window, integrator: Integrator) -> 
 class Ingredients:
     """The lambda-free integrals of one (kernel, window, integrator).
 
-    E F = lam^k mean and Var F = sum_i lam^(2k-i) terms[i-1].  A "local"
-    record adds the fourth-power norms int (f~_i)^4 dtheta^i, a "geometric"
-    one the unit-intensity M~_ij; either passed the check that vtilde = T_1
-    clears three standard errors of zero.
+    E F = lam^k mean and Var F = sum_i lam^(2k-i) terms[i-1], times the kernel's
+    intensity factor (squared for Var F).  A "local" record adds the norms
+    int (f~_i)^4 dtheta^i, a "general" or "geometric" one the triples (i, j,
+    orbit integrals of the lam polynomial M_ij); local and geometric records
+    passed the check that vtilde = T_1 clears three standard errors of zero.
     """
 
     kernel: UStatKernel
@@ -263,22 +241,37 @@ class Ingredients:
     m: tuple = ()
     notes: str = ""
 
+    def _factor(self, lam: float) -> float:
+        return 1.0 if self.kernel.intensity_factor is None else float(self.kernel.intensity_factor(lam))
+
     def moments(self, lam: float) -> tuple:
         """Formula mean and variance estimate at rate lam."""
-        factor = 1.0 if self.kernel.intensity_factor is None else float(self.kernel.intensity_factor(lam))
+        factor = self._factor(lam)
         return lam**self.kernel.order * factor * self.mean.value, assemble_variance(self.terms, lam, factor)
 
     def report(self, lam: float, c_k: Optional[float] = None) -> BoundReport:
-        """Rate-form bound at lam >= 1; c_k (local mode) defaults to default_local_constant(k)."""
+        """Bound at lam (lam >= 1 in the rate forms); c_k (local mode) defaults to default_local_constant(k)."""
         if self.mode is None:
-            raise ConfigError("these ingredients carry no rate-form bound")
+            raise ConfigError("these ingredients carry no bound")
         lam = float(lam)
-        if lam < 1.0:
-            raise AssumptionViolationError(f"rate form needs lam >= 1, got {lam}")
         k = self.kernel.order
+        var = self.moments(lam)[1]
+        # the geometric mode reads its M~_ij at unit intensity (its kernels have no factor)
+        at, factor = (lam, self._factor(lam)) if self.mode == "general" else (1.0, 1.0)
+        m = []
+        for i, j, orbit_integrals in self.m:
+            est = _assemble_m(k, i, j, orbit_integrals, at, factor)
+            m.append(MTerm(i, j, est.value, est.se))
+        root_sum = 2.0 * k**3.5 * math.fsum(_sqrt_estimate(t.value, t.se)[0] for t in m)
         vtilde = self.terms[0]
-        if self.mode == "geometric":
-            rate_factor = 2.0 * k**3.5 * math.fsum(_sqrt_estimate(t.value, t.se)[0] for t in self.m) / vtilde.value
+        if self.mode == "general":
+            if not var.value > 3.0 * var.se:
+                raise DegenerateFunctionalError(f"variance {var.value:.3g} (se {var.se:.3g}) is consistent with zero")
+            detail = dict(bound=root_sum / var.value, notes=self.notes)
+        elif lam < 1.0:
+            raise AssumptionViolationError(f"rate form needs lam >= 1, got {lam}")
+        elif self.mode == "geometric":
+            rate_factor = root_sum / vtilde.value
             detail = dict(bound=rate_factor / math.sqrt(lam), rate_factor=rate_factor, notes=self.notes)
         else:
             c_k = default_local_constant(k) if c_k is None else float(c_k)
@@ -294,18 +287,16 @@ class Ingredients:
                 local_terms.append(LocalTerm(i, norm, norm_se, weight, weight * norm / vtilde.value))
             bound = c_k * math.fsum(t.contribution for t in local_terms)
             detail = dict(bound=bound, b_delta=b, c_k=c_k, delta=delta, local_terms=tuple(local_terms))
-        var = assemble_variance(self.terms, lam)
-        return BoundReport(
-            mode=self.mode, k=k, lam=lam, variance=var.value, variance_se=var.se,
-            m=self.m, vtilde=vtilde.value, vtilde_se=vtilde.se, **detail,
-        )
+        if self.mode != "general":
+            detail.update(vtilde=vtilde.value, vtilde_se=vtilde.se)
+        return BoundReport(mode=self.mode, k=k, lam=lam, variance=var.value, variance_se=var.se, m=m, **detail)
 
 
 def estimate_ingredients(kernel: UStatKernel, window: Window, integrator: Integrator, mode: Optional[str] = None) -> Ingredients:
     """Estimate the lambda-free ingredients, each on its own integrator stream.
 
-    mode None gives the moment integrals only; "local" or "geometric" adds
-    what that bound needs (the caller picks: a kernel can be both)."""
+    mode None gives the moment integrals only; "general", "local" or
+    "geometric" adds what that bound needs (a kernel can fit several)."""
     k = kernel.order
     if mode == "local":
         if kernel.locality is None:
@@ -315,14 +306,16 @@ def estimate_ingredients(kernel: UStatKernel, window: Window, integrator: Integr
     elif mode == "geometric":
         if not kernel.geometric or kernel.intensity_factor is not None:
             raise ConfigError("kernel is not flagged intensity-independent")
-    elif mode is not None:
+    elif mode not in (None, "general"):
         raise ConfigError(f"unknown mode {mode!r}")
+    if mode in ("general", "geometric") and not kernel.symmetric:
+        raise ConfigError("m_ij sums diagrams by block type, which needs a symmetric kernel")
     mean = integrator.integrate(kernel, window, k, path=("expectation",))
     terms = tuple(variance_terms(kernel, window, integrator))
     if mode is None:
         return Ingredients(kernel, window, mean, terms)
     vtilde = terms[0]
-    if not vtilde.value > 3.0 * vtilde.se:
+    if mode != "general" and not vtilde.value > 3.0 * vtilde.se:
         raise AssumptionViolationError(
             "first-order variance coefficient is consistent with zero "
             f"({vtilde.value:.3g}, se {vtilde.se:.3g}); the normalized sum "
@@ -330,12 +323,9 @@ def estimate_ingredients(kernel: UStatKernel, window: Window, integrator: Integr
         )
     if mode == "local":
         return Ingredients(kernel, window, mean, terms, mode, norms=tuple(_fourth_power_norms(kernel, window, integrator)))
-    m = []
-    for i in range(1, k + 1):
-        for j in range(i, k + 1):
-            est = m_ij(kernel, i, j, IntensityModel(1.0, window), integrator)
-            m.append(MTerm(i, j, est.value, est.se))
-    return Ingredients(kernel, window, mean, terms, mode, m=tuple(m), notes=_sign_note(kernel, window, integrator))
+    pairs = [(i, j) for i in range(1, k + 1) for j in range(i, k + 1)]
+    m = tuple((i, j, _m_orbit_integrals(kernel, i, j, window, integrator)) for i, j in pairs)
+    return Ingredients(kernel, window, mean, terms, mode, m=m, notes=_sign_note(kernel, window, integrator))
 
 
 def geometric_bound(kernel: UStatKernel, intensity: IntensityModel, integrator: Integrator) -> BoundReport:

@@ -1,8 +1,10 @@
 """Bound reports, the three bound modes, and the inner-product fluctuation oracle."""
 
+import dataclasses
 import itertools
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -30,13 +32,16 @@ from poisson_ustats import (
     geometric_bound,
     gilbert_kernel,
     local_bound,
+    m_ij,
     make_kernel,
     r_terms_small,
     unit_ball_volume,
     variance_terms,
     wasserstein_bound,
 )
-from poisson_ustats.clt_bounds import _fourth_power_norms
+from poisson_ustats import chaos_algebra
+from poisson_ustats.chaos_algebra import _block_type_orbits
+from poisson_ustats.clt_bounds import _fourth_power_norms, estimate_ingredients
 
 UNIT_SQUARE = BoxWindow(((0.0, 1.0), (0.0, 1.0)))
 
@@ -122,7 +127,7 @@ def test_report_from_json_requires_every_field():
 
 def test_flat_count_bound_is_two_over_root_lam():
     integ = Integrator(samples=500, seed=3)
-    for lam in (1.0, 4.0, 16.0, 100.0):
+    for lam in (0.25, 1.0, 4.0, 16.0, 100.0):
         rep = wasserstein_bound(unit_count_kernel(), IntensityModel(lam, UNIT_SQUARE), integ)
         assert rep.mode == "general"
         assert rep.bound == 2.0 / math.sqrt(lam)
@@ -144,6 +149,87 @@ def test_signed_kernel_gets_a_note():
     assert "negative values" in rep.notes
     pos = wasserstein_bound(unit_count_kernel(), IntensityModel(4.0, UNIT_SQUARE), integ)
     assert pos.notes == ""
+
+
+@pytest.mark.parametrize(
+    "kernel, window, integ, lambdas",
+    [
+        (make_kernel("pairwise-distance"), UNIT_SQUARE, Integrator(samples=200, seed=2), (0.5, 2.0, 9.0)),
+        (make_kernel("convex-position-3"), UNIT_SQUARE, Integrator(samples=8, seed=1), (0.5, 4.0)),
+        (counterexample_kernel(), BoxWindow(((-1.0, 1.0),)), Integrator(samples=256, seed=4, strata=2), (0.5, 2.0, 9.0)),
+    ],
+    ids=["pairwise-distance", "convex-position-3", "counterexample"],
+)
+def test_one_general_record_serves_every_lambda(kernel, window, integ, lambdas):
+    # the counterexample kernel has no first-order part, and lam = 0.5 is
+    # below the rate forms' range: the general mode needs neither
+    record = estimate_ingredients(kernel, window, integ, "general")
+    for lam in lambdas:
+        model = IntensityModel(lam, window)
+        rep = record.report(lam)
+        direct = wasserstein_bound(kernel, model, integ)
+        assert rep.mode == "general" and rep.lam == lam
+        assert rep.bound == pytest.approx(direct.bound, rel=1e-12)
+        assert rep.variance == pytest.approx(direct.variance, rel=1e-12)
+        assert [(t.i, t.j) for t in rep.m] == [(t.i, t.j) for t in direct.m]
+        for term in rep.m:
+            est = m_ij(kernel, term.i, term.j, model, integ)
+            assert term.value == pytest.approx(est.value, rel=1e-12)
+            assert term.se == pytest.approx(est.se, rel=1e-12)
+
+
+def test_general_loop_estimates_each_orbit_set_once(monkeypatch):
+    paths = Counter()
+    integral = chaos_algebra._product_integral
+
+    def counted(*args, **kwargs):
+        paths[args[6]] += 1  # the orbit's stream path ("m", i, j, o)
+        return integral(*args, **kwargs)
+
+    monkeypatch.setattr(chaos_algebra, "_product_integral", counted)
+    kern = make_kernel("pairwise-distance")
+    record = estimate_ingredients(kern, UNIT_SQUARE, Integrator(samples=200, seed=6), "general")
+    bounds = [record.report(lam).bound for lam in (0.5, 3.0, 27.0)]
+    assert paths == {
+        ("m", i, j, o): 1 for i in (1, 2) for j in range(i, 3) for o in range(len(_block_type_orbits((i, i, j, j))))
+    }
+    assert all(math.isfinite(b) and b > 0 for b in bounds)
+
+
+def test_report_variance_is_the_moments_variance_in_every_mode():
+    integ = Integrator(samples=400, seed=9)
+    per_lam = dict(intensity_factor=lambda lam: 1.0 / lam)
+    flat = dataclasses.replace(unit_count_kernel(), **per_lam)
+    records = [
+        estimate_ingredients(flat, UNIT_SQUARE, integ, "general"),
+        estimate_ingredients(make_kernel("pairwise-distance"), UNIT_SQUARE, integ, "geometric"),
+        estimate_ingredients(dataclasses.replace(gilbert_kernel(0.2), **per_lam), UNIT_SQUARE, integ, "local"),
+    ]
+    for record in records:
+        for lam in (1.0, 4.0):
+            rep = record.report(lam)
+            var = record.moments(lam)[1]
+            assert (rep.variance, rep.variance_se) == (var.value, var.se), (record.mode, lam)
+    # the order-1 count scaled by 1/lam: Var F = 1/lam, M_11 = lam^-3, and
+    # the bound does not see the scaling
+    rep = records[0].report(4.0)
+    assert rep.variance == 0.25
+    assert rep.m[0].value == 4.0 / 4.0**4
+    assert rep.bound == 1.0
+
+
+@pytest.mark.parametrize("mode", ["general", "geometric"])
+def test_non_symmetric_kernel_is_refused_before_any_integral(mode):
+    calls = []
+
+    def fn(t):
+        calls.append(len(t))
+        return t[:, 0, 0] - t[:, 1, 1]
+
+    kern = UStatKernel(2, fn, symmetric=False, geometric=True)
+    with pytest.raises(ConfigError, match="symmetric"):
+        estimate_ingredients(kern, UNIT_SQUARE, Integrator(samples=64), mode)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
