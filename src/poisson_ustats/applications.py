@@ -34,8 +34,8 @@ from .ustat_core import (
     Estimate,
     Integrator,
     UStatKernel,
+    _evaluate_many,
     combine_se,
-    evaluate,
     variance_terms,
 )
 
@@ -370,11 +370,8 @@ def sylvester_estimate(k: int, intensity: IntensityModel, replicates: int, integ
         raise ConfigError("need at least 2 replicates")
     kernel = convex_position_kernel(k)
     lam = float(intensity.lam)
-    vals = np.empty(replicates)
-    for r in range(replicates):
-        config = sample_points(intensity, spawn_rng(seed, "sylvester", r))
-        vals[r] = evaluate(kernel, config)
-    scaled = vals / lam**k
+    samples = [sample_points(intensity, spawn_rng(seed, "sylvester", r)).points for r in range(replicates)]
+    scaled = np.array(_evaluate_many(kernel, samples)) / lam**k
     p = float(np.mean(scaled))
     p_se = float(np.std(scaled, ddof=1) / math.sqrt(replicates))
     terms = variance_terms(kernel, win, integrator)

@@ -502,11 +502,12 @@ def _assemble_m(k: int, i: int, j: int, orbit_integrals, lam: float, factor: flo
 
 
 def m_ij(kernel: UStatKernel, i: int, j: int, intensity: IntensityModel, integrator: Integrator) -> Estimate:
-    """Fourth-moment quantity M_ij of the kernel at the given intensity: the lam
-    polynomial C(k,i)^2 C(k,j)^2 sum_o lam^(v_o) I_o of the orbit integrals
-    I_o over v_o variables that _m_orbit_integrals draws."""
+    """Fourth-moment quantity M_ij at the given intensity, the general report's MTerm:
+    the lam polynomial C(k,i)^2 C(k,j)^2 factor(lam)^4 sum_o lam^(v_o) I_o of the
+    orbit integrals I_o over v_o variables that _m_orbit_integrals draws."""
+    lam = float(intensity.lam)
     orbit_integrals = _m_orbit_integrals(kernel, i, j, intensity.window, integrator)
-    return _assemble_m(kernel.order, i, j, orbit_integrals, float(intensity.lam))
+    return _assemble_m(kernel.order, i, j, orbit_integrals, lam, kernel.factor(lam))
 
 
 def chaos_kernels_simple(fn: SimpleFunction, intensity: IntensityModel) -> list:

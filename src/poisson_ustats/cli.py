@@ -36,8 +36,6 @@ from .point_process import LineWindow, sample_lines, sample_points, write_points
 from ._streams import spawn_rng
 from .ustat_core import evaluate
 
-_CONFIG_FLAGS = ("config", "out", "seed", "replicates", "lam_list", "kernel")
-
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="path to a JSON experiment config")
@@ -134,11 +132,10 @@ def _cmd_sample(args) -> int:
 
 def _cmd_eval(args) -> int:
     config = _load_config(args)
-    kernel = config.resolve_kernel()
     lam = config.lambdas[0]
-    kern = kernel if kernel.intensity_factor is None else kernel.at_intensity(lam)
+    kernel = config.resolve_kernel().at_intensity(lam)
     sample = _draw(config, lam)
-    value = evaluate(kern, sample)
+    value = evaluate(kernel, sample)
     print(f"lambda={lam:g} points={sample.size} value={value:.17g}")
     return 0
 
@@ -245,15 +242,12 @@ def main(argv: Optional[list] = None) -> int:
     }
     try:
         return handlers[args.verb](args)
-    except (ConfigError, WindowError, LocalityError) as exc:
+    except (ConfigError, WindowError, LocalityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DegenerateFunctionalError, AssumptionViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def entrypoint() -> None:

@@ -241,12 +241,9 @@ class Ingredients:
     m: tuple = ()
     notes: str = ""
 
-    def _factor(self, lam: float) -> float:
-        return 1.0 if self.kernel.intensity_factor is None else float(self.kernel.intensity_factor(lam))
-
     def moments(self, lam: float) -> tuple:
         """Formula mean and variance estimate at rate lam."""
-        factor = self._factor(lam)
+        factor = self.kernel.factor(lam)
         return lam**self.kernel.order * factor * self.mean.value, assemble_variance(self.terms, lam, factor)
 
     def report(self, lam: float, c_k: Optional[float] = None) -> BoundReport:
@@ -257,7 +254,7 @@ class Ingredients:
         k = self.kernel.order
         var = self.moments(lam)[1]
         # the geometric mode reads its M~_ij at unit intensity (its kernels have no factor)
-        at, factor = (lam, self._factor(lam)) if self.mode == "general" else (1.0, 1.0)
+        at, factor = (lam, self.kernel.factor(lam)) if self.mode == "general" else (1.0, 1.0)
         m = []
         for i, j, orbit_integrals in self.m:
             est = _assemble_m(k, i, j, orbit_integrals, at, factor)

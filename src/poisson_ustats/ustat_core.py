@@ -91,6 +91,11 @@ class UStatKernel:
     ``locality`` is a radius beyond which the kernel vanishes: if set, ``fn``
     must return 0 whenever the Euclidean distance between two tuple points
     exceeds it.
+
+    The kernel at rate lam is ``factor(lam) * fn``.  Functions that take an
+    IntensityModel apply the factor; lambda-free estimators integrate ``fn``
+    alone, and Ingredients, expectation, variance and m_ij scale what they
+    assemble at lam by factor(lam)^p (p = 1, 2, 4 for E F, Var F, M_ij).
     """
 
     order: int
@@ -113,11 +118,15 @@ class UStatKernel:
         out = np.asarray(self.fn(tuples), dtype=float)
         return out.reshape(tuples.shape[0])
 
+    def factor(self, lam: float) -> float:
+        """The scalar intensity factor g(lam); 1.0 for a kernel without one."""
+        return 1.0 if self.intensity_factor is None else float(self.intensity_factor(float(lam)))
+
     def at_intensity(self, lam: float) -> "UStatKernel":
-        """Bake the scalar intensity factor at the given rate into ``fn``."""
+        """The kernel at rate lam, factor(lam) * fn, with no factor left."""
         if self.intensity_factor is None:
             return self
-        g = float(self.intensity_factor(float(lam)))
+        g = self.factor(lam)
         base = self.fn
         return replace(self, fn=lambda tuples: g * np.asarray(base(tuples)), intensity_factor=None)
 
@@ -191,14 +200,11 @@ class Integrator:
         scale = window_measure(window) ** arity
         n_eff = len(vals)
         mean = float(vals.mean())
-        if self.strata > 1:
-            count = self.strata ** (arity * window.point_dim)
-            n_per = n_eff // (count * repeat)
-            if n_per >= 2:
-                per_stratum = vals.reshape(repeat * count, n_per).var(axis=1, ddof=1)
-                se = scale * math.sqrt(float(per_stratum.sum()) / n_per) / (count * repeat)
-            else:
-                se = scale * float(vals.std(ddof=1)) / math.sqrt(n_eff) if n_eff > 1 else math.inf
+        count = self.strata ** (arity * window.point_dim)
+        n_per = n_eff // (count * repeat)
+        if self.strata > 1 and n_per >= 2:
+            per_stratum = vals.reshape(repeat * count, n_per).var(axis=1, ddof=1)
+            se = scale * math.sqrt(float(per_stratum.sum()) / n_per) / (count * repeat)
         else:
             se = scale * float(vals.std(ddof=1)) / math.sqrt(n_eff) if n_eff > 1 else math.inf
         return Estimate(scale * mean, se, n_eff)
@@ -434,9 +440,7 @@ def iterated_difference(kernel: UStatKernel, config: PointConfiguration, ys) -> 
     Equals k!/(k-i)! times the sum of f(ys, xs) over ordered (k-i)-tuples of
     distinct configuration points, and is identically 0 for i > k.
     """
-    ys = np.asarray(ys, dtype=float)
-    if ys.ndim == 1:
-        ys = ys.reshape(1, -1)
+    ys = np.atleast_2d(np.asarray(ys, dtype=float))
     i = ys.shape[0]
     k = kernel.order
     if i > k:
@@ -455,9 +459,10 @@ def difference(kernel: UStatKernel, config: PointConfiguration, y) -> float:
 
 
 def expectation(kernel: UStatKernel, intensity: IntensityModel, integrator: Integrator, *, path=("expectation",)) -> Estimate:
-    """E F = lam^k int f dtheta^k, by Monte Carlo."""
+    """E F = lam^k factor(lam) int f dtheta^k, by Monte Carlo (Ingredients.moments' mean)."""
+    lam = float(intensity.lam)
     est = integrator.integrate(kernel, intensity.window, kernel.order, path=path)
-    scale = float(intensity.lam) ** kernel.order
+    scale = lam**kernel.order * kernel.factor(lam)
     return Estimate(scale * est.value, scale * est.se, est.n)
 
 
@@ -467,6 +472,7 @@ def ou_generator(kernel: UStatKernel, config: PointConfiguration, intensity: Int
     L F = -k F + k int sum_{(k-1)-tuples} f(xs, z) dmu(z); the integral is
     estimated by Monte Carlo over z.
     """
+    kernel = kernel.at_intensity(intensity.lam)
     k = kernel.order
     F = evaluate(kernel, config)
     est = integrator.integrate(
@@ -486,6 +492,7 @@ def ou_generator_direct(kernel: UStatKernel, config: PointConfiguration, intensi
     Cross-validates :func:`ou_generator`; the two agree in distribution and,
     for fixed configurations, within Monte Carlo error.
     """
+    kernel = kernel.at_intensity(intensity.lam)
     F = evaluate(kernel, config)
     removal = math.fsum(evaluate(kernel, config.without_index(i)) - F for i in range(config.size))
     k = kernel.order
@@ -506,6 +513,7 @@ def ou_inverse(kernel: UStatKernel, config: PointConfiguration, intensity: Inten
     integrated U-statistics of orders 1..k; for order k the integral is empty
     and the term is the exact U-statistic value.
     """
+    kernel = kernel.at_intensity(intensity.lam)
     k = kernel.order
     lam = float(intensity.lam)
     mean_est = expectation(kernel, intensity, integrator, path=("ou-inverse", 0))
@@ -533,14 +541,13 @@ def chaos_kernel(kernel: UStatKernel, i: int, ys, intensity: IntensityModel, int
     Exact (zero standard error) for i = k, identically zero for i > k,
     Monte Carlo otherwise.
     """
+    kernel = kernel.at_intensity(intensity.lam)
     k = kernel.order
     if i < 1:
         raise ConfigError(f"chaos kernel index must be >= 1, got {i}")
     if i > k:
         return Estimate(0.0, 0.0, 0)
-    ys = np.asarray(ys, dtype=float)
-    if ys.ndim == 1:
-        ys = ys.reshape(1, -1)
+    ys = np.atleast_2d(np.asarray(ys, dtype=float))
     if ys.shape[0] != i:
         raise ConfigError(f"need {i} points for chaos kernel index {i}, got {ys.shape[0]}")
     if i == k:
@@ -589,8 +596,9 @@ def assemble_variance(terms, lam: float, factor: float = 1.0) -> Estimate:
 
 
 def variance(kernel: UStatKernel, intensity: IntensityModel, integrator: Integrator) -> Estimate:
-    """Variance of the U-statistic from the chaos decomposition."""
-    return assemble_variance(variance_terms(kernel, intensity.window, integrator), float(intensity.lam))
+    """Var F = sum_i lam^(2k-i) factor(lam)^2 T_i from the chaos decomposition (Ingredients.moments' variance)."""
+    lam = float(intensity.lam)
+    return assemble_variance(variance_terms(kernel, intensity.window, integrator), lam, kernel.factor(lam))
 
 
 def check_symmetry(kernel: UStatKernel, window: Window, seed: int = 0, trials: int = 64, tol: float = 1e-9) -> bool:

@@ -23,19 +23,26 @@ from poisson_ustats import (
     LocalityError,
     LocalTerm,
     MTerm,
+    PointConfiguration,
     SimpleFunction,
     UStatKernel,
+    chaos_kernel,
     chaos_kernels_simple,
     counterexample_kernel,
     default_local_constant,
     enumerate_pi_bar,
+    expectation,
     geometric_bound,
     gilbert_kernel,
     local_bound,
     m_ij,
     make_kernel,
+    ou_generator,
+    ou_generator_direct,
+    ou_inverse,
     r_terms_small,
     unit_ball_volume,
+    variance,
     variance_terms,
     wasserstein_bound,
 )
@@ -216,6 +223,32 @@ def test_report_variance_is_the_moments_variance_in_every_mode():
     assert rep.variance == 0.25
     assert rep.m[0].value == 4.0 / 4.0**4
     assert rep.bound == 1.0
+
+
+def _smooth_pair_kernel() -> UStatKernel:
+    return UStatKernel(2, lambda t: np.exp(-np.sum((t[:, 0] - t[:, 1]) ** 2, axis=1)), name="smooth-pair")
+
+
+@pytest.mark.parametrize("lam", [0.5, 4.0])
+@pytest.mark.parametrize("make", [unit_count_kernel, _smooth_pair_kernel])
+def test_one_shots_apply_the_intensity_factor_as_the_record_does(make, lam):
+    kern = dataclasses.replace(make(), intensity_factor=lambda lam: 1.0 / lam)
+    integ = Integrator(samples=100, seed=4)
+    model = IntensityModel(lam, UNIT_SQUARE)
+    rec = estimate_ingredients(kern, UNIT_SQUARE, integ, "general")
+    mean, var = rec.moments(lam)
+    assert expectation(kern, model, integ).value == mean
+    assert variance(kern, model, integ) == var
+    for term in rec.report(lam).m:
+        est = m_ij(kern, term.i, term.j, model, integ)
+        assert (est.value, est.se) == (term.value, term.se)
+    # the operators evaluate the kernel at lam, factor included
+    baked = kern.at_intensity(lam)
+    config = PointConfiguration(np.array([[0.1, 0.2], [0.7, 0.4], [0.3, 0.9]]))
+    ys = np.array([[0.5, 0.5]])
+    assert chaos_kernel(kern, 1, ys, model, integ) == chaos_kernel(baked, 1, ys, model, integ)
+    for op in (ou_generator, ou_generator_direct, ou_inverse):
+        assert op(kern, config, model, integ) == op(baked, config, model, integ), op.__name__
 
 
 @pytest.mark.parametrize("mode", ["general", "geometric"])
