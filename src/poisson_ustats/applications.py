@@ -35,8 +35,8 @@ from .ustat_core import (
     Integrator,
     UStatKernel,
     _evaluate_many,
+    _variance_term,
     combine_se,
-    variance_terms,
 )
 
 __all__ = [
@@ -374,8 +374,7 @@ def sylvester_estimate(k: int, intensity: IntensityModel, replicates: int, integ
     scaled = np.array(_evaluate_many(kernel, samples)) / lam**k
     p = float(np.mean(scaled))
     p_se = float(np.std(scaled, ddof=1) / math.sqrt(replicates))
-    terms = variance_terms(kernel, win, integrator)
-    t1 = terms[0]
+    t1 = _variance_term(kernel, win, integrator, 1)
     norm_sq = Estimate(lam ** (2 * k - 1) * t1.value, lam ** (2 * k - 1) * t1.se, t1.n)
     base = k * k * lam ** (2 * k - 1)
     lower = Estimate(base * p * p, base * 2 * abs(p) * p_se, replicates)

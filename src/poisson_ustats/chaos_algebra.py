@@ -11,13 +11,14 @@ argument variables subject to three constraints: variables of one factor
 never share a block, every block has at least two elements, and (for the
 connected family) the blocks hook all factors together.
 
-The fourth-moment quantities M_ij (:func:`m_ij`) sum one integral per
-connected diagram.  For a symmetric kernel that integral depends only on the
-diagram's block-type vector (which sets of factors its blocks join, and how
-often), so M_ij integrates once per type, weighted by the number of diagrams
-of that type, into a polynomial in lam whose coefficients are lambda-free.
-The types and weights are built from the factor sizes alone; the explicit
-enumerations enumerate_pi and enumerate_pi_bar remain as their reference.
+Both moment formulas sum one term per diagram, and for symmetric factors that
+term depends only on the diagram's block-type vector (which sets of factors
+its blocks join, and how often).  One enumeration of the types, built from
+the factor sizes alone with the number of labelled diagrams of each type,
+serves both: product_expectation contracts every type exactly, and M_ij
+(:func:`m_ij`) integrates every connected type once, into a polynomial in
+lam whose coefficients are lambda-free.  The labelled enumerations
+enumerate_pi and enumerate_pi_bar remain as their reference.
 """
 
 from __future__ import annotations
@@ -173,13 +174,7 @@ class SimpleFunction:
 
     def norm_sq(self, intensity: IntensityModel) -> float:
         """Squared L^2(mu^order) norm."""
-        mu = float(intensity.lam) * self.grid.measures()
-        if self.order == 0:
-            return float(self.coeffs) ** 2
-        ops = [self.coeffs**2, list(range(self.order))]
-        for a in range(self.order):
-            ops.extend([mu, [a]])
-        return float(np.einsum(*ops, []))
+        return _contract(self.coeffs**2, float(intensity.lam) * self.grid.measures())
 
     def slice_first(self, cell: int) -> "SimpleFunction":
         """Freeze the first argument to a cell, dropping one order."""
@@ -258,11 +253,8 @@ def enumerate_pi(sizes: Sequence[int]) -> tuple:
     sizes = tuple(int(s) for s in sizes)
     if any(s < 1 for s in sizes):
         raise ConfigError(f"factor sizes must be >= 1, got {sizes}")
-    total = sum(sizes)
-    if total > MAX_PARTITION_VARIABLES:
-        raise CapacityError(
-            f"{total} variables exceed the enumeration guard of {MAX_PARTITION_VARIABLES}"
-        )
+    if sum(sizes) > MAX_PARTITION_VARIABLES:
+        raise CapacityError(f"{sum(sizes)} variables exceed the enumeration guard of {MAX_PARTITION_VARIABLES}")
     variables = [(l + 1, j + 1) for l, s in enumerate(sizes) for j in range(s)]
     found = []
     blocks: list = []
@@ -364,9 +356,10 @@ def apply_replacement(diagram: PartitionDiagram, factors: Sequence) -> "callable
 def product_expectation(factors: Sequence[SimpleFunction], intensity: IntensityModel, integrator: Optional[Integrator] = None) -> Estimate:
     """E prod_l I_{n_l}(f_l) for simple functions on one shared grid.
 
-    Evaluated exactly as a sum over diagrams of cell-assignment
-    contractions; the integrator argument is accepted for interface
-    uniformity and unused, and the returned standard error is zero.
+    Evaluated exactly by the orbit sum M_ij also uses: each block type,
+    connected or not, adds its cell-assignment contraction times its number
+    of labelled diagrams.  The integrator argument is accepted for interface
+    uniformity and unused; the returned standard error is zero.
     """
     if not factors:
         raise ConfigError("need at least one factor")
@@ -377,20 +370,20 @@ def product_expectation(factors: Sequence[SimpleFunction], intensity: IntensityM
     sizes = tuple(f.order for f in factors)
     if any(s < 1 for s in sizes):
         raise ConfigError("order-0 factors are plain constants; multiply them in directly")
+    if sum(sizes) > MAX_PARTITION_VARIABLES:
+        raise CapacityError(f"{sum(sizes)} variables exceed the enumeration guard of {MAX_PARTITION_VARIABLES}")
     mu = float(intensity.lam) * grid.measures()
     total = 0.0
-    for diagram in enumerate_pi(sizes):
-        ops = []
-        for l, f in enumerate(factors, start=1):
-            ops.extend([f.coeffs, [diagram.block_of(l, j) for j in range(1, f.order + 1)]])
-        for b in range(diagram.n_blocks):
-            ops.extend([mu, [b]])
-        total += float(np.einsum(*ops, []))
+    for types, weight in _block_type_orbits(sizes, connected=False):
+        slots, n_blocks = _orbit_slots(types, (0,) * len(sizes))
+        ops = [x for f, s in zip(factors, slots) for x in (f.coeffs, s)]
+        ops += [x for b in range(n_blocks) for x in (mu, [b])]
+        total += weight * float(np.einsum(*ops, []))
     return Estimate(total, 0.0, 0)
 
 
-def _block_type_orbits(sizes: Sequence[int]) -> tuple:
-    """Connected block-type vectors over the factor sizes, with their weights.
+def _block_type_orbits(sizes: Sequence[int], *, connected: bool = True) -> tuple:
+    """Block-type vectors over the factor sizes, with their weights.
 
     A diagram's block-type vector counts, for every set S of at least two
     factors (0-based indices), the blocks c_S whose members come from exactly
@@ -398,8 +391,9 @@ def _block_type_orbits(sizes: Sequence[int]) -> tuple:
     blocks.  Returns ((types, weight), ...) where ``types`` lists the pairs
     (S, c_S) with c_S > 0 and ``weight`` = prod_l sizes[l]! / prod_S c_S! is
     the number of labelled diagrams of that type; only connected types are
-    kept.  Built from the sizes alone: the sets are visited grouped by their
-    smallest factor, which must absorb what its earlier sets left of it.
+    kept unless ``connected`` is False.  Built from the sizes alone: the sets
+    are visited grouped by their smallest factor, which must absorb what its
+    earlier sets left of it.
     """
     sizes = tuple(int(s) for s in sizes)
     if any(s < 1 for s in sizes):
@@ -414,7 +408,7 @@ def _block_type_orbits(sizes: Sequence[int]) -> tuple:
 
     def rec(l: int, t: int) -> None:
         if l == m:
-            if _joins_all(m, (S for S, _ in chosen)):
+            if not connected or _joins_all(m, (S for S, _ in chosen)):
                 found.append((tuple(chosen), labelled // math.prod(math.factorial(c) for _, c in chosen)))
             return
         if t == len(by_min[l]):
@@ -439,6 +433,21 @@ def _block_type_orbits(sizes: Sequence[int]) -> tuple:
 
     rec(0, 0)
     return tuple(found)
+
+
+def _orbit_slots(types, free) -> tuple:
+    """Slot lists of one block type: blocks numbered in ``types`` order, then
+    factor l's free[l] own variables; returns (per-factor slots, variable count)."""
+    slots = [[] for _ in free]
+    pos = 0
+    for S, count in types:
+        for l in S:
+            slots[l].extend(range(pos, pos + count))
+        pos += count
+    for l, n in enumerate(free):
+        slots[l].extend(range(pos, pos + n))
+        pos += n
+    return slots, pos
 
 
 def _m_orbit_integrals(kernel: UStatKernel, i: int, j: int, window: Window, integrator: Integrator) -> tuple:
@@ -475,16 +484,7 @@ def _m_orbit_integrals(kernel: UStatKernel, i: int, j: int, window: Window, inte
 
     out = []
     for o_idx, (types, weight) in enumerate(orbits):
-        slots = [[] for _ in sizes]
-        pos = 0
-        for S, count in types:
-            for b in range(pos, pos + count):
-                for l in S:
-                    slots[l].append(b)
-            pos += count
-        for l in range(4):
-            slots[l].extend(range(pos, pos + free[l]))
-            pos += free[l]
+        slots, pos = _orbit_slots(types, free)
         # pos = blocks + 2(k-i) + 2(k-j) variables, at most 4k-i-j
         est = _product_integral(
             absolute, k, window, integrator, pos, slots, ("m", i, j, o_idx), scale=weight, repeat=weight,

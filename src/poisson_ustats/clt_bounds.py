@@ -43,6 +43,7 @@ from .errors import (
     ConfigError,
     DegenerateFunctionalError,
     LocalityError,
+    _as_config_error,
 )
 from .point_process import IntensityModel, LineWindow, Window, sample_points, unit_ball_volume
 from .ustat_core import Estimate, Integrator, UStatKernel, _product_integral, assemble_variance, variance, variance_terms
@@ -138,24 +139,25 @@ class BoundReport:
 
     @classmethod
     def from_json(cls, text: str) -> "BoundReport":
-        doc = json.loads(text)
-        required = {"mode", "k", "lambda", "variance", "variance_se", "m", "bound", "vtilde", "b_delta", "c_k"}
-        missing = required - set(doc)
-        if missing:
-            raise ConfigError(f"report JSON misses fields: {sorted(missing)}")
-        terms = tuple(MTerm(int(t["i"]), int(t["j"]), float(t["value"]), float(t["se"])) for t in doc["m"])
-        return cls(
-            mode=doc["mode"],
-            k=int(doc["k"]),
-            lam=float(doc["lambda"]),
-            variance=float(doc["variance"]),
-            variance_se=float(doc["variance_se"]),
-            m=terms,
-            bound=float(doc["bound"]),
-            vtilde=None if doc["vtilde"] is None else float(doc["vtilde"]),
-            b_delta=None if doc["b_delta"] is None else float(doc["b_delta"]),
-            c_k=None if doc["c_k"] is None else float(doc["c_k"]),
-        )
+        with _as_config_error("report JSON"):
+            doc = json.loads(text)
+            required = {"mode", "k", "lambda", "variance", "variance_se", "m", "bound", "vtilde", "b_delta", "c_k"}
+            missing = required - set(doc)
+            if missing:
+                raise ConfigError(f"report JSON misses fields: {sorted(missing)}")
+            terms = tuple(MTerm(int(t["i"]), int(t["j"]), float(t["value"]), float(t["se"])) for t in doc["m"])
+            return cls(
+                mode=doc["mode"],
+                k=int(doc["k"]),
+                lam=float(doc["lambda"]),
+                variance=float(doc["variance"]),
+                variance_se=float(doc["variance_se"]),
+                m=terms,
+                bound=float(doc["bound"]),
+                vtilde=None if doc["vtilde"] is None else float(doc["vtilde"]),
+                b_delta=None if doc["b_delta"] is None else float(doc["b_delta"]),
+                c_k=None if doc["c_k"] is None else float(doc["c_k"]),
+            )
 
 
 def _sqrt_estimate(value: float, se: float) -> tuple:

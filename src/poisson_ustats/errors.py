@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class WindowError(ValueError):
     """Window geometry is invalid or degenerate."""
@@ -27,3 +29,17 @@ class AssumptionViolationError(RuntimeError):
 
 class LocalityError(ValueError):
     """The operation needs a kernel with a locality radius."""
+
+
+@contextmanager
+def _as_config_error(what: str):
+    """Re-raise a KeyError, TypeError or ValueError met while reading ``what`` as a ConfigError.
+
+    ConfigError and WindowError pass through unchanged.
+    """
+    try:
+        yield
+    except (ConfigError, WindowError):
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed {what} ({type(exc).__name__}: {exc})") from exc

@@ -36,7 +36,7 @@ from .applications import make_kernel
 # geometric_bound, local_bound and variance_terms are unused here; perfbench/tracing.py SITES wraps them
 from .clt_bounds import BoundReport, Ingredients, estimate_ingredients, geometric_bound, local_bound
 from .distance import SampleSet, kolmogorov_to_normal, wasserstein_to_normal
-from .errors import ConfigError, DegenerateFunctionalError
+from .errors import ConfigError, DegenerateFunctionalError, _as_config_error
 from .point_process import (
     BallWindow,
     BoxWindow,
@@ -69,20 +69,21 @@ def window_from_spec(doc: dict) -> Window:
     """Build a window from a JSON-style {"shape": ...} mapping."""
     if not isinstance(doc, dict) or "shape" not in doc:
         raise ConfigError("window spec needs a 'shape' key")
-    shape = doc["shape"]
-    if shape == "box":
-        if "bounds" not in doc:
-            raise ConfigError("box window spec needs 'bounds'")
-        return BoxWindow(tuple(tuple(float(v) for v in axis) for axis in doc["bounds"]))
-    if shape == "ball":
-        if "radius" not in doc:
-            raise ConfigError("ball window spec needs 'radius'")
-        return BallWindow(float(doc["radius"]), int(doc.get("dimension", 2)))
-    if shape == "line-disk":
-        if "radius" not in doc:
-            raise ConfigError("line-disk window spec needs 'radius'")
-        return LineWindow(float(doc["radius"]))
-    raise ConfigError(f"unknown window shape {shape!r}; use box, ball or line-disk")
+    with _as_config_error("window spec"):
+        shape = doc["shape"]
+        if shape == "box":
+            if "bounds" not in doc:
+                raise ConfigError("box window spec needs 'bounds'")
+            return BoxWindow(tuple(tuple(float(v) for v in axis) for axis in doc["bounds"]))
+        if shape == "ball":
+            if "radius" not in doc:
+                raise ConfigError("ball window spec needs 'radius'")
+            return BallWindow(float(doc["radius"]), int(doc.get("dimension", 2)))
+        if shape == "line-disk":
+            if "radius" not in doc:
+                raise ConfigError("line-disk window spec needs 'radius'")
+            return LineWindow(float(doc["radius"]))
+        raise ConfigError(f"unknown window shape {shape!r}; use box, ball or line-disk")
 
 
 def window_to_spec(window: Window) -> dict:
@@ -163,35 +164,36 @@ class ExperimentConfig:
         for key in ("kernel", "lambdas", "replicates"):
             if key not in doc:
                 raise ConfigError(f"config misses required key {key!r}")
-        kernel = doc["kernel"]
-        if not isinstance(kernel, str):
-            raise ConfigError("config 'kernel' must be a registered name")
-        window = window_from_spec(doc["window"]) if "window" in doc else default_window(kernel)
-        integ = doc.get("integrator", {})
-        if not isinstance(integ, dict):
-            raise ConfigError("config 'integrator' must be an object")
-        integrator = Integrator(
-            samples=int(integ.get("samples", 4096)),
-            seed=int(integ.get("seed", 0)),
-            strata=int(integ.get("strata", 1)),
-        )
-        out = doc.get("out", {})
-        if not isinstance(out, dict):
-            raise ConfigError("config 'out' must be an object")
-        return cls(
-            kernel=kernel,
-            window=window,
-            lambdas=tuple(doc["lambdas"]),
-            replicates=doc["replicates"],
-            integrator=integrator,
-            seed=int(doc.get("seed", 0)),
-            delta=None if doc.get("delta") is None else float(doc["delta"]),
-            k=None if doc.get("k") is None else int(doc["k"]),
-            c_k=None if doc.get("c_k") is None else float(doc["c_k"]),
-            records_path=out.get("records"),
-            rates_path=out.get("rates"),
-            report_path=out.get("report"),
-        )
+        with _as_config_error("config"):
+            kernel = doc["kernel"]
+            if not isinstance(kernel, str):
+                raise ConfigError("config 'kernel' must be a registered name")
+            window = window_from_spec(doc["window"]) if "window" in doc else default_window(kernel)
+            integ = doc.get("integrator", {})
+            if not isinstance(integ, dict):
+                raise ConfigError("config 'integrator' must be an object")
+            integrator = Integrator(
+                samples=int(integ.get("samples", 4096)),
+                seed=int(integ.get("seed", 0)),
+                strata=int(integ.get("strata", 1)),
+            )
+            out = doc.get("out", {})
+            if not isinstance(out, dict):
+                raise ConfigError("config 'out' must be an object")
+            return cls(
+                kernel=kernel,
+                window=window,
+                lambdas=tuple(doc["lambdas"]),
+                replicates=doc["replicates"],
+                integrator=integrator,
+                seed=int(doc.get("seed", 0)),
+                delta=None if doc.get("delta") is None else float(doc["delta"]),
+                k=None if doc.get("k") is None else int(doc["k"]),
+                c_k=None if doc.get("c_k") is None else float(doc["c_k"]),
+                records_path=out.get("records"),
+                rates_path=out.get("rates"),
+                report_path=out.get("report"),
+            )
 
 
 @dataclass(frozen=True)

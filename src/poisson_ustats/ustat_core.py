@@ -574,14 +574,16 @@ def variance_terms(kernel: UStatKernel, window: Window, integrator: Integrator) 
     the product of two independent inner replicates of ``samples`` draws
     each, which is unbiased.  Index 0 of the returned list is T_1.
     """
+    return [_variance_term(kernel, window, integrator, i) for i in range(1, kernel.order + 1)]
+
+
+def _variance_term(kernel: UStatKernel, window: Window, integrator: Integrator, i: int) -> Estimate:
+    """The one term T_i of :func:`variance_terms`, on its stream ("variance", i)."""
     k = kernel.order
-    return [
-        _product_integral(
-            kernel, k, window, integrator, i, [range(i)] * 2, ("variance", i),
-            inner=integrator.samples, scale=math.factorial(i) * math.comb(k, i) ** 2,
-        )
-        for i in range(1, k + 1)
-    ]
+    return _product_integral(
+        kernel, k, window, integrator, i, [range(i)] * 2, ("variance", i),
+        inner=integrator.samples, scale=math.factorial(i) * math.comb(k, i) ** 2,
+    )
 
 
 def assemble_variance(terms, lam: float, factor: float = 1.0) -> Estimate:

@@ -172,6 +172,9 @@ def test_partition_texts_golden():
 def test_partition_capacity_guard():
     with pytest.raises(CapacityError):
         enumerate_pi((5, 5, 5, 2))
+    zeros = [SimpleFunction(GRID4, np.zeros((4,) * n)) for n in (5, 5, 5, 2)]
+    with pytest.raises(CapacityError):
+        product_expectation(zeros, IntensityModel(1.0, UNIT_SQUARE))
     with pytest.raises(ConfigError):
         enumerate_pi((0, 2))
 
@@ -315,6 +318,41 @@ def test_product_expectation_three_factors_vs_mc():
     assert abs(prods.mean() - exact) < 4.0 * se
 
 
+def _symmetric_table(n_cells: int, order: int, seed: int) -> np.ndarray:
+    """Random table that is exactly symmetric (each entry read at its sorted index) with a zero diagonal."""
+    raw = spawn_rng(seed, "table").normal(size=(n_cells,) * order)
+    idx = np.sort(np.indices(raw.shape).reshape(order, -1), axis=0)
+    table = raw[tuple(idx)]
+    table[np.any(idx[1:] == idx[:-1], axis=0)] = 0.0
+    return table.reshape(raw.shape)
+
+
+def _labelled_product_expectation(factors, intensity) -> float:
+    """The diagram formula summed over every labelled diagram of enumerate_pi."""
+    mu = intensity.lam * factors[0].grid.measures()
+    total = 0.0
+    for d in enumerate_pi(tuple(f.order for f in factors)):
+        ops = []
+        for l, f in enumerate(factors, start=1):
+            ops.extend([f.coeffs, [d.block_of(l, j) for j in range(1, f.order + 1)]])
+        for b in range(d.n_blocks):
+            ops.extend([mu, [b]])
+        total += float(np.einsum(*ops, []))
+    return total
+
+
+@pytest.mark.parametrize("sizes", [(1, 1, 2, 2), (2, 2, 2, 2), (2, 2, 3, 3), (1, 2, 3)])
+def test_product_expectation_matches_the_labelled_diagram_sum(sizes):
+    grid = CellGrid.regular((0.0, 0.0), (1.0, 1.0), (3, 2))
+    im = IntensityModel(2.5, UNIT_SQUARE)
+    factors = [SimpleFunction(grid, _symmetric_table(6, n, 40 + l)) for l, n in enumerate(sizes)]
+    want = _labelled_product_expectation(factors, im)
+    got = product_expectation(factors, im)
+    assert want != 0.0
+    assert got.value == pytest.approx(want, rel=1e-12)
+    assert (got.se, got.n) == (0.0, 0)
+
+
 def test_product_expectation_grid_mismatch():
     other = CellGrid.regular((0.0, 0.0), (1.0, 1.0), (1, 2))
     f_a = SimpleFunction(GRID4, np.ones(4))
@@ -375,13 +413,17 @@ def _block_type(diagram) -> tuple:
 
 
 def _check_orbits_against_oracle(sizes) -> None:
-    expected = {}
-    for d in enumerate_pi_bar(sizes):
-        t = _block_type(d)
-        expected[t] = expected.get(t, 0) + 1
-    got = {tuple(sorted(types)): weight for types, weight in _block_type_orbits(sizes)}
-    assert len(got) == len(_block_type_orbits(sizes)), sizes
-    assert got == expected, sizes
+    # connected types against Pi-bar, and (connected=False) every type against Pi
+    diagrams = enumerate_pi(sizes)
+    for connected, family in ((True, [d for d in diagrams if is_connected(d)]), (False, diagrams)):
+        expected = {}
+        for d in family:
+            t = _block_type(d)
+            expected[t] = expected.get(t, 0) + 1
+        orbits = _block_type_orbits(sizes, connected=connected)
+        got = {tuple(sorted(types)): weight for types, weight in orbits}
+        assert len(got) == len(orbits), (sizes, connected)
+        assert got == expected, (sizes, connected)
 
 
 def test_block_type_orbits_match_the_diagram_oracle():

@@ -521,6 +521,28 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
         ["bound", "--kernel", "pairwise-distance", "--lambda", "2,4"],
         ["report", str(tmp_path / "nope.json")],
     ]
+    # files that exist but do not parse: invalid JSON, an M term without "j",
+    # and configs with a non-integer count, a non-list grid and non-numeric bounds
+    malformed = {
+        "report": [
+            "{not json",
+            json.dumps({
+                "mode": "general", "k": 1, "lambda": 4.0, "variance": 1.0, "variance_se": 0.0,
+                "m": [{"i": 1, "value": 1.0, "se": 0.0}], "bound": 1.0, "vtilde": None, "b_delta": None, "c_k": None,
+            }),
+        ],
+        "variance": [
+            json.dumps({"kernel": "counterexample", "lambdas": [4], "replicates": "many"}),
+            json.dumps({"kernel": "counterexample", "lambdas": 4, "replicates": 1}),
+            json.dumps({"kernel": "counterexample", "lambdas": [4], "replicates": 1,
+                        "window": {"shape": "box", "bounds": [["a", 1]]}}),
+        ],
+    }
+    for verb, texts in malformed.items():
+        for n, text in enumerate(texts):
+            path = tmp_path / f"{verb}-{n}.json"
+            path.write_text(text)
+            cases.append([verb, str(path)] if verb == "report" else [verb, "--config", str(path)])
     for argv in cases:
         assert main(argv) == 2, argv
         assert "error:" in capsys.readouterr().err
