@@ -14,12 +14,12 @@ from poisson_ustats import (
     IntensityModel,
     Integrator,
     UStatKernel,
+    estimate_ingredients,
     geometric_bound,
     gilbert_kernel,
     local_bound,
     make_kernel,
 )
-from poisson_ustats.clt_bounds import estimate_ingredients
 import numpy as np
 
 UNIT_SQUARE = BoxWindow(((0.0, 1.0), (0.0, 1.0)))

@@ -6,215 +6,25 @@ evaluating and differencing the functionals, exact variance and product
 formulas on simple functions, fourth-moment quantities, Wasserstein bounds
 on the distance to a standard normal, and a harness that measures the decay
 of that distance across intensities.
+
+Each public module states its names once, in its own ``__all__``; the
+package exports exactly their union.
 """
 
-from .applications import (
-    convex_position_kernel,
-    convex_position_mask,
-    counterexample_closed_form,
-    counterexample_kernel,
-    gilbert_f1,
-    gilbert_kernel,
-    hull_vertices,
-    kernel_names,
-    kernel_summaries,
-    line_intersection,
-    line_intersection_kernel,
-    make_kernel,
-    orientation,
-    pairwise_distance_kernel,
-    sylvester_estimate,
-    SylvesterResult,
-)
-from .chaos_algebra import (
-    apply_replacement,
-    cell_counts,
-    CellGrid,
-    chaos_kernels_simple,
-    enumerate_pi,
-    enumerate_pi_bar,
-    is_connected,
-    m_ij,
-    MAX_DIAGRAM_DRAWS,
-    MAX_PARTITION_VARIABLES,
-    PartitionDiagram,
-    product_expectation,
-    SimpleFunction,
-    wiener_ito,
-    wiener_ito_counts,
-)
-from .clt_bounds import (
-    BoundReport,
-    default_local_constant,
-    geometric_bound,
-    local_bound,
-    LocalTerm,
-    MTerm,
-    r_terms_small,
-    wasserstein_bound,
-)
-from .distance import (
-    DistanceEstimate,
-    kolmogorov_to_normal,
-    normal_distances,
-    SampleSet,
-    standardize,
-    wasserstein_to_normal,
-)
-from .errors import (
-    AssumptionViolationError,
-    CapacityError,
-    ConfigError,
-    DegenerateFunctionalError,
-    IntegrationError,
-    LocalityError,
-    WindowError,
-)
-from .harness import (
-    default_window,
-    emit_csv,
-    emit_report,
-    ExperimentConfig,
-    moment_table,
-    rate_experiment,
-    RateFitResult,
-    read_rates,
-    read_records,
-    ReplicateRecord,
-    run_replicates,
-    window_from_spec,
-    window_to_spec,
-)
-from .point_process import (
-    BallWindow,
-    BoxWindow,
-    IntensityModel,
-    LineWindow,
-    PointConfiguration,
-    read_points_csv,
-    sample_lines,
-    sample_points,
-    unit_ball_volume,
-    window_measure,
-    write_points_csv,
-)
-from .ustat_core import (
-    chaos_kernel,
-    check_symmetry,
-    difference,
-    Estimate,
-    evaluate,
-    expectation,
-    Integrator,
-    iterated_difference,
-    ou_generator,
-    ou_generator_direct,
-    ou_inverse,
-    UStatKernel,
-    variance,
-    variance_terms,
-)
+from . import applications, chaos_algebra, clt_bounds, distance, errors, harness, point_process, ustat_core
+from .applications import *
+from .chaos_algebra import *
+from .clt_bounds import *
+from .distance import *
+from .errors import *
+from .harness import *
+from .point_process import *
+from .ustat_core import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "AssumptionViolationError",
-    "CapacityError",
-    "ConfigError",
-    "DegenerateFunctionalError",
-    "IntegrationError",
-    "LocalityError",
-    "WindowError",
-    # point processes
-    "BallWindow",
-    "BoxWindow",
-    "LineWindow",
-    "IntensityModel",
-    "PointConfiguration",
-    "sample_points",
-    "sample_lines",
-    "read_points_csv",
-    "write_points_csv",
-    "window_measure",
-    "unit_ball_volume",
-    # functionals
-    "Estimate",
-    "Integrator",
-    "UStatKernel",
-    "evaluate",
-    "expectation",
-    "difference",
-    "iterated_difference",
-    "ou_generator",
-    "ou_generator_direct",
-    "ou_inverse",
-    "chaos_kernel",
-    "variance",
-    "variance_terms",
-    "check_symmetry",
-    # discrete chaos algebra
-    "CellGrid",
-    "SimpleFunction",
-    "PartitionDiagram",
-    "cell_counts",
-    "wiener_ito",
-    "wiener_ito_counts",
-    "enumerate_pi",
-    "enumerate_pi_bar",
-    "is_connected",
-    "apply_replacement",
-    "product_expectation",
-    "m_ij",
-    "chaos_kernels_simple",
-    "MAX_PARTITION_VARIABLES",
-    "MAX_DIAGRAM_DRAWS",
-    # normal-approximation bounds
-    "MTerm",
-    "LocalTerm",
-    "BoundReport",
-    "wasserstein_bound",
-    "geometric_bound",
-    "local_bound",
-    "default_local_constant",
-    "r_terms_small",
-    # distances
-    "SampleSet",
-    "DistanceEstimate",
-    "standardize",
-    "wasserstein_to_normal",
-    "kolmogorov_to_normal",
-    "normal_distances",
-    # model kernels
-    "orientation",
-    "hull_vertices",
-    "convex_position_mask",
-    "line_intersection",
-    "gilbert_kernel",
-    "gilbert_f1",
-    "pairwise_distance_kernel",
-    "counterexample_kernel",
-    "counterexample_closed_form",
-    "convex_position_kernel",
-    "line_intersection_kernel",
-    "sylvester_estimate",
-    "SylvesterResult",
-    "kernel_names",
-    "kernel_summaries",
-    "make_kernel",
-    # experiments
-    "ExperimentConfig",
-    "ReplicateRecord",
-    "RateFitResult",
-    "window_from_spec",
-    "window_to_spec",
-    "default_window",
-    "moment_table",
-    "run_replicates",
-    "rate_experiment",
-    "emit_csv",
-    "emit_report",
-    "read_records",
-    "read_rates",
+__all__ = ["__version__"] + [
+    name
+    for module in (applications, chaos_algebra, clt_bounds, distance, errors, harness, point_process, ustat_core)
+    for name in module.__all__
 ]

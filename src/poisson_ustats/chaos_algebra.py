@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -353,13 +353,12 @@ def apply_replacement(diagram: PartitionDiagram, factors: Sequence) -> "callable
     return substituted
 
 
-def product_expectation(factors: Sequence[SimpleFunction], intensity: IntensityModel, integrator: Optional[Integrator] = None) -> Estimate:
+def product_expectation(factors: Sequence[SimpleFunction], intensity: IntensityModel) -> Estimate:
     """E prod_l I_{n_l}(f_l) for simple functions on one shared grid.
 
     Evaluated exactly by the orbit sum M_ij also uses: each block type,
     connected or not, adds its cell-assignment contraction times its number
-    of labelled diagrams.  The integrator argument is accepted for interface
-    uniformity and unused; the returned standard error is zero.
+    of labelled diagrams.  The returned standard error is zero.
     """
     if not factors:
         raise ConfigError("need at least one factor")

@@ -3,8 +3,9 @@
 Verbs: sample, eval, kernels, variance, bound, experiment rate, report.
 Configuration comes from a single JSON document (--config); the remaining
 flags override individual fields.  Exit codes: 0 on success, 2 on a
-configuration or usage error, 3 when a variance degenerates and the
-normalized quantity does not exist.
+configuration or usage error (a file that cannot be read or written, or
+does not parse, is one), 3 when a variance degenerates and the normalized
+quantity does not exist.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import sys
 from dataclasses import replace
 from typing import Optional
 
+from ._files import _csv_text, _fmt, _read_text, _write_text
 from .applications import kernel_summaries
 from .clt_bounds import BoundReport, geometric_bound, local_bound, wasserstein_bound
 from .errors import (
@@ -25,6 +27,7 @@ from .errors import (
 )
 from .harness import (
     ExperimentConfig,
+    _csv_table,
     default_window,
     emit_csv,
     emit_report,
@@ -32,7 +35,7 @@ from .harness import (
     rate_experiment,
     run_replicates,  # unused; perfbench/tracing.py SITES wraps it here
 )
-from .point_process import LineWindow, sample_lines, sample_points, write_points_csv
+from .point_process import LineWindow, _points_csv, sample_lines, sample_points, write_points_csv
 from ._streams import spawn_rng
 from .ustat_core import evaluate
 
@@ -77,12 +80,7 @@ def _parse_lambdas(text: str) -> tuple:
 
 def _load_config(args) -> ExperimentConfig:
     if args.config:
-        try:
-            with open(args.config) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        config = ExperimentConfig.from_json(text)
+        config = ExperimentConfig.from_json(_read_text(args.config))
     else:
         if not args.kernel:
             raise ConfigError("need --config or --kernel")
@@ -121,12 +119,7 @@ def _cmd_sample(args) -> int:
         write_points_csv(sample, args.out)
         print(f"wrote {sample.size} points to {args.out}")
     else:
-        header = "phi,p" if sample.kind == "lines" else ",".join(
-            f"x{i + 1}" for i in range(sample.dim)
-        )
-        print(header)
-        for row in sample.points:
-            print(",".join(f"{v:.17g}" for v in row))
+        print(_points_csv(sample), end="")
     return 0
 
 
@@ -136,7 +129,7 @@ def _cmd_eval(args) -> int:
     kernel = config.resolve_kernel().at_intensity(lam)
     sample = _draw(config, lam)
     value = evaluate(kernel, sample)
-    print(f"lambda={lam:g} points={sample.size} value={value:.17g}")
+    print(f"lambda={lam:g} points={sample.size} value={_fmt(value)}")
     return 0
 
 
@@ -149,16 +142,12 @@ def _cmd_kernels(_args) -> int:
 def _cmd_variance(args) -> int:
     config = _load_config(args)
     rows = moment_table(config)
-    lines = ["lambda,mean,variance,variance_se"]
-    for lam, mean, var in rows:
-        lines.append(f"{lam:.17g},{mean:.17g},{var.value:.17g},{var.se:.17g}")
-    text = "\n".join(lines) + "\n"
+    text = _csv_text(
+        ["lambda", "mean", "variance", "variance_se"],
+        ([_fmt(lam), _fmt(mean), _fmt(var.value), _fmt(var.se)] for lam, mean, var in rows),
+    )
     if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ConfigError(f"writing {args.out}: {exc}") from exc
+        _write_text(args.out, text)
         print(f"wrote {len(rows)} rows to {args.out}")
     else:
         print(text, end="")
@@ -194,9 +183,7 @@ def _cmd_rate(args) -> int:
         emit_csv(fit, out)
         print(f"wrote {len(fit.lambdas)} rows to {out}")
     else:
-        print("lambda,d_w,d_k,bound,ratio")
-        for lam, dw, dk, b, ratio in zip(fit.lambdas, fit.d_w, fit.d_k, fit.bounds, fit.ratios):
-            print(f"{lam:.17g},{dw:.17g},{dk:.17g},{b:.17g},{ratio:.17g}")
+        print(_csv_table(fit), end="")
     if config.records_path:
         emit_csv(fit.records, config.records_path)
         print(f"wrote records to {config.records_path}")
@@ -205,12 +192,7 @@ def _cmd_rate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    try:
-        with open(args.path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read report {args.path}: {exc}") from exc
-    report = BoundReport.from_json(text)
+    report = BoundReport.from_json(_read_text(args.path))
     print(f"mode: {report.mode}")
     print(f"order k: {report.k}")
     print(f"lambda: {report.lam:g}")

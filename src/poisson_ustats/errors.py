@@ -2,6 +2,16 @@
 
 from contextlib import contextmanager
 
+__all__ = [
+    "AssumptionViolationError",
+    "CapacityError",
+    "ConfigError",
+    "DegenerateFunctionalError",
+    "IntegrationError",
+    "LocalityError",
+    "WindowError",
+]
+
 
 class WindowError(ValueError):
     """Window geometry is invalid or degenerate."""

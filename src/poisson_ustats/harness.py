@@ -19,8 +19,6 @@ configuration size; every value equals evaluate on that cell alone.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -28,6 +26,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from ._files import _csv_text, _fmt, _read_csv, _write_text
 # stream_token and evaluate are unused here (_simulate takes the token from
 # its generator's SeedSequence and calls _evaluate_many); perfbench/tracing.py
 # SITES wraps both names at this import site
@@ -123,7 +122,10 @@ class ExperimentConfig:
     report_path: Optional[str] = None
 
     def __post_init__(self):
-        lambdas = tuple(float(v) for v in self.lambdas)
+        with _as_config_error("config"):
+            lambdas = tuple(float(v) for v in self.lambdas)
+            object.__setattr__(self, "replicates", int(self.replicates))
+            object.__setattr__(self, "seed", int(self.seed))
         if not lambdas:
             raise ConfigError("need at least one lambda")
         if any(not v > 0 for v in lambdas):
@@ -131,10 +133,8 @@ class ExperimentConfig:
         if any(b <= a for a, b in zip(lambdas, lambdas[1:])):
             raise ConfigError(f"lambda grid must be strictly increasing, got {lambdas}")
         object.__setattr__(self, "lambdas", lambdas)
-        object.__setattr__(self, "replicates", int(self.replicates))
         if self.replicates < 1:
             raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
-        object.__setattr__(self, "seed", int(self.seed))
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
@@ -180,6 +180,9 @@ class ExperimentConfig:
             out = doc.get("out", {})
             if not isinstance(out, dict):
                 raise ConfigError("config 'out' must be an object")
+            for key in ("records", "rates", "report"):
+                if not isinstance(out.get(key, ""), str):
+                    raise ConfigError(f"config 'out.{key}' must be a path string")
             return cls(
                 kernel=kernel,
                 window=window,
@@ -324,77 +327,37 @@ def rate_experiment(config: ExperimentConfig) -> RateFitResult:
     )
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
 RECORDS_HEADER = ["lambda", "replicate", "value", "standardized", "seed"]
 RATES_HEADER = ["lambda", "d_w", "d_k", "bound", "ratio"]
 
 
+def _csv_table(payload) -> str:
+    """CSV text of replicate records or of a rate fit, as emit_csv writes it."""
+    if isinstance(payload, RateFitResult):
+        rows = zip(payload.lambdas, payload.d_w, payload.d_k, payload.bounds, payload.ratios)
+        return _csv_text(RATES_HEADER, ([_fmt(v) for v in row] for row in rows))
+    return _csv_text(
+        RECORDS_HEADER,
+        ([_fmt(r.lam), str(r.index), _fmt(r.value), _fmt(r.standardized), str(r.seed)] for r in payload),
+    )
+
+
 def emit_csv(payload, path) -> None:
     """Write replicate records or a rate fit as CSV (17 significant digits)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if isinstance(payload, RateFitResult):
-        writer.writerow(RATES_HEADER)
-        for lam, dw, dk, b, ratio in zip(
-            payload.lambdas, payload.d_w, payload.d_k, payload.bounds, payload.ratios
-        ):
-            writer.writerow([_fmt(lam), _fmt(dw), _fmt(dk), _fmt(b), _fmt(ratio)])
-    else:
-        writer.writerow(RECORDS_HEADER)
-        for rec in payload:
-            writer.writerow(
-                [_fmt(rec.lam), str(rec.index), _fmt(rec.value), _fmt(rec.standardized), str(rec.seed)]
-            )
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(buf.getvalue())
-    except OSError as exc:
-        raise OSError(f"writing {path}: {exc}") from exc
+    _write_text(path, _csv_table(payload))
 
 
 def emit_report(report: BoundReport, path) -> None:
     """Write a bound report as schema JSON."""
-    try:
-        with open(path, "w") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
-    except OSError as exc:
-        raise OSError(f"writing {path}: {exc}") from exc
+    _write_text(path, report.to_json() + "\n")
 
 
 def read_records(path) -> list:
     """Parse a records CSV back into ReplicateRecord rows."""
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise OSError(f"reading {path}: {exc}") from exc
-    if not rows or rows[0] != RECORDS_HEADER:
-        raise ConfigError(f"{path} is not a records CSV")
-    out = []
-    for row in rows[1:]:
-        out.append(
-            ReplicateRecord(
-                lam=float(row[0]),
-                index=int(row[1]),
-                value=float(row[2]),
-                standardized=float(row[3]),
-                seed=int(row[4]),
-            )
-        )
-    return out
+    _, rows = _read_csv(path, "records", lambda h: h == RECORDS_HEADER, (float, int, float, float, int))
+    return [ReplicateRecord(*row) for row in rows]
 
 
 def read_rates(path) -> list:
     """Parse a rate CSV into (lambda, d_w, d_k, bound, ratio) tuples."""
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise OSError(f"reading {path}: {exc}") from exc
-    if not rows or rows[0] != RATES_HEADER:
-        raise ConfigError(f"{path} is not a rate CSV")
-    return [tuple(float(v) for v in row) for row in rows[1:]]
+    return _read_csv(path, "rate", lambda h: h == RATES_HEADER)[1]

@@ -16,13 +16,13 @@ ordered, and carry their seed for provenance.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
 
+from ._files import _csv_text, _fmt, _read_csv, _write_text
 from ._streams import spawn_rng
 from .errors import ConfigError, WindowError
 
@@ -307,37 +307,21 @@ def sample_lines(intensity: IntensityModel, seed) -> PointConfiguration:
     return _sample(intensity, seed, "lines")
 
 
-def _format(value: float) -> str:
-    return f"{value:.17g}"
+def _points_csv(config: PointConfiguration) -> str:
+    """CSV text of a configuration, as write_points_csv writes it."""
+    header = ["phi", "p"] if config.kind == "lines" else [f"x{i + 1}" for i in range(config.dim)]
+    return _csv_text(header, ([_fmt(v) for v in row] for row in config.points))
 
 
 def write_points_csv(config: PointConfiguration, path) -> None:
     """Write a configuration as CSV with header x1..xd, or phi,p for lines."""
-    if config.kind == "lines":
-        header = ["phi", "p"]
-    else:
-        header = [f"x{i + 1}" for i in range(config.dim)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in config.points:
-            writer.writerow([_format(v) for v in row])
+    _write_text(path, _points_csv(config))
 
 
 def read_points_csv(path, window: Optional[Window] = None) -> PointConfiguration:
-    """Read a configuration written by :func:`write_points_csv`."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}: empty file, expected a header row")
-        rows = [[float(v) for v in row] for row in reader if row]
-    if header == ["phi", "p"]:
-        kind = "lines"
-    elif header == [f"x{i + 1}" for i in range(len(header))]:
-        kind = "spatial"
-    else:
-        raise ConfigError(f"{path}: unrecognized header {header}")
+    """Read a configuration written by :func:`write_points_csv` (LF or CRLF line ends)."""
+    header, rows = _read_csv(
+        path, "points", lambda h: h == ["phi", "p"] or h == [f"x{i + 1}" for i in range(len(h))]
+    )
     pts = np.array(rows, dtype=float) if rows else np.empty((0, len(header)))
-    return PointConfiguration(pts, kind=kind, window=window)
+    return PointConfiguration(pts, kind="lines" if header == ["phi", "p"] else "spatial", window=window)

@@ -267,29 +267,29 @@ def _product_integral(fn, order: int, window: Window, integrator: Integrator, q:
 _SUBSET_BATCH = 1 << 15
 
 
-def _subset_batches(n: int, k: int, batch: int = _SUBSET_BATCH):
+def _subset_batches(n: int, k: int):
     """Yield index arrays (m, k) covering all unordered k-subsets of range(n)."""
     if k > n:
         return
     if k == 1:
-        for s in range(0, n, batch):
-            yield np.arange(s, min(s + batch, n), dtype=np.intp)[:, None]
+        for s in range(0, n, _SUBSET_BATCH):
+            yield np.arange(s, min(s + _SUBSET_BATCH, n), dtype=np.intp)[:, None]
         return
     if k == 2 and n <= 4096:
         i, j = np.triu_indices(n, 1)
         idx = np.stack([i, j], axis=1).astype(np.intp)
-        for s in range(0, len(idx), batch):
-            yield idx[s : s + batch]
+        for s in range(0, len(idx), _SUBSET_BATCH):
+            yield idx[s : s + _SUBSET_BATCH]
         return
     it = itertools.combinations(range(n), k)
     while True:
-        chunk = list(itertools.islice(it, batch))
+        chunk = list(itertools.islice(it, _SUBSET_BATCH))
         if not chunk:
             return
         yield np.array(chunk, dtype=np.intp)
 
 
-def _local_subset_batches(points: np.ndarray, delta: float, k: int, batch: int = _SUBSET_BATCH):
+def _local_subset_batches(points: np.ndarray, delta: float, k: int):
     """Yield index arrays (m, k) covering every k-subset of diameter <= delta.
 
     Points are binned on an axis-aligned grid with cell edge delta and ranked
@@ -330,15 +330,15 @@ def _local_subset_batches(points: np.ndarray, delta: float, k: int, batch: int =
     per_anchor = counts.reshape(n, -1).sum(axis=1)
     if k == 2:
         pairs = np.stack([np.repeat(order, per_anchor), partner], axis=1)
-        for s in range(0, len(pairs), batch):
-            yield pairs[s : s + batch]
+        for s in range(0, len(pairs), _SUBSET_BATCH):
+            yield pairs[s : s + _SUBSET_BATCH]
         return
     bounds = np.concatenate(([0], np.cumsum(per_anchor)))
     buf = []
     for r, anchor in enumerate(order.tolist()):
         partners = partner[bounds[r] : bounds[r + 1]].tolist()
         buf.extend((anchor, *rest) for rest in itertools.combinations(partners, k - 1))
-        if len(buf) >= batch:
+        if len(buf) >= _SUBSET_BATCH:
             yield np.array(buf, dtype=np.intp)
             buf = []
     if buf:
@@ -400,9 +400,7 @@ def _evaluate_many(kernel: UStatKernel, point_arrays, *, exhaustive: bool = Fals
 # difference operators
 
 
-def _ordered_prefix_sums(
-    kernel: UStatKernel, config: PointConfiguration, fixed: np.ndarray, chunk: int = 1 << 16
-) -> np.ndarray:
+def _ordered_prefix_sums(kernel: UStatKernel, config: PointConfiguration, fixed: np.ndarray) -> np.ndarray:
     """For each fixed prefix (shape (m, i, d)), the sum of f(prefix, xs) over
     ordered (k-i)-tuples xs of distinct configuration points."""
     fixed = np.asarray(fixed, dtype=float)
@@ -419,7 +417,7 @@ def _ordered_prefix_sums(
     for idx in _subset_batches(n, r):
         sub = pts[idx]
         count = len(idx)
-        step = max(1, chunk // count)
+        step = max(1, (1 << 16) // count)
         for s in range(0, m, step):
             fb = fixed[s : s + step]
             mm = len(fb)

@@ -41,20 +41,13 @@ UNIT_SQUARE = BoxWindow(((0.0, 1.0), (0.0, 1.0)))
 GRID4 = CellGrid.regular((0.0, 0.0), (1.0, 1.0), (2, 2))
 
 
-def _symmetric_zero_diag(n_cells: int, order: int, seed: int) -> np.ndarray:
-    rng = spawn_rng(seed, "coeffs")
-    coeffs = rng.normal(size=(n_cells,) * order)
-    sym = np.zeros_like(coeffs)
-    for perm in itertools.permutations(range(order)):
-        sym += coeffs.transpose(perm)
-    sym /= math.factorial(order)
-    idx = np.arange(n_cells)
-    for a, b in itertools.combinations(range(order), 2):
-        sl = [slice(None)] * order
-        sl[a] = idx
-        sl[b] = idx
-        sym[tuple(sl)] = 0.0
-    return sym
+def _symmetric_table(n_cells: int, order: int, seed: int) -> np.ndarray:
+    """Random table that is exactly symmetric (each entry read at its sorted index) with a zero diagonal."""
+    raw = spawn_rng(seed, "table").normal(size=(n_cells,) * order)
+    idx = np.sort(np.indices(raw.shape).reshape(order, -1), axis=0)
+    table = raw[tuple(idx)]
+    table[np.any(idx[1:] == idx[:-1], axis=0)] = 0.0
+    return table.reshape(raw.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +83,7 @@ def test_simple_function_validation():
 
 
 def test_simple_function_evaluation_and_slice():
-    coeffs = _symmetric_zero_diag(4, 2, 1)
+    coeffs = _symmetric_table(4, 2, 1)
     fn = SimpleFunction(GRID4, coeffs)
     assert fn.order == 2
     pts = np.array([[[0.1, 0.1], [0.9, 0.9]]])
@@ -135,7 +128,7 @@ def test_isometry_orders_one_and_two():
     n = 30_000
     cnt = rng.poisson(mu, size=(n, 4))
     for order in (1, 2):
-        coeffs = _symmetric_zero_diag(4, order, order)
+        coeffs = _symmetric_table(4, order, order)
         fn = SimpleFunction(GRID4, coeffs)
         vals = np.array([wiener_ito_counts(fn, c, im) for c in cnt])
         target = math.factorial(order) * fn.norm_sq(im)
@@ -255,7 +248,7 @@ def test_is_connected_by_hand():
 
 
 def test_apply_replacement_substitution():
-    fn = SimpleFunction(GRID4, _symmetric_zero_diag(4, 2, 3))
+    fn = SimpleFunction(GRID4, _symmetric_table(4, 2, 3))
     diagrams = enumerate_pi((2, 2))
     ys = spawn_rng(4, "sub").random((50, 2, 2))
     for d in diagrams:
@@ -268,7 +261,7 @@ def test_apply_replacement_substitution():
 
 
 def test_apply_replacement_validates_arity():
-    fn = SimpleFunction(GRID4, _symmetric_zero_diag(4, 2, 5))
+    fn = SimpleFunction(GRID4, _symmetric_table(4, 2, 5))
     one = SimpleFunction(GRID4, np.ones(4))
     d = enumerate_pi((2, 2))[0]
     with pytest.raises(ConfigError):
@@ -290,7 +283,7 @@ def test_single_integral_expectation_is_zero():
 def test_product_expectation_isometry_case():
     im = IntensityModel(3.0, UNIT_SQUARE)
     for order in (1, 2):
-        fn = SimpleFunction(GRID4, _symmetric_zero_diag(4, order, 7 + order))
+        fn = SimpleFunction(GRID4, _symmetric_table(4, order, 7 + order))
         est = product_expectation([fn, fn], im)
         assert est.value == pytest.approx(math.factorial(order) * fn.norm_sq(im), rel=1e-12)
         assert est.se == 0.0
@@ -299,14 +292,14 @@ def test_product_expectation_isometry_case():
 def test_product_expectation_orthogonality():
     im = IntensityModel(3.0, UNIT_SQUARE)
     f1 = SimpleFunction(GRID4, np.array([1.0, -1.0, 2.0, 0.5]))
-    f2 = SimpleFunction(GRID4, _symmetric_zero_diag(4, 2, 9))
+    f2 = SimpleFunction(GRID4, _symmetric_table(4, 2, 9))
     assert product_expectation([f1, f2], im).value == 0.0
 
 
 def test_product_expectation_three_factors_vs_mc():
     im = IntensityModel(3.0, UNIT_SQUARE)
     g = SimpleFunction(GRID4, np.array([0.3, -1.0, 0.7, 1.4]))
-    f2 = SimpleFunction(GRID4, _symmetric_zero_diag(4, 2, 13))
+    f2 = SimpleFunction(GRID4, _symmetric_table(4, 2, 13))
     exact = product_expectation([g, g, f2], im).value
     rng = spawn_rng(21, "prod")
     mu = 3.0 * GRID4.measures()
@@ -316,15 +309,6 @@ def test_product_expectation_three_factors_vs_mc():
     )
     se = float(prods.std(ddof=1)) / math.sqrt(len(prods))
     assert abs(prods.mean() - exact) < 4.0 * se
-
-
-def _symmetric_table(n_cells: int, order: int, seed: int) -> np.ndarray:
-    """Random table that is exactly symmetric (each entry read at its sorted index) with a zero diagonal."""
-    raw = spawn_rng(seed, "table").normal(size=(n_cells,) * order)
-    idx = np.sort(np.indices(raw.shape).reshape(order, -1), axis=0)
-    table = raw[tuple(idx)]
-    table[np.any(idx[1:] == idx[:-1], axis=0)] = 0.0
-    return table.reshape(raw.shape)
 
 
 def _labelled_product_expectation(factors, intensity) -> float:
@@ -527,7 +511,7 @@ def test_m_ij_guards_the_predicted_draws():
 
 def test_chaos_kernels_simple_variance_cross_check():
     im = IntensityModel(5.0, UNIT_SQUARE)
-    fn = SimpleFunction(GRID4, _symmetric_zero_diag(4, 2, 31))
+    fn = SimpleFunction(GRID4, _symmetric_table(4, 2, 31))
     kernels = chaos_kernels_simple(fn, im)
     assert len(kernels) == 2
     assert np.array_equal(kernels[1].coeffs, fn.coeffs)

@@ -185,6 +185,12 @@ def test_config_from_json_defaults_and_errors():
         )
 
 
+def test_config_constructor_raises_config_errors():
+    for bad in ({"replicates": "many"}, {"lambdas": 4}, {"seed": "x"}):
+        with pytest.raises(ConfigError, match="malformed config"):
+            flat_config(**bad)
+
+
 # ---------------------------------------------------------------------------
 # formula moments and replicates
 
@@ -345,6 +351,25 @@ def test_csv_readers_reject_foreign_headers(tmp_path):
         emit_csv([], tmp_path / "nosuchdir" / "x.csv")
 
 
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        (read_records, "lambda,replicate,value,standardized,seed\n1,0,0.5,0.25,7\n1,1,0.5,0.25\n"),
+        (read_records, "lambda,replicate,value,standardized,seed\n1,one,0.5,0.25,7\n"),
+        (read_rates, "lambda,d_w,d_k,bound,ratio\n1,0.5,0.25,2\n"),
+        (read_rates, "lambda,d_w,d_k,bound,ratio\n1,0.5,0.25,2,x\n"),
+        (read_points_csv, "x1,x2\n0.1,0.2\n0.3\n"),
+        (read_points_csv, "phi,p\n0.1,0.2,0.3\n"),
+    ],
+    ids=["records-short", "records-text", "rates-short", "rates-text", "points-short", "points-long"],
+)
+def test_csv_readers_name_the_bad_line(tmp_path, reader, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=r"bad\.csv, line [23]"):
+        reader(path)
+
+
 def test_emit_report_round_trip(tmp_path):
     report = BoundReport(
         mode="general",
@@ -460,6 +485,25 @@ def test_cli_sample_stdout_and_determinism(capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--kernel", "pairwise-distance", "--lambda", "6", "--seed", "3"],
+        ["variance", "--kernel", "counterexample", "--lambda", "2,4"],
+        ["experiment", "rate", "--kernel", "pairwise-distance", "--lambda", "2,4,8", "--replicates", "100"],
+    ],
+    ids=["sample", "variance", "rate"],
+)
+def test_cli_stdout_is_the_file_text(tmp_path, capsys, argv):
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    path = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(path)]) == 0
+    # after its "wrote" line, a rate run prints the same slope line either way
+    rest = capsys.readouterr().out.splitlines(keepends=True)[1:]
+    assert printed == path.read_bytes().decode() + "".join(rest)
+
+
 def test_cli_eval_prints_value(capsys):
     assert main(["eval", "--kernel", "pairwise-distance", "--lambda", "4", "--seed", "1"]) == 0
     out = capsys.readouterr().out
@@ -537,12 +581,18 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
             json.dumps({"kernel": "counterexample", "lambdas": [4], "replicates": 1,
                         "window": {"shape": "box", "bounds": [["a", 1]]}}),
         ],
+        # runnable rate configs whose output paths are a file descriptor and a list
+        "experiment rate": [
+            json.dumps({"kernel": "pairwise-distance", "lambdas": [2, 4, 8], "replicates": 100,
+                        "integrator": {"samples": 256}, "out": {"records": path}})
+            for path in (2, ["r.csv"])
+        ],
     }
     for verb, texts in malformed.items():
         for n, text in enumerate(texts):
-            path = tmp_path / f"{verb}-{n}.json"
+            path = tmp_path / f"{verb.split()[0]}-{n}.json"
             path.write_text(text)
-            cases.append([verb, str(path)] if verb == "report" else [verb, "--config", str(path)])
+            cases.append([verb, str(path)] if verb == "report" else [*verb.split(), "--config", str(path)])
     for argv in cases:
         assert main(argv) == 2, argv
         assert "error:" in capsys.readouterr().err

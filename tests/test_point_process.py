@@ -216,6 +216,11 @@ def test_csv_round_trip(tmp_path):
     # 17 significant digits reproduce doubles exactly
     assert np.array_equal(back.points, cfg.points)
     assert back.kind == "spatial"
+    # lines end with LF; files written with CRLF line ends still read
+    assert b"\r" not in path.read_bytes()
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert np.array_equal(read_points_csv(crlf).points, cfg.points)
 
 
 def test_csv_round_trip_lines(tmp_path):
