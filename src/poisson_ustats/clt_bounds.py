@@ -207,17 +207,15 @@ def _fourth_power_norms(kernel: UStatKernel, window, integrator: Integrator) -> 
     """Estimates of int (f~_i)^4 dtheta^i for i = 1..k at unit intensity.
 
     The order-i rescaled chaos kernel f~_i(y) = C(k,i) int f(y, x) dtheta^{k-i}
-    enters through its fourth power, estimated without nesting bias as the
-    product of four independent inner integral estimates of
-    max(32, samples // 32) draws per outer point.  Under ``strata`` > 1 the
-    outer points and each inner batch are stratified separately.
+    enters through its fourth power, for i < k the nested estimate of
+    _product_integral with four copies on one slot list (e_4 of one shared
+    inner batch, or four independent stratified batches under ``strata`` > 1).
     """
     k = kernel.order
-    inner = max(32, integrator.samples // 32)
     return [
         _product_integral(
             kernel, k, window, integrator, i, [range(i)] * 4, ("fourth-power", i),
-            inner=inner, scale=math.comb(k, i) ** 4,
+            scale=math.comb(k, i) ** 4, locality=kernel.locality,
         )
         for i in range(1, k + 1)
     ]
@@ -309,7 +307,7 @@ def estimate_ingredients(kernel: UStatKernel, window: Window, integrator: Integr
         raise ConfigError(f"unknown mode {mode!r}")
     if mode in ("general", "geometric") and not kernel.symmetric:
         raise ConfigError("m_ij sums diagrams by block type, which needs a symmetric kernel")
-    mean = integrator.integrate(kernel, window, k, path=("expectation",))
+    mean = integrator.integrate(kernel, window, k, path=("expectation",), locality=kernel.locality)
     terms = tuple(variance_terms(kernel, window, integrator))
     if mode is None:
         return Ingredients(kernel, window, mean, terms)

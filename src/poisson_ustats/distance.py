@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import ConfigError
 
@@ -32,10 +32,22 @@ __all__ = [
 ]
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+_SQRT_HALF = math.sqrt(0.5)
+_STANDARD_NORMAL = NormalDist()
 
 
 def _phi(t):
     return np.exp(-0.5 * np.square(t)) / _SQRT2PI
+
+
+def _ndtr(x) -> np.ndarray:
+    """Standard normal CDF, element-wise, as 0.5 erfc(-x / sqrt(2))."""
+    return np.array([0.5 * math.erfc(-v * _SQRT_HALF) for v in np.asarray(x, dtype=float).ravel()])
+
+
+def _ndtri(u) -> np.ndarray:
+    """Standard normal quantile, element-wise, for levels strictly inside (0, 1)."""
+    return np.array([_STANDARD_NORMAL.inv_cdf(v) for v in np.asarray(u, dtype=float).ravel()])
 
 
 @dataclass(frozen=True)
@@ -97,12 +109,11 @@ def wasserstein_to_normal(sample) -> float:
     x = _sorted_values(sample)
     n = x.size
     u = np.arange(n + 1) / n
-    h = -_phi(ndtri(u))
-    h[0] = 0.0
-    h[-1] = 0.0
+    h = np.zeros(n + 1)
+    h[1:-1] = -_phi(_ndtri(u[1:-1]))
     a, b = u[:-1], u[1:]
     ha, hb = h[:-1], h[1:]
-    c = ndtr(x)
+    c = _ndtr(x)
     hc = -_phi(x)
     cc = np.clip(c, a, b)
     hcc = np.where(c <= a, ha, np.where(c >= b, hb, hc))
@@ -118,7 +129,7 @@ def kolmogorov_to_normal(sample) -> float:
     """
     x = _sorted_values(sample)
     n = x.size
-    cdf = ndtr(x)
+    cdf = _ndtr(x)
     steps = np.arange(1, n + 1) / n
     return float(max(np.max(np.abs(steps - cdf)), np.max(np.abs(steps - 1.0 / n - cdf))))
 

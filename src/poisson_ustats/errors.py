@@ -53,3 +53,17 @@ def _as_config_error(what: str):
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed {what} ({type(exc).__name__}: {exc})") from exc
+
+
+def _whole_number(what: str, value) -> int:
+    """``value`` as an int, or ConfigError if it is not a whole number (4.0 passes, 2.7 and "4" do not).
+
+    A value int() cannot read raises int()'s TypeError or ValueError, which _as_config_error reports as malformed.
+    """
+    try:
+        whole = int(value)
+    except OverflowError:
+        whole = None
+    if whole is None or whole != value:
+        raise ConfigError(f"{what} must be a whole number, got {value!r}")
+    return whole

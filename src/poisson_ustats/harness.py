@@ -35,7 +35,7 @@ from .applications import make_kernel
 # geometric_bound, local_bound and variance_terms are unused here; perfbench/tracing.py SITES wraps them
 from .clt_bounds import BoundReport, Ingredients, estimate_ingredients, geometric_bound, local_bound
 from .distance import SampleSet, kolmogorov_to_normal, wasserstein_to_normal
-from .errors import ConfigError, DegenerateFunctionalError, _as_config_error
+from .errors import ConfigError, DegenerateFunctionalError, _as_config_error, _whole_number
 from .point_process import (
     BallWindow,
     BoxWindow,
@@ -104,6 +104,17 @@ def default_window(kernel_name: str) -> Window:
     return BoxWindow(((0.0, 1.0), (0.0, 1.0)))
 
 
+def _section(doc: dict, key: str, known: set) -> dict:
+    """The config object under ``key`` ({} if absent); ConfigError if it is not an object or has other keys than ``known``."""
+    section = doc.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config {key!r} must be an object")
+    unknown = set(section) - known
+    if unknown:
+        raise ConfigError(f"unknown config keys in {key!r}: {sorted(unknown)}; known: {sorted(known)}")
+    return section
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: kernel, window, lambda grid, replication plan."""
@@ -124,8 +135,8 @@ class ExperimentConfig:
     def __post_init__(self):
         with _as_config_error("config"):
             lambdas = tuple(float(v) for v in self.lambdas)
-            object.__setattr__(self, "replicates", int(self.replicates))
-            object.__setattr__(self, "seed", int(self.seed))
+            object.__setattr__(self, "replicates", _whole_number("replicates", self.replicates))
+            object.__setattr__(self, "seed", _whole_number("seed", self.seed))
         if not lambdas:
             raise ConfigError("need at least one lambda")
         if any(not v > 0 for v in lambdas):
@@ -169,17 +180,9 @@ class ExperimentConfig:
             if not isinstance(kernel, str):
                 raise ConfigError("config 'kernel' must be a registered name")
             window = window_from_spec(doc["window"]) if "window" in doc else default_window(kernel)
-            integ = doc.get("integrator", {})
-            if not isinstance(integ, dict):
-                raise ConfigError("config 'integrator' must be an object")
-            integrator = Integrator(
-                samples=int(integ.get("samples", 4096)),
-                seed=int(integ.get("seed", 0)),
-                strata=int(integ.get("strata", 1)),
-            )
-            out = doc.get("out", {})
-            if not isinstance(out, dict):
-                raise ConfigError("config 'out' must be an object")
+            integ = _section(doc, "integrator", {"samples", "seed", "strata"})
+            integrator = Integrator(**integ)
+            out = _section(doc, "out", {"records", "rates", "report"})
             for key in ("records", "rates", "report"):
                 if not isinstance(out.get(key, ""), str):
                     raise ConfigError(f"config 'out.{key}' must be a path string")
@@ -189,9 +192,9 @@ class ExperimentConfig:
                 lambdas=tuple(doc["lambdas"]),
                 replicates=doc["replicates"],
                 integrator=integrator,
-                seed=int(doc.get("seed", 0)),
+                seed=doc.get("seed", 0),
                 delta=None if doc.get("delta") is None else float(doc["delta"]),
-                k=None if doc.get("k") is None else int(doc["k"]),
+                k=None if doc.get("k") is None else _whole_number("k", doc["k"]),
                 c_k=None if doc.get("c_k") is None else float(doc["c_k"]),
                 records_path=out.get("records"),
                 rates_path=out.get("rates"),

@@ -15,11 +15,14 @@ the chaos decomposition, and the closed-form variance
 The variance terms, the fourth-power norms of the local bound and the
 fourth-moment terms M_ij are all integrals of a product of kernel copies
 that share some variables; one estimator, _product_integral, computes them.
-It draws the shared variables through Integrator.integrate and averages
-each factor's free variables over an independent inner batch, so the
-product of inner means (for a square: two independent inner replicates) is
-unbiased.  Under ``strata`` > 1 the shared variables and each inner batch
-are stratified separately.
+It draws the shared variables through Integrator.integrate.  When copies
+keep free variables the integral is nested: each outer point draws one
+inner batch of values v_1..v_M for the r copies on one slot list, and
+e_r(v) / C(M, r), the mean of the products over all r-subsets, is unbiased
+for the r-th power of their inner integral, so the cost is linear in
+``samples``.  How ``samples`` sets the outer and inner counts, what
+``strata`` changes, and the draws near an anchor point for local kernels
+are stated in the Integrator docstring.
 """
 
 from __future__ import annotations
@@ -32,9 +35,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._streams import spawn_rng
-from .errors import CapacityError, ConfigError, IntegrationError
+from .errors import CapacityError, ConfigError, IntegrationError, _whole_number
 from .point_process import (
     BallWindow,
+    BoxWindow,
     IntensityModel,
     PointConfiguration,
     Window,
@@ -60,11 +64,20 @@ __all__ = [
 
 # tuples drawn at once when an integral repeats its batches (Integrator.integrate)
 CHUNK_DRAWS = 1 << 14
+# a nested integral averages NESTED_REPEAT batches of ``samples`` outer points,
+# each with inner batches of NESTED_INNER draws (Integrator)
+NESTED_REPEAT = 8
+NESTED_INNER = 16
 
 
 @dataclass(frozen=True)
 class Estimate:
-    """A numeric estimate with its standard error and sample count."""
+    """A numeric estimate with its standard error and sample count.
+
+    ``n`` counts the draws of the outermost integral: for a nested term
+    (one whose kernel copies keep free variables) the outer points, each of
+    which drew its own inner batches of NESTED_INNER points.
+    """
 
     value: float
     se: float
@@ -135,15 +148,32 @@ class UStatKernel:
 class Integrator:
     """Monte Carlo integrator against the normalized window measure.
 
-    ``samples`` is the sample count used per integral.  ``strata`` > 1
-    switches on tensor stratification of the unit-cube driver: with level L
-    and a q-fold integral over a d-dimensional window the cube splits into
-    L^(q*d) equal strata with equal allocation (the remainder of ``samples``
-    modulo the stratum count is dropped).  In a nested integral the shared
-    outer variables and each inner batch are stratified separately; an inner
-    batch smaller than its stratum count is drawn unstratified.
-    Stratification needs a window with an inverse unit-cube map, which
-    excludes balls.
+    ``samples`` is the draw count of a plain integral (of each of its
+    ``repeat`` batches).  A nested integral, one whose kernel copies keep
+    free variables (the variance terms T_i and the fourth-power norms for
+    i < k), draws N = NESTED_REPEAT * samples outer points as that many
+    batches, and for each outer point one inner batch of M = NESTED_INNER
+    draws per slot list, shared by the r copies on it; its cost is
+    N * M kernel calls per slot list.
+
+    ``strata`` > 1 switches on tensor stratification of the unit-cube
+    variates: with level L and a q-fold integral over a d-dimensional window
+    the cube splits into L^(q*d) equal strata with equal allocation (the
+    remainder of ``samples`` modulo the stratum count is dropped).  In a
+    nested integral each outer batch is stratified on its own, and the r
+    copies on a slot list draw r independent inner batches of M instead of
+    sharing one, each stratified on its own (unstratified if M is below its
+    stratum count).  Stratification needs a window with an inverse
+    unit-cube map, which excludes balls.
+
+    Local draws: given a kernel's locality delta on a box or ball window W
+    with (2 delta)^d < theta(W), every point after a tuple's anchor is drawn
+    uniformly in the cube of side 2 delta around the anchor and weighted by
+    (2 delta)^d / theta(W) and the indicator of W.  The anchor is the
+    tuple's first point, uniform in W (the mean, the top-order T_k and the
+    outer draws of a nested integral), or for an inner batch its copies'
+    first shared variable.  The cube is a unit-cube map, so ``strata``
+    applies to it.  Other windows and kernels keep theta-uniform draws.
     """
 
     samples: int = 4096
@@ -151,51 +181,80 @@ class Integrator:
     strata: int = 1
 
     def __post_init__(self):
-        if int(self.samples) < 1:
+        for name in ("samples", "seed", "strata"):
+            object.__setattr__(self, name, _whole_number(f"integrator {name}", getattr(self, name)))
+        if self.samples < 1:
             raise ConfigError(f"sample count must be >= 1, got {self.samples}")
-        if int(self.strata) < 1:
+        if self.strata < 1:
             raise ConfigError(f"stratification level must be >= 1, got {self.strata}")
 
     def rng(self, *path) -> np.random.Generator:
         return spawn_rng(self.seed, *path)
 
-    def draw(self, window: Window, arity: int, n: int, rng: np.random.Generator, groups: int = 1) -> np.ndarray:
-        """Draw ``groups`` batches of n tuples of ``arity`` theta-uniform points,
-        each stratified on its own, shape (groups * n, arity, dim)."""
-        dim = window.point_dim
-        if self.strata <= 1:
-            return window.sample(rng, groups * n * arity).reshape(groups * n, arity, dim)
-        if isinstance(window, BallWindow):
-            raise ConfigError("stratified sampling needs an invertible window map; balls sample by rejection")
-        d_total = arity * dim
-        count = self.strata**d_total
-        n_per = n // count
-        if n_per < 1:
-            raise ConfigError(
-                f"sample count {n} is below the stratum count {count} (level {self.strata}, {d_total} axes)"
-            )
-        corners = np.stack(np.unravel_index(np.arange(count), (self.strata,) * d_total), axis=-1)
-        u = (corners[:, None, :] + rng.random((groups, count, n_per, d_total))) / self.strata
-        return window.from_unit(u.reshape(groups * count * n_per, arity, dim))
+    def draw(self, window: Window, arity: int, n: int, rng: np.random.Generator, groups: int = 1, *, side: Optional[float] = None, anchor: Optional[np.ndarray] = None) -> tuple:
+        """Draw ``groups`` batches of n tuples of ``arity`` points, each batch
+        stratified on its own; returns (tuples, weights) with tuples of shape
+        (groups * n, arity, dim), n less the stratification remainder.
 
-    def integrate(self, fn, window: Window, arity: int, *, path=(), repeat: int = 1) -> Estimate:
+        Without a cube ``side`` (see _local_side) the points are
+        theta-uniform and the weights None.  With one, the points after the
+        anchor are uniform in the cube of that side around it, the anchor
+        being ``anchor[g]`` for batch g (shape (groups, dim)) or else each
+        tuple's first point, uniform in the window; a tuple weighs
+        (side^d / theta(W))^c times the indicator that its c cube points lie
+        in W.
+        """
+        dim = window.point_dim
+        cube = arity if anchor is not None else arity - 1
+        local = side is not None and cube > 0
+        if self.strata <= 1:
+            if not local:
+                return window.sample(rng, groups * n * arity).reshape(groups * n, arity, dim), None
+            first = None if anchor is not None else window.sample(rng, groups * n)[:, None]
+            u = rng.random((groups * n, cube, dim))
+        else:
+            if isinstance(window, BallWindow):
+                raise ConfigError("stratified sampling needs an invertible window map; balls sample by rejection")
+            d_total = arity * dim
+            count = self.strata**d_total
+            n_per = n // count
+            if n_per < 1:
+                raise ConfigError(
+                    f"sample count {n} is below the stratum count {count} (level {self.strata}, {d_total} axes)"
+                )
+            corners = np.stack(np.unravel_index(np.arange(count), (self.strata,) * d_total), axis=-1)
+            u = ((corners[:, None, :] + rng.random((groups, count, n_per, d_total))) / self.strata).reshape(-1, arity, dim)
+            if not local:
+                return window.from_unit(u), None
+            first = None if anchor is not None else window.from_unit(u[:, :1])
+            u = u[:, arity - cube :]
+        base = first[:, 0] if anchor is None else np.repeat(anchor, len(u) // groups, axis=0)
+        pts = base[:, None] + side * (u - 0.5)
+        weights = np.where(window.contains(pts).all(axis=1), (side**dim / window_measure(window)) ** cube, 0.0)
+        return (pts if first is None else np.concatenate([first, pts], axis=1)), weights
+
+    def integrate(self, fn, window: Window, arity: int, *, path=(), repeat: int = 1, locality: Optional[float] = None) -> Estimate:
         """Estimate of int_{W^arity} fn dtheta^arity with its standard error.
 
         ``repeat`` > 1 averages that many independent batches of ``samples``
         draws, each stratified on its own.  The batches come from the path's
         one stream in chunks of at most about CHUNK_DRAWS tuples, so only the
-        integrand values, not the drawn tuples, grow with ``repeat``.
+        integrand values, not the drawn tuples, grow with ``repeat``.  A
+        ``locality`` delta switches on local draws (see the class
+        docstring); fn must then vanish unless every point lies within delta
+        of the first.
         """
         rng = self.rng(*path) if path else self.rng("integrate")
+        side = _local_side(window, locality)
         per_chunk = max(1, CHUNK_DRAWS // self.samples)
         parts = []
         for start in range(0, repeat, per_chunk):
-            pts = self.draw(window, arity, self.samples, rng, groups=min(per_chunk, repeat - start))
+            pts, weights = self.draw(window, arity, self.samples, rng, groups=min(per_chunk, repeat - start), side=side)
             vals = np.asarray(fn(pts), dtype=float).reshape(-1)
             if not np.all(np.isfinite(vals)):
                 bad = int(np.flatnonzero(~np.isfinite(vals))[0])
                 raise IntegrationError(f"non-finite integrand value at tuple {pts[bad].tolist()}")
-            parts.append(vals)
+            parts.append(vals if weights is None else vals * weights)
         vals = np.concatenate(parts)
         scale = window_measure(window) ** arity
         n_eff = len(vals)
@@ -210,53 +269,91 @@ class Integrator:
         return Estimate(scale * mean, se, n_eff)
 
 
-def _product_integral(fn, order: int, window: Window, integrator: Integrator, q: int, slots, path, inner: int = 0, scale: float = 1.0, repeat: int = 1) -> Estimate:
+def _local_side(window: Window, locality: Optional[float]) -> Optional[float]:
+    """Side 2 delta of the cube of local draws around their anchor, or None
+    for theta-uniform draws: no locality, a line window, or a cube no
+    smaller than the window."""
+    if locality is None or not isinstance(window, (BoxWindow, BallWindow)):
+        return None
+    side = 2.0 * float(locality)
+    return side if side**window.point_dim < window_measure(window) else None
+
+
+def _elementary_mean(v: np.ndarray, r: int) -> np.ndarray:
+    """e_r(v_1..v_M) / C(M, r) over the last axis, the mean of the products
+    over all r-subsets, from the power sums p_i by Newton's identities
+    j e_j = sum_{i=1..j} (-1)^(i-1) e_(j-i) p_i.  Unbiased for mu^r when the
+    v_m are independent with mean mu."""
+    p = [None] + [np.sum(v**i, axis=-1) for i in range(1, r + 1)]
+    e = [np.ones(v.shape[:-1])]
+    for j in range(1, r + 1):
+        e.append(sum((-1) ** (i - 1) * e[j - i] * p[i] for i in range(1, j + 1)) / j)
+    return e[r] / math.comb(v.shape[-1], r)
+
+
+def _product_integral(fn, order: int, window: Window, integrator: Integrator, q: int, slots, path, scale: float = 1.0, repeat: int = 1, locality: Optional[float] = None) -> Estimate:
     """Estimate of scale * int prod_l (int fn(y[slots_l], x_l) dtheta^(order-|slots_l|)) dtheta^q(y).
 
     ``fn`` maps (m, order, dim) tuples to m values; factor l puts the shared
     variables y[slots_l] first and its own free variables x_l after them.
     The q shared variables are drawn by ``integrator.integrate`` on stream
     path + (0,), which stratifies them, averages ``repeat`` batches and gives
-    the standard error.  A factor with free variables averages ``inner``
-    draws per outer sample on stream path + (l,) (each batch stratified on
-    its own, or unstratified if it is smaller than its stratum count); the
-    product of these independent inner means is unbiased for the product of
-    the inner integrals.  A factor without free variables spawns no stream,
-    ignores ``inner``, and reuses the values of an earlier such factor with
-    the same slot list.
+    the standard error.  The c factors on one slot list multiply c copies of
+    one kernel evaluation if they have no free variables.  Otherwise the
+    integral is nested (Integrator): the outer draw averages NESTED_REPEAT
+    times ``repeat`` batches, and slot list g draws its inner batches on
+    stream path + (g,), 1-based in order of first appearance; the estimate
+    of the c-th power of the inner integral is e_c(v) / C(M, c) of one shared
+    batch, or under ``strata`` > 1 the product of c independent batch means.
+    ``locality`` switches on local draws; it needs every shared variable to
+    share a factor with the first one.
     """
     dim = window.point_dim
-    factors = []
-    for l, sl in enumerate(slots, start=1):
+    side = _local_side(window, locality)
+    copies = {}
+    for sl in slots:
+        copies[tuple(sl)] = copies.get(tuple(sl), 0) + 1
+    plan = []
+    for g, (sl, c) in enumerate(copies.items(), start=1):
         r = order - len(sl)
         if r == 0:
-            factors.append((list(sl), 0, 1.0, None, None))
+            plan.append((list(sl), c, 0, None, None))
             continue
-        drawer = integrator if inner >= integrator.strata ** (r * dim) else replace(integrator, strata=1)
-        factors.append((list(sl), r, window_measure(window) ** r, drawer, integrator.rng(*path, l)))
+        drawer = integrator if NESTED_INNER >= integrator.strata ** (r * dim) else replace(integrator, strata=1)
+        plan.append((list(sl), c, r, drawer, integrator.rng(*path, g)))
+    nested = any(r for _, _, r, _, _ in plan)
+    theta = window_measure(window)
+
+    def inner(y: np.ndarray, r: int, drawer: Integrator, rng) -> np.ndarray:
+        """theta^r fn(y_j, x) times the draw weight, shape (len(y), M), one inner batch per row of y."""
+        m = len(y)
+        xs, weights = drawer.draw(window, r, NESTED_INNER, rng, groups=m, side=side, anchor=y[:, 0])
+        xs = xs.reshape(m, -1, r, dim)
+        tup = np.concatenate([np.broadcast_to(y[:, None], (m, xs.shape[1], y.shape[1], dim)), xs], axis=2)
+        vals = theta**r * fn(tup.reshape(-1, order, dim))
+        return (vals if weights is None else vals * weights).reshape(m, -1)
 
     def integrand(ys: np.ndarray) -> np.ndarray:
         out = np.ones(len(ys))
-        copies = {}  # slot list -> kernel values of a factor without free variables
-        for sl, r, theta_r, drawer, rng in factors:
+        chunk = (1 << 18) // NESTED_INNER  # outer points per inner draw
+        for sl, c, r, drawer, rng in plan:
             if r == 0:
-                key = tuple(sl)
-                if key not in copies:
-                    copies[key] = fn(ys[:, sl])
-                out = out * copies[key]
+                vals = fn(ys[:, sl])
+                for _ in range(c):
+                    out = out * vals
                 continue
-            means = np.empty(len(ys))
-            chunk = max(1, (1 << 18) // inner)
             for s in range(0, len(ys), chunk):
                 y = ys[s : s + chunk, sl]
-                m = len(y)
-                xs = drawer.draw(window, r, inner, rng, groups=m).reshape(m, -1, r, dim)
-                tup = np.concatenate([np.broadcast_to(y[:, None], (m, xs.shape[1], len(sl), dim)), xs], axis=2)
-                means[s : s + m] = fn(tup.reshape(-1, order, dim)).reshape(m, -1).mean(axis=1)
-            out = out * (theta_r * means)
+                if integrator.strata > 1:
+                    for _ in range(c):
+                        out[s : s + chunk] *= inner(y, r, drawer, rng).mean(axis=1)
+                else:
+                    out[s : s + chunk] *= _elementary_mean(inner(y, r, drawer, rng), c)
         return out
 
-    est = integrator.integrate(integrand, window, q, path=(*path, 0), repeat=repeat)
+    est = integrator.integrate(
+        integrand, window, q, path=(*path, 0), repeat=NESTED_REPEAT * repeat if nested else repeat, locality=locality,
+    )
     return Estimate(scale * est.value, scale * est.se, est.n)
 
 
@@ -459,7 +556,7 @@ def difference(kernel: UStatKernel, config: PointConfiguration, y) -> float:
 def expectation(kernel: UStatKernel, intensity: IntensityModel, integrator: Integrator, *, path=("expectation",)) -> Estimate:
     """E F = lam^k factor(lam) int f dtheta^k, by Monte Carlo (Ingredients.moments' mean)."""
     lam = float(intensity.lam)
-    est = integrator.integrate(kernel, intensity.window, kernel.order, path=path)
+    est = integrator.integrate(kernel, intensity.window, kernel.order, path=path, locality=kernel.locality)
     scale = lam**kernel.order * kernel.factor(lam)
     return Estimate(scale * est.value, scale * est.se, est.n)
 
@@ -568,9 +665,9 @@ def chaos_kernel(kernel: UStatKernel, i: int, ys, intensity: IntensityModel, int
 def variance_terms(kernel: UStatKernel, window: Window, integrator: Integrator) -> list:
     """Rate-free variance terms T_i = i! C(k,i)^2 int (int f dtheta^{k-i})^2 dtheta^i.
 
-    Var F = sum_i lam^(2k-i) T_i.  Inner squared integrals are estimated as
-    the product of two independent inner replicates of ``samples`` draws
-    each, which is unbiased.  Index 0 of the returned list is T_1.
+    Var F = sum_i lam^(2k-i) T_i.  For i < k the inner integral's square is
+    the nested estimate of _product_integral, unbiased and linear in
+    ``samples``.  Index 0 of the returned list is T_1.
     """
     return [_variance_term(kernel, window, integrator, i) for i in range(1, kernel.order + 1)]
 
@@ -580,7 +677,7 @@ def _variance_term(kernel: UStatKernel, window: Window, integrator: Integrator, 
     k = kernel.order
     return _product_integral(
         kernel, k, window, integrator, i, [range(i)] * 2, ("variance", i),
-        inner=integrator.samples, scale=math.factorial(i) * math.comb(k, i) ** 2,
+        scale=math.factorial(i) * math.comb(k, i) ** 2, locality=kernel.locality,
     )
 
 

@@ -19,6 +19,7 @@ from poisson_ustats import (
     wasserstein_to_normal,
 )
 from poisson_ustats._streams import spawn_rng
+from poisson_ustats.distance import _ndtr, _ndtri
 
 
 def _quad_oracle(values: np.ndarray) -> float:
@@ -34,6 +35,15 @@ def _quad_oracle(values: np.ndarray) -> float:
                 part, _ = quad(lambda u, x=x: abs(x - ndtri(u)), lo, hi, limit=200)
                 total += part
     return total
+
+
+def test_normal_cdf_and_quantile_match_scipy():
+    # the stdlib forms against scipy.special to 1e-13 relative, tails included
+    # (below x = -37.5 the CDF is subnormal and scipy flushes it to 0)
+    x = np.concatenate([np.linspace(-37.0, 38.0, 4001), -np.logspace(-300, 1.5, 200), np.logspace(-300, 1.5, 200), [0.0]])
+    assert np.allclose(_ndtr(x), ndtr(x), rtol=1e-13, atol=0.0)
+    u = np.concatenate([np.logspace(-300, -1, 300), np.linspace(0.001, 0.999, 999), 1.0 - np.logspace(-16, -1, 200)])
+    assert np.allclose(_ndtri(u), ndtri(u), rtol=1e-13, atol=0.0)
 
 
 def test_sample_set_validation():

@@ -185,6 +185,37 @@ def test_config_from_json_defaults_and_errors():
         )
 
 
+BASE_DOC = {"kernel": "counterexample", "lambdas": [1], "replicates": 1}
+
+
+def test_config_rejects_unknown_out_keys():
+    # a misspelt key would leave its output unwritten
+    with pytest.raises(ConfigError, match="unknown config keys in 'out'.*record"):
+        ExperimentConfig.from_json(json.dumps({**BASE_DOC, "out": {"record": "r.csv"}}))
+
+
+def test_config_rejects_unknown_integrator_keys():
+    # a misspelt sample count would run the default 4,096 samples
+    with pytest.raises(ConfigError, match="unknown config keys in 'integrator'.*sampels"):
+        ExperimentConfig.from_json(json.dumps({**BASE_DOC, "integrator": {"sampels": 100}}))
+
+
+@pytest.mark.parametrize(
+    "update",
+    [{"replicates": 2.7}, {"integrator": {"strata": 1.9}}, {"integrator": {"samples": 2.7}}, {"seed": 1.5}],
+    ids=["replicates", "strata", "samples", "seed"],
+)
+def test_config_rejects_non_integral_counts(update):
+    with pytest.raises(ConfigError, match="whole number"):
+        ExperimentConfig.from_json(json.dumps({**BASE_DOC, **update}))
+
+
+def test_config_stores_whole_counts_as_ints():
+    whole = ExperimentConfig.from_json(json.dumps({**BASE_DOC, "replicates": 3.0, "integrator": {"samples": 64.0}}))
+    assert (whole.replicates, whole.integrator.samples) == (3, 64)
+    assert type(whole.replicates) is int and type(whole.integrator.samples) is int
+
+
 def test_config_constructor_raises_config_errors():
     for bad in ({"replicates": "many"}, {"lambdas": 4}, {"seed": "x"}):
         with pytest.raises(ConfigError, match="malformed config"):

@@ -46,3 +46,18 @@ def test_documented_package_imports_resolve():
         for name, names in imported.items()
     }
     assert {name: names for name, names in missing.items() if names} == {}
+
+
+def test_src_imports_no_scipy():
+    # scipy is a test-only dependency: the package runs on numpy alone
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [(path.name, n) for n in names if n.split(".")[0] == "scipy"]
+    assert found == []

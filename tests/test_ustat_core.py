@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,7 +38,8 @@ from poisson_ustats import (
     variance_terms,
 )
 from poisson_ustats._streams import spawn_rng
-from poisson_ustats.ustat_core import _product_integral
+from poisson_ustats.clt_bounds import _fourth_power_norms
+from poisson_ustats.ustat_core import NESTED_INNER, NESTED_REPEAT, _elementary_mean, _product_integral
 
 UNIT_SQUARE = BoxWindow(((0.0, 1.0), (0.0, 1.0)))
 
@@ -328,6 +330,88 @@ def test_estimate_counts_the_draws_made(estimate):
     assert est.n == 100
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=4, max_size=8),
+    st.sampled_from([1, 2, 4]),
+)
+def test_elementary_mean_is_the_mean_over_r_subsets(values, r):
+    # e_r from power sums against the direct mean of products over all r-subsets
+    v = np.array(values)
+    direct = np.mean([math.prod(c) for c in itertools.combinations(values, r)])
+    both = _elementary_mean(np.stack([v, 2.0 * v]), r)
+    assert both[0] == pytest.approx(direct, rel=1e-9, abs=1e-9)
+    assert both[1] == pytest.approx(2.0**r * direct, rel=1e-9, abs=1e-9)
+
+
+def test_variance_terms_cost_is_linear_in_samples():
+    # T_1 of an order-2 kernel is nested: 8 * samples outer points with one
+    # shared inner batch of 16 each; the top-order T_2 draws samples tuples
+    tuples = []
+    kern = UStatKernel(2, lambda t: (tuples.append(len(t)), np.abs(t[:, 0, 0] - t[:, 1, 0]))[1], name="gap")
+    for samples in (100, 300):
+        tuples.clear()
+        terms = variance_terms(kern, UNIT_SQUARE, Integrator(samples=samples, seed=1))
+        assert sum(tuples) == NESTED_REPEAT * NESTED_INNER * samples + samples
+        assert (terms[0].n, terms[1].n) == (NESTED_REPEAT * samples, samples)
+
+
+def test_linear_nested_se_matches_the_spread():
+    # strata = 1: the outer points are independent, each with its own shared
+    # inner batch, so the reported se must track the spread over seeds
+    kern = pairwise_distance_kernel()
+    est = [variance_terms(kern, UNIT_SQUARE, Integrator(samples=300, seed=s))[0] for s in range(60)]
+    spread = float(np.std([e.value for e in est], ddof=1))
+    assert np.mean([e.se for e in est]) == pytest.approx(spread, rel=0.3)
+    # T_1 = 4 int (int |x - y| dy)^2 dx; the inner mean distance from the
+    # centre is a lower bound for the inner integral at any point
+    assert 4.0 * MEAN_DIST_CENTER**2 < np.mean([e.value for e in est]) < 4.0 * MEAN_DIST_SQUARE
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.3])
+def test_gilbert_mean_matches_the_closed_form(delta):
+    # int int (1/2) 1[|x - y| <= delta] dx dy on the unit square (Penrose 2003)
+    exact = 0.5 * (math.pi * delta**2 - 8.0 * delta**3 / 3.0 + delta**4 / 2.0)
+    est = expectation(gilbert_kernel(delta), IntensityModel(1.0, UNIT_SQUARE), Integrator(samples=4000, seed=9))
+    assert est.within(exact, 4.0)
+    # local draws: about 20% of uniform pairs are within 0.3, 3% within 0.1
+    assert est.se < 0.02 * exact
+
+
+LOCAL_CASES = [
+    (BoxWindow(((0.0, 2.0), (0.0, 1.0))), 0.15),
+    (BallWindow(0.6), 0.1),
+    (BoxWindow(((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))), 0.25),
+]
+
+
+@pytest.mark.parametrize("window, delta", LOCAL_CASES, ids=["box", "ball", "cube"])
+def test_local_draws_agree_with_uniform_draws(window, delta):
+    # the same kernel with and without its locality: mean, T_1, T_2 and the
+    # fourth-power norms agree within combined standard errors, and the local
+    # draws have the smaller ones
+    local = gilbert_kernel(delta, mode="euclidean")
+    integ = Integrator(samples=3000, seed=21)
+
+    def ingredients(kern):
+        mean = expectation(kern, IntensityModel(1.0, window), integ)
+        return [mean, *variance_terms(kern, window, integ), *_fourth_power_norms(kern, window, integ)]
+
+    for x, y in zip(ingredients(local), ingredients(replace(local, locality=None))):
+        assert abs(x.value - y.value) <= 4.0 * math.hypot(x.se, y.se)
+        assert x.se < y.se
+
+
+def test_local_draws_need_a_cube_smaller_than_the_window():
+    # (2 delta)^d >= theta(W): the uniform draws are kept, bit for bit
+    local = gilbert_kernel(0.6)
+    plain = replace(local, locality=None)
+    integ = Integrator(samples=500, seed=2)
+    assert variance_terms(local, UNIT_SQUARE, integ) == variance_terms(plain, UNIT_SQUARE, integ)
+    model = IntensityModel(1.0, UNIT_SQUARE)
+    assert expectation(local, model, integ) == expectation(plain, model, integ)
+
+
 def test_product_integral_reuses_repeated_top_order_copies():
     # four copies of an order-2 kernel on the same two shared variables: the
     # kernel is evaluated once per integrand call, and the estimate equals the
@@ -393,6 +477,12 @@ def test_integrator_validation():
         Integrator(samples=0)
     with pytest.raises(ConfigError):
         Integrator(strata=0)
+    for bad in ({"samples": 2.7}, {"strata": 1.9}, {"seed": 0.5}, {"samples": "100"}):
+        with pytest.raises(ConfigError, match="whole number"):
+            Integrator(**bad)
+    whole = Integrator(samples=100.0, seed=3.0, strata=2.0)
+    assert (whole.samples, whole.seed, whole.strata) == (100, 3, 2)
+    assert all(type(v) is int for v in (whole.samples, whole.seed, whole.strata))
     integ = Integrator(samples=64, seed=0, strata=2)
     with pytest.raises(ConfigError):
         integ.integrate(lambda t: np.ones(len(t)), BallWindow(1.0), 1)
