@@ -16,8 +16,9 @@ term depends only on the diagram's block-type vector (which sets of factors
 its blocks join, and how often).  One enumeration of the types, built from
 the factor sizes alone with the number of labelled diagrams of each type,
 serves both: product_expectation contracts every type exactly, and M_ij
-(:func:`m_ij`) integrates every connected type once, into a polynomial in
-lam whose coefficients are lambda-free.  The labelled enumerations
+(:func:`m_ij`) estimates the integral of every connected type, its draws
+allocated after a pilot to the types whose integrands spread, into a
+polynomial in lam whose coefficients are lambda-free.  The labelled enumerations
 enumerate_pi and enumerate_pi_bar remain as their reference.
 """
 
@@ -53,7 +54,8 @@ __all__ = [
 ]
 
 MAX_PARTITION_VARIABLES = 16
-# m_ij draws samples * |Pi-bar(i,i,j,j)| tuples; 10^8 admits M_33 at 1,024
+# the orbit integrals of M_ij draw at most samples * (orbits + |Pi-bar(i,i,j,j)|)
+# tuples, summed over the (i, j) of one call; 10^8 admits M_33 at 1,024
 # samples (42.4M) and refuses an order-4 M_44 at 256 (4.7e9)
 MAX_DIAGRAM_DRAWS = 10**8
 
@@ -449,46 +451,73 @@ def _orbit_slots(types, free) -> tuple:
     return slots, pos
 
 
-def _m_orbit_integrals(kernel: UStatKernel, i: int, j: int, window: Window, integrator: Integrator) -> tuple:
-    """The lambda-free orbit integrals of M_ij, as ((v_o, I_o), ...).
+def _m_orbit_integrals(kernel: UStatKernel, pairs, window: Window, integrator: Integrator) -> tuple:
+    """The lambda-free orbit integrals of M_ij for every (i, j) in ``pairs``,
+    as ((i, j, ((v_o, I_o), ...)), ...).
 
     M_ij sums, over connected diagrams of four factors with (i, i, j, j)
     identified arguments, the integral of the absolute product of four
     kernel copies; factors 1-2 keep k-i free arguments and factors 3-4 keep
     k-j.  For a symmetric kernel the integral depends only on the diagram's
-    block-type orbit o: I_o is the orbit weight w times the mean of w
-    batches of ``samples`` unit-intensity draws of its v_o <= 4k-i-j
-    variables (drawn jointly on stream ("m", i, j, o, 0), each batch
-    stratified on its own under ``strata`` > 1), so the draws and expected
-    standard error equal those of one integral per diagram, and ``n``
-    counts the draws per diagram.  Raises CapacityError, before any draw,
-    when ``samples`` times the diagram count exceeds MAX_DIAGRAM_DRAWS.
+    block-type orbit o: I_o is the orbit weight w_o times the integral over
+    its v_o <= 4k-i-j variables, a mean of batches of ``samples``
+    unit-intensity draws (each batch stratified on its own under
+    ``strata`` > 1).
+
+    Each M_ij allocates its draws on its own, by Neyman's rule for its error
+    at unit intensity.  Every orbit first draws one pilot batch on stream
+    ("m-pilot", i, j, o, 0), whose standard error se_o scores it.  Of the
+    sum_o w_o batches that one batch per labelled diagram would take, every
+    orbit keeps one and the others go in proportion to se_o, rounded to
+    whole batches by largest remainder, so an orbit whose pilot shows no
+    spread keeps one.  The estimate uses
+    only these batches, drawn on stream ("m", i, j, o, 0), so it is
+    unbiased, and its ``n`` counts the orbit's allocated draws (an assembled
+    M_ij reports the fewest of its orbits).  The allocation reads nothing
+    but the pair's own pilot values, so outputs reproduce for a seed and
+    m_ij equals the M_ij of a record.  Raises CapacityError, before any
+    draw, when the pilot and allocated draws of the call, ``samples`` times
+    the sum of 1 + w_o over its orbits, exceed MAX_DIAGRAM_DRAWS.
     """
     k = kernel.order
-    if not 1 <= i <= j <= k:
-        raise ConfigError(f"need 1 <= i <= j <= order, got i={i}, j={j}, order={k}")
+    for i, j in pairs:
+        if not 1 <= i <= j <= k:
+            raise ConfigError(f"need 1 <= i <= j <= order, got i={i}, j={j}, order={k}")
     if not kernel.symmetric:
         raise ConfigError("m_ij sums diagrams by block type, which needs a symmetric kernel")
-    sizes = (i, i, j, j)
-    free = (k - i, k - i, k - j, k - j)
-    orbits = _block_type_orbits(sizes)
-    draws = integrator.samples * sum(weight for _, weight in orbits)
+    # per pair (i, j), per orbit o: (o, v_o, slot lists, w_o)
+    plan = []
+    for i, j in pairs:
+        free = (k - i, k - i, k - j, k - j)
+        orbits = []
+        for o, (types, weight) in enumerate(_block_type_orbits((i, i, j, j))):
+            slots, v = _orbit_slots(types, free)
+            orbits.append((o, v, slots, weight))
+        plan.append((i, j, orbits))
+    draws = integrator.samples * sum(1 + weight for _, _, orbits in plan for *_, weight in orbits)
     if draws > MAX_DIAGRAM_DRAWS:
-        raise CapacityError(
-            f"M_{i}{j} needs {draws:,} draws, above the guard of {MAX_DIAGRAM_DRAWS:,}"
-        )
+        names = ", ".join(f"M_{i}{j}" for i, j in pairs)
+        raise CapacityError(f"the orbit integrals of {names} take {draws:,} draws, above the guard of {MAX_DIAGRAM_DRAWS:,}")
 
     def absolute(tuples: np.ndarray) -> np.ndarray:
         return np.abs(kernel(tuples))
 
+    def integral(i: int, j: int, orbit, stream: str, batches: int) -> Estimate:
+        o, v, slots, weight = orbit
+        return _product_integral(absolute, k, window, integrator, v, slots, (stream, i, j, o), scale=weight, repeat=batches)
+
     out = []
-    for o_idx, (types, weight) in enumerate(orbits):
-        slots, pos = _orbit_slots(types, free)
-        # pos = blocks + 2(k-i) + 2(k-j) variables, at most 4k-i-j
-        est = _product_integral(
-            absolute, k, window, integrator, pos, slots, ("m", i, j, o_idx), scale=weight, repeat=weight,
-        )
-        out.append((pos, Estimate(est.value, est.se, est.n // weight)))
+    for i, j, orbits in plan:
+        ses = [integral(i, j, orbit, "m-pilot", 1).se for orbit in orbits]
+        total = math.fsum(ses)
+        spare = sum(weight for *_, weight in orbits) - len(orbits) if 0 < total < math.inf else 0
+        shares = [spare * se / total if spare else 0.0 for se in ses]
+        batches = [1 + int(share) for share in shares]
+        # the batches that rounding down leaves go to the largest remainders
+        left = spare - sum(int(share) for share in shares)
+        for o in sorted(range(len(shares)), key=lambda o: int(shares[o]) - shares[o])[:left]:
+            batches[o] += 1
+        out.append((i, j, tuple((orbit[1], integral(i, j, orbit, "m", n)) for orbit, n in zip(orbits, batches))))
     return tuple(out)
 
 
@@ -505,7 +534,7 @@ def m_ij(kernel: UStatKernel, i: int, j: int, intensity: IntensityModel, integra
     the lam polynomial C(k,i)^2 C(k,j)^2 factor(lam)^4 sum_o lam^(v_o) I_o of the
     orbit integrals I_o over v_o variables that _m_orbit_integrals draws."""
     lam = float(intensity.lam)
-    orbit_integrals = _m_orbit_integrals(kernel, i, j, intensity.window, integrator)
+    ((_, _, orbit_integrals),) = _m_orbit_integrals(kernel, [(i, j)], intensity.window, integrator)
     return _assemble_m(kernel.order, i, j, orbit_integrals, lam, kernel.factor(lam))
 
 

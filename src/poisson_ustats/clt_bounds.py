@@ -321,7 +321,7 @@ def estimate_ingredients(kernel: UStatKernel, window: Window, integrator: Integr
     if mode == "local":
         return Ingredients(kernel, window, mean, terms, mode, norms=tuple(_fourth_power_norms(kernel, window, integrator)))
     pairs = [(i, j) for i in range(1, k + 1) for j in range(i, k + 1)]
-    m = tuple((i, j, _m_orbit_integrals(kernel, i, j, window, integrator)) for i, j in pairs)
+    m = _m_orbit_integrals(kernel, pairs, window, integrator)
     return Ingredients(kernel, window, mean, terms, mode, m=m, notes=_sign_note(kernel, window, integrator))
 
 

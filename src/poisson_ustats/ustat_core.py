@@ -76,7 +76,8 @@ class Estimate:
 
     ``n`` counts the draws of the outermost integral: for a nested term
     (one whose kernel copies keep free variables) the outer points, each of
-    which drew its own inner batches of NESTED_INNER points.
+    which drew its own inner batches of NESTED_INNER points.  For M_ij see
+    chaos_algebra._m_orbit_integrals.
     """
 
     value: float
@@ -242,7 +243,7 @@ class Integrator:
         integrand values, not the drawn tuples, grow with ``repeat``.  A
         ``locality`` delta switches on local draws (see the class
         docstring); fn must then vanish unless every point lies within delta
-        of the first.
+        of the first, and it is called only on the tuples of positive weight.
         """
         rng = self.rng(*path) if path else self.rng("integrate")
         side = _local_side(window, locality)
@@ -250,11 +251,11 @@ class Integrator:
         parts = []
         for start in range(0, repeat, per_chunk):
             pts, weights = self.draw(window, arity, self.samples, rng, groups=min(per_chunk, repeat - start), side=side)
-            vals = np.asarray(fn(pts), dtype=float).reshape(-1)
+            vals = _weighted_values(fn, pts.__getitem__, weights)
             if not np.all(np.isfinite(vals)):
                 bad = int(np.flatnonzero(~np.isfinite(vals))[0])
                 raise IntegrationError(f"non-finite integrand value at tuple {pts[bad].tolist()}")
-            parts.append(vals if weights is None else vals * weights)
+            parts.append(vals)
         vals = np.concatenate(parts)
         scale = window_measure(window) ** arity
         n_eff = len(vals)
@@ -269,6 +270,19 @@ class Integrator:
         return Estimate(scale * mean, se, n_eff)
 
 
+def _weighted_values(fn, tuples, weights) -> np.ndarray:
+    """fn times the draw weights, flat, on the tuples that ``tuples(rows)``
+    builds for the selected rows: every row for theta-uniform draws
+    (weights None), else only the rows of positive weight, so fn is never
+    called where a zero weight would void its value."""
+    if weights is None:
+        return np.asarray(fn(tuples(slice(None))), dtype=float).reshape(-1)
+    keep = weights > 0
+    vals = np.zeros(len(weights))
+    vals[keep] = np.asarray(fn(tuples(keep)), dtype=float).reshape(-1) * weights[keep]
+    return vals
+
+
 def _local_side(window: Window, locality: Optional[float]) -> Optional[float]:
     """Side 2 delta of the cube of local draws around their anchor, or None
     for theta-uniform draws: no locality, a line window, or a cube no
@@ -281,13 +295,15 @@ def _local_side(window: Window, locality: Optional[float]) -> Optional[float]:
 
 def _elementary_mean(v: np.ndarray, r: int) -> np.ndarray:
     """e_r(v_1..v_M) / C(M, r) over the last axis, the mean of the products
-    over all r-subsets, from the power sums p_i by Newton's identities
-    j e_j = sum_{i=1..j} (-1)^(i-1) e_(j-i) p_i.  Unbiased for mu^r when the
-    v_m are independent with mean mu."""
-    p = [None] + [np.sum(v**i, axis=-1) for i in range(1, r + 1)]
-    e = [np.ones(v.shape[:-1])]
-    for j in range(1, r + 1):
-        e.append(sum((-1) ** (i - 1) * e[j - i] * p[i] for i in range(1, j + 1)) / j)
+    over all r-subsets, by the recurrence e_j += v_m e_(j-1) over m, which
+    has no cancellation: nonnegative v give e_r >= 0, and exactly 0 when
+    fewer than r of them are nonzero.  Unbiased for mu^r when the v_m are
+    independent with mean mu."""
+    columns = np.moveaxis(v, -1, 0).copy()
+    e = [np.ones(v.shape[:-1])] + [np.zeros(v.shape[:-1]) for _ in range(r)]
+    for m, column in enumerate(columns):
+        for j in range(min(m + 1, r), 0, -1):
+            e[j] += column * e[j - 1]
     return e[r] / math.comb(v.shape[-1], r)
 
 
@@ -328,10 +344,22 @@ def _product_integral(fn, order: int, window: Window, integrator: Integrator, q:
         """theta^r fn(y_j, x) times the draw weight, shape (len(y), M), one inner batch per row of y."""
         m = len(y)
         xs, weights = drawer.draw(window, r, NESTED_INNER, rng, groups=m, side=side, anchor=y[:, 0])
-        xs = xs.reshape(m, -1, r, dim)
-        tup = np.concatenate([np.broadcast_to(y[:, None], (m, xs.shape[1], y.shape[1], dim)), xs], axis=2)
-        vals = theta**r * fn(tup.reshape(-1, order, dim))
-        return (vals if weights is None else vals * weights).reshape(m, -1)
+        per = len(xs) // m
+
+        def tuples(rows) -> np.ndarray:
+            # row t of the batch joins y[t // per]; the batch is large, so only
+            # the selected rows are built and the drawn points go once copied
+            nonlocal xs
+            own, xs = xs, None
+            if weights is None:
+                shared = np.broadcast_to(y[:, None], (m, per, y.shape[1], dim))
+                return np.concatenate([shared, own.reshape(m, per, r, dim)], axis=2).reshape(-1, order, dim)
+            out = np.empty((np.count_nonzero(rows), order, dim))
+            out[:, : y.shape[1]] = np.repeat(y, rows.reshape(m, per).sum(axis=1), axis=0)
+            out[:, y.shape[1] :] = own[rows]
+            return out
+
+        return _weighted_values(lambda t: theta**r * fn(t), tuples, weights).reshape(m, -1)
 
     def integrand(ys: np.ndarray) -> np.ndarray:
         out = np.ones(len(ys))

@@ -15,6 +15,7 @@ from poisson_ustats import (
     ConfigError,
     IntensityModel,
     Integrator,
+    LineWindow,
     MAX_DIAGRAM_DRAWS,
     PointConfiguration,
     SimpleFunction,
@@ -28,6 +29,7 @@ from poisson_ustats import (
     enumerate_pi_bar,
     evaluate,
     is_connected,
+    line_intersection_kernel,
     m_ij,
     product_expectation,
     sample_points,
@@ -35,7 +37,7 @@ from poisson_ustats import (
     wiener_ito_counts,
 )
 from poisson_ustats._streams import spawn_rng
-from poisson_ustats.chaos_algebra import _block_type_orbits
+from poisson_ustats.chaos_algebra import _assemble_m, _block_type_orbits, _m_orbit_integrals, _orbit_slots
 
 UNIT_SQUARE = BoxWindow(((0.0, 1.0), (0.0, 1.0)))
 GRID4 = CellGrid.regular((0.0, 0.0), (1.0, 1.0), (2, 2))
@@ -484,6 +486,43 @@ def test_m_ij_convex_position_counts_diagrams_exactly():
             assert est.value == math.comb(3, i) ** 2 * math.comb(3, j) ** 2 * count
             assert est.se == 0.0 and est.n == 8
     assert m_ij(kern, 3, 3, im, integ).value == 41364.0
+
+
+def test_allocated_orbit_integrals_match_the_cell_contraction():
+    # for a cell-grid kernel each orbit integral is exact: its weight times
+    # the contraction of |coefficients| over the orbit's slot lists, with
+    # one cell-measure vector per variable
+    fn = SimpleFunction(GRID4, _symmetric_table(4, 2, 17))
+    pairs = [(1, 1), (1, 2), (2, 2)]
+    got = _m_orbit_integrals(fn.as_kernel(), pairs, UNIT_SQUARE, Integrator(samples=400, seed=5))
+    measures = GRID4.measures()
+    for (i, j), (gi, gj, orbit_integrals) in zip(pairs, got):
+        assert (gi, gj) == (i, j)
+        orbits = _block_type_orbits((i, i, j, j))
+        assert len(orbit_integrals) == len(orbits)
+        for (types, weight), (v, est) in zip(orbits, orbit_integrals):
+            slots, n_vars = _orbit_slots(types, (2 - i, 2 - i, 2 - j, 2 - j))
+            ops = [x for s in slots for x in (np.abs(fn.coeffs), s)]
+            ops += [x for b in range(n_vars) for x in (measures, [b])]
+            exact = weight * float(np.einsum(*ops, []))
+            assert v == n_vars and est.n % 400 == 0 and est.se > 0
+            assert abs(est.value - exact) <= 4.0 * est.se, (i, j, types, est, exact)
+
+
+def test_allocated_root_sum_se_matches_the_spread():
+    # sum sqrt(M_ij) of line intersections at unit intensity over 20 seeds:
+    # the reported delta-method se tracks the spread of the estimates
+    window = LineWindow(1.0)
+    kern = line_intersection_kernel(window)
+    pairs = [(1, 1), (1, 2), (2, 2)]
+    sums, ses = [], []
+    for seed in range(20):
+        terms = [_assemble_m(2, i, j, orbit_integrals, 1.0) for i, j, orbit_integrals in
+                 _m_orbit_integrals(kern, pairs, window, Integrator(samples=300, seed=seed))]
+        sums.append(math.fsum(math.sqrt(t.value) for t in terms))
+        ses.append(math.sqrt(math.fsum((t.se / (2.0 * math.sqrt(t.value))) ** 2 for t in terms)))
+    spread = float(np.std(sums, ddof=1))
+    assert 0.5 <= float(np.median(ses)) / spread <= 2.0, (np.median(ses), spread)
 
 
 def test_m_ij_refuses_a_non_symmetric_kernel():

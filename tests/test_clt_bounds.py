@@ -197,8 +197,13 @@ def test_general_loop_estimates_each_orbit_set_once(monkeypatch):
     kern = make_kernel("pairwise-distance")
     record = estimate_ingredients(kern, UNIT_SQUARE, Integrator(samples=200, seed=6), "general")
     bounds = [record.report(lam).bound for lam in (0.5, 3.0, 27.0)]
+    # one pilot and one allocated estimate per orbit, whatever the lambdas reported
     assert paths == {
-        ("m", i, j, o): 1 for i in (1, 2) for j in range(i, 3) for o in range(len(_block_type_orbits((i, i, j, j))))
+        (stream, i, j, o): 1
+        for stream in ("m-pilot", "m")
+        for i in (1, 2)
+        for j in range(i, 3)
+        for o in range(len(_block_type_orbits((i, i, j, j))))
     }
     assert all(math.isfinite(b) and b > 0 for b in bounds)
 

@@ -344,6 +344,22 @@ def test_elementary_mean_is_the_mean_over_r_subsets(values, r):
     assert both[1] == pytest.approx(2.0**r * direct, rel=1e-9, abs=1e-9)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.one_of(st.just(0.0), st.floats(1e-9, 1.0)), min_size=NESTED_INNER, max_size=NESTED_INNER),
+    st.sampled_from([2, 4]),
+)
+def test_elementary_mean_is_nonnegative_on_sparse_nonnegative_values(values, r):
+    # inner batches of a kernel with small support are mostly 0: e_r must not
+    # cancel below 0, and is exactly 0 with fewer than r nonzero values
+    got = float(_elementary_mean(np.array(values), r))
+    direct = math.fsum(math.prod(c) for c in itertools.combinations(values, r)) / math.comb(len(values), r)
+    assert got >= 0.0
+    assert got == pytest.approx(direct, rel=1e-12, abs=0.0)
+    if sum(x > 0 for x in values) < r:
+        assert got == 0.0
+
+
 def test_variance_terms_cost_is_linear_in_samples():
     # T_1 of an order-2 kernel is nested: 8 * samples outer points with one
     # shared inner batch of 16 each; the top-order T_2 draws samples tuples
@@ -410,6 +426,27 @@ def test_local_draws_need_a_cube_smaller_than_the_window():
     assert variance_terms(local, UNIT_SQUARE, integ) == variance_terms(plain, UNIT_SQUARE, integ)
     model = IntensityModel(1.0, UNIT_SQUARE)
     assert expectation(local, model, integ) == expectation(plain, model, integ)
+
+
+def test_local_draws_call_the_kernel_only_on_positive_weights():
+    # a local draw with a point outside the window weighs 0, and the kernel
+    # is not called on it: the mean calls it once per positive weight, and
+    # no call of the mean, T_1 (inner batches) or T_2 sees a point outside
+    base = gilbert_kernel(0.1)
+    seen = []
+
+    def recording(t):
+        seen.append(t.copy())
+        return base.fn(t)
+
+    kern = replace(base, fn=recording)
+    integ = Integrator(samples=1200, seed=0)
+    expectation(kern, IntensityModel(1.0, UNIT_SQUARE), integ)
+    _, weights = integ.draw(UNIT_SQUARE, 2, 1200, integ.rng("expectation"), side=0.2)
+    assert sum(map(len, seen)) == np.count_nonzero(weights) < 1200
+    variance_terms(kern, UNIT_SQUARE, integ)
+    tuples = np.concatenate(seen)
+    assert np.all((tuples >= 0.0) & (tuples <= 1.0))
 
 
 def test_product_integral_reuses_repeated_top_order_copies():
