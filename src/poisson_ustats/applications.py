@@ -240,7 +240,7 @@ def gilbert_f1(y, delta: float, intensity: IntensityModel, mode: str = "unit", i
         return g * (dist <= delta)
 
     est = integrator.integrate(integrand, win, 1, path=("gilbert-f1",))
-    return Estimate(lam * est.value, lam * est.se, est.n)
+    return est.scaled(lam)
 
 
 def pairwise_distance_kernel() -> UStatKernel:
@@ -374,8 +374,7 @@ def sylvester_estimate(k: int, intensity: IntensityModel, replicates: int, integ
     scaled = np.array(_evaluate_many(kernel, samples)) / lam**k
     p = float(np.mean(scaled))
     p_se = float(np.std(scaled, ddof=1) / math.sqrt(replicates))
-    t1 = _variance_term(kernel, win, integrator, 1)
-    norm_sq = Estimate(lam ** (2 * k - 1) * t1.value, lam ** (2 * k - 1) * t1.se, t1.n)
+    norm_sq = _variance_term(kernel, win, integrator, 1).scaled(lam ** (2 * k - 1))
     base = k * k * lam ** (2 * k - 1)
     lower = Estimate(base * p * p, base * 2 * abs(p) * p_se, replicates)
     upper = Estimate(base * p, base * p_se, replicates)

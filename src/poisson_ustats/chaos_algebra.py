@@ -526,7 +526,7 @@ def _assemble_m(k: int, i: int, j: int, orbit_integrals, lam: float, factor: flo
     scale = math.comb(k, i) ** 2 * math.comb(k, j) ** 2 * factor**4
     value = math.fsum(lam**v * est.value for v, est in orbit_integrals)
     se = combine_se(*(lam**v * est.se for v, est in orbit_integrals))
-    return Estimate(scale * value, scale * se, min(est.n for _, est in orbit_integrals))
+    return Estimate(value, se, min(est.n for _, est in orbit_integrals)).scaled(scale)
 
 
 def m_ij(kernel: UStatKernel, i: int, j: int, intensity: IntensityModel, integrator: Integrator) -> Estimate:

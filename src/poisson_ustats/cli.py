@@ -79,22 +79,15 @@ def _parse_lambdas(text: str) -> tuple:
 
 
 def _load_config(args) -> ExperimentConfig:
+    updates = {}
     if args.config:
         config = ExperimentConfig.from_json(_read_text(args.config))
+        if args.kernel:
+            updates["kernel"] = args.kernel
+    elif args.kernel:
+        config = ExperimentConfig(kernel=args.kernel, window=default_window(args.kernel), lambdas=(1.0,), replicates=200)
     else:
-        if not args.kernel:
-            raise ConfigError("need --config or --kernel")
-        config = ExperimentConfig(
-            kernel=args.kernel,
-            window=default_window(args.kernel),
-            lambdas=(1.0,),
-            replicates=200,
-        )
-    updates = {}
-    if args.kernel:
-        updates["kernel"] = args.kernel
-        if not args.config:
-            updates["window"] = default_window(args.kernel)
+        raise ConfigError("need --config or --kernel")
     if args.seed is not None:
         updates["seed"] = args.seed
     if args.replicates is not None:

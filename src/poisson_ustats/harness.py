@@ -137,6 +137,13 @@ class ExperimentConfig:
             lambdas = tuple(float(v) for v in self.lambdas)
             object.__setattr__(self, "replicates", _whole_number("replicates", self.replicates))
             object.__setattr__(self, "seed", _whole_number("seed", self.seed))
+            if self.k is not None:
+                object.__setattr__(self, "k", _whole_number("k", self.k))
+            for name in ("delta", "c_k"):
+                value = None if getattr(self, name) is None else float(getattr(self, name))
+                if value is not None and not (math.isfinite(value) and value > 0):
+                    raise ConfigError(f"{name} must be positive and finite, got {value}")
+                object.__setattr__(self, name, value)
         if not lambdas:
             raise ConfigError("need at least one lambda")
         if any(not v > 0 for v in lambdas):
@@ -193,9 +200,9 @@ class ExperimentConfig:
                 replicates=doc["replicates"],
                 integrator=integrator,
                 seed=doc.get("seed", 0),
-                delta=None if doc.get("delta") is None else float(doc["delta"]),
-                k=None if doc.get("k") is None else _whole_number("k", doc["k"]),
-                c_k=None if doc.get("c_k") is None else float(doc["c_k"]),
+                delta=doc.get("delta"),
+                k=doc.get("k"),
+                c_k=doc.get("c_k"),
                 records_path=out.get("records"),
                 rates_path=out.get("rates"),
                 report_path=out.get("report"),

@@ -14,15 +14,11 @@ the chaos decomposition, and the closed-form variance
 
 The variance terms, the fourth-power norms of the local bound and the
 fourth-moment terms M_ij are all integrals of a product of kernel copies
-that share some variables; one estimator, _product_integral, computes them.
-It draws the shared variables through Integrator.integrate.  When copies
-keep free variables the integral is nested: each outer point draws one
-inner batch of values v_1..v_M for the r copies on one slot list, and
-e_r(v) / C(M, r), the mean of the products over all r-subsets, is unbiased
-for the r-th power of their inner integral, so the cost is linear in
-``samples``.  How ``samples`` sets the outer and inner counts, what
-``strata`` changes, and the draws near an anchor point for local kernels
-are stated in the Integrator docstring.
+that share some variables; one estimator, _product_integral, computes them
+through Integrator.  The sampling rules (the outer and inner draw counts,
+stratification, local draws and chunks) are stated in the Integrator
+docstring, the estimator of a nested term in _product_integral's, and the
+allocation of the M_ij draws in chaos_algebra._m_orbit_integrals'.
 """
 
 from __future__ import annotations
@@ -89,6 +85,10 @@ class Estimate:
 
     def within(self, target: float, nse: float = 3.0) -> bool:
         return abs(self.value - target) <= nse * self.se
+
+    def scaled(self, c: float) -> "Estimate":
+        """The estimate of c times the quantity: value and se times c, same n."""
+        return Estimate(c * self.value, c * self.se, self.n)
 
 
 def combine_se(*ses: float) -> float:
@@ -157,15 +157,21 @@ class Integrator:
     draws per slot list, shared by the r copies on it; its cost is
     N * M kernel calls per slot list.
 
+    Chunks: ``integrate`` draws max(1, CHUNK_DRAWS // samples) batches at a
+    time from its path's one stream and calls the integrand on at most
+    CHUNK_DRAWS of their tuples at a time, so neither the drawn tuples nor a
+    nested integral's inner batches grow with ``repeat``.
+
     ``strata`` > 1 switches on tensor stratification of the unit-cube
     variates: with level L and a q-fold integral over a d-dimensional window
     the cube splits into L^(q*d) equal strata with equal allocation (the
     remainder of ``samples`` modulo the stratum count is dropped).  In a
     nested integral each outer batch is stratified on its own, and the r
     copies on a slot list draw r independent inner batches of M instead of
-    sharing one, each stratified on its own (unstratified if M is below its
-    stratum count).  Stratification needs a window with an inverse
-    unit-cube map, which excludes balls.
+    sharing one, each stratified on its own; an inner batch whose M draws
+    are fewer than its L^(r*d) strata is drawn unstratified.
+    Stratification needs a window with an inverse unit-cube map, which
+    excludes balls.
 
     Local draws: given a kernel's locality delta on a box or ball window W
     with (2 delta)^d < theta(W), every point after a tuple's anchor is drawn
@@ -195,7 +201,8 @@ class Integrator:
     def draw(self, window: Window, arity: int, n: int, rng: np.random.Generator, groups: int = 1, *, side: Optional[float] = None, anchor: Optional[np.ndarray] = None) -> tuple:
         """Draw ``groups`` batches of n tuples of ``arity`` points, each batch
         stratified on its own; returns (tuples, weights) with tuples of shape
-        (groups * n, arity, dim), n less the stratification remainder.
+        (groups * n, arity, dim), n less the stratification remainder.  A
+        batch given an ``anchor`` is an inner batch (class docstring).
 
         Without a cube ``side`` (see _local_side) the points are
         theta-uniform and the weights None.  With one, the points after the
@@ -206,52 +213,55 @@ class Integrator:
         in W.
         """
         dim = window.point_dim
-        cube = arity if anchor is not None else arity - 1
-        local = side is not None and cube > 0
-        if self.strata <= 1:
-            if not local:
-                return window.sample(rng, groups * n * arity).reshape(groups * n, arity, dim), None
-            first = None if anchor is not None else window.sample(rng, groups * n)[:, None]
+        cube = 0 if side is None else arity - (anchor is None)
+        axes = arity * dim
+        count = self.strata**axes
+        # head: the theta-uniform points of each tuple (all, or an anchor-free
+        # tuple's first); u: the unit variates of its cube points
+        if self.strata <= 1 or (anchor is not None and n < count):
+            head = window.sample(rng, groups * n * (arity - cube)).reshape(groups * n, arity - cube, dim)
             u = rng.random((groups * n, cube, dim))
         else:
             if isinstance(window, BallWindow):
                 raise ConfigError("stratified sampling needs an invertible window map; balls sample by rejection")
-            d_total = arity * dim
-            count = self.strata**d_total
             n_per = n // count
             if n_per < 1:
                 raise ConfigError(
-                    f"sample count {n} is below the stratum count {count} (level {self.strata}, {d_total} axes)"
+                    f"sample count {n} is below the stratum count {count} (level {self.strata}, {axes} axes)"
                 )
-            corners = np.stack(np.unravel_index(np.arange(count), (self.strata,) * d_total), axis=-1)
-            u = ((corners[:, None, :] + rng.random((groups, count, n_per, d_total))) / self.strata).reshape(-1, arity, dim)
-            if not local:
-                return window.from_unit(u), None
-            first = None if anchor is not None else window.from_unit(u[:, :1])
+            corners = np.stack(np.unravel_index(np.arange(count), (self.strata,) * axes), axis=-1)
+            u = ((corners[:, None, :] + rng.random((groups, count, n_per, axes))) / self.strata).reshape(-1, arity, dim)
+            head = window.from_unit(u[:, : arity - cube])
             u = u[:, arity - cube :]
-        base = first[:, 0] if anchor is None else np.repeat(anchor, len(u) // groups, axis=0)
+        if cube == 0:
+            return head, None
+        base = head[:, 0] if anchor is None else np.repeat(anchor, len(u) // groups, axis=0)
         pts = base[:, None] + side * (u - 0.5)
         weights = np.where(window.contains(pts).all(axis=1), (side**dim / window_measure(window)) ** cube, 0.0)
-        return (pts if first is None else np.concatenate([first, pts], axis=1)), weights
+        return (pts if anchor is not None else np.concatenate([head, pts], axis=1)), weights
 
     def integrate(self, fn, window: Window, arity: int, *, path=(), repeat: int = 1, locality: Optional[float] = None) -> Estimate:
         """Estimate of int_{W^arity} fn dtheta^arity with its standard error.
 
         ``repeat`` > 1 averages that many independent batches of ``samples``
-        draws, each stratified on its own.  The batches come from the path's
-        one stream in chunks of at most about CHUNK_DRAWS tuples, so only the
-        integrand values, not the drawn tuples, grow with ``repeat``.  A
-        ``locality`` delta switches on local draws (see the class
-        docstring); fn must then vanish unless every point lies within delta
-        of the first, and it is called only on the tuples of positive weight.
+        draws, each stratified on its own.  The draws and the calls of fn
+        follow the chunk rule of the class docstring.  A ``locality`` delta
+        switches on local draws (see the class docstring); fn must then
+        vanish unless every point lies within delta of the first, and it is
+        called only on the tuples of positive weight.
         """
         rng = self.rng(*path) if path else self.rng("integrate")
         side = _local_side(window, locality)
         per_chunk = max(1, CHUNK_DRAWS // self.samples)
+
+        def sliced(tuples: np.ndarray) -> np.ndarray:
+            values = [np.asarray(fn(tuples[s : s + CHUNK_DRAWS]), dtype=float).reshape(-1) for s in range(0, len(tuples), CHUNK_DRAWS)]
+            return np.concatenate(values) if values else np.zeros(0)
+
         parts = []
         for start in range(0, repeat, per_chunk):
             pts, weights = self.draw(window, arity, self.samples, rng, groups=min(per_chunk, repeat - start), side=side)
-            vals = _weighted_values(fn, pts.__getitem__, weights)
+            vals = _weighted_values(sliced, pts.__getitem__, weights)
             if not np.all(np.isfinite(vals)):
                 bad = int(np.flatnonzero(~np.isfinite(vals))[0])
                 raise IntegrationError(f"non-finite integrand value at tuple {pts[bad].tolist()}")
@@ -332,57 +342,46 @@ def _product_integral(fn, order: int, window: Window, integrator: Integrator, q:
     plan = []
     for g, (sl, c) in enumerate(copies.items(), start=1):
         r = order - len(sl)
-        if r == 0:
-            plan.append((list(sl), c, 0, None, None))
-            continue
-        drawer = integrator if NESTED_INNER >= integrator.strata ** (r * dim) else replace(integrator, strata=1)
-        plan.append((list(sl), c, r, drawer, integrator.rng(*path, g)))
-    nested = any(r for _, _, r, _, _ in plan)
+        plan.append((list(sl), c, r, integrator.rng(*path, g) if r else None))
+    nested = any(r for _, _, r, _ in plan)
     theta = window_measure(window)
 
-    def inner(y: np.ndarray, r: int, drawer: Integrator, rng) -> np.ndarray:
+    def inner(y: np.ndarray, r: int, rng) -> np.ndarray:
         """theta^r fn(y_j, x) times the draw weight, shape (len(y), M), one inner batch per row of y."""
         m = len(y)
-        xs, weights = drawer.draw(window, r, NESTED_INNER, rng, groups=m, side=side, anchor=y[:, 0])
+        xs, weights = integrator.draw(window, r, NESTED_INNER, rng, groups=m, side=side, anchor=y[:, 0])
         per = len(xs) // m
 
         def tuples(rows) -> np.ndarray:
-            # row t of the batch joins y[t // per]; the batch is large, so only
-            # the selected rows are built and the drawn points go once copied
+            # row t of the batch joins y[t // per]; only the selected rows are
+            # built, and the drawn points go once copied
             nonlocal xs
-            own, xs = xs, None
-            if weights is None:
-                shared = np.broadcast_to(y[:, None], (m, per, y.shape[1], dim))
-                return np.concatenate([shared, own.reshape(m, per, r, dim)], axis=2).reshape(-1, order, dim)
-            out = np.empty((np.count_nonzero(rows), order, dim))
-            out[:, : y.shape[1]] = np.repeat(y, rows.reshape(m, per).sum(axis=1), axis=0)
-            out[:, y.shape[1] :] = own[rows]
+            own, xs = xs[rows], None
+            out = np.empty((len(own), order, dim))
+            out[:, : y.shape[1]] = np.repeat(y, per if weights is None else rows.reshape(m, per).sum(axis=1), axis=0)
+            out[:, y.shape[1] :] = own
             return out
 
         return _weighted_values(lambda t: theta**r * fn(t), tuples, weights).reshape(m, -1)
 
     def integrand(ys: np.ndarray) -> np.ndarray:
         out = np.ones(len(ys))
-        chunk = (1 << 18) // NESTED_INNER  # outer points per inner draw
-        for sl, c, r, drawer, rng in plan:
+        for sl, c, r, rng in plan:
             if r == 0:
                 vals = fn(ys[:, sl])
                 for _ in range(c):
                     out = out * vals
-                continue
-            for s in range(0, len(ys), chunk):
-                y = ys[s : s + chunk, sl]
-                if integrator.strata > 1:
-                    for _ in range(c):
-                        out[s : s + chunk] *= inner(y, r, drawer, rng).mean(axis=1)
-                else:
-                    out[s : s + chunk] *= _elementary_mean(inner(y, r, drawer, rng), c)
+            elif integrator.strata > 1:
+                for _ in range(c):
+                    out *= inner(ys[:, sl], r, rng).mean(axis=1)
+            else:
+                out *= _elementary_mean(inner(ys[:, sl], r, rng), c)
         return out
 
     est = integrator.integrate(
         integrand, window, q, path=(*path, 0), repeat=NESTED_REPEAT * repeat if nested else repeat, locality=locality,
     )
-    return Estimate(scale * est.value, scale * est.se, est.n)
+    return est.scaled(scale)
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +394,6 @@ _SUBSET_BATCH = 1 << 15
 def _subset_batches(n: int, k: int):
     """Yield index arrays (m, k) covering all unordered k-subsets of range(n)."""
     if k > n:
-        return
-    if k == 1:
-        for s in range(0, n, _SUBSET_BATCH):
-            yield np.arange(s, min(s + _SUBSET_BATCH, n), dtype=np.intp)[:, None]
         return
     if k == 2 and n <= 4096:
         i, j = np.triu_indices(n, 1)
@@ -585,8 +580,7 @@ def expectation(kernel: UStatKernel, intensity: IntensityModel, integrator: Inte
     """E F = lam^k factor(lam) int f dtheta^k, by Monte Carlo (Ingredients.moments' mean)."""
     lam = float(intensity.lam)
     est = integrator.integrate(kernel, intensity.window, kernel.order, path=path, locality=kernel.locality)
-    scale = lam**kernel.order * kernel.factor(lam)
-    return Estimate(scale * est.value, scale * est.se, est.n)
+    return est.scaled(lam**kernel.order * kernel.factor(lam))
 
 
 def ou_generator(kernel: UStatKernel, config: PointConfiguration, intensity: IntensityModel, integrator: Integrator) -> Estimate:
@@ -682,8 +676,7 @@ def chaos_kernel(kernel: UStatKernel, i: int, ys, intensity: IntensityModel, int
         return kernel(tup)
 
     est = integrator.integrate(fixed_fn, intensity.window, k - i, path=("chaos", i))
-    c = math.comb(k, i) * float(intensity.lam) ** (k - i)
-    return Estimate(c * est.value, c * est.se, est.n)
+    return est.scaled(math.comb(k, i) * float(intensity.lam) ** (k - i))
 
 
 # ---------------------------------------------------------------------------

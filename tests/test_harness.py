@@ -126,6 +126,9 @@ def test_config_validates_lambda_grid_and_counts():
         flat_config(replicates=0)
     with pytest.raises(ConfigError, match="seed"):
         flat_config(seed=-1)
+    for name, bad in (("c_k", -1.0), ("c_k", 0.0), ("c_k", math.inf), ("delta", 0.0), ("delta", math.nan)):
+        with pytest.raises(ConfigError, match=f"{name} must be positive"):
+            flat_config(**{name: bad})
 
 
 def test_config_from_json_full_document():
@@ -202,12 +205,16 @@ def test_config_rejects_unknown_integrator_keys():
 
 @pytest.mark.parametrize(
     "update",
-    [{"replicates": 2.7}, {"integrator": {"strata": 1.9}}, {"integrator": {"samples": 2.7}}, {"seed": 1.5}],
-    ids=["replicates", "strata", "samples", "seed"],
+    [{"replicates": 2.7}, {"integrator": {"strata": 1.9}}, {"integrator": {"samples": 2.7}}, {"seed": 1.5}, {"k": 3.7}],
+    ids=["replicates", "strata", "samples", "seed", "k"],
 )
 def test_config_rejects_non_integral_counts(update):
     with pytest.raises(ConfigError, match="whole number"):
         ExperimentConfig.from_json(json.dumps({**BASE_DOC, **update}))
+    if "integrator" not in update:
+        # the constructor checks as from_json does: k=3.7 would build convex-position-3
+        with pytest.raises(ConfigError, match="whole number"):
+            flat_config(**update)
 
 
 def test_config_stores_whole_counts_as_ints():
@@ -217,7 +224,7 @@ def test_config_stores_whole_counts_as_ints():
 
 
 def test_config_constructor_raises_config_errors():
-    for bad in ({"replicates": "many"}, {"lambdas": 4}, {"seed": "x"}):
+    for bad in ({"replicates": "many"}, {"lambdas": 4}, {"seed": "x"}, {"delta": "x"}, {"c_k": "x"}):
         with pytest.raises(ConfigError, match="malformed config"):
             flat_config(**bad)
 
@@ -663,6 +670,19 @@ def test_cli_rate_writes_requested_outputs(tmp_path, capsys, monkeypatch):
     again = tmp_path / "again.csv"
     emit_csv(run_replicates(ExperimentConfig.from_json(cfg_path.read_text())), again)
     assert (tmp_path / "records.csv").read_bytes() == again.read_bytes()
+
+
+def test_cli_rate_rejects_a_bad_constant_before_any_estimation(tmp_path, capsys, monkeypatch):
+    config = {"kernel": "gilbert-count", "delta": 0.1, "lambdas": [25, 50], "replicates": 20, "c_k": -1}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    calls = Counter()
+    count_calls(monkeypatch, harness, "estimate_ingredients", calls)
+    count_calls(monkeypatch, harness, "sample_points", calls)
+    assert main(["experiment", "rate", "--config", str(cfg_path), "--out", str(tmp_path / "rates.csv")]) == 2
+    assert "c_k must be positive" in capsys.readouterr().err
+    assert calls == Counter()
+    assert not (tmp_path / "rates.csv").exists()
 
 
 def test_cli_flag_overrides_apply(capsys):

@@ -18,6 +18,7 @@ from poisson_ustats import (
     IntegrationError,
     Integrator,
     IntensityModel,
+    LineWindow,
     PointConfiguration,
     UStatKernel,
     chaos_kernel,
@@ -28,6 +29,7 @@ from poisson_ustats import (
     expectation,
     gilbert_kernel,
     iterated_difference,
+    line_intersection_kernel,
     m_ij,
     ou_generator,
     ou_generator_direct,
@@ -39,7 +41,8 @@ from poisson_ustats import (
 )
 from poisson_ustats._streams import spawn_rng
 from poisson_ustats.clt_bounds import _fourth_power_norms
-from poisson_ustats.ustat_core import NESTED_INNER, NESTED_REPEAT, _elementary_mean, _product_integral
+from poisson_ustats import ustat_core
+from poisson_ustats.ustat_core import CHUNK_DRAWS, NESTED_INNER, NESTED_REPEAT, _elementary_mean, _product_integral, _variance_term
 
 UNIT_SQUARE = BoxWindow(((0.0, 1.0), (0.0, 1.0)))
 
@@ -480,6 +483,70 @@ def test_integrate_repeat_averages_independent_batches():
     assert est.within(1.0 / 3.0, 4.0)
     single = integ.integrate(lambda x: x[:, 0, 0] ** 2, win, 1, path=("repeat",))
     assert est.se == pytest.approx(single.se / math.sqrt(20), rel=0.2)
+
+
+@pytest.mark.parametrize("locality", [None, 0.1], ids=["uniform", "local"])
+def test_integrate_calls_fn_on_at_most_chunk_draws_tuples(locality):
+    # a batch larger than CHUNK_DRAWS is evaluated in slices, on uniform and
+    # on local draws (where only the tuples of positive weight are passed)
+    sizes = []
+
+    def fn(t):
+        sizes.append(len(t))
+        return np.ones(len(t))
+
+    integ = Integrator(samples=20_000, seed=3)
+    for repeat in (1, 3):
+        sizes.clear()
+        est = integ.integrate(fn, UNIT_SQUARE, 2, path=("chunks",), repeat=repeat, locality=locality)
+        assert max(sizes) <= CHUNK_DRAWS < 20_000
+        assert est.n == 20_000 * repeat
+        if locality is None:
+            assert sum(sizes) == est.n
+        else:
+            assert sum(sizes) < est.n
+
+
+def test_inner_batches_below_their_stratum_count_are_drawn_unstratified():
+    # a batch given an anchor (an inner batch) of NESTED_INNER draws over 2
+    # axes has 25 strata at level 5: it is drawn plain, bit for bit, with and
+    # without a local cube; at level 2 (4 strata) it is stratified
+    anchor = np.array([[0.5, 0.5], [0.2, 0.7]])
+    fine = Integrator(samples=400, seed=2, strata=5)
+    plain = replace(fine, strata=1)
+
+    def draw(integ, side):
+        return integ.draw(UNIT_SQUARE, 1, NESTED_INNER, spawn_rng(1, "inner"), groups=2, side=side, anchor=anchor)
+
+    for side in (None, 0.2):
+        (got, got_w), (want, want_w) = draw(fine, side), draw(plain, side)
+        np.testing.assert_array_equal(got, want)
+        assert (got_w is None and want_w is None) or np.array_equal(got_w, want_w)
+    assert not np.array_equal(draw(replace(fine, strata=2), None)[0], draw(plain, None)[0])
+    # without an anchor the same batch is an outer one, and too small
+    with pytest.raises(ConfigError, match="below the stratum count"):
+        fine.draw(UNIT_SQUARE, 1, NESTED_INNER, spawn_rng(1, "inner"))
+    est = _variance_term(pairwise_distance_kernel(), UNIT_SQUARE, fine, 1)
+    assert est.n == NESTED_REPEAT * 400 and math.isfinite(est.se)
+
+
+NESTED_CHUNK_CASES = {
+    "pairwise-T1": lambda integ: _variance_term(pairwise_distance_kernel(), UNIT_SQUARE, integ, 1),
+    "lines-T1": lambda integ: _variance_term(line_intersection_kernel(LineWindow(1.0)), LineWindow(1.0), integ, 1),
+    "gilbert-mean": lambda integ: expectation(gilbert_kernel(0.1), IntensityModel(1.0, UNIT_SQUARE), integ),
+    "gilbert-T1": lambda integ: _variance_term(gilbert_kernel(0.1), UNIT_SQUARE, integ, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NESTED_CHUNK_CASES))
+def test_chunk_size_does_not_move_the_estimates(case, monkeypatch):
+    # at strata = 1 every draw consumes its stream point by point, so slicing
+    # the outer draws (and with them the inner batches) more finely gives the
+    # same estimate bit for bit
+    integ = Integrator(samples=1200, seed=6)
+    default = NESTED_CHUNK_CASES[case](integ)
+    monkeypatch.setattr(ustat_core, "CHUNK_DRAWS", 1000)
+    assert NESTED_CHUNK_CASES[case](integ) == default
 
 
 def test_variance_counterexample_exact():
