@@ -168,6 +168,21 @@ def line_intersection(line_a, line_b) -> Optional[np.ndarray]:
 # kernels
 
 
+def _distance(a: np.ndarray, b) -> np.ndarray:
+    """Euclidean norms of the rows of ``a - b`` (a of shape (n, d)).
+
+    Squares the differences, adds the columns in coordinate order and takes
+    the square root: the operations of np.linalg.norm(a - b, axis=1) in the
+    same order, so the values are bit-identical, without numpy's slow
+    reduction over a short last axis.
+    """
+    sq = np.square(a - b)
+    total = sq[:, 0]
+    for c in range(1, sq.shape[1]):
+        total = total + sq[:, c]
+    return np.sqrt(total)
+
+
 def gilbert_kernel(delta: float, mode: str = "unit") -> UStatKernel:
     """Order-2 proximity kernel: (1/2) g(|x - y|) on pairs within delta.
 
@@ -184,7 +199,7 @@ def gilbert_kernel(delta: float, mode: str = "unit") -> UStatKernel:
 
     def fn(tuples: np.ndarray) -> np.ndarray:
         t = np.asarray(tuples, dtype=float)
-        dist = np.linalg.norm(t[:, 0, :] - t[:, 1, :], axis=1)
+        dist = _distance(t[:, 0, :], t[:, 1, :])
         close = dist <= delta
         if mode == "unit":
             return 0.5 * close
@@ -235,7 +250,7 @@ def gilbert_f1(y, delta: float, intensity: IntensityModel, mode: str = "unit", i
         raise ConfigError("no closed form at this location; pass an integrator")
 
     def integrand(xs: np.ndarray) -> np.ndarray:
-        dist = np.linalg.norm(xs[:, 0, :] - y, axis=1)
+        dist = _distance(xs[:, 0, :], y)
         g = np.ones_like(dist) if mode == "unit" else dist
         return g * (dist <= delta)
 
@@ -252,7 +267,7 @@ def pairwise_distance_kernel() -> UStatKernel:
 
     def fn(tuples: np.ndarray) -> np.ndarray:
         t = np.asarray(tuples, dtype=float)
-        return np.linalg.norm(t[:, 0, :] - t[:, 1, :], axis=1)
+        return _distance(t[:, 0, :], t[:, 1, :])
 
     return UStatKernel(order=2, fn=fn, name="pairwise-distance", geometric=True)
 
@@ -418,26 +433,33 @@ def make_kernel(name: str, *, delta: Optional[float] = None, k: Optional[int] = 
     """Build a registered kernel by name.
 
     convex-position-k takes the order either via the k argument or inline
-    as convex-position-<int>.
+    as convex-position-<int>.  A constant the kernel does not read is an
+    error: k on any other name, delta on a kernel without locality.
     """
     name = str(name)
     m = re.fullmatch(r"convex-position-(\d+)", name)
     if m:
-        return convex_position_kernel(int(m.group(1)))
-    if name == "convex-position-k":
+        kernel = convex_position_kernel(int(m.group(1)))
+    elif name == "convex-position-k":
         if k is None:
             raise ConfigError("convex-position-k needs k")
-        return convex_position_kernel(k)
-    if name in ("gilbert-count", "gilbert-length"):
+        kernel = convex_position_kernel(k)
+    elif name in ("gilbert-count", "gilbert-length"):
         if delta is None:
             raise ConfigError(f"{name} needs delta")
-        return gilbert_kernel(delta, mode="unit" if name == "gilbert-count" else "euclidean")
-    if name == "pairwise-distance":
-        return pairwise_distance_kernel()
-    if name == "counterexample":
-        return counterexample_kernel()
-    if name == "line-intersections":
+        kernel = gilbert_kernel(delta, mode="unit" if name == "gilbert-count" else "euclidean")
+    elif name == "pairwise-distance":
+        kernel = pairwise_distance_kernel()
+    elif name == "counterexample":
+        kernel = counterexample_kernel()
+    elif name == "line-intersections":
         if window is None:
             raise ConfigError("line-intersections needs the line window")
-        return line_intersection_kernel(window)
-    raise ConfigError(f"unknown kernel {name!r}; known: {', '.join(kernel_names())}")
+        kernel = line_intersection_kernel(window)
+    else:
+        raise ConfigError(f"unknown kernel {name!r}; known: {', '.join(kernel_names())}")
+    if k is not None and name != "convex-position-k":
+        raise ConfigError(f"{name} takes no k; only convex-position-k reads it")
+    if delta is not None and kernel.locality is None:
+        raise ConfigError(f"{name} has no locality, so it takes no delta")
+    return kernel

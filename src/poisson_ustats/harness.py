@@ -11,10 +11,13 @@ byte-reproduces its outputs.
 
 The replicates of one lambda run as a batch.  Each cell spawns one
 generator, whose SeedSequence also gives the record's stream token (the
-stream_token value), and is sampled once through sample_points or
-sample_lines, which validate the configuration.  The kernel sums of all
-cells are then computed together by ustat_core._evaluate_many, grouped by
-configuration size; every value equals evaluate on that cell alone.
+stream_token value), and draws its points once through
+point_process._draw_cell, the draw rule of sample_points and sample_lines;
+the generator is dropped after its cell.  Then point_process._check_cells
+runs every PointConfiguration check on all cells of the lambda, in stacked
+blocks, and ustat_core._evaluate_many computes their kernel sums together,
+grouped by configuration size; every value equals evaluate on the sampled
+configuration of that cell alone.
 """
 
 from __future__ import annotations
@@ -42,6 +45,10 @@ from .point_process import (
     IntensityModel,
     LineWindow,
     Window,
+    _check_cells,
+    _draw_cell,
+    # sample_lines and sample_points are unused here (_simulate calls
+    # _draw_cell and _check_cells); perfbench/tracing.py SITES wraps both
     sample_lines,
     sample_points,
 )
@@ -155,6 +162,14 @@ class ExperimentConfig:
             raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        if self.delta is not None or self.k is not None or self.c_k is not None:
+            # a constant that no part of the run reads is an error; make_kernel
+            # checks delta and k against a kernel name
+            if isinstance(self.kernel, UStatKernel) and (self.delta is not None or self.k is not None):
+                raise ConfigError("delta and k build a registered kernel; a kernel object takes neither")
+            kernel = self.resolve_kernel()
+            if self.c_k is not None and kernel.locality is None:
+                raise ConfigError(f"c_k is the local bound's constant; {kernel.name} has no locality")
 
     def resolve_kernel(self) -> UStatKernel:
         if isinstance(self.kernel, UStatKernel):
@@ -252,7 +267,6 @@ def run_replicates(config: ExperimentConfig) -> list:
 
 
 def _simulate(config: ExperimentConfig, ingredients: Ingredients) -> list:
-    draw = sample_lines if isinstance(config.window, LineWindow) else sample_points
     records = []
     for li, lam in enumerate(config.lambdas):
         mean, var = ingredients.moments(lam)
@@ -262,14 +276,15 @@ def _simulate(config: ExperimentConfig, ingredients: Ingredients) -> list:
                 f"({var.value:.3g}, se {var.se:.3g})"
             )
         sd = math.sqrt(var.value)
-        intensity = config.intensity(lam)
+        mean_count = config.intensity(lam).mean_count()
         tokens = []
         samples = []
         for r in range(config.replicates):
             rng = spawn_rng(config.seed, li, r)
             # the generator's own SeedSequence gives the stream_token value
             tokens.append(int(rng.bit_generator.seed_seq.generate_state(1, np.uint64)[0]))
-            samples.append(draw(intensity, rng).points)
+            samples.append(_draw_cell(config.window, mean_count, rng))
+        _check_cells(config.window, samples)
         values = _evaluate_many(ingredients.kernel.at_intensity(lam), samples)
         records.extend(
             ReplicateRecord(lam=lam, index=r, value=value, standardized=(value - mean) / sd, seed=token)

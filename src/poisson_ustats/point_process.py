@@ -236,20 +236,9 @@ class PointConfiguration:
             pts = pts.reshape(-1, 1)
         if pts.ndim != 2:
             raise ConfigError(f"points must be a (n, d) array, got shape {pts.shape}")
-        if pts.size and not np.isfinite(pts).all():
-            raise ConfigError("configuration contains non-finite coordinates")
         if self.kind not in ("spatial", "lines"):
             raise ConfigError(f"unknown configuration kind {self.kind!r}")
-        if len(pts) > 1:
-            # the process is simple: exact duplicates are rejected.  Equal rows
-            # are adjacent once sorted lexicographically, with -0.0 == 0.0 as
-            # in np.unique(axis=0)
-            srt = pts[np.lexsort(pts.T[::-1])]
-            if (srt[1:] == srt[:-1]).all(axis=1).any():
-                raise ConfigError("configuration has repeated points")
-        if self.window is not None and len(pts):
-            if not self.window.contains(pts).all():
-                raise ConfigError("configuration has points outside its window")
+        _check_cells(self.window, [pts])
         pts = pts.copy()
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
@@ -280,13 +269,55 @@ class PointConfiguration:
         )
 
 
+# points per stacked block of _check_cells
+_CHECK_POINTS = 1 << 14
+
+
+def _check_cells(window: Optional[Window], arrays) -> None:
+    """PointConfiguration's data checks on each (n_i, d) float array.
+
+    Raises ConfigError if an array has a non-finite coordinate, repeats a
+    point, or has a point outside ``window`` (when given).  Consecutive
+    arrays are stacked into blocks of at most _CHECK_POINTS points (a larger
+    array is a block of its own), so each check runs once per block.  Equal
+    rows count as repeated only within one array: sorted lexicographically
+    by (array, coordinates) they are adjacent, with -0.0 == 0.0 as in
+    np.unique(axis=0).
+    """
+
+    def check(block):
+        stacked = np.concatenate(block)
+        if not np.isfinite(stacked).all():
+            raise ConfigError("configuration contains non-finite coordinates")
+        cell = np.repeat(np.arange(len(block)), [len(pts) for pts in block])
+        order = np.lexsort((*stacked.T[::-1], cell))
+        srt, cell = stacked[order], cell[order]
+        if ((srt[1:] == srt[:-1]).all(axis=1) & (cell[1:] == cell[:-1])).any():
+            raise ConfigError("configuration has repeated points")
+        if window is not None and not window.contains(stacked).all():
+            raise ConfigError("configuration has points outside its window")
+
+    block, size = [], 0
+    for pts in arrays:
+        if block and size + len(pts) > _CHECK_POINTS:
+            check(block)
+            block, size = [], 0
+        block.append(pts)
+        size += len(pts)
+    if block:
+        check(block)
+
+
+def _draw_cell(window: Window, mean: float, rng: np.random.Generator) -> np.ndarray:
+    """One Poisson sample on ``window`` with mean count ``mean``: the count, then the points."""
+    n = int(rng.poisson(mean))
+    return window.sample(rng, n) if n else np.empty((0, window.point_dim))
+
+
 def _sample(intensity: IntensityModel, seed, kind: str) -> PointConfiguration:
     rng = seed if isinstance(seed, np.random.Generator) else spawn_rng(seed)
-    mean = intensity.lam * window_measure(intensity.window)
-    n = int(rng.poisson(mean))
-    pts = intensity.window.sample(rng, n) if n else np.empty((0, intensity.window.point_dim))
     return PointConfiguration(
-        pts,
+        _draw_cell(intensity.window, intensity.mean_count(), rng),
         kind=kind,
         seed=seed if isinstance(seed, int) else None,
         window=intensity.window,

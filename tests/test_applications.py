@@ -37,6 +37,7 @@ from poisson_ustats import (
     sylvester_estimate,
 )
 from poisson_ustats._streams import spawn_rng
+from poisson_ustats.applications import _distance
 
 UNIT_SQUARE = BoxWindow(((0.0, 1.0), (0.0, 1.0)))
 SIGN_WINDOW = BoxWindow(((-1.0, 1.0),))
@@ -105,6 +106,59 @@ def test_convex_position_vectorized_shape():
 
 # ---------------------------------------------------------------------------
 # proximity graph
+
+
+# finite values from subnormal to near overflow, and the non-finite ones
+_COORDS = st.one_of(
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-160, 1e154, 1.7e308, -1.7e308]),
+)
+
+
+@st.composite
+def _row_pairs(draw):
+    d = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=0, max_value=20))
+    rows = st.lists(st.lists(_COORDS, min_size=d, max_size=d), min_size=n, max_size=n)
+    a, b = (np.array(draw(rows), dtype=float).reshape(n, d) for _ in range(2))
+    return a, b
+
+
+@given(_row_pairs())
+@settings(max_examples=300, deadline=None)
+def test_distance_is_bit_identical_to_linalg_norm(pair):
+    a, b = pair
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _distance(a, b)
+        want = np.linalg.norm(a - b, axis=1)
+        # against a single point too, as gilbert_f1's integrand calls it
+        got_point = _distance(a, b[0]) if len(b) else None
+        want_point = np.linalg.norm(a - b[0], axis=1) if len(b) else None
+    assert got.shape == want.shape == (len(a),)
+    assert np.array_equal(got, want, equal_nan=True)
+    finite = np.isfinite(want)
+    assert np.array_equal(got[finite].view(np.int64), want[finite].view(np.int64))
+    if got_point is not None:
+        assert np.array_equal(got_point, want_point, equal_nan=True)
+
+
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=100, deadline=None)
+def test_take_gathers_equal_fancy_indexing(n, d, k, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n, d))
+    idx = rng.integers(0, n, size=(int(rng.integers(0, 50)), k))
+    taken = np.take(rows, idx, axis=0)
+    indexed = rows[idx]
+    assert taken.shape == indexed.shape == (len(idx), k, d)
+    assert taken.flags.c_contiguous and indexed.flags.c_contiguous
+    assert np.array_equal(taken.view(np.int64), indexed.view(np.int64))
 
 
 def test_gilbert_kernel_edge_count_matches_brute_force():
@@ -327,6 +381,8 @@ def test_make_kernel_dispatch():
 def test_make_kernel_errors():
     with pytest.raises(ConfigError):
         make_kernel("no-such")
+    with pytest.raises(ConfigError, match="unknown kernel"):
+        make_kernel("no-such", delta=0.1, k=4)
     with pytest.raises(ConfigError):
         make_kernel("gilbert-count")
     with pytest.raises(ConfigError):
@@ -335,6 +391,22 @@ def test_make_kernel_errors():
         make_kernel("convex-position-2")
     with pytest.raises(ConfigError):
         make_kernel("line-intersections")
+
+
+@pytest.mark.parametrize(
+    "name, constants, message",
+    [
+        ("pairwise-distance", {"delta": 0.1}, "takes no delta"),
+        ("convex-position-3", {"delta": 0.1}, "takes no delta"),
+        ("pairwise-distance", {"k": 4}, "takes no k"),
+        ("gilbert-count", {"delta": 0.1, "k": 4}, "takes no k"),
+        ("convex-position-4", {"k": 4}, "takes no k"),
+        ("convex-position-k", {"k": 4, "delta": 0.1}, "takes no delta"),
+    ],
+)
+def test_make_kernel_rejects_constants_the_kernel_does_not_read(name, constants, message):
+    with pytest.raises(ConfigError, match=message):
+        make_kernel(name, **constants)
 
 
 def test_pairwise_distance_symmetry_flag():

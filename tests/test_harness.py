@@ -217,6 +217,44 @@ def test_config_rejects_non_integral_counts(update):
             flat_config(**update)
 
 
+UNREAD_CONSTANTS = [
+    ({"kernel": "pairwise-distance", "delta": 0.1}, "takes no delta"),
+    ({"kernel": "line-intersections", "delta": 0.1}, "takes no delta"),
+    ({"kernel": "pairwise-distance", "k": 4}, "takes no k"),
+    ({"kernel": "convex-position-3", "k": 3}, "takes no k"),
+    ({"kernel": "gilbert-count", "delta": 0.1, "k": 4}, "takes no k"),
+    ({"kernel": "pairwise-distance", "c_k": 3}, "c_k is the local bound's constant"),
+    ({"kernel": "convex-position-k", "k": 3, "c_k": 3}, "c_k is the local bound's constant"),
+    ({"kernel": "pairwise-distance", "delta": 0.1, "k": 4, "c_k": 3}, "takes no"),
+]
+
+
+@pytest.mark.parametrize(
+    "update, message",
+    UNREAD_CONSTANTS,
+    ids=["delta-pairwise", "delta-lines", "k-pairwise", "k-convex-3", "k-gilbert", "c_k-pairwise", "c_k-convex-k", "all"],
+)
+def test_config_rejects_constants_the_kernel_does_not_read(update, message, tmp_path, capsys):
+    doc = {**BASE_DOC, **update}
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig.from_json(json.dumps(doc))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["variance", "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_config_accepts_the_constants_its_kernel_reads():
+    local = ExperimentConfig.from_json(json.dumps({**BASE_DOC, "kernel": "gilbert-count", "delta": 0.1, "c_k": 3}))
+    assert (local.resolve_kernel().locality, local.c_k) == (0.1, 3.0)
+    assert ExperimentConfig.from_json(json.dumps({**BASE_DOC, "kernel": "convex-position-k", "k": 4})).resolve_kernel().order == 4
+    # a kernel object carries its own constants: c_k only for a local one
+    assert flat_config(kernel=gilbert_kernel(0.3), c_k=2.0).c_k == 2.0
+    for bad in ({"c_k": 2.0}, {"delta": 0.3}, {"k": 3}):
+        with pytest.raises(ConfigError):
+            flat_config(**bad)
+
+
 def test_config_stores_whole_counts_as_ints():
     whole = ExperimentConfig.from_json(json.dumps({**BASE_DOC, "replicates": 3.0, "integrator": {"samples": 64.0}}))
     assert (whole.replicates, whole.integrator.samples) == (3, 64)
@@ -313,6 +351,27 @@ def test_simulate_matches_per_cell_oracle(case, seed):
         assert any(c > (1 << 15) // math.comb(n, 3) for n, c in counts.items())
     if case == "large":
         assert max(sizes[300.0]) > 256
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [([[0.5, 0.5], [0.5, 0.5]], "repeated"), ([[0.5, 1.5]], "outside"), ([[np.nan, 0.5]], "non-finite")],
+)
+def test_simulate_checks_every_sampled_cell(bad, message, monkeypatch):
+    # one cell of the second lambda draws a configuration that PointConfiguration refuses
+    config = flat_config(lambdas=(2.0, 4.0), replicates=50)
+    cells = []
+    draw = harness._draw_cell
+
+    def drawn(window, mean, rng):
+        cells.append(mean)
+        return np.array(bad) if len(cells) == 87 else draw(window, mean, rng)
+
+    monkeypatch.setattr(harness, "_draw_cell", drawn)
+    with pytest.raises(ConfigError, match=message):
+        harness._simulate(config, Ingredients(config.kernel, config.window, Estimate(0.3, 0.0), (Estimate(1.0, 0.0),)))
+    # the cells of a lambda are checked together, once all of them are drawn
+    assert cells == [2.0] * 50 + [4.0] * 50
 
 
 def test_rate_run_spawns_one_stream_per_cell(monkeypatch):
@@ -655,10 +714,10 @@ def test_cli_rate_writes_requested_outputs(tmp_path, capsys, monkeypatch):
     cfg_path.write_text(json.dumps(config))
     rates_path = tmp_path / "rates.csv"
     calls = Counter()
-    count_calls(monkeypatch, harness, "sample_points", calls)
+    count_calls(monkeypatch, harness, "_draw_cell", calls)
     assert main(["experiment", "rate", "--config", str(cfg_path), "--out", str(rates_path)]) == 0
     # every (lambda, replicate) cell is sampled once, for the fit and the records alike
-    assert calls["sample_points"] == 300
+    assert calls["_draw_cell"] == 300
     out = capsys.readouterr().out
     assert "slope=" in out
     rows = read_rates(rates_path)
@@ -678,7 +737,7 @@ def test_cli_rate_rejects_a_bad_constant_before_any_estimation(tmp_path, capsys,
     cfg_path.write_text(json.dumps(config))
     calls = Counter()
     count_calls(monkeypatch, harness, "estimate_ingredients", calls)
-    count_calls(monkeypatch, harness, "sample_points", calls)
+    count_calls(monkeypatch, harness, "_draw_cell", calls)
     assert main(["experiment", "rate", "--config", str(cfg_path), "--out", str(tmp_path / "rates.csv")]) == 2
     assert "c_k must be positive" in capsys.readouterr().err
     assert calls == Counter()

@@ -1,6 +1,7 @@
 """Windows, Poisson sampling, and configuration plumbing."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from poisson_ustats import (
     window_measure,
     write_points_csv,
 )
+from poisson_ustats import point_process
 from poisson_ustats._streams import spawn_rng, stream_token
 
 UNIT_SQUARE = BoxWindow(((0.0, 1.0), (0.0, 1.0)))
@@ -177,6 +179,79 @@ def test_duplicate_check_agrees_with_unique_rows(pts):
             PointConfiguration(pts)
     else:
         assert PointConfiguration(pts).size == len(pts)
+
+
+CHECK_WINDOWS = {
+    "box": BoxWindow(((0.0, 1.0), (-1.0, 0.5))),
+    "box-3d": BoxWindow(((0.0, 1.0), (0.0, 1.0), (-1.0, 1.0))),
+    "ball": BallWindow(1.0, 2),
+    "lines": LineWindow(1.0),
+}
+
+
+def _per_array_failure(window, pts: np.ndarray):
+    """The message fragment of the first check one array fails, by brute force (None if it passes)."""
+    rows = [tuple(row) for row in pts.tolist()]
+    if not all(math.isfinite(v) for row in rows for v in row):
+        return "non-finite"
+    # tuple equality compares floats, so -0.0 == 0.0
+    if any(rows[i] == rows[j] for i in range(len(rows)) for j in range(i)):
+        return "repeated"
+    if not all(window.contains(np.array([row]))[0] for row in rows):
+        return "outside"
+    return None
+
+
+@st.composite
+def _cell_batches(draw):
+    name = draw(st.sampled_from(sorted(CHECK_WINDOWS)))
+    window = CHECK_WINDOWS[name]
+    dim = window.point_dim
+    # few values, so that repeats within and across cells are common; 2.0
+    # and -1.0 lie outside some windows, nan and inf are not finite
+    coord = st.sampled_from([-0.0, 0.0, 0.25, 1.0, -1.0, 2.0, math.nan, math.inf])
+    row = st.lists(coord, min_size=dim, max_size=dim)
+    cells = draw(st.lists(st.lists(row, max_size=5), max_size=7))
+    return window, [np.array(rows, dtype=float).reshape(len(rows), dim) for rows in cells]
+
+
+@pytest.mark.parametrize("block", [3, point_process._CHECK_POINTS])
+@given(case=_cell_batches())
+@settings(max_examples=200, deadline=None)
+def test_check_cells_matches_the_per_array_oracle(block, case):
+    window, arrays = case
+    failures = {f for f in (_per_array_failure(window, pts) for pts in arrays) if f}
+    with mock.patch.object(point_process, "_CHECK_POINTS", block):
+        if not failures:
+            point_process._check_cells(window, arrays)
+            return
+        with pytest.raises(ConfigError) as err:
+            point_process._check_cells(window, arrays)
+    # blocks run the checks in a fixed order, so with several failing cells
+    # the message is that of one of them
+    assert any(f in str(err.value) for f in failures)
+
+
+def test_check_cells_counts_repeats_within_a_cell_only():
+    # a's last point in sorted order is b's first
+    a = np.array([[0.0, 0.5], [0.25, 0.25]])
+    b = np.array([[0.75, 0.5], [0.25, 0.25]])
+    empty = np.empty((0, 2))
+    # the same point in two cells, in one block and across a block boundary
+    point_process._check_cells(UNIT_SQUARE, [a, empty, b])
+    with mock.patch.object(point_process, "_CHECK_POINTS", 3):
+        point_process._check_cells(UNIT_SQUARE, [empty, a, empty, b, empty])
+        point_process._check_cells(UNIT_SQUARE, [])
+        # a cell larger than a block is a block of its own, and -0.0 == 0.0
+        big = np.vstack([a, [[0.9, 0.9], [0.1, 0.1], [-0.0, 0.5]]])
+        with pytest.raises(ConfigError, match="repeated"):
+            point_process._check_cells(UNIT_SQUARE, [a, big, b])
+        with pytest.raises(ConfigError, match="outside"):
+            point_process._check_cells(UNIT_SQUARE, [a, b, empty, np.array([[0.5, 1.5]])])
+        with pytest.raises(ConfigError, match="non-finite"):
+            point_process._check_cells(None, [a, b, np.array([[np.nan, 0.5]])])
+    # without a window only the finite and repeat checks run
+    point_process._check_cells(None, [np.array([[5.0, -5.0]])])
 
 
 def test_box_sampling_matches_from_unit():
