@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._streams import spawn_rng
+from ._streams import _cell_streams
 from .errors import ConfigError, WindowError
 from .point_process import (
     BallWindow,
@@ -385,7 +385,8 @@ def sylvester_estimate(k: int, intensity: IntensityModel, replicates: int, integ
         raise ConfigError("need at least 2 replicates")
     kernel = convex_position_kernel(k)
     lam = float(intensity.lam)
-    samples = [sample_points(intensity, spawn_rng(seed, "sylvester", r)).points for r in range(replicates)]
+    streams = _cell_streams(seed, ("sylvester",), range(replicates))
+    samples = [sample_points(intensity, rng).points for _, rng in streams]
     scaled = np.array(_evaluate_many(kernel, samples)) / lam**k
     p = float(np.mean(scaled))
     p_se = float(np.std(scaled, ddof=1) / math.sqrt(replicates))

@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._streams import spawn_rng
+from ._streams import _cell_streams
 # enumerate_pi_bar, m_ij and (below) variance are no longer called here; the imports stay
 # because the benchmark's tracing wraps them at these import sites (perfbench/tracing.py SITES)
 from .chaos_algebra import SimpleFunction, _assemble_m, _block_type_orbits, _m_orbit_integrals, cell_counts, enumerate_pi_bar, m_ij
@@ -392,8 +392,8 @@ def r_terms_small(chaos_fns: Sequence[SimpleFunction], intensity: IntensityModel
     mu = float(intensity.lam) * grid.measures()
     xs = np.empty((replicates, k, k))
     ws = np.empty((replicates, k))
-    for rep in range(replicates):
-        config = sample_points(intensity, spawn_rng(seed, "r-terms", rep))
+    for rep, (_, rng) in enumerate(_cell_streams(seed, ("r-terms",), range(replicates))):
+        config = sample_points(intensity, rng)
         centered = cell_counts(grid, config) - mu
         v = np.empty((k, grid.n_cells))
         for i, f in enumerate(fns, start=1):

@@ -9,11 +9,12 @@ simulated (RateFitResult.records).  Every random stream derives from
 (master seed, lambda index, replicate index); rerunning a config
 byte-reproduces its outputs.
 
-The replicates of one lambda run as a batch.  Each cell spawns one
-generator, whose SeedSequence also gives the record's stream token (the
-stream_token value), and draws its points once through
-point_process._draw_cell, the draw rule of sample_points and sample_lines;
-the generator is dropped after its cell.  Then point_process._check_cells
+The replicates of one lambda run as a batch.  _streams._cell_streams
+derives the streams of all its cells in one vectorized pass, each equal to
+spawn_rng(seed, lambda index, replicate index) with the stream_token value
+as the record's token, and resets one generator in place per cell.  Each
+cell draws its points from it once through point_process._draw_cell, the
+draw rule of sample_points and sample_lines.  Then point_process._check_cells
 runs every PointConfiguration check on all cells of the lambda, in stacked
 blocks, and ustat_core._evaluate_many computes their kernel sums together,
 grouped by configuration size; every value equals evaluate on the sampled
@@ -30,10 +31,10 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from ._files import _csv_text, _fmt, _read_csv, _write_text
-# stream_token and evaluate are unused here (_simulate takes the token from
-# its generator's SeedSequence and calls _evaluate_many); perfbench/tracing.py
-# SITES wraps both names at this import site
-from ._streams import spawn_rng, stream_token
+# spawn_rng, stream_token and evaluate are unused here (_simulate derives each
+# lambda's streams and tokens with _cell_streams and calls _evaluate_many);
+# perfbench/tracing.py SITES wraps all three names at this import site
+from ._streams import _cell_streams, spawn_rng, stream_token
 from .applications import make_kernel
 # geometric_bound, local_bound and variance_terms are unused here; perfbench/tracing.py SITES wraps them
 from .clt_bounds import BoundReport, Ingredients, estimate_ingredients, geometric_bound, local_bound
@@ -279,10 +280,8 @@ def _simulate(config: ExperimentConfig, ingredients: Ingredients) -> list:
         mean_count = config.intensity(lam).mean_count()
         tokens = []
         samples = []
-        for r in range(config.replicates):
-            rng = spawn_rng(config.seed, li, r)
-            # the generator's own SeedSequence gives the stream_token value
-            tokens.append(int(rng.bit_generator.seed_seq.generate_state(1, np.uint64)[0]))
+        for token, rng in _cell_streams(config.seed, (li,), range(config.replicates)):
+            tokens.append(token)
             samples.append(_draw_cell(config.window, mean_count, rng))
         _check_cells(config.window, samples)
         values = _evaluate_many(ingredients.kernel.at_intensity(lam), samples)

@@ -375,12 +375,26 @@ def test_simulate_checks_every_sampled_cell(bad, message, monkeypatch):
 
 
 def test_rate_run_spawns_one_stream_per_cell(monkeypatch):
+    # each lambda derives the streams of all its cells in one _cell_streams
+    # call, and every cell takes one of them; no stream is built per cell
     calls = Counter()
     count_calls(monkeypatch, harness, "spawn_rng", calls)
     count_calls(monkeypatch, harness, "stream_token", calls)
+    runs = []
+    cell_streams = harness._cell_streams
+
+    def counted(seed, prefix, indices):
+        run = [seed, prefix, list(indices), 0]
+        runs.append(run)
+        for item in cell_streams(seed, prefix, run[2]):
+            run[3] += 1
+            yield item
+
+    monkeypatch.setattr(harness, "_cell_streams", counted)
     fit = rate_experiment(flat_config(lambdas=(1.0, 2.0, 4.0), replicates=100))
     assert len(fit.records) == 300
-    assert calls["spawn_rng"] == 300
+    assert runs == [[7, (li,), list(range(100)), 100] for li in range(3)]
+    assert calls["spawn_rng"] == 0
     assert calls["stream_token"] == 0
 
 
