@@ -5,7 +5,8 @@ Configuration comes from a single JSON document (--config); the remaining
 flags override individual fields.  Exit codes: 0 on success, 2 on a
 configuration or usage error (a file that cannot be read or written, or
 does not parse, is one), 3 when a variance degenerates and the normalized
-quantity does not exist.
+quantity does not exist, 4 when the work is refused by a capacity guard or a
+Monte Carlo integrand turns non-finite.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ from .applications import kernel_summaries
 from .clt_bounds import BoundReport, geometric_bound, local_bound, wasserstein_bound
 from .errors import (
     AssumptionViolationError,
+    CapacityError,
     ConfigError,
     DegenerateFunctionalError,
+    IntegrationError,
     LocalityError,
     WindowError,
 )
@@ -223,6 +226,9 @@ def main(argv: Optional[list] = None) -> int:
     except (DegenerateFunctionalError, AssumptionViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except (CapacityError, IntegrationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 def entrypoint() -> None:

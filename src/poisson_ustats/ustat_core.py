@@ -12,6 +12,11 @@ the chaos decomposition, and the closed-form variance
     Var F = sum_{i=1..k} i! C(k,i)^2 lam^(2k-i)
             int (int f dtheta^(k-i))^2 dtheta^i.
 
+Every such sum runs over one enumerator, _anchor_subsets: an anchor point
+plus k - 1 of its partners (every later point for exhaustive sums, the
+later-ranked points of adjacent grid cells for local kernels), in batches
+of exactly _SUBSET_BATCH rows but the last.
+
 The variance terms, the fourth-power norms of the local bound and the
 fourth-moment terms M_ij are all integrals of a product of kernel copies
 that share some variables; one estimator, _product_integral, computes them
@@ -387,26 +392,58 @@ def _product_integral(fn, order: int, window: Window, integrator: Integrator, q:
 # ---------------------------------------------------------------------------
 # tuple enumeration
 
-# subsets per enumerated batch, and tuples per kernel call of _evaluate_many
+# subsets per enumerated batch, and tuples per kernel call of _evaluate_many and _ordered_prefix_sums
 _SUBSET_BATCH = 1 << 15
 
 
+def _anchor_subsets(k: int, anchors: np.ndarray, lo: np.ndarray, hi: np.ndarray, partner: np.ndarray):
+    """Yield intp index rows (m, k): each anchor followed by each (k-1)-subset
+    of its partners partner[lo[a]:hi[a]] (a the anchor's position), in anchor
+    order, then lexicographic in positions, in batches of exactly
+    _SUBSET_BATCH rows but the last.  A pass extends a group of partial rows
+    by every later position that leaves room for the rest; a group whose
+    complete rows, C(free positions, positions to choose) per partial row,
+    exceed _SUBSET_BATCH is first cut into consecutive groups of at most
+    that many, or of one partial row, so memory stays at about one batch per
+    pass."""
+    carry = None  # complete rows not yet yielded
+    todo = [(anchors[:, None], lo, hi)]  # groups of partial rows and their free positions, next last
+    while todo:
+        head, start, stop = todo.pop()
+        need = k - head.shape[1]
+        if need and len(head):
+            span = stop - start
+            done = span
+            for j in range(1, need):
+                done = done * (span - j) // (j + 1)
+            ends = done.cumsum()
+            if len(head) > 1 and ends[-1] > _SUBSET_BATCH:
+                cuts = [0]
+                while cuts[-1] < len(head):
+                    base = ends[cuts[-1] - 1] if cuts[-1] else 0
+                    cuts.append(max(cuts[-1] + 1, int(ends.searchsorted(base + _SUBSET_BATCH, "right"))))
+                todo += [(head[a:b], start[a:b], stop[a:b]) for a, b in reversed(list(zip(cuts, cuts[1:])))]
+                continue
+            fan = np.maximum(span - (need - 1), 0)
+            last = fan.cumsum()
+            at = np.repeat(start + fan - last, fan) + np.arange(last[-1])
+            head = np.column_stack([head.repeat(fan, axis=0), partner[at]])
+            if need > 1:
+                todo.append((head, at + 1, stop.repeat(fan)))
+                continue
+        if len(head):
+            carry = head if carry is None else np.concatenate([carry, head])
+            while len(carry) >= _SUBSET_BATCH:
+                yield carry[:_SUBSET_BATCH]
+                carry = carry[_SUBSET_BATCH:]
+    if carry is not None and len(carry):
+        yield carry
+
+
 def _subset_batches(n: int, k: int):
-    """Yield index arrays (m, k) covering all unordered k-subsets of range(n)."""
-    if k > n:
-        return
-    if k == 2 and n <= 4096:
-        i, j = np.triu_indices(n, 1)
-        idx = np.stack([i, j], axis=1).astype(np.intp)
-        for s in range(0, len(idx), _SUBSET_BATCH):
-            yield idx[s : s + _SUBSET_BATCH]
-        return
-    it = itertools.combinations(range(n), k)
-    while True:
-        chunk = list(itertools.islice(it, _SUBSET_BATCH))
-        if not chunk:
-            return
-        yield np.array(chunk, dtype=np.intp)
+    """Yield the k-subsets of range(n) as lexicographic index rows: every later point is a partner."""
+    everyone = np.arange(n, dtype=np.intp)
+    return _anchor_subsets(k, everyone, everyone + 1, np.full(n, n), everyone)
 
 
 def _local_subset_batches(points: np.ndarray, delta: float, k: int):
@@ -418,15 +455,16 @@ def _local_subset_batches(points: np.ndarray, delta: float, k: int):
     cells of equal or higher id there.  Those points are the anchor's
     partners, and a candidate subset is an anchor plus k - 1 of its partners,
     so each subset is enumerated once.  Candidates wider than delta
-    contribute exactly 0 under the locality contract.
+    contribute exactly 0 under the locality contract.  The anchors, in rank
+    order, and their flattened partner runs go to _anchor_subsets.
     """
     n, d = points.shape
     keys = np.floor(points / delta).astype(np.int64)
     # per axis, shrink gaps of two or more cells to exactly two: adjacency is
     # unchanged and the mixed-radix cell id below stays small
     for a in range(d):
-        values, inverse = np.unique(keys[:, a], return_inverse=True)
-        keys[:, a] = np.concatenate(([1], 1 + np.cumsum(np.minimum(np.diff(values), 2))))[inverse]
+        rank = np.argsort(keys[:, a])
+        keys[rank, a] = np.concatenate(([1], 1 + np.cumsum(np.minimum(np.diff(keys[rank, a]), 2))))
     radix = keys.max(axis=0) + 2
     if math.prod(int(r) for r in radix) >= 1 << 62:
         raise CapacityError(f"grid of {n} points in dimension {d} has too many cells to index")
@@ -445,24 +483,10 @@ def _local_subset_batches(points: np.ndarray, delta: float, k: int):
     hi = np.column_stack([np.searchsorted(cell, cell + 1, "right"), np.searchsorted(cell, cell[:, None] + raise_id + 1, "right")])
     lo, hi = lo.ravel(), hi.ravel()
     counts = hi - lo
-    start = np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    partner = order[np.arange(len(start)) + start]
-    per_anchor = counts.reshape(n, -1).sum(axis=1)
-    if k == 2:
-        pairs = np.stack([np.repeat(order, per_anchor), partner], axis=1)
-        for s in range(0, len(pairs), _SUBSET_BATCH):
-            yield pairs[s : s + _SUBSET_BATCH]
-        return
-    bounds = np.concatenate(([0], np.cumsum(per_anchor)))
-    buf = []
-    for r, anchor in enumerate(order.tolist()):
-        partners = partner[bounds[r] : bounds[r + 1]].tolist()
-        buf.extend((anchor, *rest) for rest in itertools.combinations(partners, k - 1))
-        if len(buf) >= _SUBSET_BATCH:
-            yield np.array(buf, dtype=np.intp)
-            buf = []
-    if buf:
-        yield np.array(buf, dtype=np.intp)
+    ends = counts.cumsum()
+    partner = order[np.arange(ends[-1]) + np.repeat(lo - ends + counts, counts)]
+    ends = ends.reshape(n, -1)[:, -1]  # where each anchor's partners end
+    return _anchor_subsets(k, order, np.concatenate(([0], ends[:-1])), ends, partner)
 
 
 def evaluate(kernel: UStatKernel, config: PointConfiguration, *, exhaustive: bool = False) -> float:
@@ -481,7 +505,8 @@ def _evaluate_many(kernel: UStatKernel, point_arrays, *, exhaustive: bool = Fals
     """evaluate for each (n_i, d) point array, as a list of floats.
 
     Each value is k! times the fsum of per-batch sums over the batches of
-    _subset_batches (or _local_subset_batches), so it does not depend on
+    _subset_batches (or _local_subset_batches), the fixed _SUBSET_BATCH
+    batches of the one enumerator _anchor_subsets, so it does not depend on
     which other arrays are passed.  Exhaustive sums group the arrays by
     size: each subset batch is indexed once per size and applied to as many
     same-size arrays as fit in one kernel call of at most _SUBSET_BATCH
@@ -503,8 +528,7 @@ def _evaluate_many(kernel: UStatKernel, point_arrays, *, exhaustive: bool = Fals
     else:
         by_size = {}
         for i, pts in enumerate(point_arrays):
-            if len(pts) >= k:
-                by_size.setdefault(len(pts), []).append(i)
+            by_size.setdefault(len(pts), []).append(i)
         for n, members in by_size.items():
             rows = np.concatenate([point_arrays[i] for i in members])
             for idx in _subset_batches(n, k):
@@ -526,25 +550,24 @@ def _evaluate_many(kernel: UStatKernel, point_arrays, *, exhaustive: bool = Fals
 
 def _ordered_prefix_sums(kernel: UStatKernel, config: PointConfiguration, fixed: np.ndarray) -> np.ndarray:
     """For each fixed prefix (shape (m, i, d)), the sum of f(prefix, xs) over
-    ordered (k-i)-tuples xs of distinct configuration points."""
+    ordered (k-i)-tuples xs of distinct configuration points.  A kernel call
+    joins one subset batch to as many prefixes as fit in _SUBSET_BATCH
+    tuples; a prefix's sum does not depend on how many share the call."""
     fixed = np.asarray(fixed, dtype=float)
     m, i, d = fixed.shape
     k = kernel.order
     r = k - i
-    pts = config.points
-    n = len(pts)
     if r == 0:
         return kernel(fixed)
-    if r > n:
-        return np.zeros(m)
     out = np.zeros(m)
-    for idx in _subset_batches(n, r):
-        sub = np.take(pts, idx, axis=0)
+    for idx in _subset_batches(config.size, r):
+        sub = np.take(config.points, idx, axis=0)
         count = len(idx)
-        step = max(1, (1 << 16) // count)
+        step = max(1, _SUBSET_BATCH // count)
         for s in range(0, m, step):
             fb = fixed[s : s + step]
             mm = len(fb)
+            # keep this construction: its memory layout fixes the order in which kernels sum over a tuple
             tup = np.concatenate(
                 [
                     np.broadcast_to(fb[:, None, :, :], (mm, count, i, d)),

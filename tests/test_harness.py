@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poisson_ustats import clt_bounds, harness
+from poisson_ustats import cli, clt_bounds, harness
 from poisson_ustats import (
     BallWindow,
     BoxWindow,
     ConfigError,
     DegenerateFunctionalError,
     ExperimentConfig,
+    IntegrationError,
     Integrator,
     LineWindow,
     RateFitResult,
@@ -664,6 +665,24 @@ def test_cli_bound_degenerate_exits_3(tmp_path, capsys):
     cfg_path.write_text(json.dumps(config))
     assert main(["bound", "--config", str(cfg_path)]) == 3
     assert "consistent with zero" in capsys.readouterr().err
+
+
+def test_cli_refused_work_exits_4(tmp_path, capsys, monkeypatch):
+    # the orbit integrals of M_ij for k = 4 need more draws than their guard
+    config = {"kernel": "convex-position-4", "lambdas": [16], "replicates": 200, "integrator": {"samples": 64, "seed": 1}}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["bound", "--config", str(cfg_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.startswith("error: the orbit integrals")
+    assert "Traceback" not in err
+
+    def non_finite(args):
+        raise IntegrationError("non-finite integrand value")
+
+    monkeypatch.setattr(cli, "_cmd_variance", non_finite)
+    assert main(["variance", "--kernel", "pairwise-distance", "--lambda", "2"]) == 4
+    assert capsys.readouterr().err == "error: non-finite integrand value\n"
 
 
 def test_cli_usage_errors_exit_2(tmp_path, capsys):

@@ -2,7 +2,9 @@
 
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -171,6 +173,82 @@ def test_locality_grid_too_large_to_index():
         evaluate(gilbert_kernel(1e-3), cfg)
 
 
+def _assert_combinations(batches, n: int, k: int, batch: int) -> None:
+    """The batches, concatenated, are itertools.combinations(range(n), k),
+    and each but the last has exactly ``batch`` rows; compared batch by batch."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+    sizes = []
+    for rows in batches:
+        assert rows.dtype == np.intp and rows.shape[1] == k
+        expect = np.fromiter(itertools.islice(flat, rows.size), dtype=np.intp, count=rows.size)
+        assert np.array_equal(rows.ravel(), expect)
+        sizes.append(len(rows))
+    assert next(flat, None) is None
+    assert all(m == batch for m in sizes[:-1]) and all(0 < m <= batch for m in sizes[-1:])
+
+
+# k = 4 is checked only for n <= 40: C(181, 4) is already 43 million rows
+@pytest.mark.parametrize(
+    "n, k",
+    [(n, k) for n in range(13) for k in range(1, 5)] + [(n, k) for n in (181, 182, 256) for k in (1, 2, 3)] + [(257, 2), (60, 3), (40, 4)],
+)
+def test_subset_batches_are_the_combinations_in_fixed_batches(n, k):
+    _assert_combinations(ustat_core._subset_batches(n, k), n, k, ustat_core._SUBSET_BATCH)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 7, 64])
+def test_subset_batches_cut_at_any_batch_size(batch, monkeypatch):
+    monkeypatch.setattr(ustat_core, "_SUBSET_BATCH", batch)
+    for n in range(13):
+        for k in range(1, 5):
+            _assert_combinations(ustat_core._subset_batches(n, k), n, k, batch)
+    _assert_combinations(ustat_core._subset_batches(30, 3), 30, 3, batch)
+
+
+@st.composite
+def _edge_cases(draw):
+    """Points in [0, 1]^d, some on the edges of the grid of cell edge delta
+    (exact binary multiples of it), with an order k and a batch size."""
+    dim = draw(st.integers(1, 3))
+    k = draw(st.integers(2, 4))
+    delta = draw(st.sampled_from([0.125, 0.25, 0.5]))
+    rng = spawn_rng(draw(st.integers(0, 2**16)), "edges")
+    n = draw(st.integers(k, 24 if k == 4 else 40))
+    on_edge = draw(st.integers(0, n))
+    pts = np.concatenate([rng.integers(0, int(1 / delta) + 1, (on_edge, dim)) * delta, rng.random((n - on_edge, dim))])
+    return pts, delta, k, draw(st.sampled_from([None, 1, 5, 64]))
+
+
+@given(_edge_cases())
+@settings(max_examples=120, deadline=None)
+def test_local_subsets_hold_every_close_subset_once(case):
+    pts, delta, k, batch = case
+    with mock.patch.object(ustat_core, "_SUBSET_BATCH", batch or ustat_core._SUBSET_BATCH):
+        batches = list(ustat_core._local_subset_batches(pts, delta, k))
+        assert all(len(rows) == ustat_core._SUBSET_BATCH for rows in batches[:-1])
+    rows = [tuple(sorted(r)) for r in np.concatenate(batches or [np.zeros((0, k), np.intp)]).tolist()]
+    assert len(rows) == len(set(rows))
+    gaps = np.linalg.norm(pts[:, None] - pts[None], axis=-1)
+
+    def close(sub):
+        return all(gaps[a, b] <= delta for a, b in itertools.combinations(sub, 2))
+
+    brute = {sub for sub in itertools.combinations(range(len(pts)), k) if close(sub)}
+    assert {sub for sub in rows if close(sub)} == brute
+
+
+def test_subset_batches_memory_is_about_two_batches():
+    # every pair of 4,096 points is 8.4 million rows (134 MB of indices)
+    tracemalloc.start()
+    try:
+        for _ in ustat_core._subset_batches(4096, 2):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
 def test_difference_identity():
     kern = pairwise_distance_kernel()
     im = IntensityModel(8.0, UNIT_SQUARE)
@@ -181,6 +259,14 @@ def test_difference_identity():
         lhs = difference(kern, cfg, y)
         rhs = evaluate(kern, cfg.with_point(y)) - evaluate(kern, cfg)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+    # a prefix's sum is the same whether it shares its kernel calls with
+    # other prefixes (here over several calls of _SUBSET_BATCH tuples) or not
+    smooth = UStatKernel(3, lambda t: np.exp(-t.sum(axis=(1, 2))))
+    for kernel, size in ((kern, 1000), (smooth, 60)):
+        cfg = PointConfiguration(UNIT_SQUARE.sample(rng, size))
+        ys = UNIT_SQUARE.sample(rng, 60)[:, None]
+        together = ustat_core._ordered_prefix_sums(kernel, cfg, ys)
+        assert together.tolist() == [ustat_core._ordered_prefix_sums(kernel, cfg, y[None])[0] for y in ys]
 
 
 def test_iterated_difference_order_k():
