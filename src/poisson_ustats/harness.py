@@ -16,9 +16,11 @@ as the record's token, and resets one generator in place per cell.  Each
 cell draws its points from it once through point_process._draw_cell, the
 draw rule of sample_points and sample_lines.  Then point_process._check_cells
 runs every PointConfiguration check on all cells of the lambda, in stacked
-blocks, and ustat_core._evaluate_many computes their kernel sums together,
-grouped by configuration size; every value equals evaluate on the sampled
-configuration of that cell alone.
+blocks, and ustat_core._evaluate_many computes their kernel sums together:
+exhaustive kernels grouped by configuration size, local kernels on one
+cell grid per group of consecutive cells (at most _GROUP_RUNS partner runs);
+every value equals evaluate on the sampled configuration of that cell
+alone, bit for bit.
 """
 
 from __future__ import annotations

@@ -15,7 +15,10 @@ the chaos decomposition, and the closed-form variance
 Every such sum runs over one enumerator, _anchor_subsets: an anchor point
 plus k - 1 of its partners (every later point for exhaustive sums, the
 later-ranked points of adjacent grid cells for local kernels), in batches
-of exactly _SUBSET_BATCH rows but the last.
+of exactly _SUBSET_BATCH rows but the last.  _evaluate_many enumerates
+many configurations of a local kernel on one grid, the configuration index
+being the slowest digit of the cell id, and sums each configuration's
+values in its own _SUBSET_BATCH slices, as if it were enumerated alone.
 
 The variance terms, the fourth-power norms of the local bound and the
 fourth-moment terms M_ij are all integrals of a product of kernel copies
@@ -394,6 +397,8 @@ def _product_integral(fn, order: int, window: Window, integrator: Integrator, q:
 
 # subsets per enumerated batch, and tuples per kernel call of _evaluate_many and _ordered_prefix_sums
 _SUBSET_BATCH = 1 << 15
+# most partner runs, points times (3^(d-1) + 1) / 2, of one local grid of _evaluate_many
+_GROUP_RUNS = 1 << 13
 
 
 def _anchor_subsets(k: int, anchors: np.ndarray, lo: np.ndarray, hi: np.ndarray, partner: np.ndarray):
@@ -446,36 +451,51 @@ def _subset_batches(n: int, k: int):
     return _anchor_subsets(k, everyone, everyone + 1, np.full(n, n), everyone)
 
 
-def _local_subset_batches(points: np.ndarray, delta: float, k: int):
-    """Yield index arrays (m, k) covering every k-subset of diameter <= delta.
+def _local_subset_batches(points: np.ndarray, delta: float, k: int, sizes):
+    """Yield index arrays (m, k) covering every k-subset of diameter <= delta
+    of each of the stacked point arrays, of positive ``sizes``.
 
     Points are binned on an axis-aligned grid with cell edge delta and ranked
-    by cell id.  A subset of diameter <= delta lies in the 3^d cell
-    neighbourhood of its lowest-ranked point, and its other points sit in
-    cells of equal or higher id there.  Those points are the anchor's
-    partners, and a candidate subset is an anchor plus k - 1 of its partners,
-    so each subset is enumerated once.  Candidates wider than delta
-    contribute exactly 0 under the locality contract.  The anchors, in rank
-    order, and their flattened partner runs go to _anchor_subsets.
+    by cell id, ties in input order.  A subset of diameter <= delta lies in
+    the 3^d cell neighbourhood of its lowest-ranked point, and its other
+    points sit in cells of equal or higher id there.  Those points are the
+    anchor's partners, and a candidate subset is an anchor plus k - 1 of its
+    partners, so each subset is enumerated once.  Candidates wider than
+    delta contribute exactly 0 under the locality contract.  The anchors, in
+    rank order, and their flattened partner runs go to _anchor_subsets.
+
+    Each array (owner) shrinks its own gaps and is the slowest digit of the
+    mixed-radix cell id, so cells of different owners are never adjacent and
+    an owner's rows come consecutively, in owner order, as the rows of its
+    array alone (shifted by its offset); only batch boundaries differ.
+    A grid whose stacked ids reach 1 << 62 raises CapacityError; the
+    groups of _evaluate_many are too small for that unless they hold a single
+    array.
     """
     n, d = points.shape
+    sizes = np.asarray(sizes, dtype=np.intp)
+    starts = np.concatenate(([0], sizes.cumsum()))
+    owner = np.repeat(np.arange(len(sizes)), sizes)
     keys = np.floor(points / delta).astype(np.int64)
-    # per axis, shrink gaps of two or more cells to exactly two: adjacency is
-    # unchanged and the mixed-radix cell id below stays small
+    # per axis and owner, shrink gaps of two or more cells to exactly two:
+    # adjacency is unchanged and the mixed-radix cell id below stays small
     for a in range(d):
-        rank = np.argsort(keys[:, a])
-        keys[rank, a] = np.concatenate(([1], 1 + np.cumsum(np.minimum(np.diff(keys[rank, a]), 2))))
+        rank = np.lexsort((keys[:, a], owner))
+        shrunk = np.concatenate(([0], np.cumsum(np.minimum(np.diff(keys[rank, a]), 2))))
+        keys[rank, a] = 1 + shrunk - np.repeat(shrunk[starts[:-1]], sizes)
     radix = keys.max(axis=0) + 2
-    if math.prod(int(r) for r in radix) >= 1 << 62:
+    per_owner = math.prod(radix.tolist())
+    if len(sizes) * per_owner >= 1 << 62:
         raise CapacityError(f"grid of {n} points in dimension {d} has too many cells to index")
     weights = np.concatenate(([1], np.cumprod(radix[:-1])))
-    cell = keys @ weights
-    order = np.argsort(cell)
+    cell = keys @ weights + owner * per_owner
+    order = np.argsort(cell, kind="stable")
     cell = cell[order]
     # ids are mixed radix with axis 0 fastest, so the three cells along axis 0
     # at a fixed offset h of the other axes have consecutive ids: the
     # partners of rank r are the run from r + 1 to the end of its cell id + 1,
-    # plus one three-cell run for each h that raises the id
+    # plus one three-cell run for each h that raises the id; every key digit
+    # has a margin of one cell, so no run leaves its owner
     others = np.array(list(itertools.product((-1, 0, 1), repeat=d - 1)), dtype=np.int64)
     raise_id = others.reshape(3 ** (d - 1), d - 1) @ weights[1:]
     raise_id = raise_id[raise_id > 0]
@@ -504,14 +524,18 @@ def evaluate(kernel: UStatKernel, config: PointConfiguration, *, exhaustive: boo
 def _evaluate_many(kernel: UStatKernel, point_arrays, *, exhaustive: bool = False) -> list:
     """evaluate for each (n_i, d) point array, as a list of floats.
 
-    Each value is k! times the fsum of per-batch sums over the batches of
-    _subset_batches (or _local_subset_batches), the fixed _SUBSET_BATCH
-    batches of the one enumerator _anchor_subsets, so it does not depend on
-    which other arrays are passed.  Exhaustive sums group the arrays by
-    size: each subset batch is indexed once per size and applied to as many
-    same-size arrays as fit in one kernel call of at most _SUBSET_BATCH
-    tuples, whose row sums are each array's batch sums.  Local kernels
-    enumerate their grid per array.  Tuples are gathered by np.take along
+    Each value is k! times the fsum of the array's batch sums: the sums of
+    its rows of _subset_batches (or _local_subset_batches) in consecutive
+    slices of _SUBSET_BATCH rows, the fixed batches of the one enumerator
+    _anchor_subsets, so it does not depend on which other arrays are
+    passed.  Exhaustive sums group the arrays by size: each subset batch is
+    indexed once per size and applied to as many same-size arrays as fit in
+    one kernel call of at most _SUBSET_BATCH tuples, whose row sums are each
+    array's batch sums.  Local kernels stack consecutive arrays of at least
+    k points in groups of at most _GROUP_RUNS partner runs (a larger array
+    alone) and enumerate each group on one grid; a kernel call takes one
+    batch of the group's rows, and _owner_slice_sums cuts each array's
+    slices out of the calls' values.  Tuples are gathered by np.take along
     axis 0, the same copy as fancy indexing but faster in numpy.
     """
     if not kernel.symmetric:
@@ -519,12 +543,29 @@ def _evaluate_many(kernel: UStatKernel, point_arrays, *, exhaustive: bool = Fals
     k = kernel.order
     parts = [[] for _ in point_arrays]
     if kernel.locality is not None and not exhaustive:
-        for pts, out in zip(point_arrays, parts):
+        # a grid stores (3^(d-1) + 1) / 2 partner runs per point; holding at
+        # most _GROUP_RUNS of them keeps a grid of several arrays near one
+        # batch of tuples in size, and its stacked ids, at most C (2C - 1)^d
+        # for C points, far below 1 << 62 (2e15 at most, in dimension 5)
+        groups, held = [], _GROUP_RUNS
+        for i, pts in enumerate(point_arrays):
             if len(pts) >= k:
-                out.extend(
-                    float(kernel(np.take(pts, idx, axis=0)).sum())
-                    for idx in _local_subset_batches(pts, kernel.locality, k)
-                )
+                runs = len(pts) * (3 ** (pts.shape[1] - 1) + 1) // 2
+                if held + runs > _GROUP_RUNS:
+                    groups.append([])
+                    held = 0
+                groups[-1].append(i)
+                held += runs
+        for group in groups:
+            rows = np.concatenate([point_arrays[i] for i in group])
+            sizes = [len(point_arrays[i]) for i in group]
+            owner = np.repeat(group, sizes)
+            batches = (
+                (owner[idx[:, 0]], kernel(np.take(rows, idx, axis=0)))
+                for idx in _local_subset_batches(rows, kernel.locality, k, sizes)
+            )
+            for i, v in _owner_slice_sums(batches):
+                parts[i].append(v)
     else:
         by_size = {}
         for i, pts in enumerate(point_arrays):
@@ -542,6 +583,27 @@ def _evaluate_many(kernel: UStatKernel, point_arrays, *, exhaustive: bool = Fals
                     for i, v in zip(group, sums.tolist()):
                         parts[i].append(v)
     return [math.factorial(k) * math.fsum(p) for p in parts]
+
+
+def _owner_slice_sums(batches):
+    """Yield (owner, sum) for every _SUBSET_BATCH consecutive values of one
+    owner (its last slice possibly shorter), from (owners, values) batches
+    of one stream in which each owner's values are consecutive.  A slice is
+    summed as one contiguous array, as if its owner's values had come alone
+    in batches of _SUBSET_BATCH, whatever the batch boundaries."""
+    held, current = np.zeros(0), None
+    for owners, values in batches:
+        cuts = np.flatnonzero(owners[1:] != owners[:-1]) + 1
+        for own, vals in zip(owners[np.concatenate(([0], cuts))].tolist(), np.split(values, cuts)):
+            if own != current and len(held):
+                yield current, float(held.sum())
+                held = held[:0]
+            held, current = np.concatenate([held, vals]), own
+            while len(held) >= _SUBSET_BATCH:
+                yield current, float(held[:_SUBSET_BATCH].sum())
+                held = held[_SUBSET_BATCH:]
+    if len(held):
+        yield current, float(held.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -567,15 +629,12 @@ def _ordered_prefix_sums(kernel: UStatKernel, config: PointConfiguration, fixed:
         for s in range(0, m, step):
             fb = fixed[s : s + step]
             mm = len(fb)
-            # keep this construction: its memory layout fixes the order in which kernels sum over a tuple
-            tup = np.concatenate(
-                [
-                    np.broadcast_to(fb[:, None, :, :], (mm, count, i, d)),
-                    np.broadcast_to(sub[None], (mm, count, r, d)),
-                ],
-                axis=2,
-            ).reshape(mm * count, k, d)
-            out[s : s + step] += kernel(tup).reshape(mm, count).sum(axis=1)
+            # C-contiguous, as evaluate's tuples are: a kernel that reduces
+            # over a tuple then sums in the same order on both
+            tup = np.empty((mm, count, k, d))
+            tup[:, :, :i] = fb[:, None]
+            tup[:, :, i:] = sub
+            out[s : s + step] += kernel(tup.reshape(mm * count, k, d)).reshape(mm, count).sum(axis=1)
     return math.factorial(r) * out
 
 

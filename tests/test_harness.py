@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poisson_ustats import cli, clt_bounds, harness
+from poisson_ustats import cli, clt_bounds, harness, ustat_core
 from poisson_ustats import (
     BallWindow,
     BoxWindow,
@@ -314,16 +314,31 @@ def _order3_kernel() -> UStatKernel:
     return UStatKernel(3, lambda t: np.prod(t[..., 0], axis=1) + t.sum(axis=(1, 2)), name="order-3", geometric=True)
 
 
+def _local_order3_kernel(delta: float) -> UStatKernel:
+    """A smooth weight on triples of diameter <= delta: its sums are not
+    multiples of a common step, so a reordered sum shows in the last bits."""
+
+    def fn(t):
+        gaps = np.linalg.norm(t[:, :, None, :] - t[:, None, :, :], axis=-1)
+        return np.all(gaps <= delta, axis=(1, 2)) * np.exp(-t.sum(axis=(1, 2)))
+
+    return UStatKernel(3, fn, name="local-order-3", geometric=True, locality=delta)
+
+
 # (window, kernel, lambdas, replicates).  The small lambdas give empty and
 # below-order configurations; at lam 40 the order-3 size groups need several
 # kernel calls of 32,768 tuples each, and at lam 300 a configuration has more
-# than 256 points and so more than one batch of pairs.
+# than 256 points and so more than one batch of pairs.  The local kernels'
+# largest lambda spreads its cells over more than one grid; gilbert-count
+# sums are multiples of 1/2, the local-length and local-order-3 sums are not.
 SIMULATE_CASES = {
     "box-pairs": (UNIT_SQUARE, pairwise_distance_kernel(), (0.5, 3.0, 12.0), 40),
     "ball-order-1": (BallWindow(1.0, 3), UStatKernel(1, lambda t: t[:, 0, 0] ** 2, name="x2"), (0.2, 2.0), 40),
     "lines": (LineWindow(1.0), line_intersection_kernel(LineWindow(1.0)), (0.1, 1.0, 4.0), 40),
     "box-order-3": (UNIT_SQUARE, _order3_kernel(), (1.0, 40.0), 100),
-    "local": (UNIT_SQUARE, gilbert_kernel(0.2), (2.0, 60.0), 30),
+    "local": (UNIT_SQUARE, gilbert_kernel(0.2), (2.0, 60.0, 200.0), 30),
+    "local-length": (UNIT_SQUARE, gilbert_kernel(0.2, "euclidean"), (2.0, 60.0, 200.0), 30),
+    "local-order-3": (UNIT_SQUARE, _local_order3_kernel(0.1), (2.0, 40.0, 150.0), 30),
     "large": (UNIT_SQUARE, pairwise_distance_kernel(), (300.0,), 3),
 }
 
@@ -397,6 +412,39 @@ def test_rate_run_spawns_one_stream_per_cell(monkeypatch):
     assert runs == [[7, (li,), list(range(100)), 100] for li in range(3)]
     assert calls["spawn_rng"] == 0
     assert calls["stream_token"] == 0
+
+
+def test_local_rate_run_enumerates_one_grid_per_group(monkeypatch):
+    # each lambda's local configurations share one cell grid per group of
+    # consecutive cells (at most _GROUP_RUNS partner runs, two per point in
+    # the plane); no grid is built per cell
+    grids = []
+    enumerate_grid = ustat_core._local_subset_batches
+
+    def counted(points, delta, k, sizes):
+        grids.append(list(sizes))
+        return enumerate_grid(points, delta, k, sizes)
+
+    monkeypatch.setattr(ustat_core, "_local_subset_batches", counted)
+    config = ExperimentConfig(
+        kernel=gilbert_kernel(0.1), window=UNIT_SQUARE, lambdas=(5.0, 20.0, 60.0), replicates=100,
+        integrator=Integrator(samples=256, seed=2), seed=7,
+    )
+    fit = rate_experiment(config)
+    assert len(fit.records) == 300
+    expected = []
+    for li, lam in enumerate(config.lambdas):
+        held = None
+        for r in range(100):
+            n = sample_points(config.intensity(lam), spawn_rng(7, li, r)).size
+            if n >= 2:
+                if held is None or held + 2 * n > ustat_core._GROUP_RUNS:
+                    expected.append([])
+                    held = 0
+                expected[-1].append(n)
+                held += 2 * n
+    assert grids == expected
+    assert [len(g) for g in grids] == [97, 100, 67, 33]  # cells with two or more points
 
 
 # ---------------------------------------------------------------------------

@@ -168,9 +168,95 @@ def test_locality_counts_pairs_exactly_delta_apart(pts, delta):
 
 
 def test_locality_grid_too_large_to_index():
-    cfg = PointConfiguration(spawn_rng(8, "wide").random((100, 10)))
+    wide = spawn_rng(8, "wide").random((100, 10))
     with pytest.raises(CapacityError):
-        evaluate(gilbert_kernel(1e-3), cfg)
+        evaluate(gilbert_kernel(1e-3), PointConfiguration(wide))
+    # also when the wide array is one of several evaluated together, or
+    # stacked on one grid with small ones
+    small = [spawn_rng(8, "small", i).random((5, 10)) for i in range(3)]
+    with pytest.raises(CapacityError):
+        ustat_core._evaluate_many(gilbert_kernel(1e-3), [small[0], wide, *small[1:]])
+    with pytest.raises(CapacityError):
+        ustat_core._local_subset_batches(np.concatenate([small[0], wide, *small[1:]]), 1e-3, 2, [5, 100, 5, 5])
+
+
+def _grid_ids(points: np.ndarray, delta: float) -> int:
+    """The cell ids of one array's grid when every axis has its keys two or
+    more cells apart: each axis shrinks to keys 1, 3, ..., 2n - 1 and so has
+    radix 2n + 1."""
+    keys = np.sort(np.floor(points / delta), axis=0)
+    assert np.all(np.diff(keys, axis=0) >= 2)
+    return (2 * len(points) + 1) ** points.shape[1]
+
+
+def test_batched_locality_never_refuses_what_one_array_admits():
+    # arrays of 58 points in dimension 8 with a tiny delta: every axis ranks
+    # 58 keys two apart, so each array alone indexes 117^8 ~ 2^55 cell ids,
+    # and 150 of them on one grid would pass 1 << 62 with the owner digit
+    kern = gilbert_kernel(1e-9)
+    arrays = [spawn_rng(9, "near-2^55", i).random((58, 8)) for i in range(150)]
+    ids = [_grid_ids(a, 1e-9) for a in arrays]
+    assert all(2**54 < n < 2**56 for n in ids)
+    assert len(arrays) * max(ids) >= 1 << 62
+    assert ustat_core._evaluate_many(kern, arrays) == [evaluate(kern, PointConfiguration(a)) for a in arrays]
+
+
+def test_batched_grids_stay_far_below_the_id_limit():
+    # a group of several arrays holds at most C points for C = _GROUP_RUNS
+    # over the runs per point, each axis of its shrunk keys ranks at most
+    # 2 C - 1 values, so its stacked ids number at most C (2 C - 1)^d
+    for d in range(1, 16):
+        most = ustat_core._GROUP_RUNS // ((3 ** (d - 1) + 1) // 2)
+        assert most < 2 or most * (2 * most - 1) ** d < 1 << 61
+
+
+@st.composite
+def _batched_cases(draw):
+    """Point arrays for one local kernel: empty and below-order ones, each in
+    its own box offset by whole cells, some points on the cell edges."""
+    dim = draw(st.integers(1, 3))
+    order = draw(st.integers(1, 3))
+    delta = draw(st.sampled_from([0.125, 0.25, 0.5]))
+    rng = spawn_rng(draw(st.integers(0, 2**16)), "batched")
+    arrays = []
+    for _ in range(draw(st.integers(1, 8))):
+        n = draw(st.integers(0, 12 if order == 3 else 30))
+        on_edge = draw(st.integers(0, n))
+        pts = np.concatenate([rng.integers(0, int(1 / delta) + 1, (on_edge, dim)) * delta, rng.random((n - on_edge, dim))])
+        pts += rng.integers(-40, 40, dim) * delta
+        first = np.sort(np.unique(pts, axis=0, return_index=True)[1])  # drop repeated edge points
+        arrays.append(pts[first])
+    return _diameter_kernel(order, delta, weighted=draw(st.booleans())), arrays
+
+
+@given(_batched_cases(), st.sampled_from([None, 1, 5, 64]), st.sampled_from([None, 6, 60]))
+@settings(max_examples=80, deadline=None)
+def test_batched_locality_matches_single_arrays(case, batch, runs):
+    # the per-array slices straddle the kernel calls of a group at small
+    # batch sizes, and small run caps split the arrays into several groups
+    kern, arrays = case
+    with mock.patch.object(ustat_core, "_SUBSET_BATCH", batch or ustat_core._SUBSET_BATCH):
+        with mock.patch.object(ustat_core, "_GROUP_RUNS", runs or ustat_core._GROUP_RUNS):
+            many = ustat_core._evaluate_many(kern, arrays)
+            alone = [evaluate(kern, PointConfiguration(a)) for a in arrays]
+            full = ustat_core._evaluate_many(kern, arrays, exhaustive=True)
+    assert list(map(repr, many)) == list(map(repr, alone))
+    assert many == pytest.approx(full, rel=1e-12, abs=0.0)
+
+
+def test_batched_locality_memory_stays_bounded():
+    # 300 arrays of about 200 points (59,765 points, 465,015 candidate
+    # pairs) enumerated together; one grid for all of them peaks at about 17 MB
+    rng = spawn_rng(10, "memory")
+    arrays = [rng.random((rng.poisson(200), 2)) for _ in range(300)]
+    kern = gilbert_kernel(0.1)
+    tracemalloc.start()
+    try:
+        ustat_core._evaluate_many(kern, arrays)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def _assert_combinations(batches, n: int, k: int, batch: int) -> None:
@@ -224,7 +310,7 @@ def _edge_cases(draw):
 def test_local_subsets_hold_every_close_subset_once(case):
     pts, delta, k, batch = case
     with mock.patch.object(ustat_core, "_SUBSET_BATCH", batch or ustat_core._SUBSET_BATCH):
-        batches = list(ustat_core._local_subset_batches(pts, delta, k))
+        batches = list(ustat_core._local_subset_batches(pts, delta, k, [len(pts)]))
         assert all(len(rows) == ustat_core._SUBSET_BATCH for rows in batches[:-1])
     rows = [tuple(sorted(r)) for r in np.concatenate(batches or [np.zeros((0, k), np.intp)]).tolist()]
     assert len(rows) == len(set(rows))
@@ -267,6 +353,36 @@ def test_difference_identity():
         ys = UNIT_SQUARE.sample(rng, 60)[:, None]
         together = ustat_core._ordered_prefix_sums(kernel, cfg, ys)
         assert together.tolist() == [ustat_core._ordered_prefix_sums(kernel, cfg, y[None])[0] for y in ys]
+
+
+def _contiguous_kernel(order: int, delta=None) -> UStatKernel:
+    """A smooth kernel that reduces over each tuple, so its values depend on
+    the memory layout of the tuples; it asserts that they are C-contiguous."""
+
+    def fn(t):
+        assert t.flags.c_contiguous, t.strides
+        close = 1.0 if delta is None else np.all(np.linalg.norm(t[:, :, None] - t[:, None], axis=-1) <= delta, axis=(1, 2))
+        return close * np.exp(-t.sum(axis=(1, 2)))
+
+    return UStatKernel(order, fn, locality=delta)
+
+
+def test_kernels_get_c_contiguous_tuples():
+    rng = spawn_rng(6, "contiguous")
+    cfg = PointConfiguration(UNIT_SQUARE.sample(rng, 40))
+    for kern in (_contiguous_kernel(3), _contiguous_kernel(2, 0.3), _contiguous_kernel(3, 0.3)):
+        evaluate(kern, cfg)
+        evaluate(kern, cfg, exhaustive=True)
+        ustat_core._evaluate_many(kern, [cfg.points, cfg.points[:7], cfg.points[7:30]])
+        ustat_core._evaluate_many(kern, [cfg.points, cfg.points[:7], cfg.points[7:30]], exhaustive=True)
+        for i in range(1, kern.order + 1):
+            iterated_difference(kern, cfg, UNIT_SQUARE.sample(rng, i))
+    # one subset (of the two configuration points) joined to 40 prefixes in one kernel call
+    kern = _contiguous_kernel(3)
+    two = PointConfiguration(cfg.points[:2])
+    ys = UNIT_SQUARE.sample(rng, 40)[:, None]
+    together = ustat_core._ordered_prefix_sums(kern, two, ys)
+    assert together.tolist() == [ustat_core._ordered_prefix_sums(kern, two, y[None])[0] for y in ys]
 
 
 def test_iterated_difference_order_k():
