@@ -322,8 +322,25 @@ def line_intersection_kernel(window: LineWindow, region_radius: Optional[float] 
     """Order-2 kernel counting line crossings inside a disk.
 
     Lines are (angle, offset) points; the kernel is (1/2) per ordered pair
-    whose intersection point exists and lies within region_radius of the
-    origin (default: the window radius).  Parallel pairs contribute 0.
+    whose intersection point exists and lies within region_radius r of the
+    origin (default: the window radius).  Parallel pairs, |sin D| <=
+    ORIENTATION_TOL as in :func:`line_intersection`, contribute 0.
+
+    With D = phi2 - phi1 the crossing x of (phi1, p1) and (phi2, p2) obeys
+    |x|^2 sin^2 D = p1^2 + p2^2 - 2 p1 p2 cos D (the law of cosines on the two
+    unit normals), so a pair counts when the right-hand side is at most
+    r^2 sin^2 D: two trigonometric calls per pair and no division.
+
+    Exact moments on LineWindow(R) with r = R (Santalo, Integral Geometry
+    and Geometric Probability, 1976):
+
+    * int f dtheta^2 = pi^2 R^2: Blaschke-Petkantschin gives
+      dG1 dG2 = |sin D| dx dphi1 dphi2, and |sin D| integrates to 2 pi over
+      [0, pi)^2;
+    * T_2 = 2 int f^2 dtheta^2 = pi^2 R^2;
+    * T_1 = 4 int (int f dtheta)^2 dtheta = 64 pi R^3 / 3: the lines meeting
+      a chord of length l have measure 2 l, so int f(L, .) dtheta = l(L) =
+      2 sqrt(R^2 - p^2).
     """
     if not isinstance(window, LineWindow):
         raise ConfigError("line intersections need a line window")
@@ -336,12 +353,10 @@ def line_intersection_kernel(window: LineWindow, region_radius: Optional[float] 
         t = np.asarray(tuples, dtype=float)
         phi1, p1 = t[:, 0, 0], t[:, 0, 1]
         phi2, p2 = t[:, 1, 0], t[:, 1, 1]
-        det = np.sin(phi2 - phi1)
+        turn = phi2 - phi1
+        det = np.sin(turn)
         ok = np.abs(det) > ORIENTATION_TOL
-        safe = np.where(ok, det, 1.0)
-        x = (p1 * np.sin(phi2) - p2 * np.sin(phi1)) / safe
-        y = (p2 * np.cos(phi1) - p1 * np.cos(phi2)) / safe
-        inside = ok & (x * x + y * y <= r_sq)
+        inside = ok & (p1 * p1 + p2 * p2 - 2.0 * p1 * p2 * np.cos(turn) <= r_sq * det * det)
         return 0.5 * inside
 
     return UStatKernel(order=2, fn=fn, name="line-intersections", geometric=True)

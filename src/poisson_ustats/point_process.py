@@ -187,7 +187,14 @@ class LineWindow:
         return out
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.from_unit(rng.random((n, 2)))
+        # from_unit in place on the fresh draw: the same operations in order
+        u = rng.random((n, 2))
+        u[:, 0] *= math.pi
+        col = u[:, 1]
+        col *= 2.0
+        col -= 1.0
+        col *= self.radius
+        return u
 
 
 Window = Union[BoxWindow, BallWindow, LineWindow]

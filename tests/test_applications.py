@@ -38,6 +38,7 @@ from poisson_ustats import (
 )
 from poisson_ustats._streams import spawn_rng
 from poisson_ustats.applications import _distance
+from poisson_ustats.ustat_core import _variance_term
 
 UNIT_SQUARE = BoxWindow(((0.0, 1.0), (0.0, 1.0)))
 SIGN_WINDOW = BoxWindow(((-1.0, 1.0),))
@@ -315,6 +316,77 @@ def test_line_intersection_kernel_counts():
         np.array([[0.0, 0.9], [0.02, 0.95]]), kind="lines", window=win
     )
     assert evaluate(kern, far) == 0.0
+
+
+def _oracle_line_values(pairs, r_sq):
+    """The scalar solver's kernel values, 0.5 * 1{|pt|^2 <= r^2}, and |pt|^2
+    (inf for a parallel pair)."""
+    values = np.zeros(len(pairs))
+    dist_sq = np.full(len(pairs), np.inf)
+    for m, (a, b) in enumerate(pairs):
+        pt = line_intersection(a, b)
+        if pt is not None:
+            dist_sq[m] = pt @ pt
+            values[m] = 0.5 * (dist_sq[m] <= r_sq)
+    return values, dist_sq
+
+
+@pytest.mark.parametrize("radius", [1.0, 2.5])
+def test_line_intersection_kernel_matches_the_scalar_solver(radius):
+    win = LineWindow(radius)
+    kern = line_intersection_kernel(win)
+    r_sq = radius * radius
+    rng = spawn_rng(18, "line-oracle", int(10 * radius))
+    uniform = win.sample(rng, 2 * 100_000).reshape(-1, 2, 2)
+    # near-parallel pairs on both sides of ORIENTATION_TOL = 1e-12, half of
+    # them with equal offsets
+    first = win.sample(rng, 4000)
+    turns = np.repeat([1e-13, -1e-13, 1e-11, -1e-11], 1000)
+    offsets = np.where(np.arange(4000) % 2 == 0, first[:, 1], win.sample(rng, 4000)[:, 1])
+    near = np.stack([first, np.column_stack([first[:, 0] + turns, offsets])], axis=1)
+    pairs = np.concatenate([uniform, near])
+
+    got = kern(pairs)
+    want, dist_sq = _oracle_line_values(pairs, r_sq)
+    # pairs whose crossing lies within rounding of the circle may differ
+    in_band = np.abs(dist_sq - r_sq) <= 1e-9 * r_sq
+    assert int(in_band.sum()) == 0
+    np.testing.assert_array_equal(got, want)
+    assert np.array_equal(kern(pairs[:, ::-1]), got)
+    near_values = got[len(uniform):]
+    assert np.all(near_values[np.abs(turns) < 1e-12] == 0.0)
+    # an equal-offset pair turned by 1e-11 crosses at distance |p| < r
+    assert np.all(near_values[(np.abs(turns) > 1e-12) & (offsets == first[:, 1])] == 0.5)
+
+    cases = np.array([
+        [[0.4, 0.3], [0.4 + 1e-13, 0.3]],  # parallel within the tolerance
+        [[0.4, 0.3], [0.4 + 1e-11, 0.3]],  # crosses at distance 0.3
+        [[0.0, radius], [math.pi / 2.0, 0.0]],  # crosses at (r, 0), on the circle
+        [[math.pi / 2.0, radius], [0.0, 0.0]],  # (0, r)
+        [[0.0, -radius], [math.pi / 2.0, 0.0]],  # (-r, 0)
+    ])
+    expected = [0.0, 0.5, 0.5, 0.5, 0.5]
+    assert kern(cases).tolist() == expected
+    assert kern(cases[:, ::-1]).tolist() == expected
+    assert _oracle_line_values(cases, r_sq)[0].tolist() == expected
+
+
+@pytest.mark.parametrize("radius", [1.0, 2.0])
+def test_line_intersection_exact_moments(radius):
+    # the Blaschke-Petkantschin and Crofton values of the kernel's docstring
+    win = LineWindow(radius)
+    kern = line_intersection_kernel(win)
+    fine = Integrator(samples=200_000, seed=3)
+    mean = fine.integrate(kern, win, 2, path=("line-moments",))
+    t2 = _variance_term(kern, win, fine, 2)
+    t1 = _variance_term(kern, win, Integrator(samples=20_000, seed=3), 1)
+    for est, exact in (
+        (mean, math.pi**2 * radius**2),
+        (t2, math.pi**2 * radius**2),
+        (t1, 64.0 * math.pi * radius**3 / 3.0),
+    ):
+        assert 0.0 < est.se < 0.01 * exact
+        assert est.within(exact, 4.0), (est, exact)
 
 
 def test_line_intersection_campbell_mean():

@@ -262,6 +262,17 @@ def test_box_sampling_matches_from_unit():
     assert np.all(box.contains(drawn))
 
 
+@pytest.mark.parametrize("radius", [1.0, 2.5, 0.3, 7.0])
+@pytest.mark.parametrize("n", [0, 1, 17, 1000])
+def test_line_sampling_matches_from_unit(radius, n):
+    win = LineWindow(radius)
+    drawn = win.sample(spawn_rng(8, "lines", n), n)
+    mapped = win.from_unit(spawn_rng(8, "lines", n).random((n, 2)))
+    assert drawn.shape == (n, 2) and drawn.dtype == mapped.dtype
+    assert drawn.tobytes() == mapped.tobytes()
+    assert np.all(win.contains(drawn))
+
+
 def test_with_point_and_without_index():
     cfg = PointConfiguration(np.array([[0.1, 0.1], [0.5, 0.5]]), window=UNIT_SQUARE)
     grown = cfg.with_point([0.9, 0.9])
