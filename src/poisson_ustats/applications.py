@@ -171,16 +171,22 @@ def line_intersection(line_a, line_b) -> Optional[np.ndarray]:
 def _distance(a: np.ndarray, b) -> np.ndarray:
     """Euclidean norms of the rows of ``a - b`` (a of shape (n, d)).
 
-    Squares the differences, adds the columns in coordinate order and takes
-    the square root: the operations of np.linalg.norm(a - b, axis=1) in the
-    same order, so the values are bit-identical, without numpy's slow
-    reduction over a short last axis.
+    ``b`` is an (n, d) array or one (d,) point.  Works column by column:
+    for each coordinate in order it subtracts, squares and adds the square
+    to a running total, then takes the square root in place.  These are the
+    operations of np.linalg.norm(a - b, axis=1) in the same order, so the
+    values are bit-identical.  Every numpy call runs along the long axis:
+    the kernels pass strided views ``t[:, 0, :]`` of their (n, 2, d) tuples,
+    and an operation on such an (n, d) view, or a reduction over its short
+    last axis, runs several times slower than on one column.
     """
-    sq = np.square(a - b)
-    total = sq[:, 0]
-    for c in range(1, sq.shape[1]):
-        total = total + sq[:, c]
-    return np.sqrt(total)
+    total = a[:, 0] - b[..., 0]
+    total *= total
+    for c in range(1, a.shape[1]):
+        diff = a[:, c] - b[..., c]
+        diff *= diff
+        total += diff
+    return np.sqrt(total, out=total)
 
 
 def gilbert_kernel(delta: float, mode: str = "unit") -> UStatKernel:

@@ -95,8 +95,13 @@ class BoxWindow:
         return self._high.copy()
 
     def contains(self, points: np.ndarray) -> np.ndarray:
+        # axis by axis, as the tests along the short last axis are slow
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return ((pts >= self._low) & (pts <= self._high)).all(axis=-1)
+        inside = np.ones(pts.shape[:-1], dtype=bool)
+        for c, (lo, hi) in enumerate(self.bounds):
+            col = pts[..., c]
+            inside &= (col >= lo) & (col <= hi)
+        return inside
 
     def from_unit(self, u: np.ndarray) -> np.ndarray:
         """Map uniform unit-cube variates (shape (..., d)) into the box."""
@@ -133,8 +138,14 @@ class BallWindow:
         return unit_ball_volume(self.dimension) * self.radius**self.dimension
 
     def contains(self, points: np.ndarray) -> np.ndarray:
+        # the squares added in coordinate order, as np.linalg.norm(axis=-1)
+        # does, so the norms are bit-identical to it without its slow
+        # reduction over the short last axis
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.linalg.norm(pts, axis=-1) <= self.radius
+        total = np.square(pts[..., 0])
+        for c in range(1, self.dimension):
+            total += np.square(pts[..., c])
+        return np.sqrt(total, out=total) <= self.radius
 
     # no from_unit: sampling is by rejection, so stratified drivers are not
     # available for ball windows
@@ -145,7 +156,7 @@ class BallWindow:
         while got < n:
             m = max(16, int((n - got) / 0.5) + 8)
             cand = rng.uniform(-self.radius, self.radius, size=(m, self.dimension))
-            keep = cand[np.linalg.norm(cand, axis=1) <= self.radius]
+            keep = cand[self.contains(cand)]
             take = min(len(keep), n - got)
             out[got : got + take] = keep[:take]
             got += take
@@ -289,18 +300,23 @@ def _check_cells(window: Optional[Window], arrays) -> None:
     array is a block of its own), so each check runs once per block.  Equal
     rows count as repeated only within one array: sorted lexicographically
     by (array, coordinates) they are adjacent, with -0.0 == 0.0 as in
-    np.unique(axis=0).
+    np.unique(axis=0).  Two equal rows have equal first coordinates, so a
+    block whose sorted first column has no two equal neighbours holds no
+    repeat; only a block with such a tie pays for the lexsort.  Drawn
+    coordinates are continuous, so a tie is rare.
     """
 
     def check(block):
         stacked = np.concatenate(block)
         if not np.isfinite(stacked).all():
             raise ConfigError("configuration contains non-finite coordinates")
-        cell = np.repeat(np.arange(len(block)), [len(pts) for pts in block])
-        order = np.lexsort((*stacked.T[::-1], cell))
-        srt, cell = stacked[order], cell[order]
-        if ((srt[1:] == srt[:-1]).all(axis=1) & (cell[1:] == cell[:-1])).any():
-            raise ConfigError("configuration has repeated points")
+        first = np.sort(stacked[:, 0])
+        if (first[1:] == first[:-1]).any():
+            cell = np.repeat(np.arange(len(block)), [len(pts) for pts in block])
+            order = np.lexsort((*stacked.T[::-1], cell))
+            srt, cell = stacked[order], cell[order]
+            if ((srt[1:] == srt[:-1]).all(axis=1) & (cell[1:] == cell[:-1])).any():
+                raise ConfigError("configuration has repeated points")
         if window is not None and not window.contains(stacked).all():
             raise ConfigError("configuration has points outside its window")
 

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
@@ -142,6 +142,32 @@ def test_distance_is_bit_identical_to_linalg_norm(pair):
     assert np.array_equal(got[finite].view(np.int64), want[finite].view(np.int64))
     if got_point is not None:
         assert np.array_equal(got_point, want_point, equal_nan=True)
+
+
+@st.composite
+def _pair_tuples(draw):
+    d = draw(st.integers(min_value=1, max_value=3))
+    m = draw(st.integers(min_value=0, max_value=20))
+    coords = st.lists(_COORDS, min_size=2 * d * m + d, max_size=2 * d * m + d)
+    flat = np.array(draw(coords), dtype=float)
+    return flat[: 2 * d * m].reshape(m, 2, d), flat[2 * d * m :]
+
+
+@given(_pair_tuples())
+# 0.3^2 + 0.5^2 + 0.7^2 rounds differently when added in reverse order
+@example((np.array([[[0.3, 0.5, 0.7], [0.0, 0.0, 0.0]]]), np.zeros(3)))
+@settings(max_examples=300, deadline=None)
+def test_distance_on_kernel_views_is_bit_identical_to_linalg_norm(case):
+    # the kernels pass strided column views of C-contiguous (m, 2, d) tuples
+    t, anchor = case
+    assert t.flags.c_contiguous
+    a, b = t[:, 0, :], t[:, 1, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairs = [(_distance(a, b), np.linalg.norm(a - b, axis=1))]
+        pairs.append((_distance(a, anchor), np.linalg.norm(a - anchor, axis=1)))
+    for got, want in pairs:
+        assert got.shape == want.shape == (len(t),)
+        assert got.tobytes() == want.tobytes()
 
 
 @given(

@@ -254,6 +254,61 @@ def test_check_cells_counts_repeats_within_a_cell_only():
     point_process._check_cells(None, [np.array([[5.0, -5.0]])])
 
 
+def test_check_cells_sorts_first_and_lexsorts_only_on_a_tie():
+    # distinct rows that share a first coordinate pass
+    point_process._check_cells(UNIT_SQUARE, [np.array([[0.5, 0.25], [0.5, 0.75], [0.5, 0.0]])])
+    # the same row in two arrays of one block passes
+    row = np.array([[0.3, 0.6]])
+    point_process._check_cells(UNIT_SQUARE, [np.vstack([row, [[0.1, 0.2]]]), np.vstack([[[0.9, 0.2]], row])])
+    # -0.0 and 0.0 tie in the first coordinate, and the rows are equal
+    with pytest.raises(ConfigError, match="repeated"):
+        point_process._check_cells(UNIT_SQUARE, [np.array([[-0.0, 0.5], [0.5, 0.5], [0.0, 0.5]])])
+    pts = spawn_rng(3, "check").random((point_process._CHECK_POINTS, 2))
+    assert len(np.unique(pts[:, 0])) == len(pts)
+    with mock.patch.object(point_process.np, "lexsort", wraps=np.lexsort) as lexsort:
+        point_process._check_cells(UNIT_SQUARE, [pts])
+        assert lexsort.call_count == 0
+        # one repeat hidden among the random points of one array
+        hidden = pts.copy()
+        hidden[9000] = hidden[123]
+        with pytest.raises(ConfigError, match="repeated"):
+            point_process._check_cells(UNIT_SQUARE, [hidden])
+        assert lexsort.call_count == 1
+
+
+_EDGES = (-1.0, -0.25, 0.0, 0.5, 1.0, 2.0)
+_MEMBER_COORDS = st.one_of(
+    st.sampled_from(_EDGES + (-0.0, math.nan, math.inf, -math.inf, 0.6, 0.8, 1e200, 5e-324)),
+    st.floats(min_value=-3.0, max_value=3.0),
+)
+
+
+@st.composite
+def _membership_cases(draw):
+    dim = draw(st.integers(min_value=1, max_value=3))
+    lead = tuple(draw(st.lists(st.integers(min_value=0, max_value=4), min_size=0, max_size=2)))
+    size = int(np.prod(lead + (dim,)))
+    pts = np.array(draw(st.lists(_MEMBER_COORDS, min_size=size, max_size=size)), dtype=float).reshape(lead + (dim,))
+    bounds = tuple(draw(st.lists(st.sampled_from(_EDGES), min_size=2, max_size=2, unique=True).map(sorted)) for _ in range(dim))
+    radius = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    return pts, BoxWindow(bounds), BallWindow(radius, dim)
+
+
+@given(_membership_cases())
+@settings(max_examples=300, deadline=None)
+def test_window_membership_matches_the_short_axis_expressions(case):
+    pts, box, ball = case
+    rows = np.atleast_2d(pts)
+    want_box = ((rows >= box.lows()) & (rows <= box.highs())).all(axis=-1)
+    with np.errstate(over="ignore"):
+        want_ball = np.linalg.norm(rows, axis=-1) <= ball.radius
+        got_ball = ball.contains(pts)
+    got_box = box.contains(pts)
+    assert got_box.dtype == got_ball.dtype == bool
+    assert got_box.shape == want_box.shape and np.array_equal(got_box, want_box)
+    assert got_ball.shape == want_ball.shape and np.array_equal(got_ball, want_ball)
+
+
 def test_box_sampling_matches_from_unit():
     box = BoxWindow(((-0.3, 1.7), (2.0, 2.5), (-4.0, -1.0)))
     drawn = box.sample(spawn_rng(5, "box"), 50)
