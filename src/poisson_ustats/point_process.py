@@ -55,6 +55,14 @@ def unit_ball_volume(dim: int) -> float:
     raise WindowError(f"dimension {dim} not supported (need 1 <= d <= {_MAX_DIM})")
 
 
+def _as_points(points, width: int) -> np.ndarray:
+    """``points`` as a float array of at least two axes, ``width`` coordinates each."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.shape[-1] != width:
+        raise ConfigError(f"points have {pts.shape[-1]} coordinates, the window takes {width}")
+    return pts
+
+
 @dataclass(frozen=True)
 class BoxWindow:
     """Axis-aligned box given by per-axis (low, high) bounds."""
@@ -96,7 +104,7 @@ class BoxWindow:
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         # axis by axis, as the tests along the short last axis are slow
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = _as_points(points, self.point_dim)
         inside = np.ones(pts.shape[:-1], dtype=bool)
         for c, (lo, hi) in enumerate(self.bounds):
             col = pts[..., c]
@@ -138,14 +146,8 @@ class BallWindow:
         return unit_ball_volume(self.dimension) * self.radius**self.dimension
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        # the squares added in coordinate order, as np.linalg.norm(axis=-1)
-        # does, so the norms are bit-identical to it without its slow
-        # reduction over the short last axis
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        total = np.square(pts[..., 0])
-        for c in range(1, self.dimension):
-            total += np.square(pts[..., c])
-        return np.sqrt(total, out=total) <= self.radius
+        pts = _as_points(points, self.point_dim)
+        return np.linalg.norm(pts, axis=-1) <= self.radius
 
     # no from_unit: sampling is by rejection, so stratified drivers are not
     # available for ball windows
@@ -186,7 +188,7 @@ class LineWindow:
         return 2.0 * math.pi * self.radius
 
     def contains(self, params: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(params, dtype=float))
+        pts = _as_points(params, self.point_dim)
         phi, p = pts[..., 0], pts[..., 1]
         return (phi >= 0.0) & (phi < math.pi) & (np.abs(p) <= self.radius)
 
