@@ -10,6 +10,8 @@ and line.
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import ConfigError
 
 
@@ -20,6 +22,13 @@ def _fmt(value: float) -> str:
 def _csv_text(header, rows) -> str:
     """CSV text of a header and rows of already formatted fields."""
     return "".join(",".join(row) + "\n" for row in (header, *rows))
+
+
+def _csv_numbers(header, line: str, rows) -> str:
+    """CSV text of a header and rows of numbers, every row formatted by the
+    one printf template ``line``, whose "%.17g" fields write what _fmt does."""
+    rows = list(rows)
+    return _csv_text(header, ()) + (line * len(rows)) % tuple(itertools.chain.from_iterable(rows))
 
 
 def _write_text(path, text: str) -> None:

@@ -16,9 +16,10 @@ term depends only on the diagram's block-type vector (which sets of factors
 its blocks join, and how often).  One enumeration of the types, built from
 the factor sizes alone with the number of labelled diagrams of each type,
 serves both: product_expectation contracts every type exactly, and M_ij
-(:func:`m_ij`) estimates the integral of every connected type, its draws
-allocated after a pilot to the types whose integrands spread, into a
-polynomial in lam whose coefficients are lambda-free.  The labelled enumerations
+(:func:`m_ij`) estimates the integral of every connected type, the draws
+of all M_ij of a record allocated after a pilot to the types whose
+integrands spread, into a polynomial in lam whose coefficients are
+lambda-free.  The labelled enumerations
 enumerate_pi and enumerate_pi_bar remain as their reference.
 """
 
@@ -55,8 +56,8 @@ __all__ = [
 
 MAX_PARTITION_VARIABLES = 16
 # the orbit integrals of M_ij draw at most samples * (orbits + |Pi-bar(i,i,j,j)|)
-# tuples, summed over the (i, j) of one call; 10^8 admits M_33 at 1,024
-# samples (42.4M) and refuses an order-4 M_44 at 256 (4.7e9)
+# tuples, summed over every 1 <= i <= j <= k of the record; 10^8 admits an
+# order-3 record at 1,024 samples (45.0M) and refuses an order-4 one at 256 (4.9e9)
 MAX_DIAGRAM_DRAWS = 10**8
 
 
@@ -464,20 +465,27 @@ def _m_orbit_integrals(kernel: UStatKernel, pairs, window: Window, integrator: I
     unit-intensity draws (each batch stratified on its own under
     ``strata`` > 1).
 
-    Each M_ij allocates its draws on its own, by Neyman's rule for its error
-    at unit intensity.  Every orbit first draws one pilot batch on stream
-    ("m-pilot", i, j, o, 0), whose standard error se_o scores it.  Of the
-    sum_o w_o batches that one batch per labelled diagram would take, every
-    orbit keeps one and the others go in proportion to se_o, rounded to
-    whole batches by largest remainder, so an orbit whose pilot shows no
-    spread keeps one.  The estimate uses
-    only these batches, drawn on stream ("m", i, j, o, 0), so it is
-    unbiased, and its ``n`` counts the orbit's allocated draws (an assembled
-    M_ij reports the fewest of its orbits).  The allocation reads nothing
-    but the pair's own pilot values, so outputs reproduce for a seed and
-    m_ij equals the M_ij of a record.  Raises CapacityError, before any
-    draw, when the pilot and allocated draws of the call, ``samples`` times
-    the sum of 1 + w_o over its orbits, exceed MAX_DIAGRAM_DRAWS.
+    One allocation serves the whole record, every pair 1 <= i <= j <= k,
+    by Neyman's rule for the error of sum_{i<=j} sqrt(M_ij) at unit
+    intensity.  Every orbit of every pair first draws one pilot batch on
+    stream ("m-pilot", i, j, o, 0); orbit o of (i, j) is scored g_ij se_o,
+    its pilot standard error times the delta-method gradient
+    g_ij = C(k,i)^2 C(k,j)^2 / (2 sqrt(M_ij)) of the pilots' M_ij (0 when
+    that is not positive; an intensity factor would scale every pair
+    alike).  Of the sum of w_o over the record's orbits, the batches that
+    one per labelled diagram would take, every orbit keeps one and the
+    others go in proportion to the scores, rounded to whole batches by
+    largest remainder, so when no pilot shows spread each orbit keeps one.
+    The estimate uses only these batches, drawn on stream ("m", i, j, o, 0),
+    so it is unbiased, and its ``n`` counts the orbit's allocated draws (an
+    assembled M_ij reports the fewest of its orbits).
+
+    Only the pairs asked for draw their allocated batches, but the pilots
+    of every pair are drawn, so the allocation and the outputs reproduce
+    for a seed and m_ij equals the M_ij of a record bit for bit.  Raises
+    CapacityError, before any draw, when the record's pilot and allocated
+    draws, ``samples`` times the sum of 1 + w_o over its orbits, exceed
+    MAX_DIAGRAM_DRAWS.
     """
     k = kernel.order
     for i, j in pairs:
@@ -485,18 +493,20 @@ def _m_orbit_integrals(kernel: UStatKernel, pairs, window: Window, integrator: I
             raise ConfigError(f"need 1 <= i <= j <= order, got i={i}, j={j}, order={k}")
     if not kernel.symmetric:
         raise ConfigError("m_ij sums diagrams by block type, which needs a symmetric kernel")
-    # per pair (i, j), per orbit o: (o, v_o, slot lists, w_o)
-    plan = []
-    for i, j in pairs:
-        free = (k - i, k - i, k - j, k - j)
-        orbits = []
-        for o, (types, weight) in enumerate(_block_type_orbits((i, i, j, j))):
-            slots, v = _orbit_slots(types, free)
-            orbits.append((o, v, slots, weight))
-        plan.append((i, j, orbits))
-    draws = integrator.samples * sum(1 + weight for _, _, orbits in plan for *_, weight in orbits)
+    # per record pair (i, j), per orbit o: (o, v_o, slot lists, w_o)
+    plan = {}
+    for i in range(1, k + 1):
+        for j in range(i, k + 1):
+            free = (k - i, k - i, k - j, k - j)
+            orbits = []
+            for o, (types, weight) in enumerate(_block_type_orbits((i, i, j, j))):
+                slots, v = _orbit_slots(types, free)
+                orbits.append((o, v, slots, weight))
+            plan[i, j] = orbits
+    budget = sum(weight for orbits in plan.values() for *_, weight in orbits)
+    draws = integrator.samples * (budget + sum(map(len, plan.values())))
     if draws > MAX_DIAGRAM_DRAWS:
-        names = ", ".join(f"M_{i}{j}" for i, j in pairs)
+        names = ", ".join(f"M_{i}{j}" for i, j in plan)
         raise CapacityError(f"the orbit integrals of {names} take {draws:,} draws, above the guard of {MAX_DIAGRAM_DRAWS:,}")
 
     def absolute(tuples: np.ndarray) -> np.ndarray:
@@ -506,19 +516,27 @@ def _m_orbit_integrals(kernel: UStatKernel, pairs, window: Window, integrator: I
         o, v, slots, weight = orbit
         return _product_integral(absolute, k, window, integrator, v, slots, (stream, i, j, o), scale=weight, repeat=batches)
 
-    out = []
-    for i, j, orbits in plan:
-        ses = [integral(i, j, orbit, "m-pilot", 1).se for orbit in orbits]
-        total = math.fsum(ses)
-        spare = sum(weight for *_, weight in orbits) - len(orbits) if 0 < total < math.inf else 0
-        shares = [spare * se / total if spare else 0.0 for se in ses]
-        batches = [1 + int(share) for share in shares]
-        # the batches that rounding down leaves go to the largest remainders
-        left = spare - sum(int(share) for share in shares)
-        for o in sorted(range(len(shares)), key=lambda o: int(shares[o]) - shares[o])[:left]:
-            batches[o] += 1
-        out.append((i, j, tuple((orbit[1], integral(i, j, orbit, "m", n)) for orbit, n in zip(orbits, batches))))
-    return tuple(out)
+    keys, scores = [], []
+    for (i, j), orbits in plan.items():
+        pilots = [integral(i, j, orbit, "m-pilot", 1) for orbit in orbits]
+        c = math.comb(k, i) ** 2 * math.comb(k, j) ** 2
+        m_hat = c * math.fsum(est.value for est in pilots)
+        g = c / (2.0 * math.sqrt(m_hat)) if m_hat > 0 else 0.0
+        keys.extend((i, j, o) for o, *_ in orbits)
+        scores.extend(g * est.se if g else 0.0 for est in pilots)
+    total = math.fsum(scores)
+    spare = budget - len(scores) if 0 < total < math.inf else 0
+    shares = [spare * score / total if spare else 0.0 for score in scores]
+    batches = [1 + int(share) for share in shares]
+    # the batches that rounding down leaves go to the largest remainders
+    left = spare - sum(int(share) for share in shares)
+    for n in sorted(range(len(shares)), key=lambda n: int(shares[n]) - shares[n])[:left]:
+        batches[n] += 1
+    allocated = dict(zip(keys, batches))
+    return tuple(
+        (i, j, tuple((orbit[1], integral(i, j, orbit, "m", allocated[i, j, orbit[0]])) for orbit in plan[i, j]))
+        for i, j in pairs
+    )
 
 
 def _assemble_m(k: int, i: int, j: int, orbit_integrals, lam: float, factor: float = 1.0) -> Estimate:
@@ -532,7 +550,12 @@ def _assemble_m(k: int, i: int, j: int, orbit_integrals, lam: float, factor: flo
 def m_ij(kernel: UStatKernel, i: int, j: int, intensity: IntensityModel, integrator: Integrator) -> Estimate:
     """Fourth-moment quantity M_ij at the given intensity, the general report's MTerm:
     the lam polynomial C(k,i)^2 C(k,j)^2 factor(lam)^4 sum_o lam^(v_o) I_o of the
-    orbit integrals I_o over v_o variables that _m_orbit_integrals draws."""
+    orbit integrals I_o over v_o variables that _m_orbit_integrals draws.
+
+    The draws are allocated across the whole record, so this draws the
+    pilots of every pair 1 <= i' <= j' <= k and then only the batches of
+    (i, j); the result equals the M_ij of a record bit for bit, and the
+    record's draws are what the capacity guard checks."""
     lam = float(intensity.lam)
     ((_, _, orbit_integrals),) = _m_orbit_integrals(kernel, [(i, j)], intensity.window, integrator)
     return _assemble_m(kernel.order, i, j, orbit_integrals, lam, kernel.factor(lam))

@@ -32,7 +32,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._files import _csv_text, _fmt, _read_csv, _write_text
+from ._files import _csv_numbers, _read_csv, _write_text
 # spawn_rng, stream_token and evaluate are unused here (_simulate derives each
 # lambda's streams and tokens with _cell_streams and calls _evaluate_many);
 # perfbench/tracing.py SITES wraps all three names at this import site
@@ -361,11 +361,9 @@ def _csv_table(payload) -> str:
     """CSV text of replicate records or of a rate fit, as emit_csv writes it."""
     if isinstance(payload, RateFitResult):
         rows = zip(payload.lambdas, payload.d_w, payload.d_k, payload.bounds, payload.ratios)
-        return _csv_text(RATES_HEADER, ([_fmt(v) for v in row] for row in rows))
-    return _csv_text(
-        RECORDS_HEADER,
-        ([_fmt(r.lam), str(r.index), _fmt(r.value), _fmt(r.standardized), str(r.seed)] for r in payload),
-    )
+        return _csv_numbers(RATES_HEADER, "%.17g,%.17g,%.17g,%.17g,%.17g\n", rows)
+    rows = ((r.lam, r.index, r.value, r.standardized, r.seed) for r in payload)
+    return _csv_numbers(RECORDS_HEADER, "%.17g,%d,%.17g,%.17g,%d\n", rows)
 
 
 def emit_csv(payload, path) -> None:

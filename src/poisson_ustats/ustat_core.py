@@ -341,6 +341,11 @@ def _product_integral(fn, order: int, window: Window, integrator: Integrator, q:
     batch, or under ``strata`` > 1 the product of c independent batch means.
     ``locality`` switches on local draws; it needs every shared variable to
     share a factor with the first one.
+
+    A factor without free variables is evaluated only on the rows whose
+    product so far is nonzero; the others keep their value, so a kernel
+    value that is not finite on such a row is never computed and raises no
+    IntegrationError.  Nested factors draw their inner batches for every row.
     """
     dim = window.point_dim
     side = _local_side(window, locality)
@@ -375,10 +380,19 @@ def _product_integral(fn, order: int, window: Window, integrator: Integrator, q:
     def integrand(ys: np.ndarray) -> np.ndarray:
         out = np.ones(len(ys))
         for sl, c, r, rng in plan:
-            if r == 0:
+            if r == 0 and np.all(out):
                 vals = fn(ys[:, sl])
                 for _ in range(c):
                     out = out * vals
+            elif r == 0:
+                # != 0, not > 0: a product of signed kernel values can be negative
+                live = np.flatnonzero(out)
+                if len(live):
+                    vals = fn(np.take(ys, live, axis=0)[:, sl])
+                    part = out[live]
+                    for _ in range(c):
+                        part = part * vals
+                    out[live] = part
             elif integrator.strata > 1:
                 for _ in range(c):
                     out *= inner(ys[:, sl], r, rng).mean(axis=1)

@@ -525,6 +525,58 @@ def test_allocated_root_sum_se_matches_the_spread():
     assert 0.5 <= float(np.median(ses)) / spread <= 2.0, (np.median(ses), spread)
 
 
+def _record_pairs(k: int) -> list:
+    return [(i, j) for i in range(1, k + 1) for j in range(i, k + 1)]
+
+
+def test_pooled_allocation_spends_the_record_budget():
+    # one allocation over every orbit of the record: sum_o w_o batches in all,
+    # at least one per orbit, and M_11 (one orbit of weight 1) can get more
+    kern = UStatKernel(3, lambda t: t[:, :, 0].sum(axis=1) * (0.5 + t[:, :, 1].prod(axis=1)), name="sum-prod")
+    pairs = _record_pairs(3)
+    got = _m_orbit_integrals(kern, pairs, UNIT_SQUARE, Integrator(samples=40, seed=2))
+    batches = {(i, j): [est.n // 40 for _, est in orbit_integrals] for i, j, orbit_integrals in got}
+    assert all(est.n % 40 == 0 for *_, orbit_integrals in got for _, est in orbit_integrals)
+    assert sum(map(sum, batches.values())) == sum(w for i, j in pairs for _, w in _block_type_orbits((i, i, j, j)))
+    assert min(map(min, batches.values())) >= 1 and batches[1, 1][0] > 1
+
+
+def test_pooled_allocation_keeps_one_batch_per_exact_orbit():
+    # convex-position-3 is 1 almost surely: no pilot spreads, so every orbit
+    # of the record keeps one batch and M_33 stays exact
+    pairs = _record_pairs(3)
+    got = _m_orbit_integrals(convex_position_kernel(3), pairs, UNIT_SQUARE, Integrator(samples=8, seed=0))
+    assert [(i, j) for i, j, _ in got] == pairs
+    assert all(est.n == 8 and est.se == 0.0 for *_, orbit_integrals in got for _, est in orbit_integrals)
+    assert _assemble_m(3, 3, 3, got[-1][2], 1.0).value == 41364.0
+
+
+def test_m_ij_equals_the_pooled_record_for_line_intersections():
+    # m_ij pilots every pair of the record, so its M_ij is the record's bit for bit
+    window = LineWindow(1.0)
+    kern = line_intersection_kernel(window)
+    integ = Integrator(samples=300, seed=7)
+    record = _m_orbit_integrals(kern, _record_pairs(2), window, integ)
+    for i, j, orbit_integrals in record:
+        est = m_ij(kern, i, j, IntensityModel(3.0, window), integ)
+        assert est == _assemble_m(2, i, j, orbit_integrals, 3.0)
+
+
+def test_m_ij_guards_the_draws_of_the_whole_record():
+    # M_11 alone is cheap, but its allocation pilots M_44 and spends the
+    # record's budget: an order-4 kernel is refused before any kernel call
+    calls = []
+
+    def constant(t):
+        calls.append(len(t))
+        return np.ones(len(t))
+
+    kern = UStatKernel(4, constant, name="constant-4")
+    with pytest.raises(CapacityError, match="M_44 take"):
+        m_ij(kern, 1, 1, IntensityModel(1.0, UNIT_SQUARE), Integrator(samples=256))
+    assert calls == []
+
+
 def test_m_ij_refuses_a_non_symmetric_kernel():
     kern = UStatKernel(2, lambda t: t[:, 0, 0] - t[:, 1, 1], symmetric=False)
     with pytest.raises(ConfigError, match="symmetric"):

@@ -471,6 +471,21 @@ def test_empty_records_emit_a_header_only_csv(tmp_path):
     assert read_records(path) == []
 
 
+def test_csv_templates_write_what_per_field_formatting_writes():
+    # one printf template per table against _fmt / str per field
+    from poisson_ustats._files import _csv_text, _fmt
+
+    awkward = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 0.1, -123.456]
+    records = [ReplicateRecord(v, r, awkward[-1 - r], -v, 2**64 - 1 - r) for r, v in enumerate(awkward)]
+    assert harness._csv_table(records) == _csv_text(
+        harness.RECORDS_HEADER,
+        ([_fmt(r.lam), str(r.index), _fmt(r.value), _fmt(r.standardized), str(r.seed)] for r in records),
+    )
+    fit = RateFitResult(tuple(awkward), tuple(awkward[::-1]), tuple(awkward), tuple(awkward), tuple(awkward), 0.0, 0.0, 0.0, 1)
+    rows = zip(fit.lambdas, fit.d_w, fit.d_k, fit.bounds, fit.ratios)
+    assert harness._csv_table(fit) == _csv_text(harness.RATES_HEADER, ([_fmt(v) for v in row] for row in rows))
+
+
 def test_rates_round_trip(tmp_path):
     fit = RateFitResult(
         lambdas=(1.0, 4.0, 16.0),

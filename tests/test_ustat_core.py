@@ -675,6 +675,50 @@ def test_product_integral_reuses_repeated_top_order_copies():
         assert (est.value, est.se, est.n) == (3.0 * plain.value, 3.0 * plain.se, plain.n)
 
 
+def test_product_integral_evaluates_later_factors_on_live_rows_only():
+    # oracle: the plain loop over every row, factors grouped by slot list in
+    # order of first appearance; the fast path must match it bit for bit
+    # while the kernel sees only the rows whose product so far is nonzero
+    rows = []
+
+    def fn(t):
+        rows.append(len(t))
+        near = np.abs(t[:, 0, 0] - t[:, 1, 0]) < 0.4
+        return np.where(near, np.cos(7.0 * t[:, 0, 1] + t[:, 1, 1]), 0.0)
+
+    slots = [[0, 1], [1, 2], [0, 1], [2, 3]]
+    expected = []
+
+    def oracle(ys):
+        out = np.ones(len(ys))
+        for sl, c in ((slots[0], 2), (slots[1], 1), (slots[3], 1)):
+            expected.append(np.count_nonzero(out))
+            vals = fn(ys[:, sl])
+            for _ in range(c):
+                out = out * vals
+        return out
+
+    win = BoxWindow(((0.0, 1.0), (0.0, 1.0)))
+    integ = Integrator(samples=600, seed=8)
+    est = _product_integral(fn, 2, win, integ, 4, slots, ("live",), scale=1.5, repeat=3)
+    seen = rows[:]
+    rows.clear()
+    plain = integ.integrate(oracle, win, 4, path=("live", 0), repeat=3)
+    assert (est.value, est.se, est.n) == (1.5 * plain.value, 1.5 * plain.se, plain.n)
+    assert seen == expected and seen[0] == 1800 > seen[1] > seen[2] > 0
+
+
+def test_product_integral_skips_non_finite_values_on_zero_rows():
+    # the second factor is infinite only where the first one is 0; those
+    # rows are not evaluated, so the product stays finite
+    def fn(t):
+        diagonal = np.all(t[:, 0] == t[:, 1], axis=1)
+        return np.where(t[:, 0, 0] < 0.5, np.where(diagonal, 0.0, np.inf), 1.0 + t[:, 1, 1])
+
+    est = _product_integral(fn, 2, UNIT_SQUARE, Integrator(samples=400, seed=2), 2, [[0, 0], [0, 1]], ("dead",))
+    assert math.isfinite(est.value) and est.within(0.5 * 1.5**2, 4.0)
+
+
 def test_integrate_repeat_averages_independent_batches():
     # repeat batches are drawn in chunks; the value is their mean, n counts
     # every draw, and under strata > 1 each batch is stratified on its own
