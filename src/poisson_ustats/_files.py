@@ -15,8 +15,12 @@ import itertools
 from .errors import ConfigError
 
 
+_FLOAT = "%.17g"
+_FIELDS = {float: _FLOAT, int: "%d"}
+
+
 def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+    return _FLOAT % value
 
 
 def _csv_text(header, rows) -> str:
@@ -24,10 +28,12 @@ def _csv_text(header, rows) -> str:
     return "".join(",".join(row) + "\n" for row in (header, *rows))
 
 
-def _csv_numbers(header, line: str, rows) -> str:
-    """CSV text of a header and rows of numbers, every row formatted by the
-    one printf template ``line``, whose "%.17g" fields write what _fmt does."""
+def _csv_numbers(header, types, rows) -> str:
+    """CSV text of a header and rows of numbers, formatted by one printf
+    template for the whole table: a field whose entry of ``types`` is float
+    is written as _fmt writes it, an int one as a whole number."""
     rows = list(rows)
+    line = ",".join(_FIELDS[t] for t in types) + "\n"
     return _csv_text(header, ()) + (line * len(rows)) % tuple(itertools.chain.from_iterable(rows))
 
 

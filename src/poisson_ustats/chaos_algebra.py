@@ -55,9 +55,10 @@ __all__ = [
 ]
 
 MAX_PARTITION_VARIABLES = 16
-# the orbit integrals of M_ij draw at most samples * (orbits + |Pi-bar(i,i,j,j)|)
-# tuples, summed over every 1 <= i <= j <= k of the record; 10^8 admits an
-# order-3 record at 1,024 samples (45.0M) and refuses an order-4 one at 256 (4.9e9)
+# the orbit integrals draw samples * (pilots + batches) tuples: one pilot batch
+# per orbit of every 1 <= i <= j <= k, and the batches of the pairs asked for,
+# one per labelled diagram before the pilots fix the allocation; 10^8 admits an
+# order-3 record at 1,024 samples (45.0M) and refuses an order-4 M_44 at 256 (4.7e9)
 MAX_DIAGRAM_DRAWS = 10**8
 
 
@@ -482,10 +483,13 @@ def _m_orbit_integrals(kernel: UStatKernel, pairs, window: Window, integrator: I
 
     Only the pairs asked for draw their allocated batches, but the pilots
     of every pair are drawn, so the allocation and the outputs reproduce
-    for a seed and m_ij equals the M_ij of a record bit for bit.  Raises
-    CapacityError, before any draw, when the record's pilot and allocated
-    draws, ``samples`` times the sum of 1 + w_o over its orbits, exceed
-    MAX_DIAGRAM_DRAWS.
+    for a seed and m_ij equals the M_ij of a record bit for bit.  The guard
+    counts ``samples`` times the record's pilot batches plus the batches of
+    the pairs asked for, and raises CapacityError when that exceeds
+    MAX_DIAGRAM_DRAWS: before any draw with one batch per labelled diagram
+    of those pairs (for a whole record, its budget: every draw it makes),
+    and after the pilots with the batches allocated to them, before any is
+    drawn.
     """
     k = kernel.order
     for i, j in pairs:
@@ -504,10 +508,16 @@ def _m_orbit_integrals(kernel: UStatKernel, pairs, window: Window, integrator: I
                 orbits.append((o, v, slots, weight))
             plan[i, j] = orbits
     budget = sum(weight for orbits in plan.values() for *_, weight in orbits)
-    draws = integrator.samples * (budget + sum(map(len, plan.values())))
-    if draws > MAX_DIAGRAM_DRAWS:
-        names = ", ".join(f"M_{i}{j}" for i, j in plan)
-        raise CapacityError(f"the orbit integrals of {names} take {draws:,} draws, above the guard of {MAX_DIAGRAM_DRAWS:,}")
+    pilot_batches = sum(map(len, plan.values()))
+
+    def guard(batches: int) -> None:
+        draws = integrator.samples * (pilot_batches + batches)
+        if draws > MAX_DIAGRAM_DRAWS:
+            names = ", ".join(f"M_{i}{j}" for i, j in pairs)
+            raise CapacityError(f"the orbit integrals of {names} take {draws:,} draws, above the guard of {MAX_DIAGRAM_DRAWS:,}")
+
+    # one batch per labelled diagram of the pairs asked for: a whole record's budget
+    guard(sum(weight for i, j in pairs for *_, weight in plan[i, j]))
 
     def absolute(tuples: np.ndarray) -> np.ndarray:
         return np.abs(kernel(tuples))
@@ -533,6 +543,7 @@ def _m_orbit_integrals(kernel: UStatKernel, pairs, window: Window, integrator: I
     for n in sorted(range(len(shares)), key=lambda n: int(shares[n]) - shares[n])[:left]:
         batches[n] += 1
     allocated = dict(zip(keys, batches))
+    guard(sum(allocated[i, j, o] for i, j in pairs for o, *_ in plan[i, j]))
     return tuple(
         (i, j, tuple((orbit[1], integral(i, j, orbit, "m", allocated[i, j, orbit[0]])) for orbit in plan[i, j]))
         for i, j in pairs
@@ -554,8 +565,9 @@ def m_ij(kernel: UStatKernel, i: int, j: int, intensity: IntensityModel, integra
 
     The draws are allocated across the whole record, so this draws the
     pilots of every pair 1 <= i' <= j' <= k and then only the batches of
-    (i, j); the result equals the M_ij of a record bit for bit, and the
-    record's draws are what the capacity guard checks."""
+    (i, j); the result equals the M_ij of a record bit for bit.  The
+    capacity guard counts those pilots and the batches of (i, j): one per
+    labelled diagram before any draw, then the allocated ones."""
     lam = float(intensity.lam)
     ((_, _, orbit_integrals),) = _m_orbit_integrals(kernel, [(i, j)], intensity.window, integrator)
     return _assemble_m(kernel.order, i, j, orbit_integrals, lam, kernel.factor(lam))

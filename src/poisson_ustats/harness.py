@@ -355,15 +355,16 @@ def rate_experiment(config: ExperimentConfig) -> RateFitResult:
 
 RECORDS_HEADER = ["lambda", "replicate", "value", "standardized", "seed"]
 RATES_HEADER = ["lambda", "d_w", "d_k", "bound", "ratio"]
+RECORDS_TYPES = (float, int, float, float, int)
 
 
 def _csv_table(payload) -> str:
     """CSV text of replicate records or of a rate fit, as emit_csv writes it."""
     if isinstance(payload, RateFitResult):
         rows = zip(payload.lambdas, payload.d_w, payload.d_k, payload.bounds, payload.ratios)
-        return _csv_numbers(RATES_HEADER, "%.17g,%.17g,%.17g,%.17g,%.17g\n", rows)
+        return _csv_numbers(RATES_HEADER, (float,) * len(RATES_HEADER), rows)
     rows = ((r.lam, r.index, r.value, r.standardized, r.seed) for r in payload)
-    return _csv_numbers(RECORDS_HEADER, "%.17g,%d,%.17g,%.17g,%d\n", rows)
+    return _csv_numbers(RECORDS_HEADER, RECORDS_TYPES, rows)
 
 
 def emit_csv(payload, path) -> None:
@@ -378,7 +379,7 @@ def emit_report(report: BoundReport, path) -> None:
 
 def read_records(path) -> list:
     """Parse a records CSV back into ReplicateRecord rows."""
-    _, rows = _read_csv(path, "records", lambda h: h == RECORDS_HEADER, (float, int, float, float, int))
+    _, rows = _read_csv(path, "records", lambda h: h == RECORDS_HEADER, RECORDS_TYPES)
     return [ReplicateRecord(*row) for row in rows]
 
 

@@ -380,19 +380,16 @@ def _product_integral(fn, order: int, window: Window, integrator: Integrator, q:
     def integrand(ys: np.ndarray) -> np.ndarray:
         out = np.ones(len(ys))
         for sl, c, r, rng in plan:
-            if r == 0 and np.all(out):
-                vals = fn(ys[:, sl])
-                for _ in range(c):
-                    out = out * vals
-            elif r == 0:
-                # != 0, not > 0: a product of signed kernel values can be negative
-                live = np.flatnonzero(out)
-                if len(live):
-                    vals = fn(np.take(ys, live, axis=0)[:, sl])
-                    part = out[live]
+            if r == 0:
+                # != 0, not > 0: a product of signed kernel values can be negative;
+                # the slice when every row is live is a view, so nothing is gathered
+                rows = slice(None) if out.all() else np.flatnonzero(out)
+                part = out[rows]
+                if len(part):
+                    vals = fn(ys[rows][:, sl])
                     for _ in range(c):
                         part = part * vals
-                    out[live] = part
+                    out[rows] = part
             elif integrator.strata > 1:
                 for _ in range(c):
                     out *= inner(ys[:, sl], r, rng).mean(axis=1)

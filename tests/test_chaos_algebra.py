@@ -36,6 +36,7 @@ from poisson_ustats import (
     wiener_ito,
     wiener_ito_counts,
 )
+from poisson_ustats import chaos_algebra
 from poisson_ustats._streams import spawn_rng
 from poisson_ustats.chaos_algebra import _assemble_m, _block_type_orbits, _m_orbit_integrals, _orbit_slots
 
@@ -562,19 +563,38 @@ def test_m_ij_equals_the_pooled_record_for_line_intersections():
         assert est == _assemble_m(2, i, j, orbit_integrals, 3.0)
 
 
-def test_m_ij_guards_the_draws_of_the_whole_record():
-    # M_11 alone is cheap, but its allocation pilots M_44 and spends the
-    # record's budget: an order-4 kernel is refused before any kernel call
+def test_m_ij_guards_the_draws_it_makes(monkeypatch):
+    # a one-shot m_ij draws the record's pilots and the batches allocated to
+    # its own pair, and the guard counts just those: M_11 of an order-3
+    # kernel is not refused for the record's budget, and one draw over the
+    # guard refuses it after the pilots, before its own batches
     calls = []
 
-    def constant(t):
+    def sum_prod(t):
         calls.append(len(t))
-        return np.ones(len(t))
+        return t[:, :, 0].sum(axis=1) * (0.5 + t[:, :, 1].prod(axis=1))
 
-    kern = UStatKernel(4, constant, name="constant-4")
-    with pytest.raises(CapacityError, match="M_44 take"):
-        m_ij(kern, 1, 1, IntensityModel(1.0, UNIT_SQUARE), Integrator(samples=256))
-    assert calls == []
+    kern = UStatKernel(3, sum_prod, name="sum-prod")
+    im, integ = IntensityModel(1.0, UNIT_SQUARE), Integrator(samples=40, seed=2)
+    orbits = [_block_type_orbits((i, i, j, j)) for i, j in _record_pairs(3)]
+    pilots = 40 * sum(map(len, orbits))
+    est = m_ij(kern, 1, 1, im, integ)
+    admitted = calls[:]
+    assert est.n > 40 and pilots + est.n < 40 * sum(w for orbit in orbits for _, w in orbit)
+    monkeypatch.setattr(chaos_algebra, "MAX_DIAGRAM_DRAWS", pilots + est.n)
+    calls.clear()
+    assert m_ij(kern, 1, 1, im, integ) == est and calls == admitted
+    monkeypatch.setattr(chaos_algebra, "MAX_DIAGRAM_DRAWS", pilots + est.n - 1)
+    calls.clear()
+    with pytest.raises(CapacityError, match="M_11 take"):
+        m_ij(kern, 1, 1, im, integ)
+    assert 0 < len(calls) < len(admitted) and calls == admitted[: len(calls)]
+
+
+def test_an_order_3_record_at_1024_samples_is_admitted():
+    # the record draws one pilot batch per orbit plus its budget of sum_o w_o
+    draws = 1024 * sum(1 + w for i, j in _record_pairs(3) for _, w in _block_type_orbits((i, i, j, j)))
+    assert draws == 1024 * 43919 <= MAX_DIAGRAM_DRAWS
 
 
 def test_m_ij_refuses_a_non_symmetric_kernel():

@@ -472,7 +472,8 @@ def test_empty_records_emit_a_header_only_csv(tmp_path):
 
 
 def test_csv_templates_write_what_per_field_formatting_writes():
-    # one printf template per table against _fmt / str per field
+    # one printf template per table against _fmt / str per field, whose
+    # float fields share _fmt's format
     from poisson_ustats._files import _csv_text, _fmt
 
     awkward = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 0.1, -123.456]
