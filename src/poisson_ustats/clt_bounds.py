@@ -216,7 +216,7 @@ def _fourth_power_norms(kernel: UStatKernel, window, integrator: Integrator) -> 
         _product_integral(
             kernel, k, window, integrator, i, [range(i)] * 4, ("fourth-power", i),
             scale=math.comb(k, i) ** 4, locality=kernel.locality,
-        )
+        )[0]
         for i in range(1, k + 1)
     ]
 
@@ -226,7 +226,9 @@ class Ingredients:
     """The lambda-free integrals of one (kernel, window, integrator).
 
     E F = lam^k mean and Var F = sum_i lam^(2k-i) terms[i-1], times the kernel's
-    intensity factor (squared for Var F).  A "local" record adds the norms
+    intensity factor (squared for Var F); mean = int f dtheta^k is read off
+    the kernel values of T_1's pass (variance_terms), not drawn on its own.
+    A "local" record adds the norms
     int (f~_i)^4 dtheta^i, a "general" or "geometric" one the triples (i, j,
     orbit integrals of the lam polynomial M_ij); local and geometric records
     passed the check that vtilde = T_1 clears three standard errors of zero.
@@ -290,7 +292,8 @@ class Ingredients:
 
 
 def estimate_ingredients(kernel: UStatKernel, window: Window, integrator: Integrator, mode: Optional[str] = None) -> Ingredients:
-    """Estimate the lambda-free ingredients, each on its own integrator stream.
+    """Estimate the lambda-free ingredients, each on its own integrator
+    stream but the mean, which shares T_1's pass (variance_terms).
 
     mode None gives the moment integrals only; "general", "local" or
     "geometric" adds what that bound needs (a kernel can fit several)."""
@@ -307,8 +310,8 @@ def estimate_ingredients(kernel: UStatKernel, window: Window, integrator: Integr
         raise ConfigError(f"unknown mode {mode!r}")
     if mode in ("general", "geometric") and not kernel.symmetric:
         raise ConfigError("m_ij sums diagrams by block type, which needs a symmetric kernel")
-    mean = integrator.integrate(kernel, window, k, path=("expectation",), locality=kernel.locality)
-    terms = tuple(variance_terms(kernel, window, integrator))
+    mean, terms = variance_terms(kernel, window, integrator, with_mean=True)
+    terms = tuple(terms)
     if mode is None:
         return Ingredients(kernel, window, mean, terms)
     vtilde = terms[0]

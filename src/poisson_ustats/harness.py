@@ -156,8 +156,8 @@ class ExperimentConfig:
                 object.__setattr__(self, name, value)
         if not lambdas:
             raise ConfigError("need at least one lambda")
-        if any(not v > 0 for v in lambdas):
-            raise ConfigError(f"lambdas must be positive, got {lambdas}")
+        if any(not (v > 0 and math.isfinite(v)) for v in lambdas):
+            raise ConfigError(f"lambdas must be positive and finite, got {lambdas}")
         if any(b <= a for a, b in zip(lambdas, lambdas[1:])):
             raise ConfigError(f"lambda grid must be strictly increasing, got {lambdas}")
         object.__setattr__(self, "lambdas", lambdas)
@@ -165,14 +165,19 @@ class ExperimentConfig:
             raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        if self.delta is not None or self.k is not None or self.c_k is not None:
-            # a constant that no part of the run reads is an error; make_kernel
-            # checks delta and k against a kernel name
-            if isinstance(self.kernel, UStatKernel) and (self.delta is not None or self.k is not None):
-                raise ConfigError("delta and k build a registered kernel; a kernel object takes neither")
-            kernel = self.resolve_kernel()
-            if self.c_k is not None and kernel.locality is None:
-                raise ConfigError(f"c_k is the local bound's constant; {kernel.name} has no locality")
+        # a constant that no part of the run reads is an error; make_kernel
+        # checks delta and k against a kernel name
+        if isinstance(self.kernel, UStatKernel) and (self.delta is not None or self.k is not None):
+            raise ConfigError("delta and k build a registered kernel; a kernel object takes neither")
+        kernel = self.resolve_kernel()
+        if self.c_k is not None and kernel.locality is None:
+            raise ConfigError(f"c_k is the local bound's constant; {kernel.name} has no locality")
+        # the moments take powers of lambda up to lam^(2k-1); refuse, before any
+        # draw, a grid whose largest lambda has no float lam^(2k)
+        try:
+            lambdas[-1] ** (2 * kernel.order)
+        except OverflowError:
+            raise ConfigError(f"lambda {lambdas[-1]:g} overflows lambda^{2 * kernel.order} (2k for order {kernel.order})") from None
 
     def resolve_kernel(self) -> UStatKernel:
         if isinstance(self.kernel, UStatKernel):

@@ -23,7 +23,8 @@ values in its own _SUBSET_BATCH slices, as if it were enumerated alone.
 The variance terms, the fourth-power norms of the local bound and the
 fourth-moment terms M_ij are all integrals of a product of kernel copies
 that share some variables; one estimator, _product_integral, computes them
-through Integrator.  The sampling rules (the outer and inner draw counts,
+through Integrator, and reads the mean int f dtheta^k off the kernel values
+of T_1's pass.  The sampling rules (the outer and inner draw counts,
 stratification, local draws and chunks) are stated in the Integrator
 docstring, the estimator of a nested term in _product_integral's, and the
 allocation of the M_ij draws in chaos_algebra._m_orbit_integrals'.
@@ -181,13 +182,18 @@ class Integrator:
     Stratification needs a window with an inverse unit-cube map, which
     excludes balls.
 
+    Streams: each ingredient draws on its own path, the variance term T_i
+    on ("variance", i, ...), the fourth-power norms and the M_ij orbits on
+    theirs, except the mean int f dtheta^k, which has no draw of its own:
+    it is read off T_1's kernel values (see _product_integral).
+
     Local draws: given a kernel's locality delta on a box or ball window W
     with (2 delta)^d < theta(W), every point after a tuple's anchor is drawn
     uniformly in the cube of side 2 delta around the anchor and weighted by
     (2 delta)^d / theta(W) and the indicator of W.  The anchor is the
-    tuple's first point, uniform in W (the mean, the top-order T_k and the
-    outer draws of a nested integral), or for an inner batch its copies'
-    first shared variable.  The cube is a unit-cube map, so ``strata``
+    tuple's first point, uniform in W (the top-order T_k and the outer
+    draws of a nested integral), or for an inner batch its copies' first
+    shared variable.  The cube is a unit-cube map, so ``strata``
     applies to it.  Other windows and kernels keep theta-uniform draws.
     """
 
@@ -202,6 +208,8 @@ class Integrator:
             raise ConfigError(f"sample count must be >= 1, got {self.samples}")
         if self.strata < 1:
             raise ConfigError(f"stratification level must be >= 1, got {self.strata}")
+        if self.seed < 0:
+            raise ConfigError(f"integrator seed must be nonnegative, got {self.seed}")
 
     def rng(self, *path) -> np.random.Generator:
         return spawn_rng(self.seed, *path)
@@ -248,7 +256,7 @@ class Integrator:
         weights = np.where(window.contains(pts).all(axis=1), (side**dim / window_measure(window)) ** cube, 0.0)
         return (pts if anchor is not None else np.concatenate([head, pts], axis=1)), weights
 
-    def integrate(self, fn, window: Window, arity: int, *, path=(), repeat: int = 1, locality: Optional[float] = None) -> Estimate:
+    def integrate(self, fn, window: Window, arity: int, *, path=(), repeat: int = 1, locality: Optional[float] = None):
         """Estimate of int_{W^arity} fn dtheta^arity with its standard error.
 
         ``repeat`` > 1 averages that many independent batches of ``samples``
@@ -257,47 +265,61 @@ class Integrator:
         switches on local draws (see the class docstring); fn must then
         vanish unless every point lies within delta of the first, and it is
         called only on the tuples of positive weight.
+
+        fn maps m tuples to m values, or to a (p, m) array of p integrands
+        at once; then the result is a tuple of their p estimates, each by the
+        same plain or stratified rule over the same draws.
         """
         rng = self.rng(*path) if path else self.rng("integrate")
         side = _local_side(window, locality)
         per_chunk = max(1, CHUNK_DRAWS // self.samples)
 
         def sliced(tuples: np.ndarray) -> np.ndarray:
-            values = [np.asarray(fn(tuples[s : s + CHUNK_DRAWS]), dtype=float).reshape(-1) for s in range(0, len(tuples), CHUNK_DRAWS)]
-            return np.concatenate(values) if values else np.zeros(0)
+            values = [np.asarray(fn(tuples[s : s + CHUNK_DRAWS]), dtype=float) for s in range(0, len(tuples), CHUNK_DRAWS)]
+            return np.concatenate(values, axis=-1) if values else np.zeros(0)
 
         parts = []
         for start in range(0, repeat, per_chunk):
             pts, weights = self.draw(window, arity, self.samples, rng, groups=min(per_chunk, repeat - start), side=side)
             vals = _weighted_values(sliced, pts.__getitem__, weights)
             if not np.all(np.isfinite(vals)):
-                bad = int(np.flatnonzero(~np.isfinite(vals))[0])
+                bad = int(np.flatnonzero(~np.isfinite(vals).reshape(-1, vals.shape[-1]).all(axis=0))[0])
                 raise IntegrationError(f"non-finite integrand value at tuple {pts[bad].tolist()}")
             parts.append(vals)
-        vals = np.concatenate(parts)
+        vals = np.concatenate(parts, axis=-1)
         scale = window_measure(window) ** arity
-        n_eff = len(vals)
-        mean = float(vals.mean())
         count = self.strata ** (arity * window.point_dim)
-        n_per = n_eff // (count * repeat)
-        if self.strata > 1 and n_per >= 2:
-            per_stratum = vals.reshape(repeat * count, n_per).var(axis=1, ddof=1)
-            se = scale * math.sqrt(float(per_stratum.sum()) / n_per) / (count * repeat)
-        else:
-            se = scale * float(vals.std(ddof=1)) / math.sqrt(n_eff) if n_eff > 1 else math.inf
-        return Estimate(scale * mean, se, n_eff)
+        estimates = tuple(_mean_estimate(row, scale, count * repeat, self.strata > 1) for row in vals.reshape(-1, vals.shape[-1]))
+        return estimates if vals.ndim == 2 else estimates[0]
+
+
+def _mean_estimate(vals: np.ndarray, scale: float, groups: int, stratified: bool) -> Estimate:
+    """scale times the mean of the draws ``vals`` with its standard error:
+    if ``stratified``, from the spread within each of ``groups`` equal
+    consecutive groups (the strata of every batch) when each holds at least
+    2 draws, else plain."""
+    n_eff = len(vals)
+    mean = float(vals.mean())
+    n_per = n_eff // groups
+    if stratified and n_per >= 2:
+        per_stratum = vals.reshape(groups, n_per).var(axis=1, ddof=1)
+        se = scale * math.sqrt(float(per_stratum.sum()) / n_per) / groups
+    else:
+        se = scale * float(vals.std(ddof=1)) / math.sqrt(n_eff) if n_eff > 1 else math.inf
+    return Estimate(scale * mean, se, n_eff)
 
 
 def _weighted_values(fn, tuples, weights) -> np.ndarray:
-    """fn times the draw weights, flat, on the tuples that ``tuples(rows)``
-    builds for the selected rows: every row for theta-uniform draws
-    (weights None), else only the rows of positive weight, so fn is never
-    called where a zero weight would void its value."""
+    """fn times the draw weights, one value per row on the last axis, on the
+    tuples that ``tuples(rows)`` builds for the selected rows: every row for
+    theta-uniform draws (weights None), else only the rows of positive
+    weight, so fn is never called where a zero weight would void its value."""
     if weights is None:
-        return np.asarray(fn(tuples(slice(None))), dtype=float).reshape(-1)
+        return np.asarray(fn(tuples(slice(None))), dtype=float)
     keep = weights > 0
-    vals = np.zeros(len(weights))
-    vals[keep] = np.asarray(fn(tuples(keep)), dtype=float).reshape(-1) * weights[keep]
+    kept = np.asarray(fn(tuples(keep)), dtype=float) * weights[keep]
+    vals = np.zeros(kept.shape[:-1] + weights.shape)
+    vals[..., keep] = kept
     return vals
 
 
@@ -325,8 +347,9 @@ def _elementary_mean(v: np.ndarray, r: int) -> np.ndarray:
     return e[r] / math.comb(v.shape[-1], r)
 
 
-def _product_integral(fn, order: int, window: Window, integrator: Integrator, q: int, slots, path, scale: float = 1.0, repeat: int = 1, locality: Optional[float] = None) -> Estimate:
-    """Estimate of scale * int prod_l (int fn(y[slots_l], x_l) dtheta^(order-|slots_l|)) dtheta^q(y).
+def _product_integral(fn, order: int, window: Window, integrator: Integrator, q: int, slots, path, scale: float = 1.0, repeat: int = 1, locality: Optional[float] = None) -> tuple:
+    """Estimates of scale * int prod_l (int fn(y[slots_l], x_l) dtheta^(order-|slots_l|)) dtheta^q(y)
+    and of int (int fn(y[slots_1], x) dtheta^(order-|slots_1|)) dtheta^q(y), unscaled.
 
     ``fn`` maps (m, order, dim) tuples to m values; factor l puts the shared
     variables y[slots_l] first and its own free variables x_l after them.
@@ -341,6 +364,14 @@ def _product_integral(fn, order: int, window: Window, integrator: Integrator, q:
     batch, or under ``strata`` > 1 the product of c independent batch means.
     ``locality`` switches on local draws; it needs every shared variable to
     share a factor with the first one.
+
+    The second estimate reads the first slot list's kernel values off the
+    same pass, with no kernel call of its own: per outer row their mean, the
+    inner batch's mean for a nested factor (under ``strata`` > 1 the average
+    of its c batch means) or the kernel value itself for a factor without
+    free variables; its standard error follows the same plain or stratified
+    rule over the same outer rows.  For T_1 (q = 1, slots_1 = (0,)) it is
+    int fn dtheta^order, the mean of the U-statistic at unit rate.
 
     A factor without free variables is evaluated only on the rows whose
     product so far is nonzero; the others keep their value, so a kernel
@@ -378,29 +409,36 @@ def _product_integral(fn, order: int, window: Window, integrator: Integrator, q:
         return _weighted_values(lambda t: theta**r * fn(t), tuples, weights).reshape(m, -1)
 
     def integrand(ys: np.ndarray) -> np.ndarray:
-        out = np.ones(len(ys))
-        for sl, c, r, rng in plan:
+        # row 0 the product, row 1 the first slot list's mean kernel values
+        both = np.ones((2, len(ys)))
+        out = both[0]
+        for g, (sl, c, r, rng) in enumerate(plan):
             if r == 0:
                 # != 0, not > 0: a product of signed kernel values can be negative;
                 # the slice when every row is live is a view, so nothing is gathered
                 rows = slice(None) if out.all() else np.flatnonzero(out)
                 part = out[rows]
-                if len(part):
-                    vals = fn(ys[rows][:, sl])
-                    for _ in range(c):
-                        part = part * vals
-                    out[rows] = part
-            elif integrator.strata > 1:
+                means = fn(ys[rows][:, sl]) if len(part) else part
                 for _ in range(c):
-                    out *= inner(ys[:, sl], r, rng).mean(axis=1)
+                    part = part * means
+                out[rows] = part
+            elif integrator.strata > 1:
+                batches = [inner(ys[:, sl], r, rng).mean(axis=1) for _ in range(c)]
+                for batch in batches:
+                    out *= batch
+                means = sum(batches) / c
             else:
-                out *= _elementary_mean(inner(ys[:, sl], r, rng), c)
-        return out
+                v = inner(ys[:, sl], r, rng)
+                out *= _elementary_mean(v, c)
+                means = v.mean(axis=1)
+            if g == 0:
+                both[1] = means
+        return both
 
-    est = integrator.integrate(
+    est, first = integrator.integrate(
         integrand, window, q, path=(*path, 0), repeat=NESTED_REPEAT * repeat if nested else repeat, locality=locality,
     )
-    return est.scaled(scale)
+    return est.scaled(scale), first
 
 
 # ---------------------------------------------------------------------------
@@ -673,11 +711,11 @@ def difference(kernel: UStatKernel, config: PointConfiguration, y) -> float:
 # moments and chaos kernels
 
 
-def expectation(kernel: UStatKernel, intensity: IntensityModel, integrator: Integrator, *, path=("expectation",)) -> Estimate:
-    """E F = lam^k factor(lam) int f dtheta^k, by Monte Carlo (Ingredients.moments' mean)."""
+def expectation(kernel: UStatKernel, intensity: IntensityModel, integrator: Integrator) -> Estimate:
+    """E F = lam^k factor(lam) int f dtheta^k, read off T_1's pass (see
+    variance_terms); equals Ingredients.moments' mean bit for bit."""
     lam = float(intensity.lam)
-    est = integrator.integrate(kernel, intensity.window, kernel.order, path=path, locality=kernel.locality)
-    return est.scaled(lam**kernel.order * kernel.factor(lam))
+    return _variance_term(kernel, intensity.window, integrator, 1)[1].scaled(lam**kernel.order * kernel.factor(lam))
 
 
 def ou_generator(kernel: UStatKernel, config: PointConfiguration, intensity: IntensityModel, integrator: Integrator) -> Estimate:
@@ -730,7 +768,7 @@ def ou_inverse(kernel: UStatKernel, config: PointConfiguration, intensity: Inten
     kernel = kernel.at_intensity(intensity.lam)
     k = kernel.order
     lam = float(intensity.lam)
-    mean_est = expectation(kernel, intensity, integrator, path=("ou-inverse", 0))
+    mean_est = integrator.integrate(kernel, intensity.window, k, path=("ou-inverse", 0), locality=kernel.locality).scaled(lam**k)
     harmonic = math.fsum(1.0 / m for m in range(1, k + 1))
     value = harmonic * mean_est.value
     var = (harmonic * mean_est.se) ** 2
@@ -780,18 +818,26 @@ def chaos_kernel(kernel: UStatKernel, i: int, ys, intensity: IntensityModel, int
 # variance
 
 
-def variance_terms(kernel: UStatKernel, window: Window, integrator: Integrator) -> list:
+def variance_terms(kernel: UStatKernel, window: Window, integrator: Integrator, *, with_mean: bool = False):
     """Rate-free variance terms T_i = i! C(k,i)^2 int (int f dtheta^{k-i})^2 dtheta^i.
 
     Var F = sum_i lam^(2k-i) T_i.  For i < k the inner integral's square is
     the nested estimate of _product_integral, unbiased and linear in
     ``samples``.  Index 0 of the returned list is T_1.
+
+    ``with_mean`` returns (mean, terms) instead, with mean the estimate of
+    int f dtheta^k read off T_1's pass at no kernel call of its own: for
+    k > 1 the average of each outer point's inner-batch mean, an unbiased
+    estimate of int f(y, .) dtheta^(k-1).
     """
-    return [_variance_term(kernel, window, integrator, i) for i in range(1, kernel.order + 1)]
+    passes = [_variance_term(kernel, window, integrator, i) for i in range(1, kernel.order + 1)]
+    terms = [term for term, _ in passes]
+    return (passes[0][1], terms) if with_mean else terms
 
 
-def _variance_term(kernel: UStatKernel, window: Window, integrator: Integrator, i: int) -> Estimate:
-    """The one term T_i of :func:`variance_terms`, on its stream ("variance", i)."""
+def _variance_term(kernel: UStatKernel, window: Window, integrator: Integrator, i: int) -> tuple:
+    """The one term T_i of :func:`variance_terms`, on its stream ("variance", i),
+    and the mean of its first factor's kernel values (_product_integral)."""
     k = kernel.order
     return _product_integral(
         kernel, k, window, integrator, i, [range(i)] * 2, ("variance", i),

@@ -256,6 +256,33 @@ def test_one_shots_apply_the_intensity_factor_as_the_record_does(make, lam):
         assert op(kern, config, model, integ) == op(baked, config, model, integ), op.__name__
 
 
+ONE_SHOT_MEAN_CASES = {
+    "pairwise-distance": (make_kernel("pairwise-distance"), UNIT_SQUARE, Integrator(samples=200, seed=3)),
+    "pairwise-distance-strata-2": (make_kernel("pairwise-distance"), UNIT_SQUARE, Integrator(samples=64, seed=3, strata=2)),
+    "gilbert-local": (gilbert_kernel(0.1), UNIT_SQUARE, Integrator(samples=200, seed=3)),
+    "lines": (make_kernel("line-intersections", window=LineWindow(1.0)), LineWindow(1.0), Integrator(samples=200, seed=3)),
+    "convex-position-3": (make_kernel("convex-position-3"), UNIT_SQUARE, Integrator(samples=64, seed=3)),
+    "order-1-with-factor": (
+        UStatKernel(1, lambda t: 1.0 + t[:, 0, 0], intensity_factor=lambda lam: 1.0 / lam), UNIT_SQUARE, Integrator(samples=200, seed=3),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_SHOT_MEAN_CASES))
+def test_expectation_is_the_record_mean(case):
+    # the one-shot reads the same pass as the record: equal with ==, value,
+    # se and n, after the scale lam^k g(lam)
+    kern, window, integ = ONE_SHOT_MEAN_CASES[case]
+    record = estimate_ingredients(kern, window, integ)
+    for lam in (1.0, 7.0):
+        scale = lam**kern.order * kern.factor(lam)
+        assert expectation(kern, IntensityModel(lam, window), integ) == record.mean.scaled(scale)
+        assert expectation(kern, IntensityModel(lam, window), integ).value == record.moments(lam)[0]
+    if case == "convex-position-3":
+        # the kernel is 1 almost surely: every inner-batch mean is exactly theta^2 = 1
+        assert (record.mean.value, record.mean.se) == (1.0, 0.0)
+
+
 @pytest.mark.parametrize("mode", ["general", "geometric"])
 def test_non_symmetric_kernel_is_refused_before_any_integral(mode):
     calls = []
@@ -416,6 +443,11 @@ def test_stratified_ingredients_exact_on_cell_kernel():
     for i, f_i in enumerate(chaos_kernels_simple(fn, im), start=1):
         assert terms[i - 1].value == pytest.approx(math.factorial(i) * f_i.norm_sq(im), rel=1e-12)
         assert norms[i - 1].value == pytest.approx(SimpleFunction(f_i.grid, f_i.coeffs**2).norm_sq(im), rel=1e-12)
+    # the record's mean, read off T_1's pass, is int f dtheta^2 = mu' C mu
+    mu = fn.grid.measures()
+    record = estimate_ingredients(kern, win, integ)
+    assert record.terms == tuple(terms)
+    assert record.mean.value == pytest.approx(float(mu @ coeffs @ mu), rel=1e-12)
 
 
 def test_local_bound_accepts_a_sharper_constant():

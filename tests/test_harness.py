@@ -841,6 +841,55 @@ def test_cli_rate_rejects_a_bad_constant_before_any_estimation(tmp_path, capsys,
     assert not (tmp_path / "rates.csv").exists()
 
 
+@pytest.mark.parametrize("verb", [["variance"], ["bound"], ["experiment", "rate"]])
+def test_cli_refuses_a_negative_integrator_seed_before_any_draw(tmp_path, capsys, monkeypatch, verb):
+    config = {"kernel": "pairwise-distance", "lambdas": [4], "replicates": 20, "integrator": {"samples": 100, "seed": -5}}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    calls = Counter()
+    count_calls(monkeypatch, harness, "estimate_ingredients", calls)
+    count_calls(monkeypatch, harness, "_draw_cell", calls)
+    assert main([*verb, "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: integrator seed must be nonnegative, got -5\n"
+    assert calls == Counter()
+    with pytest.raises(ConfigError, match="nonnegative"):
+        Integrator(seed=-1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["variance", "--kernel", "pairwise-distance", "--lambda", "4,8,1e300"],
+        ["variance", "--kernel", "pairwise-distance", "--lambda", "4,inf"],
+        ["variance", "--kernel", "pairwise-distance", "--lambda", "nan"],
+        ["bound", "--kernel", "pairwise-distance", "--lambda", "2e77"],
+        ["experiment", "rate", "--kernel", "pairwise-distance", "--lambda", "4,8,1e300"],
+    ],
+)
+def test_cli_refuses_lambdas_whose_powers_overflow_before_any_draw(capsys, monkeypatch, argv):
+    calls = Counter()
+    count_calls(monkeypatch, harness, "estimate_ingredients", calls)
+    count_calls(monkeypatch, harness, "_draw_cell", calls)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ("overflows" in err or "finite" in err), err
+    assert "Traceback" not in err
+    assert calls == Counter()
+
+
+def test_lambda_overflow_bound_is_lambda_to_the_2k():
+    # pairwise distance has order 2: lam^4 must be a finite float
+    ok = ExperimentConfig(kernel="pairwise-distance", window=UNIT_SQUARE, lambdas=(1e77,), replicates=1)
+    assert ok.lambdas == (1e77,)
+    with pytest.raises(ConfigError, match="overflows lambda\\^4"):
+        ExperimentConfig(kernel="pairwise-distance", window=UNIT_SQUARE, lambdas=(1.0, 2e77), replicates=1)
+    # order 1: lam^2 is finite at 1e150
+    ExperimentConfig(kernel=UStatKernel(1, lambda t: t[:, 0, 0]), window=UNIT_SQUARE, lambdas=(1e150,), replicates=1)
+    with pytest.raises(ConfigError, match="finite"):
+        ExperimentConfig(kernel="pairwise-distance", window=UNIT_SQUARE, lambdas=(1.0, math.inf), replicates=1)
+
+
 def test_cli_flag_overrides_apply(capsys):
     assert main(["variance", "--kernel", "counterexample", "--lambda", "1,2,3,5"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -414,11 +414,70 @@ def test_first_difference_amounts_to_cross_sum():
 
 
 def test_expectation_matches_closed_form():
+    # read off T_1's pass: 25,000 samples give 200,000 outer points and se
+    # 0.091, below the 0.222 of the 200,000 plain draws the mean once took
     kern = pairwise_distance_kernel()
     im = IntensityModel(20.0, UNIT_SQUARE)
-    est = expectation(kern, im, Integrator(samples=200_000, seed=4))
-    assert est.se > 0
+    est = expectation(kern, im, Integrator(samples=25_000, seed=4))
+    assert 0 < est.se < 0.1
     assert est.within(400.0 * MEAN_DIST_SQUARE)
+
+
+GILBERT_DELTA = 0.1
+MEAN_CALIBRATION = {
+    # exact int f dtheta^2 at unit rate; the gilbert value is Penrose (2003)'s
+    "pairwise-distance": (pairwise_distance_kernel(), UNIT_SQUARE, MEAN_DIST_SQUARE),
+    "gilbert": (
+        gilbert_kernel(GILBERT_DELTA), UNIT_SQUARE,
+        0.5 * (math.pi * GILBERT_DELTA**2 - 8.0 * GILBERT_DELTA**3 / 3.0 + GILBERT_DELTA**4 / 2.0),
+    ),
+    "line-intersections": (line_intersection_kernel(LineWindow(1.0)), LineWindow(1.0), math.pi**2),
+}
+
+
+@pytest.mark.parametrize(
+    "case, strata",
+    # line windows have no stratified draws
+    [(case, 1) for case in sorted(MEAN_CALIBRATION)] + [("gilbert", 2), ("pairwise-distance", 2)],
+)
+def test_mean_se_is_calibrated(case, strata):
+    # z-scores of the mean read off T_1's pass against the exact value, over
+    # 200 seeds at a small sample count: the se neither under- nor overstates
+    kern, window, exact = MEAN_CALIBRATION[case]
+    model = IntensityModel(1.0, window)
+    z = np.array([
+        (est.value - exact) / est.se
+        for est in (expectation(kern, model, Integrator(samples=32, seed=seed, strata=strata)) for seed in range(200))
+    ])
+    assert abs(z.mean()) <= 0.2 and 0.8 <= z.std(ddof=1) <= 1.25, (z.mean(), z.std(ddof=1))
+
+
+# T_1 and T_2 of small fixed-seed configs, the floats the integrator gave
+# before the mean was read off T_1's pass: sharing the pass moves no draw
+PINNED_VARIANCE_TERMS = {
+    "pairwise-distance": (
+        pairwise_distance_kernel(), Integrator(samples=40, seed=11),
+        [(1.1112025772745242, 0.024596189509874706, 320), (0.7231924364062892, 0.09659813163774647, 40)],
+    ),
+    "gilbert-0.2": (
+        gilbert_kernel(0.2), Integrator(samples=40, seed=11),
+        [(0.01209866666666667, 0.00032297574944038164, 320), (0.04000000000000001, 0.006405126152203487, 40)],
+    ),
+    "pairwise-distance-strata-2": (
+        pairwise_distance_kernel(), Integrator(samples=64, seed=11, strata=2),
+        [(1.0887663294143217, 0.01594629068747192, 512), (0.6229546717958087, 0.04764901308894504, 64)],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_VARIANCE_TERMS))
+def test_variance_terms_are_pinned_to_their_floats(case):
+    kern, integ, pinned = PINNED_VARIANCE_TERMS[case]
+    mean, terms = variance_terms(kern, UNIT_SQUARE, integ, with_mean=True)
+    assert [(t.value, t.se, t.n) for t in terms] == pinned
+    assert variance_terms(kern, UNIT_SQUARE, integ) == terms
+    # the mean has T_1's outer points
+    assert mean.n == terms[0].n
 
 
 def test_chaos_kernel_first_order():
@@ -635,8 +694,9 @@ def test_local_draws_need_a_cube_smaller_than_the_window():
 
 def test_local_draws_call_the_kernel_only_on_positive_weights():
     # a local draw with a point outside the window weighs 0, and the kernel
-    # is not called on it: the mean calls it once per positive weight, and
-    # no call of the mean, T_1 (inner batches) or T_2 sees a point outside
+    # is not called on it: the mean (T_1's pass) calls it once per positive
+    # weight of T_1's inner batches, and no call of the mean, T_1 or T_2
+    # sees a point outside
     base = gilbert_kernel(0.1)
     seen = []
 
@@ -647,8 +707,12 @@ def test_local_draws_call_the_kernel_only_on_positive_weights():
     kern = replace(base, fn=recording)
     integ = Integrator(samples=1200, seed=0)
     expectation(kern, IntensityModel(1.0, UNIT_SQUARE), integ)
-    _, weights = integ.draw(UNIT_SQUARE, 2, 1200, integ.rng("expectation"), side=0.2)
-    assert sum(map(len, seen)) == np.count_nonzero(weights) < 1200
+    # at strata = 1 both streams are consumed point by point, so one draw of
+    # every outer point and one of every inner batch repeat the pass's draws
+    outer = NESTED_REPEAT * 1200
+    ys = UNIT_SQUARE.sample(integ.rng("variance", 1, 0), outer)
+    _, weights = integ.draw(UNIT_SQUARE, 1, NESTED_INNER, integ.rng("variance", 1, 1), groups=outer, side=0.2, anchor=ys)
+    assert sum(map(len, seen)) == np.count_nonzero(weights) < outer * NESTED_INNER
     variance_terms(kern, UNIT_SQUARE, integ)
     tuples = np.concatenate(seen)
     assert np.all((tuples >= 0.0) & (tuples <= 1.0))
@@ -667,7 +731,7 @@ def test_product_integral_reuses_repeated_top_order_copies():
     win = BoxWindow(((0.0, 1.0), (0.0, 1.0)))
     for integ in (Integrator(samples=500, seed=4), Integrator(samples=512, seed=4, strata=2)):
         calls.clear()
-        est = _product_integral(fn, 2, win, integ, 2, [range(2)] * 4, ("reuse",), scale=3.0)
+        est, _ = _product_integral(fn, 2, win, integ, 2, [range(2)] * 4, ("reuse",), scale=3.0)
         assert len(calls) == 1
         calls.clear()
         plain = integ.integrate(lambda ys: np.ones(len(ys)) * fn(ys) * fn(ys) * fn(ys) * fn(ys), win, 2, path=("reuse", 0))
@@ -700,7 +764,7 @@ def test_product_integral_evaluates_later_factors_on_live_rows_only():
 
     win = BoxWindow(((0.0, 1.0), (0.0, 1.0)))
     integ = Integrator(samples=600, seed=8)
-    est = _product_integral(fn, 2, win, integ, 4, slots, ("live",), scale=1.5, repeat=3)
+    est, _ = _product_integral(fn, 2, win, integ, 4, slots, ("live",), scale=1.5, repeat=3)
     seen = rows[:]
     rows.clear()
     plain = integ.integrate(oracle, win, 4, path=("live", 0), repeat=3)
@@ -715,7 +779,7 @@ def test_product_integral_skips_non_finite_values_on_zero_rows():
         diagonal = np.all(t[:, 0] == t[:, 1], axis=1)
         return np.where(t[:, 0, 0] < 0.5, np.where(diagonal, 0.0, np.inf), 1.0 + t[:, 1, 1])
 
-    est = _product_integral(fn, 2, UNIT_SQUARE, Integrator(samples=400, seed=2), 2, [[0, 0], [0, 1]], ("dead",))
+    est, _ = _product_integral(fn, 2, UNIT_SQUARE, Integrator(samples=400, seed=2), 2, [[0, 0], [0, 1]], ("dead",))
     assert math.isfinite(est.value) and est.within(0.5 * 1.5**2, 4.0)
 
 
@@ -772,7 +836,7 @@ def test_inner_batches_below_their_stratum_count_are_drawn_unstratified():
     # without an anchor the same batch is an outer one, and too small
     with pytest.raises(ConfigError, match="below the stratum count"):
         fine.draw(UNIT_SQUARE, 1, NESTED_INNER, spawn_rng(1, "inner"))
-    est = _variance_term(pairwise_distance_kernel(), UNIT_SQUARE, fine, 1)
+    est, _ = _variance_term(pairwise_distance_kernel(), UNIT_SQUARE, fine, 1)
     assert est.n == NESTED_REPEAT * 400 and math.isfinite(est.se)
 
 
