@@ -411,7 +411,7 @@ def sylvester_estimate(k: int, intensity: IntensityModel, replicates: int, integ
     scaled = np.array(_evaluate_many(kernel, samples)) / lam**k
     p = float(np.mean(scaled))
     p_se = float(np.std(scaled, ddof=1) / math.sqrt(replicates))
-    norm_sq = _variance_term(kernel, win, integrator, 1)[0].scaled(lam ** (2 * k - 1))
+    norm_sq = _variance_term(kernel, win, integrator, 1).scaled(lam ** (2 * k - 1))
     base = k * k * lam ** (2 * k - 1)
     lower = Estimate(base * p * p, base * 2 * abs(p) * p_se, replicates)
     upper = Estimate(base * p, base * p_se, replicates)

@@ -524,7 +524,7 @@ def _m_orbit_integrals(kernel: UStatKernel, pairs, window: Window, integrator: I
 
     def integral(i: int, j: int, orbit, stream: str, batches: int) -> Estimate:
         o, v, slots, weight = orbit
-        return _product_integral(absolute, k, window, integrator, v, slots, (stream, i, j, o), scale=weight, repeat=batches)[0]
+        return _product_integral(absolute, k, window, integrator, v, slots, (stream, i, j, o), scale=weight, repeat=batches)
 
     keys, scores = [], []
     for (i, j), orbits in plan.items():

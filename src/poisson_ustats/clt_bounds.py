@@ -216,7 +216,7 @@ def _fourth_power_norms(kernel: UStatKernel, window, integrator: Integrator) -> 
         _product_integral(
             kernel, k, window, integrator, i, [range(i)] * 4, ("fourth-power", i),
             scale=math.comb(k, i) ** 4, locality=kernel.locality,
-        )[0]
+        )
         for i in range(1, k + 1)
     ]
 

@@ -289,8 +289,9 @@ class Integrator:
         vals = np.concatenate(parts, axis=-1)
         scale = window_measure(window) ** arity
         count = self.strata ** (arity * window.point_dim)
-        estimates = tuple(_mean_estimate(row, scale, count * repeat, self.strata > 1) for row in vals.reshape(-1, vals.shape[-1]))
-        return estimates if vals.ndim == 2 else estimates[0]
+        if vals.ndim == 2:
+            return tuple(_mean_estimate(row, scale, count * repeat, self.strata > 1) for row in vals)
+        return _mean_estimate(vals, scale, count * repeat, self.strata > 1)
 
 
 def _mean_estimate(vals: np.ndarray, scale: float, groups: int, stratified: bool) -> Estimate:
@@ -347,9 +348,8 @@ def _elementary_mean(v: np.ndarray, r: int) -> np.ndarray:
     return e[r] / math.comb(v.shape[-1], r)
 
 
-def _product_integral(fn, order: int, window: Window, integrator: Integrator, q: int, slots, path, scale: float = 1.0, repeat: int = 1, locality: Optional[float] = None) -> tuple:
-    """Estimates of scale * int prod_l (int fn(y[slots_l], x_l) dtheta^(order-|slots_l|)) dtheta^q(y)
-    and of int (int fn(y[slots_1], x) dtheta^(order-|slots_1|)) dtheta^q(y), unscaled.
+def _product_integral(fn, order: int, window: Window, integrator: Integrator, q: int, slots, path, scale: float = 1.0, repeat: int = 1, locality: Optional[float] = None, first_mean: bool = False):
+    """Estimate of scale * int prod_l (int fn(y[slots_l], x_l) dtheta^(order-|slots_l|)) dtheta^q(y).
 
     ``fn`` maps (m, order, dim) tuples to m values; factor l puts the shared
     variables y[slots_l] first and its own free variables x_l after them.
@@ -365,8 +365,10 @@ def _product_integral(fn, order: int, window: Window, integrator: Integrator, q:
     ``locality`` switches on local draws; it needs every shared variable to
     share a factor with the first one.
 
-    The second estimate reads the first slot list's kernel values off the
-    same pass, with no kernel call of its own: per outer row their mean, the
+    ``first_mean`` returns (that estimate, the estimate of
+    int (int fn(y[slots_1], x) dtheta^(order-|slots_1|)) dtheta^q(y),
+    unscaled), the second read off the same pass with no kernel call of its
+    own: per outer row the mean of the first slot list's kernel values, the
     inner batch's mean for a nested factor (under ``strata`` > 1 the average
     of its c batch means) or the kernel value itself for a factor without
     free variables; its standard error follows the same plain or stratified
@@ -409,10 +411,9 @@ def _product_integral(fn, order: int, window: Window, integrator: Integrator, q:
         return _weighted_values(lambda t: theta**r * fn(t), tuples, weights).reshape(m, -1)
 
     def integrand(ys: np.ndarray) -> np.ndarray:
-        # row 0 the product, row 1 the first slot list's mean kernel values
-        both = np.ones((2, len(ys)))
-        out = both[0]
+        out = np.ones(len(ys))
         for g, (sl, c, r, rng) in enumerate(plan):
+            keep = first_mean and g == 0
             if r == 0:
                 # != 0, not > 0: a product of signed kernel values can be negative;
                 # the slice when every row is live is a view, so nothing is gathered
@@ -426,19 +427,21 @@ def _product_integral(fn, order: int, window: Window, integrator: Integrator, q:
                 batches = [inner(ys[:, sl], r, rng).mean(axis=1) for _ in range(c)]
                 for batch in batches:
                     out *= batch
-                means = sum(batches) / c
+                means = sum(batches) / c if keep else None
             else:
                 v = inner(ys[:, sl], r, rng)
                 out *= _elementary_mean(v, c)
-                means = v.mean(axis=1)
-            if g == 0:
-                both[1] = means
-        return both
+                means = v.mean(axis=1) if keep else None
+            if keep:
+                first = means
+        return np.stack([out, first]) if first_mean else out
 
-    est, first = integrator.integrate(
+    est = integrator.integrate(
         integrand, window, q, path=(*path, 0), repeat=NESTED_REPEAT * repeat if nested else repeat, locality=locality,
     )
-    return est.scaled(scale), first
+    if first_mean:
+        return est[0].scaled(scale), est[1]
+    return est.scaled(scale)
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +718,7 @@ def expectation(kernel: UStatKernel, intensity: IntensityModel, integrator: Inte
     """E F = lam^k factor(lam) int f dtheta^k, read off T_1's pass (see
     variance_terms); equals Ingredients.moments' mean bit for bit."""
     lam = float(intensity.lam)
-    return _variance_term(kernel, intensity.window, integrator, 1)[1].scaled(lam**kernel.order * kernel.factor(lam))
+    return _variance_term(kernel, intensity.window, integrator, 1, first_mean=True)[1].scaled(lam**kernel.order * kernel.factor(lam))
 
 
 def ou_generator(kernel: UStatKernel, config: PointConfiguration, intensity: IntensityModel, integrator: Integrator) -> Estimate:
@@ -830,18 +833,21 @@ def variance_terms(kernel: UStatKernel, window: Window, integrator: Integrator, 
     k > 1 the average of each outer point's inner-batch mean, an unbiased
     estimate of int f(y, .) dtheta^(k-1).
     """
-    passes = [_variance_term(kernel, window, integrator, i) for i in range(1, kernel.order + 1)]
-    terms = [term for term, _ in passes]
-    return (passes[0][1], terms) if with_mean else terms
+    if with_mean:
+        first, mean = _variance_term(kernel, window, integrator, 1, first_mean=True)
+    else:
+        first = _variance_term(kernel, window, integrator, 1)
+    terms = [first] + [_variance_term(kernel, window, integrator, i) for i in range(2, kernel.order + 1)]
+    return (mean, terms) if with_mean else terms
 
 
-def _variance_term(kernel: UStatKernel, window: Window, integrator: Integrator, i: int) -> tuple:
-    """The one term T_i of :func:`variance_terms`, on its stream ("variance", i),
-    and the mean of its first factor's kernel values (_product_integral)."""
+def _variance_term(kernel: UStatKernel, window: Window, integrator: Integrator, i: int, first_mean: bool = False):
+    """The one term T_i of :func:`variance_terms`, on its stream ("variance", i);
+    ``first_mean`` adds the mean of its first factor's kernel values (_product_integral)."""
     k = kernel.order
     return _product_integral(
         kernel, k, window, integrator, i, [range(i)] * 2, ("variance", i),
-        scale=math.factorial(i) * math.comb(k, i) ** 2, locality=kernel.locality,
+        scale=math.factorial(i) * math.comb(k, i) ** 2, locality=kernel.locality, first_mean=first_mean,
     )
 
 

@@ -414,8 +414,8 @@ def test_first_difference_amounts_to_cross_sum():
 
 
 def test_expectation_matches_closed_form():
-    # read off T_1's pass: 25,000 samples give 200,000 outer points and se
-    # 0.091, below the 0.222 of the 200,000 plain draws the mean once took
+    # read off T_1's pass: 25,000 samples give 200,000 outer points and an
+    # se near 0.09
     kern = pairwise_distance_kernel()
     im = IntensityModel(20.0, UNIT_SQUARE)
     est = expectation(kern, im, Integrator(samples=25_000, seed=4))
@@ -452,8 +452,8 @@ def test_mean_se_is_calibrated(case, strata):
     assert abs(z.mean()) <= 0.2 and 0.8 <= z.std(ddof=1) <= 1.25, (z.mean(), z.std(ddof=1))
 
 
-# T_1 and T_2 of small fixed-seed configs, the floats the integrator gave
-# before the mean was read off T_1's pass: sharing the pass moves no draw
+# T_1 and T_2 of small fixed-seed configs, pinned float for float: reading
+# the mean off T_1's pass must move no draw of any variance term
 PINNED_VARIANCE_TERMS = {
     "pairwise-distance": (
         pairwise_distance_kernel(), Integrator(samples=40, seed=11),
@@ -731,7 +731,7 @@ def test_product_integral_reuses_repeated_top_order_copies():
     win = BoxWindow(((0.0, 1.0), (0.0, 1.0)))
     for integ in (Integrator(samples=500, seed=4), Integrator(samples=512, seed=4, strata=2)):
         calls.clear()
-        est, _ = _product_integral(fn, 2, win, integ, 2, [range(2)] * 4, ("reuse",), scale=3.0)
+        est = _product_integral(fn, 2, win, integ, 2, [range(2)] * 4, ("reuse",), scale=3.0)
         assert len(calls) == 1
         calls.clear()
         plain = integ.integrate(lambda ys: np.ones(len(ys)) * fn(ys) * fn(ys) * fn(ys) * fn(ys), win, 2, path=("reuse", 0))
@@ -764,7 +764,7 @@ def test_product_integral_evaluates_later_factors_on_live_rows_only():
 
     win = BoxWindow(((0.0, 1.0), (0.0, 1.0)))
     integ = Integrator(samples=600, seed=8)
-    est, _ = _product_integral(fn, 2, win, integ, 4, slots, ("live",), scale=1.5, repeat=3)
+    est = _product_integral(fn, 2, win, integ, 4, slots, ("live",), scale=1.5, repeat=3)
     seen = rows[:]
     rows.clear()
     plain = integ.integrate(oracle, win, 4, path=("live", 0), repeat=3)
@@ -779,7 +779,7 @@ def test_product_integral_skips_non_finite_values_on_zero_rows():
         diagonal = np.all(t[:, 0] == t[:, 1], axis=1)
         return np.where(t[:, 0, 0] < 0.5, np.where(diagonal, 0.0, np.inf), 1.0 + t[:, 1, 1])
 
-    est, _ = _product_integral(fn, 2, UNIT_SQUARE, Integrator(samples=400, seed=2), 2, [[0, 0], [0, 1]], ("dead",))
+    est = _product_integral(fn, 2, UNIT_SQUARE, Integrator(samples=400, seed=2), 2, [[0, 0], [0, 1]], ("dead",))
     assert math.isfinite(est.value) and est.within(0.5 * 1.5**2, 4.0)
 
 
@@ -836,7 +836,7 @@ def test_inner_batches_below_their_stratum_count_are_drawn_unstratified():
     # without an anchor the same batch is an outer one, and too small
     with pytest.raises(ConfigError, match="below the stratum count"):
         fine.draw(UNIT_SQUARE, 1, NESTED_INNER, spawn_rng(1, "inner"))
-    est, _ = _variance_term(pairwise_distance_kernel(), UNIT_SQUARE, fine, 1)
+    est = _variance_term(pairwise_distance_kernel(), UNIT_SQUARE, fine, 1)
     assert est.n == NESTED_REPEAT * 400 and math.isfinite(est.se)
 
 
