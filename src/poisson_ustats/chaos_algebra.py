@@ -15,12 +15,12 @@ Both moment formulas sum one term per diagram, and for symmetric factors that
 term depends only on the diagram's block-type vector (which sets of factors
 its blocks join, and how often).  One enumeration of the types, built from
 the factor sizes alone with the number of labelled diagrams of each type,
-serves both: product_expectation contracts every type exactly, and M_ij
-(:func:`m_ij`) estimates the integral of every connected type, the draws
-of all M_ij of a record allocated after a pilot to the types whose
-integrands spread, into a polynomial in lam whose coefficients are
-lambda-free.  The labelled enumerations
-enumerate_pi and enumerate_pi_bar remain as their reference.
+serves both: product_expectation contracts every type exactly, and the
+record of every M_ij, 1 <= i <= j <= k, estimates the integral of every
+connected type, its draws allocated after a pilot to the types whose
+integrands spread, into polynomials in lam whose coefficients are
+lambda-free; :func:`m_ij` reads one pair of that record.  The labelled
+enumerations enumerate_pi and enumerate_pi_bar remain as their reference.
 """
 
 from __future__ import annotations
@@ -55,10 +55,10 @@ __all__ = [
 ]
 
 MAX_PARTITION_VARIABLES = 16
-# the orbit integrals draw samples * (pilots + batches) tuples: one pilot batch
-# per orbit of every 1 <= i <= j <= k, and the batches of the pairs asked for,
-# one per labelled diagram before the pilots fix the allocation; 10^8 admits an
-# order-3 record at 1,024 samples (45.0M) and refuses an order-4 M_44 at 256 (4.7e9)
+# the orbit integrals of a record draw at most samples * (pilots + budget) tuples:
+# one pilot batch per orbit of every 1 <= i <= j <= k and one batch per labelled
+# diagram; 10^8 admits an order-3 record at 1,024 samples (45.0M) and refuses it
+# from 2,277 samples on, and refuses an order-4 record at 256 samples (4.9e9)
 MAX_DIAGRAM_DRAWS = 10**8
 
 
@@ -453,9 +453,9 @@ def _orbit_slots(types, free) -> tuple:
     return slots, pos
 
 
-def _m_orbit_integrals(kernel: UStatKernel, pairs, window: Window, integrator: Integrator) -> tuple:
-    """The lambda-free orbit integrals of M_ij for every (i, j) in ``pairs``,
-    as ((i, j, ((v_o, I_o), ...)), ...).
+def _m_orbit_integrals(kernel: UStatKernel, window: Window, integrator: Integrator) -> tuple:
+    """The lambda-free orbit integrals of the record's M_ij, every pair
+    1 <= i <= j <= k in order, as ((i, j, ((v_o, I_o), ...)), ...).
 
     M_ij sums, over connected diagrams of four factors with (i, i, j, j)
     identified arguments, the integral of the absolute product of four
@@ -466,35 +466,25 @@ def _m_orbit_integrals(kernel: UStatKernel, pairs, window: Window, integrator: I
     unit-intensity draws (each batch stratified on its own under
     ``strata`` > 1).
 
-    One allocation serves the whole record, every pair 1 <= i <= j <= k,
-    by Neyman's rule for the error of sum_{i<=j} sqrt(M_ij) at unit
-    intensity.  Every orbit of every pair first draws one pilot batch on
-    stream ("m-pilot", i, j, o, 0); orbit o of (i, j) is scored g_ij se_o,
-    its pilot standard error times the delta-method gradient
-    g_ij = C(k,i)^2 C(k,j)^2 / (2 sqrt(M_ij)) of the pilots' M_ij (0 when
-    that is not positive; an intensity factor would scale every pair
-    alike).  Of the sum of w_o over the record's orbits, the batches that
-    one per labelled diagram would take, every orbit keeps one and the
-    others go in proportion to the scores, rounded to whole batches by
-    largest remainder, so when no pilot shows spread each orbit keeps one.
-    The estimate uses only these batches, drawn on stream ("m", i, j, o, 0),
-    so it is unbiased, and its ``n`` counts the orbit's allocated draws (an
-    assembled M_ij reports the fewest of its orbits).
+    One allocation serves the record, by Neyman's rule for the error of
+    sum_{i<=j} sqrt(M_ij) at unit intensity.  Every orbit of every pair
+    first draws one pilot batch on stream ("m-pilot", i, j, o, 0); orbit o
+    of (i, j) is scored g_ij se_o, its pilot standard error times the
+    delta-method gradient g_ij = C(k,i)^2 C(k,j)^2 / (2 sqrt(M_ij)) of the
+    pilots' M_ij (0 when that is not positive; an intensity factor would
+    scale every pair alike).  Of the sum of w_o over the record's orbits,
+    the batches that one per labelled diagram would take, every orbit keeps
+    one and the others go in proportion to the scores, rounded to whole
+    batches by largest remainder, so when no pilot shows spread each orbit
+    keeps one.  The estimate uses only these batches, drawn on stream
+    ("m", i, j, o, 0), so it is unbiased, and its ``n`` counts the orbit's
+    allocated draws (an assembled M_ij reports the fewest of its orbits).
 
-    Only the pairs asked for draw their allocated batches, but the pilots
-    of every pair are drawn, so the allocation and the outputs reproduce
-    for a seed and m_ij equals the M_ij of a record bit for bit.  The guard
-    counts ``samples`` times the record's pilot batches plus the batches of
-    the pairs asked for, and raises CapacityError when that exceeds
-    MAX_DIAGRAM_DRAWS: before any draw with one batch per labelled diagram
-    of those pairs (for a whole record, its budget: every draw it makes),
-    and after the pilots with the batches allocated to them, before any is
-    drawn.
+    Before any draw the guard counts ``samples`` times the pilots and the
+    budget, every draw the record makes when a pilot shows spread, and
+    raises CapacityError when that exceeds MAX_DIAGRAM_DRAWS.
     """
     k = kernel.order
-    for i, j in pairs:
-        if not 1 <= i <= j <= k:
-            raise ConfigError(f"need 1 <= i <= j <= order, got i={i}, j={j}, order={k}")
     if not kernel.symmetric:
         raise ConfigError("m_ij sums diagrams by block type, which needs a symmetric kernel")
     # per record pair (i, j), per orbit o: (o, v_o, slot lists, w_o)
@@ -508,16 +498,9 @@ def _m_orbit_integrals(kernel: UStatKernel, pairs, window: Window, integrator: I
                 orbits.append((o, v, slots, weight))
             plan[i, j] = orbits
     budget = sum(weight for orbits in plan.values() for *_, weight in orbits)
-    pilot_batches = sum(map(len, plan.values()))
-
-    def guard(batches: int) -> None:
-        draws = integrator.samples * (pilot_batches + batches)
-        if draws > MAX_DIAGRAM_DRAWS:
-            names = ", ".join(f"M_{i}{j}" for i, j in pairs)
-            raise CapacityError(f"the orbit integrals of {names} take {draws:,} draws, above the guard of {MAX_DIAGRAM_DRAWS:,}")
-
-    # one batch per labelled diagram of the pairs asked for: a whole record's budget
-    guard(sum(weight for i, j in pairs for *_, weight in plan[i, j]))
+    draws = integrator.samples * (sum(map(len, plan.values())) + budget)
+    if draws > MAX_DIAGRAM_DRAWS:
+        raise CapacityError(f"the orbit integrals of the order-{k} M_ij take {draws:,} draws, above the guard of {MAX_DIAGRAM_DRAWS:,}")
 
     def absolute(tuples: np.ndarray) -> np.ndarray:
         return np.abs(kernel(tuples))
@@ -543,17 +526,20 @@ def _m_orbit_integrals(kernel: UStatKernel, pairs, window: Window, integrator: I
     for n in sorted(range(len(shares)), key=lambda n: int(shares[n]) - shares[n])[:left]:
         batches[n] += 1
     allocated = dict(zip(keys, batches))
-    guard(sum(allocated[i, j, o] for i, j in pairs for o, *_ in plan[i, j]))
     return tuple(
-        (i, j, tuple((orbit[1], integral(i, j, orbit, "m", allocated[i, j, orbit[0]])) for orbit in plan[i, j]))
-        for i, j in pairs
+        (i, j, tuple((orbit[1], integral(i, j, orbit, "m", allocated[i, j, orbit[0]])) for orbit in orbits))
+        for (i, j), orbits in plan.items()
     )
 
 
 def _assemble_m(k: int, i: int, j: int, orbit_integrals, lam: float, factor: float = 1.0) -> Estimate:
     """M_ij = C(k,i)^2 C(k,j)^2 factor^4 sum_o lam^(v_o) I_o, with the kernel's intensity factor at lam."""
     scale = math.comb(k, i) ** 2 * math.comb(k, j) ** 2 * factor**4
-    value = math.fsum(lam**v * est.value for v, est in orbit_integrals)
+    try:
+        value = math.fsum(lam**v * est.value for v, est in orbit_integrals)
+    except OverflowError:
+        top = max(v for v, _ in orbit_integrals)
+        raise ConfigError(f"lambda {lam:g} overflows the lambda^{top} of M_{i}{j} (order {k})") from None
     se = combine_se(*(lam**v * est.se for v, est in orbit_integrals))
     return Estimate(value, se, min(est.n for _, est in orbit_integrals)).scaled(scale)
 
@@ -563,14 +549,15 @@ def m_ij(kernel: UStatKernel, i: int, j: int, intensity: IntensityModel, integra
     the lam polynomial C(k,i)^2 C(k,j)^2 factor(lam)^4 sum_o lam^(v_o) I_o of the
     orbit integrals I_o over v_o variables that _m_orbit_integrals draws.
 
-    The draws are allocated across the whole record, so this draws the
-    pilots of every pair 1 <= i' <= j' <= k and then only the batches of
-    (i, j); the result equals the M_ij of a record bit for bit.  The
-    capacity guard counts those pilots and the batches of (i, j): one per
-    labelled diagram before any draw, then the allocated ones."""
+    It estimates the kernel's whole record, every pair 1 <= i' <= j' <= k
+    under the record's one guard, and assembles (i, j) from it, so it
+    equals the M_ij of a record bit for bit."""
+    k = kernel.order
+    if not 1 <= i <= j <= k:
+        raise ConfigError(f"need 1 <= i <= j <= order, got i={i}, j={j}, order={k}")
     lam = float(intensity.lam)
-    ((_, _, orbit_integrals),) = _m_orbit_integrals(kernel, [(i, j)], intensity.window, integrator)
-    return _assemble_m(kernel.order, i, j, orbit_integrals, lam, kernel.factor(lam))
+    record = {(a, b): orbit_integrals for a, b, orbit_integrals in _m_orbit_integrals(kernel, intensity.window, integrator)}
+    return _assemble_m(k, i, j, record[i, j], lam, kernel.factor(lam))
 
 
 def chaos_kernels_simple(fn: SimpleFunction, intensity: IntensityModel) -> list:

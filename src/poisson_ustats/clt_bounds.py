@@ -297,7 +297,6 @@ def estimate_ingredients(kernel: UStatKernel, window: Window, integrator: Integr
 
     mode None gives the moment integrals only; "general", "local" or
     "geometric" adds what that bound needs (a kernel can fit several)."""
-    k = kernel.order
     if mode == "local":
         if kernel.locality is None:
             raise LocalityError("kernel declares no support diameter; not a local kernel")
@@ -308,8 +307,8 @@ def estimate_ingredients(kernel: UStatKernel, window: Window, integrator: Integr
             raise ConfigError("kernel is not flagged intensity-independent")
     elif mode not in (None, "general"):
         raise ConfigError(f"unknown mode {mode!r}")
-    if mode in ("general", "geometric") and not kernel.symmetric:
-        raise ConfigError("m_ij sums diagrams by block type, which needs a symmetric kernel")
+    # the M_ij record goes first: its guard refuses an over-budget record before any draw
+    m = _m_orbit_integrals(kernel, window, integrator) if mode in ("general", "geometric") else ()
     mean, terms = variance_terms(kernel, window, integrator, with_mean=True)
     terms = tuple(terms)
     if mode is None:
@@ -323,8 +322,6 @@ def estimate_ingredients(kernel: UStatKernel, window: Window, integrator: Integr
         )
     if mode == "local":
         return Ingredients(kernel, window, mean, terms, mode, norms=tuple(_fourth_power_norms(kernel, window, integrator)))
-    pairs = [(i, j) for i in range(1, k + 1) for j in range(i, k + 1)]
-    m = _m_orbit_integrals(kernel, pairs, window, integrator)
     return Ingredients(kernel, window, mean, terms, mode, m=m, notes=_sign_note(kernel, window, integrator))
 
 

@@ -46,10 +46,9 @@ def digests(work: Path) -> dict:
     """Run every golden call in ``work`` and return {output file: SHA-256}."""
     from poisson_ustats.cli import main
 
-    configs = sorted(HERE.glob("*.json"))
-    for path in configs:
-        if path != DIGESTS:
-            shutil.copy(path, work / path.name)
+    configs = {path.name for path in HERE.glob("*.json") if path != DIGESTS}
+    for name in configs:
+        shutil.copy(HERE / name, work / name)
     before = os.getcwd()
     os.chdir(work)
     try:
@@ -63,11 +62,10 @@ def digests(work: Path) -> dict:
                 (work / stdout).write_text(text.getvalue())
     finally:
         os.chdir(before)
-    inputs = {path.name for path in configs}
     return {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(work.iterdir())
-        if path.name not in inputs
+        if path.name not in configs
     }
 
 

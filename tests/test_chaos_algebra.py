@@ -468,8 +468,10 @@ def _per_diagram_m(kernel, i, j, lam, samples, seed) -> tuple:
 def test_m_ij_orbits_agree_with_per_diagram_sum(kernel, pairs):
     lam = 1.5
     im = IntensityModel(lam, UNIT_SQUARE)
+    # each pair assembled from one record is the m_ij of that pair, bit for bit
+    record = {(i, j): orbit_integrals for i, j, orbit_integrals in _m_orbit_integrals(kernel, UNIT_SQUARE, Integrator(samples=400, seed=3))}
     for i, j in pairs:
-        est = m_ij(kernel, i, j, im, Integrator(samples=400, seed=3))
+        est = _assemble_m(kernel.order, i, j, record[i, j], lam)
         want, want_se = _per_diagram_m(kernel, i, j, lam, 400, seed=100 * i + j)
         assert abs(est.value - want) <= 4.0 * math.hypot(est.se, want_se), (i, j, est, want, want_se)
 
@@ -495,7 +497,7 @@ def test_allocated_orbit_integrals_match_the_cell_contraction():
     # one cell-measure vector per variable
     fn = SimpleFunction(GRID4, _symmetric_table(4, 2, 17))
     pairs = [(1, 1), (1, 2), (2, 2)]
-    got = _m_orbit_integrals(fn.as_kernel(), pairs, UNIT_SQUARE, Integrator(samples=400, seed=5))
+    got = _m_orbit_integrals(fn.as_kernel(), UNIT_SQUARE, Integrator(samples=400, seed=5))
     measures = GRID4.measures()
     for (i, j), (gi, gj, orbit_integrals) in zip(pairs, got):
         assert (gi, gj) == (i, j)
@@ -515,11 +517,10 @@ def test_allocated_root_sum_se_matches_the_spread():
     # the reported delta-method se tracks the spread of the estimates
     window = LineWindow(1.0)
     kern = line_intersection_kernel(window)
-    pairs = [(1, 1), (1, 2), (2, 2)]
     sums, ses = [], []
     for seed in range(20):
         terms = [_assemble_m(2, i, j, orbit_integrals, 1.0) for i, j, orbit_integrals in
-                 _m_orbit_integrals(kern, pairs, window, Integrator(samples=300, seed=seed))]
+                 _m_orbit_integrals(kern, window, Integrator(samples=300, seed=seed))]
         sums.append(math.fsum(math.sqrt(t.value) for t in terms))
         ses.append(math.sqrt(math.fsum((t.se / (2.0 * math.sqrt(t.value))) ** 2 for t in terms)))
     spread = float(np.std(sums, ddof=1))
@@ -535,7 +536,7 @@ def test_pooled_allocation_spends_the_record_budget():
     # at least one per orbit, and M_11 (one orbit of weight 1) can get more
     kern = UStatKernel(3, lambda t: t[:, :, 0].sum(axis=1) * (0.5 + t[:, :, 1].prod(axis=1)), name="sum-prod")
     pairs = _record_pairs(3)
-    got = _m_orbit_integrals(kern, pairs, UNIT_SQUARE, Integrator(samples=40, seed=2))
+    got = _m_orbit_integrals(kern, UNIT_SQUARE, Integrator(samples=40, seed=2))
     batches = {(i, j): [est.n // 40 for _, est in orbit_integrals] for i, j, orbit_integrals in got}
     assert all(est.n % 40 == 0 for *_, orbit_integrals in got for _, est in orbit_integrals)
     assert sum(map(sum, batches.values())) == sum(w for i, j in pairs for _, w in _block_type_orbits((i, i, j, j)))
@@ -546,7 +547,7 @@ def test_pooled_allocation_keeps_one_batch_per_exact_orbit():
     # convex-position-3 is 1 almost surely: no pilot spreads, so every orbit
     # of the record keeps one batch and M_33 stays exact
     pairs = _record_pairs(3)
-    got = _m_orbit_integrals(convex_position_kernel(3), pairs, UNIT_SQUARE, Integrator(samples=8, seed=0))
+    got = _m_orbit_integrals(convex_position_kernel(3), UNIT_SQUARE, Integrator(samples=8, seed=0))
     assert [(i, j) for i, j, _ in got] == pairs
     assert all(est.n == 8 and est.se == 0.0 for *_, orbit_integrals in got for _, est in orbit_integrals)
     assert _assemble_m(3, 3, 3, got[-1][2], 1.0).value == 41364.0
@@ -557,17 +558,16 @@ def test_m_ij_equals_the_pooled_record_for_line_intersections():
     window = LineWindow(1.0)
     kern = line_intersection_kernel(window)
     integ = Integrator(samples=300, seed=7)
-    record = _m_orbit_integrals(kern, _record_pairs(2), window, integ)
+    record = _m_orbit_integrals(kern, window, integ)
     for i, j, orbit_integrals in record:
         est = m_ij(kern, i, j, IntensityModel(3.0, window), integ)
         assert est == _assemble_m(2, i, j, orbit_integrals, 3.0)
 
 
-def test_m_ij_guards_the_draws_it_makes(monkeypatch):
-    # a one-shot m_ij draws the record's pilots and the batches allocated to
-    # its own pair, and the guard counts just those: M_11 of an order-3
-    # kernel is not refused for the record's budget, and one draw over the
-    # guard refuses it after the pilots, before its own batches
+def test_m_ij_guards_the_record_before_any_draw(monkeypatch):
+    # a one-shot m_ij draws the whole record: samples times one pilot batch
+    # per orbit plus the budget of one batch per labelled diagram; the guard
+    # admits exactly that many draws and refuses one less before any kernel call
     calls = []
 
     def sum_prod(t):
@@ -575,20 +575,16 @@ def test_m_ij_guards_the_draws_it_makes(monkeypatch):
         return t[:, :, 0].sum(axis=1) * (0.5 + t[:, :, 1].prod(axis=1))
 
     kern = UStatKernel(3, sum_prod, name="sum-prod")
-    im, integ = IntensityModel(1.0, UNIT_SQUARE), Integrator(samples=40, seed=2)
-    orbits = [_block_type_orbits((i, i, j, j)) for i, j in _record_pairs(3)]
-    pilots = 40 * sum(map(len, orbits))
+    im, integ = IntensityModel(1.0, UNIT_SQUARE), Integrator(samples=8, seed=2)
     est = m_ij(kern, 1, 1, im, integ)
-    admitted = calls[:]
-    assert est.n > 40 and pilots + est.n < 40 * sum(w for orbit in orbits for _, w in orbit)
-    monkeypatch.setattr(chaos_algebra, "MAX_DIAGRAM_DRAWS", pilots + est.n)
+    draws = 8 * sum(1 + w for i, j in _record_pairs(3) for _, w in _block_type_orbits((i, i, j, j)))
+    monkeypatch.setattr(chaos_algebra, "MAX_DIAGRAM_DRAWS", draws)
+    assert m_ij(kern, 1, 1, im, integ) == est
+    monkeypatch.setattr(chaos_algebra, "MAX_DIAGRAM_DRAWS", draws - 1)
     calls.clear()
-    assert m_ij(kern, 1, 1, im, integ) == est and calls == admitted
-    monkeypatch.setattr(chaos_algebra, "MAX_DIAGRAM_DRAWS", pilots + est.n - 1)
-    calls.clear()
-    with pytest.raises(CapacityError, match="M_11 take"):
+    with pytest.raises(CapacityError, match="the orbit integrals of the order-3 M_ij take"):
         m_ij(kern, 1, 1, im, integ)
-    assert 0 < len(calls) < len(admitted) and calls == admitted[: len(calls)]
+    assert calls == []
 
 
 def test_an_order_3_record_at_1024_samples_is_admitted():

@@ -297,6 +297,31 @@ def test_non_symmetric_kernel_is_refused_before_any_integral(mode):
     assert calls == []
 
 
+def test_an_over_budget_record_is_refused_before_any_kernel_call():
+    # an order-4 record at 256 samples takes 256 * (308 + 19,118,455) draws;
+    # its guard runs before variance_terms, so the kernel is never called
+    calls = []
+
+    def fn(t):
+        calls.append(len(t))
+        return np.ones(len(t))
+
+    kern = UStatKernel(4, fn, name="constant-4", geometric=True)
+    with pytest.raises(CapacityError, match="the orbit integrals .* take 4,894,403,328 draws"):
+        geometric_bound(kern, IntensityModel(16.0, UNIT_SQUARE), Integrator(samples=256))
+    assert calls == []
+
+
+def test_a_lambda_power_of_m_ij_that_overflows_is_a_config_error():
+    # M_11 of an order-2 kernel holds lam^5, which has no float at lam 1e70
+    kern = _smooth_pair_kernel()
+    model, integ = IntensityModel(1e70, UNIT_SQUARE), Integrator(samples=50, seed=1)
+    with pytest.raises(ConfigError, match=r"lambda 1e\+70 overflows the lambda\^5 of M_11"):
+        wasserstein_bound(kern, model, integ)
+    with pytest.raises(ConfigError, match=r"lambda 1e\+70 overflows the lambda\^5 of M_11"):
+        m_ij(kern, 1, 1, model, integ)
+
+
 # ---------------------------------------------------------------------------
 # geometric mode
 
