@@ -26,7 +26,8 @@ that share some variables; one estimator, _product_integral, computes them
 through Integrator, and reads the mean int f dtheta^k off the kernel values
 of T_1's pass.  The sampling rules (the outer and inner draw counts,
 stratification, local draws and chunks) are stated in the Integrator
-docstring, the estimator of a nested term in _product_integral's, and the
+docstring, the estimator of a nested term in _product_integral's, the
+pilot that sizes its inner batches in _pilot_batch_size's, and the
 allocation of the M_ij draws in chaos_algebra._m_orbit_integrals'.
 """
 
@@ -69,8 +70,8 @@ __all__ = [
 
 # tuples drawn at once when an integral repeats its batches (Integrator.integrate)
 CHUNK_DRAWS = 1 << 14
-# a nested integral averages NESTED_REPEAT batches of ``samples`` outer points,
-# each with inner batches of NESTED_INNER draws (Integrator)
+# a nested integral spends NESTED_REPEAT * NESTED_INNER * samples kernel rows per
+# slot list, in inner batches of at most NESTED_INNER draws (Integrator)
 NESTED_REPEAT = 8
 NESTED_INNER = 16
 
@@ -80,9 +81,10 @@ class Estimate:
     """A numeric estimate with its standard error and sample count.
 
     ``n`` counts the draws of the outermost integral: for a nested term
-    (one whose kernel copies keep free variables) the outer points, each of
-    which drew its own inner batches of NESTED_INNER points.  For M_ij see
-    chaos_algebra._m_orbit_integrals.
+    (one whose kernel copies keep free variables) the outer points of its
+    main pass, NESTED_REPEAT * NESTED_INNER * samples / M, each of which
+    drew its own inner batches of the pilot's M points (the pilot's draws
+    are not counted).  For M_ij see chaos_algebra._m_orbit_integrals.
     """
 
     value: float
@@ -101,7 +103,16 @@ class Estimate:
 
 
 def combine_se(*ses: float) -> float:
-    return math.sqrt(math.fsum(s * s for s in ses))
+    """sqrt of the sum of squares: plain whenever that is finite, else (the
+    squares overflow) rescaled by the largest term."""
+    try:
+        total = math.sqrt(math.fsum(s * s for s in ses))
+    except OverflowError:  # fsum's intermediate overflow
+        total = math.inf
+    top = max(map(abs, ses), default=0.0)
+    if total == math.inf and top < math.inf:
+        return top * math.sqrt(math.fsum((s / top) ** 2 for s in ses))
+    return total
 
 
 @dataclass(frozen=True)
@@ -161,10 +172,14 @@ class Integrator:
     ``samples`` is the draw count of a plain integral (of each of its
     ``repeat`` batches).  A nested integral, one whose kernel copies keep
     free variables (the variance terms T_i and the fourth-power norms for
-    i < k), draws N = NESTED_REPEAT * samples outer points as that many
-    batches, and for each outer point one inner batch of M = NESTED_INNER
-    draws per slot list, shared by the r copies on it; its cost is
-    N * M kernel calls per slot list.
+    i < k), spends NESTED_REPEAT * NESTED_INNER * samples kernel rows per
+    slot list on its estimate: NESTED_REPEAT * NESTED_INNER / M batches of
+    ``samples`` outer points, and for each outer point one inner batch of M
+    draws per slot list, shared by the copies on it.  The
+    inner batch size M, a power of two up to NESTED_INNER, comes from a
+    pilot of ``samples`` outer points with inner batches of NESTED_INNER
+    (_pilot_batch_size), whose NESTED_INNER * samples kernel rows per slot
+    list come on top of the budget and enter no estimate.
 
     Chunks: ``integrate`` draws max(1, CHUNK_DRAWS // samples) batches at a
     time from its path's one stream and calls the integrand on at most
@@ -185,7 +200,9 @@ class Integrator:
     Streams: each ingredient draws on its own path, the variance term T_i
     on ("variance", i, ...), the fourth-power norms and the M_ij orbits on
     theirs, except the mean int f dtheta^k, which has no draw of its own:
-    it is read off T_1's kernel values (see _product_integral).
+    it is read off T_1's kernel values (see _product_integral).  A nested
+    integral's pilot draws on its path + ("pilot",), apart from the streams
+    of its estimate.
 
     Local draws: given a kernel's locality delta on a box or ball window W
     with (2 delta)^d < theta(W), every point after a tuple's anchor is drawn
@@ -348,6 +365,97 @@ def _elementary_mean(v: np.ndarray, r: int) -> np.ndarray:
     return e[r] / math.comb(v.shape[-1], r)
 
 
+def _batch_variance(m, s, c: int, size: int, independent: bool):
+    """Variance of the estimate of mu^c from iid inner values of mean mu and
+    variance s, with m = mu^2: e_c(v) / C(size, c) of one batch of ``size``
+    values (Hoeffding: sum_j C(c,j) C(size-c,c-j) / C(size,c) zeta_j, with
+    zeta_j = (m + s)^j m^(c-j) - m^c), or with ``independent`` the product of
+    c means of independent batches of ``size``, (m + s/size)^c - m^c.  Both
+    are expanded into nonnegative terms in s^t, t >= 1, so they are exactly
+    0 where s is."""
+    if independent:
+        return sum(math.comb(c, t) * (s / size) ** t * m ** (c - t) for t in range(1, c + 1))
+    return sum(
+        math.comb(c, j) * math.comb(size - c, c - j) / math.comb(size, c)
+        * sum(math.comb(j, t) * s**t * m ** (c - t) for t in range(1, j + 1))
+        for j in range(1, c + 1)
+    )
+
+
+def _spread(x: np.ndarray) -> np.ndarray:
+    """Plug-in variance (ddof 0) over the last axis, exactly 0 where all values are equal."""
+    return np.where(x.max(axis=-1) == x.min(axis=-1), 0.0, x.var(axis=-1))
+
+
+def _inner_values(fn, order: int, window: Window, integrator: Integrator, y: np.ndarray, r: int, size: int, rng, side) -> np.ndarray:
+    """theta^r fn(y_j, x) times the draw weight, shape (len(y), size): one
+    inner batch of ``size`` draws of the r free variables per row of y."""
+    m = len(y)
+    xs, weights = integrator.draw(window, r, size, rng, groups=m, side=side, anchor=y[:, 0])
+    per = len(xs) // m
+    theta_r = window_measure(window) ** r
+
+    def tuples(rows) -> np.ndarray:
+        # row t of the batch joins y[t // per]; only the selected rows are
+        # built, and the drawn points go once copied
+        nonlocal xs
+        own, xs = xs[rows], None
+        out = np.empty((len(own), order, window.point_dim))
+        out[:, : y.shape[1]] = np.repeat(y, per if weights is None else rows.reshape(m, per).sum(axis=1), axis=0)
+        out[:, y.shape[1] :] = own
+        return out
+
+    return _weighted_values(lambda t: theta_r * fn(t), tuples, weights).reshape(m, -1)
+
+
+def _pilot_batch_size(fn, order: int, window: Window, integrator: Integrator, q: int, plan, path, side) -> int:
+    """Inner batch size M of a nested _product_integral's main pass, chosen
+    by a pilot on its own stream path + ("pilot",).
+
+    The candidates are the powers of two from the slot list's copy count c
+    to NESTED_INNER; under ``strata`` > 1 only those that stratify the inner
+    batch (M >= L^(r*d)), or NESTED_INNER alone if none does.  A single
+    candidate, or a plan of several slot lists, keeps NESTED_INNER and draws
+    no pilot.  The pilot draws ``samples`` plain outer rows, each with one
+    plain inner batch of NESTED_INNER values, and takes per row the plug-in
+    mean mu and variance s of those values.  A row's estimate at batch size
+    M, w U_M with w the outer draw weight, has conditional variance
+    w^2 Var(U_M | y) (_batch_variance), and its spread over rows is
+    V_M = A + mean_rows(w^2 Var(U_M | y)), with the between-row part
+    A = max(0, var_rows(w U_16) - mean_rows(w^2 Var(U_16 | y))).  At a fixed
+    count of kernel rows the main pass's variance is proportional to
+    V_M * M; the smallest wins, a tie (or a pilot that shows no spread, or
+    one whose values are not finite) keeping the larger M.
+    """
+    if len(plan) > 1:
+        return NESTED_INNER
+    ((sl, c, r),) = plan
+    sizes = [1 << e for e in range(NESTED_INNER.bit_length()) if c <= 1 << e <= NESTED_INNER]
+    stratified = integrator.strata > 1
+    if stratified:
+        sizes = [M for M in sizes if M >= integrator.strata ** (r * window.point_dim)] or [NESTED_INNER]
+    if len(sizes) == 1:
+        return sizes[0]
+    plain = replace(integrator, strata=1)
+    rng = integrator.rng(*path, "pilot")
+    ys, weights = plain.draw(window, q, integrator.samples, rng, side=side)
+    n = len(ys)
+    w = np.ones(n) if weights is None else weights
+    # per row mu^2, s and U_16; rows of zero weight keep 0 and draw no inner batch
+    m, s, u = np.zeros(n), np.zeros(n), np.zeros(n)
+    live = np.flatnonzero(w)
+    for start in range(0, len(live), CHUNK_DRAWS):
+        rows = live[start : start + CHUNK_DRAWS]
+        v = _inner_values(fn, order, window, plain, ys[rows][:, sl], r, NESTED_INNER, rng, side)
+        m[rows], s[rows], u[rows] = v.mean(axis=1) ** 2, _spread(v), _elementary_mean(v, c)
+
+    def within(M: int, independent: bool) -> float:
+        return float(np.mean(w * w * _batch_variance(m, s, c, M, independent)))
+
+    between = max(0.0, float(_spread(w * u)) - within(NESTED_INNER, False))
+    return min(reversed(sizes), key=lambda M: (between + within(M, stratified)) * M)
+
+
 def _product_integral(fn, order: int, window: Window, integrator: Integrator, q: int, slots, path, scale: float = 1.0, repeat: int = 1, locality: Optional[float] = None, first_mean: bool = False):
     """Estimate of scale * int prod_l (int fn(y[slots_l], x_l) dtheta^(order-|slots_l|)) dtheta^q(y).
 
@@ -357,11 +465,14 @@ def _product_integral(fn, order: int, window: Window, integrator: Integrator, q:
     path + (0,), which stratifies them, averages ``repeat`` batches and gives
     the standard error.  The c factors on one slot list multiply c copies of
     one kernel evaluation if they have no free variables.  Otherwise the
-    integral is nested (Integrator): the outer draw averages NESTED_REPEAT
-    times ``repeat`` batches, and slot list g draws its inner batches on
-    stream path + (g,), 1-based in order of first appearance; the estimate
-    of the c-th power of the inner integral is e_c(v) / C(M, c) of one shared
-    batch, or under ``strata`` > 1 the product of c independent batch means.
+    integral is nested (Integrator): a pilot on stream path + ("pilot",)
+    picks the inner batch size M (_pilot_batch_size), the outer draw
+    averages NESTED_REPEAT * NESTED_INNER / M times ``repeat`` batches, and
+    slot list g draws its inner batches of M on stream path + (g,), 1-based
+    in order of first appearance; the estimate of the c-th power of the
+    inner integral is e_c(v) / C(M, c) of one shared batch, or under
+    ``strata`` > 1 the product of c independent batch means.  Only this main
+    pass enters the estimate.
     ``locality`` switches on local draws; it needs every shared variable to
     share a factor with the first one.
 
@@ -380,39 +491,18 @@ def _product_integral(fn, order: int, window: Window, integrator: Integrator, q:
     value that is not finite on such a row is never computed and raises no
     IntegrationError.  Nested factors draw their inner batches for every row.
     """
-    dim = window.point_dim
     side = _local_side(window, locality)
     copies = {}
     for sl in slots:
         copies[tuple(sl)] = copies.get(tuple(sl), 0) + 1
-    plan = []
-    for g, (sl, c) in enumerate(copies.items(), start=1):
-        r = order - len(sl)
-        plan.append((list(sl), c, r, integrator.rng(*path, g) if r else None))
-    nested = any(r for _, _, r, _ in plan)
-    theta = window_measure(window)
-
-    def inner(y: np.ndarray, r: int, rng) -> np.ndarray:
-        """theta^r fn(y_j, x) times the draw weight, shape (len(y), M), one inner batch per row of y."""
-        m = len(y)
-        xs, weights = integrator.draw(window, r, NESTED_INNER, rng, groups=m, side=side, anchor=y[:, 0])
-        per = len(xs) // m
-
-        def tuples(rows) -> np.ndarray:
-            # row t of the batch joins y[t // per]; only the selected rows are
-            # built, and the drawn points go once copied
-            nonlocal xs
-            own, xs = xs[rows], None
-            out = np.empty((len(own), order, dim))
-            out[:, : y.shape[1]] = np.repeat(y, per if weights is None else rows.reshape(m, per).sum(axis=1), axis=0)
-            out[:, y.shape[1] :] = own
-            return out
-
-        return _weighted_values(lambda t: theta**r * fn(t), tuples, weights).reshape(m, -1)
+    plan = [(list(sl), c, order - len(sl)) for sl, c in copies.items()]
+    nested = any(r for _, _, r in plan)
+    size = _pilot_batch_size(fn, order, window, integrator, q, plan, path, side) if nested else NESTED_INNER
+    streams = [integrator.rng(*path, g) if r else None for g, (_, _, r) in enumerate(plan, start=1)]
 
     def integrand(ys: np.ndarray) -> np.ndarray:
         out = np.ones(len(ys))
-        for g, (sl, c, r, rng) in enumerate(plan):
+        for g, ((sl, c, r), rng) in enumerate(zip(plan, streams)):
             keep = first_mean and g == 0
             if r == 0:
                 # != 0, not > 0: a product of signed kernel values can be negative;
@@ -424,12 +514,12 @@ def _product_integral(fn, order: int, window: Window, integrator: Integrator, q:
                     part = part * means
                 out[rows] = part
             elif integrator.strata > 1:
-                batches = [inner(ys[:, sl], r, rng).mean(axis=1) for _ in range(c)]
+                batches = [_inner_values(fn, order, window, integrator, ys[:, sl], r, size, rng, side).mean(axis=1) for _ in range(c)]
                 for batch in batches:
                     out *= batch
                 means = sum(batches) / c if keep else None
             else:
-                v = inner(ys[:, sl], r, rng)
+                v = _inner_values(fn, order, window, integrator, ys[:, sl], r, size, rng, side)
                 out *= _elementary_mean(v, c)
                 means = v.mean(axis=1) if keep else None
             if keep:
@@ -437,7 +527,7 @@ def _product_integral(fn, order: int, window: Window, integrator: Integrator, q:
         return np.stack([out, first]) if first_mean else out
 
     est = integrator.integrate(
-        integrand, window, q, path=(*path, 0), repeat=NESTED_REPEAT * repeat if nested else repeat, locality=locality,
+        integrand, window, q, path=(*path, 0), repeat=NESTED_REPEAT * NESTED_INNER // size * repeat if nested else repeat, locality=locality,
     )
     if first_mean:
         return est[0].scaled(scale), est[1]

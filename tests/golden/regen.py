@@ -9,7 +9,8 @@ After a change that moves outputs on purpose, rewrite the digests with
 
     python tests/golden/regen.py
 
-and name the files that moved in CHANGES.md.
+which first prints the output files whose digest moved against the
+committed ``digests.json``; name them in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -69,9 +70,16 @@ def digests(work: Path) -> dict:
     }
 
 
+def moved(pinned: dict, got: dict) -> list:
+    """The output files whose digest differs between two {file: SHA-256} maps, added or dropped ones included."""
+    return sorted(name for name in set(pinned) | set(got) if pinned.get(name) != got.get(name))
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as work:
         files = digests(Path(work))
+    pinned = json.loads(DIGESTS.read_text())["files"] if DIGESTS.exists() else {}
+    print(f"moved against the committed digests: {', '.join(moved(pinned, files)) or 'none'}")
     DIGESTS.write_text(json.dumps({"numpy": np.__version__, "files": files}, indent=2) + "\n")
     print(f"wrote {len(files)} digests (numpy {np.__version__}) to {DIGESTS}")
 

@@ -150,6 +150,16 @@ def test_zero_kernel_is_refused():
         wasserstein_bound(dead, IntensityModel(3.0, UNIT_SQUARE), Integrator(samples=400, seed=1))
 
 
+def test_huge_lambda_variance_keeps_a_finite_se():
+    # at lam 1e55 the squared standard errors of lam^3 T_1 overflow; the
+    # combined se is rescaled by its largest term, so the variance clears
+    # its three standard errors instead of reading "se inf"
+    smooth = UStatKernel(2, lambda t: np.exp(-((t[:, 0] - t[:, 1]) ** 2).sum(axis=1)), name="smooth")
+    rep = wasserstein_bound(smooth, IntensityModel(1e55, UNIT_SQUARE), Integrator(samples=200, seed=1))
+    assert math.isfinite(rep.variance_se) and 0.0 < rep.variance_se < rep.variance / 3.0
+    assert math.isfinite(rep.bound) and all(math.isfinite(t.se) for t in rep.m)
+
+
 def test_signed_kernel_gets_a_note():
     integ = Integrator(samples=600, seed=11, strata=2)
     rep = wasserstein_bound(counterexample_kernel(), IntensityModel(4.0, BoxWindow(((-1.0, 1.0),))), integ)

@@ -19,5 +19,5 @@ def test_outputs_match_the_committed_digests(tmp_path):
         "whose random streams may differ; regenerate them with python tests/golden/regen.py"
     )
     got = regen.digests(tmp_path)
-    moved = sorted(name for name in set(got) | set(pinned["files"]) if got.get(name) != pinned["files"].get(name))
+    moved = regen.moved(pinned["files"], got)
     assert not moved, f"outputs moved: {', '.join(moved)}"

@@ -693,6 +693,13 @@ def test_cli_variance_table(capsys):
     assert len(lines) == 3
 
 
+def test_cli_variance_se_is_finite_at_a_huge_lambda(capsys):
+    # lam^3 T_1 is about 1e165 and its se about 1e162, whose square overflows
+    assert main(["variance", "--kernel", "pairwise-distance", "--lambda", "1e55"]) == 0
+    lam, mean, var, se = map(float, capsys.readouterr().out.splitlines()[1].split(","))
+    assert lam == 1e55 and math.isfinite(var) and math.isfinite(se) and 0.0 < se < var
+
+
 def test_cli_bound_report_cycle(tmp_path, capsys):
     config = {
         "kernel": "pairwise-distance",

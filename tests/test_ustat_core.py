@@ -4,17 +4,19 @@ import itertools
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poisson_ustats import (
     BallWindow,
     BoxWindow,
     CapacityError,
+    CellGrid,
     ConfigError,
     Estimate,
     IntegrationError,
@@ -22,8 +24,10 @@ from poisson_ustats import (
     IntensityModel,
     LineWindow,
     PointConfiguration,
+    SimpleFunction,
     UStatKernel,
     chaos_kernel,
+    chaos_kernels_simple,
     check_symmetry,
     counterexample_kernel,
     difference,
@@ -33,6 +37,7 @@ from poisson_ustats import (
     iterated_difference,
     line_intersection_kernel,
     m_ij,
+    make_kernel,
     ou_generator,
     ou_generator_direct,
     ou_inverse,
@@ -44,7 +49,15 @@ from poisson_ustats import (
 from poisson_ustats._streams import spawn_rng
 from poisson_ustats.clt_bounds import _fourth_power_norms
 from poisson_ustats import ustat_core
-from poisson_ustats.ustat_core import CHUNK_DRAWS, NESTED_INNER, NESTED_REPEAT, _elementary_mean, _product_integral, _variance_term
+from poisson_ustats.ustat_core import (
+    CHUNK_DRAWS,
+    NESTED_INNER,
+    NESTED_REPEAT,
+    _batch_variance,
+    _elementary_mean,
+    _product_integral,
+    _variance_term,
+)
 
 UNIT_SQUARE = BoxWindow(((0.0, 1.0), (0.0, 1.0)))
 
@@ -452,20 +465,90 @@ def test_mean_se_is_calibrated(case, strata):
     assert abs(z.mean()) <= 0.2 and 0.8 <= z.std(ddof=1) <= 1.25, (z.mean(), z.std(ddof=1))
 
 
+def _chosen_size(est: Estimate, samples: int) -> int:
+    """The inner batch size M of a nested estimate's main pass, from its n = 128 * samples / M outer points."""
+    return NESTED_REPEAT * NESTED_INNER * samples // est.n
+
+
+def _mark_pilot(monkeypatch) -> list:
+    """Wrap the pilot so that the returned one-item list reads "pilot" while it runs and "main" otherwise."""
+    phase = ["main"]
+    pilot = ustat_core._pilot_batch_size
+
+    def marked(*args):
+        phase[0] = "pilot"
+        try:
+            return pilot(*args)
+        finally:
+            phase[0] = "main"
+
+    monkeypatch.setattr(ustat_core, "_pilot_batch_size", marked)
+    return phase
+
+
+def _cell_family(cells: int, band: bool):
+    """An order-2 cell kernel on [0, 1] (only neighbouring cells when
+    ``band``, then local with delta two cell widths) and its exact T_1, T_2
+    and fourth-power norms through chaos_kernels_simple."""
+    coeffs = np.zeros((cells, cells))
+    for i, j in itertools.permutations(range(cells), 2):
+        if not band:
+            coeffs[i, j] = 0.5 + ((i + j + i * j) % 5) / 2.0
+        elif abs(i - j) == 1:
+            coeffs[i, j] = 1.0 + 0.3 * min(i, j)
+    fn = SimpleFunction(CellGrid.regular((0.0,), (1.0,), (cells,)), coeffs)
+    model = IntensityModel(1.0, BoxWindow(((0.0, 1.0),)))
+    chaos = chaos_kernels_simple(fn, model)
+    terms = [math.factorial(i) * f_i.norm_sq(model) for i, f_i in enumerate(chaos, start=1)]
+    norms = [SimpleFunction(f_i.grid, f_i.coeffs**2).norm_sq(model) for f_i in chaos]
+    return fn.as_kernel(locality=2.0 / cells if band else None), model.window, terms + norms
+
+
+SE_CALIBRATION = {
+    # Santalo: on LineWindow(R), T_1 = 64 pi R^3 / 3 and T_2 = pi^2 R^2
+    "line-intersections": (line_intersection_kernel(LineWindow(1.0)), LineWindow(1.0), [64.0 * math.pi / 3.0, math.pi**2]),
+    "cell-plain": _cell_family(6, band=False),
+    "cell-local": _cell_family(8, band=True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SE_CALIBRATION))
+def test_variance_term_and_norm_se_is_calibrated(case):
+    # z-scores of T_1, T_2 (and for the cell kernels the two fourth-power
+    # norms) against their exact values over 200 seeds: the se of the
+    # pilot-sized nested passes neither under- nor overstates the spread;
+    # the pilots pick inner batches below NESTED_INNER for every T_1
+    kern, window, exact = SE_CALIBRATION[case]
+    z, sizes = [], set()
+    for seed in range(200):
+        integ = Integrator(samples=128, seed=seed)
+        got = variance_terms(kern, window, integ)
+        if len(exact) > 2:
+            got += _fourth_power_norms(kern, window, integ)
+        z.append([(est.value - value) / est.se for est, value in zip(got, exact)])
+        sizes.add(_chosen_size(got[0], 128))
+    z = np.array(z)
+    mean, sd = z.mean(axis=0), z.std(axis=0, ddof=1)
+    assert np.all(np.abs(mean) <= 0.2) and np.all((0.8 <= sd) & (sd <= 1.25)), (mean, sd)
+    assert max(sizes) < NESTED_INNER
+
+
 # T_1 and T_2 of small fixed-seed configs, pinned float for float: reading
-# the mean off T_1's pass must move no draw of any variance term
+# the mean off T_1's pass must move no draw of any variance term; T_1's
+# pilot picks inner batches of 2 (4 under strata 2, its smallest stratified
+# size), so its n is 128 * samples / M outer points
 PINNED_VARIANCE_TERMS = {
     "pairwise-distance": (
         pairwise_distance_kernel(), Integrator(samples=40, seed=11),
-        [(1.1112025772745242, 0.024596189509874706, 320), (0.7231924364062892, 0.09659813163774647, 40)],
+        [(1.109042334910622, 0.016173369726442437, 2560), (0.7231924364062892, 0.09659813163774647, 40)],
     ),
     "gilbert-0.2": (
         gilbert_kernel(0.2), Integrator(samples=40, seed=11),
-        [(0.01209866666666667, 0.00032297574944038164, 320), (0.04000000000000001, 0.006405126152203487, 40)],
+        [(0.011670000000000005, 0.0002520436981781627, 2560), (0.04000000000000001, 0.006405126152203487, 40)],
     ),
     "pairwise-distance-strata-2": (
         pairwise_distance_kernel(), Integrator(samples=64, seed=11, strata=2),
-        [(1.0887663294143217, 0.01594629068747192, 512), (0.6229546717958087, 0.04764901308894504, 64)],
+        [(1.1168660938493176, 0.008979088392263032, 2048), (0.6229546717958087, 0.04764901308894504, 64)],
     ),
 }
 
@@ -624,16 +707,123 @@ def test_elementary_mean_is_nonnegative_on_sparse_nonnegative_values(values, r):
         assert got == 0.0
 
 
-def test_variance_terms_cost_is_linear_in_samples():
-    # T_1 of an order-2 kernel is nested: 8 * samples outer points with one
-    # shared inner batch of 16 each; the top-order T_2 draws samples tuples
-    tuples = []
-    kern = UStatKernel(2, lambda t: (tuples.append(len(t)), np.abs(t[:, 0, 0] - t[:, 1, 0]))[1], name="gap")
+def _compositions(total: int, parts: int):
+    """Every tuple of ``parts`` nonnegative counts summing to ``total``."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _compositions(total - head, parts - 1):
+            yield (head, *rest)
+
+
+def _exact_variances(law: dict, c: int, size: int) -> tuple:
+    """Exact variances of e_c(v) / C(size, c) over one batch of ``size`` iid
+    values of the discrete ``law`` ({value: probability}, as Fractions), by
+    enumerating every multiset of values with its multinomial probability,
+    and of the product of c means of independent such batches, by
+    enumerating the law of a batch sum."""
+    values = list(law)
+    first = second = Fraction(0)
+    for counts in _compositions(size, len(values)):
+        prob = Fraction(math.factorial(size), math.prod(math.factorial(n) for n in counts))
+        e = [Fraction(1)] + [Fraction(0)] * c
+        for v, n in zip(values, counts):
+            prob *= law[v] ** n
+            for _ in range(n):
+                for j in range(c, 0, -1):
+                    e[j] += v * e[j - 1]
+        u = e[c] / math.comb(size, c)
+        first += prob * u
+        second += prob * u * u
+    sums = {Fraction(0): Fraction(1)}
+    for _ in range(size):
+        step = {}
+        for total, p in sums.items():
+            for v, q in law.items():
+                step[total + v] = step.get(total + v, Fraction(0)) + p * q
+        sums = step
+    mean = sum(p * total for total, p in sums.items()) / size
+    square = sum(p * total * total for total, p in sums.items()) / size**2
+    return second - first * first, square**c - mean ** (2 * c)
+
+
+LAWS = st.lists(
+    st.tuples(st.fractions(-3, 4, max_denominator=4), st.integers(1, 999)), min_size=1, max_size=3, unique_by=lambda vw: vw[0]
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(LAWS)
+@example([(Fraction(0), 97), (Fraction(1), 3)])
+@example([(Fraction(0), 990), (Fraction(1, 2), 9), (Fraction(3), 1)])
+def test_pilot_variance_rule_is_exact(pairs):
+    # the pilot's Var(U_M | y) at the law's mu and variance s, for c in {2, 4}
+    # and every candidate M, against the exact variance of e_c / C(M, c) and
+    # of a product of c independent batch means, sparse laws included
+    weight = sum(w for _, w in pairs)
+    law = {v: Fraction(w, weight) for v, w in pairs}
+    mu = sum(p * v for v, p in law.items())
+    s = sum(p * (v - mu) ** 2 for v, p in law.items())
+    for c in (2, 4):
+        for size in (M for M in (2, 4, 8, 16) if M >= c):
+            shared, independent = _exact_variances(law, c, size)
+            for exact, flag in ((shared, False), (independent, True)):
+                got = float(_batch_variance(np.array(float(mu * mu)), np.array(float(s)), c, size, flag))
+                assert got == pytest.approx(float(exact), rel=1e-9, abs=0.0)
+                assert (got == 0.0) == (s == 0)
+
+
+def test_a_family_without_pilot_spread_keeps_its_inner_batches(monkeypatch):
+    # convex position of 3 points is 1 almost surely, and a constant kernel
+    # on a window of area 2 has equal inner values: no pilot spread, so T_1
+    # and the first norm keep M = NESTED_INNER
+    half = BoxWindow(((0.0, 2.0), (0.0, 1.0)))
+    constant = UStatKernel(2, lambda t: np.full(len(t), 0.7), name="constant")
+    for kern, window in ((make_kernel("convex-position-3"), UNIT_SQUARE), (constant, half)):
+        integ = Integrator(samples=64, seed=3)
+        for est in (variance_terms(kern, window, integ)[0], _fourth_power_norms(kern, window, integ)[0]):
+            assert est.n == NESTED_REPEAT * 64 and est.se <= 1e-12 * est.value
+    # a kernel of small support whose pilot values are all 0: the main pass
+    # keeps today's draws, pinned float for float to the estimator of fixed
+    # inner batches of NESTED_INNER (the mean's rows hit the support)
+    phase = _mark_pilot(monkeypatch)
+    pilot_values = []
+
+    def near(t):
+        out = (np.abs(t[:, 0] - t[:, 1]).max(axis=1) < 0.01).astype(float)
+        if phase[0] == "pilot":
+            pilot_values.append(out)
+        return out
+
+    t_1, mean = _variance_term(UStatKernel(2, near, name="near"), UNIT_SQUARE, Integrator(samples=40, seed=3), 1, first_mean=True)
+    assert len(pilot_values) == 1 and not np.any(pilot_values[0])
+    assert (t_1.value, t_1.se, t_1.n) == (0.0, 0.0, 320)
+    assert (mean.value, mean.se, mean.n) == (0.00078125, 0.00038878386641989305, 320)
+
+
+def test_variance_terms_cost_is_linear_in_samples(monkeypatch):
+    # T_1 of an order-2 kernel is nested: a pilot of samples outer points
+    # with one inner batch of 16 each, then a main pass of 128 * samples / M
+    # outer points with one shared inner batch of M each, so 128 * samples
+    # kernel rows whatever M; the top-order T_2 draws samples tuples; the
+    # fourth-power norm of T_1's slot list spends the same as T_1
+    rows = {"pilot": 0, "main": 0}
+    phase = _mark_pilot(monkeypatch)
+
+    def gap(t):
+        rows[phase[0]] += len(t)
+        return np.abs(t[:, 0, 0] - t[:, 1, 0])
+
+    kern = UStatKernel(2, gap, name="gap")
     for samples in (100, 300):
-        tuples.clear()
-        terms = variance_terms(kern, UNIT_SQUARE, Integrator(samples=samples, seed=1))
-        assert sum(tuples) == NESTED_REPEAT * NESTED_INNER * samples + samples
-        assert (terms[0].n, terms[1].n) == (NESTED_REPEAT * samples, samples)
+        for family in (lambda integ: variance_terms(kern, UNIT_SQUARE, integ), lambda integ: _fourth_power_norms(kern, UNIT_SQUARE, integ)):
+            rows.update(pilot=0, main=0)
+            nested, top = family(Integrator(samples=samples, seed=1))
+            assert rows["pilot"] == NESTED_INNER * samples
+            assert rows["main"] == NESTED_REPEAT * NESTED_INNER * samples + samples
+            assert _chosen_size(nested, samples) in (2, 4, 8, 16) and nested.n * _chosen_size(nested, samples) == NESTED_REPEAT * NESTED_INNER * samples
+            assert top.n == samples
 
 
 def test_linear_nested_se_matches_the_spread():
@@ -706,13 +896,19 @@ def test_local_draws_call_the_kernel_only_on_positive_weights():
 
     kern = replace(base, fn=recording)
     integ = Integrator(samples=1200, seed=0)
-    expectation(kern, IntensityModel(1.0, UNIT_SQUARE), integ)
-    # at strata = 1 both streams are consumed point by point, so one draw of
-    # every outer point and one of every inner batch repeat the pass's draws
-    outer = NESTED_REPEAT * 1200
-    ys = UNIT_SQUARE.sample(integ.rng("variance", 1, 0), outer)
-    _, weights = integ.draw(UNIT_SQUARE, 1, NESTED_INNER, integ.rng("variance", 1, 1), groups=outer, side=0.2, anchor=ys)
-    assert sum(map(len, seen)) == np.count_nonzero(weights) < outer * NESTED_INNER
+    mean = expectation(kern, IntensityModel(1.0, UNIT_SQUARE), integ)
+    # at strata = 1 every stream is consumed point by point, so one draw of
+    # every outer point and one of every inner batch repeat the draws of
+    # the pilot (1200 points, batches of 16, on one stream) and of the main
+    # pass (mean.n points, batches of the chosen M)
+    pilot = integ.rng("variance", 1, "pilot")
+    ys = UNIT_SQUARE.sample(pilot, 1200)
+    _, pilot_weights = integ.draw(UNIT_SQUARE, 1, NESTED_INNER, pilot, groups=1200, side=0.2, anchor=ys)
+    size = _chosen_size(mean, 1200)
+    ys = UNIT_SQUARE.sample(integ.rng("variance", 1, 0), mean.n)
+    _, weights = integ.draw(UNIT_SQUARE, 1, size, integ.rng("variance", 1, 1), groups=mean.n, side=0.2, anchor=ys)
+    assert size < NESTED_INNER
+    assert sum(map(len, seen)) == np.count_nonzero(pilot_weights) + np.count_nonzero(weights) < 1200 * NESTED_INNER + mean.n * size
     variance_terms(kern, UNIT_SQUARE, integ)
     tuples = np.concatenate(seen)
     assert np.all((tuples >= 0.0) & (tuples <= 1.0))
@@ -836,8 +1032,12 @@ def test_inner_batches_below_their_stratum_count_are_drawn_unstratified():
     # without an anchor the same batch is an outer one, and too small
     with pytest.raises(ConfigError, match="below the stratum count"):
         fine.draw(UNIT_SQUARE, 1, NESTED_INNER, spawn_rng(1, "inner"))
+    # no inner batch size up to NESTED_INNER stratifies 25 strata, so T_1's
+    # pilot keeps M = NESTED_INNER; at level 2 only M >= 4 is a candidate
     est = _variance_term(pairwise_distance_kernel(), UNIT_SQUARE, fine, 1)
-    assert est.n == NESTED_REPEAT * 400 and math.isfinite(est.se)
+    assert _chosen_size(est, 400) == NESTED_INNER and est.n == NESTED_REPEAT * 400 and math.isfinite(est.se)
+    est = _variance_term(pairwise_distance_kernel(), UNIT_SQUARE, replace(fine, strata=2), 1)
+    assert _chosen_size(est, 400) in (4, 8, 16) and est.n * _chosen_size(est, 400) == NESTED_REPEAT * NESTED_INNER * 400
 
 
 NESTED_CHUNK_CASES = {
