@@ -52,6 +52,7 @@ __all__ = [
     "chaos_kernels_simple",
     "MAX_PARTITION_VARIABLES",
     "MAX_DIAGRAM_DRAWS",
+    "MAX_INGREDIENT_ROWS",
 ]
 
 MAX_PARTITION_VARIABLES = 16
@@ -60,6 +61,13 @@ MAX_PARTITION_VARIABLES = 16
 # diagram; 10^8 admits an order-3 record at 1,024 samples (45.0M) and refuses it
 # from 2,277 samples on, and refuses an order-4 record at 256 samples (4.9e9)
 MAX_DIAGRAM_DRAWS = 10**8
+# the T_i and fourth-power norms of a record call the kernel on at most
+# (1 + NESTED_REPEAT) * NESTED_INNER * samples rows per nested family (its pilot
+# and main pass) and samples rows per top-order one (clt_bounds._ingredient_rows);
+# 10^8 admits an order-2 local record (T_1, T_2 and two norms, 290 rows per
+# sample) up to 344,827 samples and an order-3 moment record up to 346,020, and
+# refuses 2 * 10^9 samples before a pilot allocates its outer draws
+MAX_INGREDIENT_ROWS = 10**8
 
 
 @dataclass(frozen=True, eq=False)
@@ -462,9 +470,10 @@ def _m_orbit_integrals(kernel: UStatKernel, window: Window, integrator: Integrat
     kernel copies; factors 1-2 keep k-i free arguments and factors 3-4 keep
     k-j.  For a symmetric kernel the integral depends only on the diagram's
     block-type orbit o: I_o is the orbit weight w_o times the integral over
-    its v_o <= 4k-i-j variables, a mean of batches of ``samples``
-    unit-intensity draws (each batch stratified on its own under
-    ``strata`` > 1).
+    its v_o <= 4k-i-j variables, a mean over ``samples`` unit-intensity
+    draws per batch: one lattice family of all its batches' draws at
+    ``strata`` 1, or batches each stratified on its own under
+    ``strata`` > 1 (Integrator).
 
     One allocation serves the record, by Neyman's rule for the error of
     sum_{i<=j} sqrt(M_ij) at unit intensity.  Every orbit of every pair
@@ -478,7 +487,8 @@ def _m_orbit_integrals(kernel: UStatKernel, window: Window, integrator: Integrat
     batches by largest remainder, so when no pilot shows spread each orbit
     keeps one.  The estimate uses only these batches, drawn on stream
     ("m", i, j, o, 0), so it is unbiased, and its ``n`` counts the orbit's
-    allocated draws (an assembled M_ij reports the fewest of its orbits).
+    allocated draws, less a lattice family's remainder (an assembled M_ij
+    reports the fewest of its orbits).
 
     Before any draw the guard counts ``samples`` times the pilots and the
     budget, every draw the record makes when a pilot shows spread, and

@@ -36,7 +36,7 @@ import numpy as np
 from ._streams import _cell_streams
 # enumerate_pi_bar, m_ij and (below) variance are no longer called here; the imports stay
 # because the benchmark's tracing wraps them at these import sites (perfbench/tracing.py SITES)
-from .chaos_algebra import SimpleFunction, _assemble_m, _block_type_orbits, _m_orbit_integrals, cell_counts, enumerate_pi_bar, m_ij
+from .chaos_algebra import MAX_INGREDIENT_ROWS, SimpleFunction, _assemble_m, _block_type_orbits, _m_orbit_integrals, cell_counts, enumerate_pi_bar, m_ij
 from .errors import (
     AssumptionViolationError,
     CapacityError,
@@ -46,7 +46,7 @@ from .errors import (
     _as_config_error,
 )
 from .point_process import IntensityModel, LineWindow, Window, sample_points, unit_ball_volume
-from .ustat_core import Estimate, Integrator, UStatKernel, _product_integral, assemble_variance, variance, variance_terms
+from .ustat_core import NESTED_INNER, NESTED_REPEAT, Estimate, Integrator, UStatKernel, _product_integral, assemble_variance, variance, variance_terms
 
 __all__ = [
     "MTerm",
@@ -291,12 +291,23 @@ class Ingredients:
         return BoundReport(mode=self.mode, k=k, lam=lam, variance=var.value, variance_se=var.se, m=m, **detail)
 
 
+def _ingredient_rows(k: int, samples: int, norms: bool) -> int:
+    """The most kernel rows of a record's T_1..T_k, and with ``norms`` of its
+    fourth-power norms: each family of index i < k is nested on one slot list
+    (its pilot and main pass), the top-order one plain."""
+    per_family = (k - 1) * (1 + NESTED_REPEAT) * NESTED_INNER * samples + samples
+    return per_family * (2 if norms else 1)
+
+
 def estimate_ingredients(kernel: UStatKernel, window: Window, integrator: Integrator, mode: Optional[str] = None) -> Ingredients:
     """Estimate the lambda-free ingredients, each on its own integrator
     stream but the mean, which shares T_1's pass (variance_terms).
 
     mode None gives the moment integrals only; "general", "local" or
-    "geometric" adds what that bound needs (a kernel can fit several)."""
+    "geometric" adds what that bound needs (a kernel can fit several).
+    Before any draw, CapacityError refuses a record whose T_i and norms may
+    take more than MAX_INGREDIENT_ROWS kernel rows, or whose M_ij orbits
+    take more than MAX_DIAGRAM_DRAWS draws."""
     if mode == "local":
         if kernel.locality is None:
             raise LocalityError("kernel declares no support diameter; not a local kernel")
@@ -307,6 +318,9 @@ def estimate_ingredients(kernel: UStatKernel, window: Window, integrator: Integr
             raise ConfigError("kernel is not flagged intensity-independent")
     elif mode not in (None, "general"):
         raise ConfigError(f"unknown mode {mode!r}")
+    rows = _ingredient_rows(kernel.order, integrator.samples, mode == "local")
+    if rows > MAX_INGREDIENT_ROWS:
+        raise CapacityError(f"the order-{kernel.order} variance terms and norms take up to {rows:,} kernel rows, above the guard of {MAX_INGREDIENT_ROWS:,}")
     # the M_ij record goes first: its guard refuses an over-budget record before any draw
     m = _m_orbit_integrals(kernel, window, integrator) if mode in ("general", "geometric") else ()
     mean, terms = variance_terms(kernel, window, integrator, with_mean=True)

@@ -111,9 +111,16 @@ class BoxWindow:
             inside &= (col >= lo) & (col <= hi)
         return inside
 
-    def from_unit(self, u: np.ndarray) -> np.ndarray:
-        """Map uniform unit-cube variates (shape (..., d)) into the box."""
-        return self._low + self._span * u
+    def from_unit(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Map uniform unit-cube variates (shape (..., d)) into the box, into
+        ``out`` if given (which may be u itself)."""
+        # axis by axis, as the products along the short last axis are slow
+        u = np.asarray(u, dtype=float)
+        out = np.empty(u.shape) if out is None else out
+        for c in range(self.dimension):
+            np.multiply(u[..., c], self._span[c], out=out[..., c])
+            out[..., c] += self._low[c]
+        return out
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         # from_unit in place on the fresh draw: the same products and sums
@@ -192,11 +199,15 @@ class LineWindow:
         phi, p = pts[..., 0], pts[..., 1]
         return (phi >= 0.0) & (phi < math.pi) & (np.abs(p) <= self.radius)
 
-    def from_unit(self, u: np.ndarray) -> np.ndarray:
+    def from_unit(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Map uniform unit-square variates (shape (..., 2)) to (phi, p), into
+        ``out`` if given (which may be u itself)."""
         u = np.asarray(u, dtype=float)
-        out = np.empty_like(u)
-        out[..., 0] = math.pi * u[..., 0]
-        out[..., 1] = self.radius * (2.0 * u[..., 1] - 1.0)
+        out = np.empty(u.shape) if out is None else out
+        np.multiply(u[..., 0], math.pi, out=out[..., 0])
+        col = np.multiply(u[..., 1], 2.0, out=out[..., 1])
+        col -= 1.0
+        col *= self.radius
         return out
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:

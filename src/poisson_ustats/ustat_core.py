@@ -24,8 +24,9 @@ The variance terms, the fourth-power norms of the local bound and the
 fourth-moment terms M_ij are all integrals of a product of kernel copies
 that share some variables; one estimator, _product_integral, computes them
 through Integrator, and reads the mean int f dtheta^k off the kernel values
-of T_1's pass.  The sampling rules (the outer and inner draw counts,
-stratification, local draws and chunks) are stated in the Integrator
+of T_1's pass.  The sampling rules (randomly shifted lattice points at
+``strata`` 1, tensor strata above, iid draws for balls and pilots; the
+draw counts, local draws and chunks) are stated in the Integrator
 docstring, the estimator of a nested term in _product_integral's, the
 pilot that sizes its inner batches in _pilot_batch_size's, and the
 allocation of the M_ij draws in chaos_algebra._m_orbit_integrals'.
@@ -40,6 +41,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._lattice import lattice_chunks, lattice_shape
 from ._streams import spawn_rng
 from .errors import CapacityError, ConfigError, IntegrationError, _whole_number
 from .point_process import (
@@ -80,11 +82,12 @@ NESTED_INNER = 16
 class Estimate:
     """A numeric estimate with its standard error and sample count.
 
-    ``n`` counts the draws of the outermost integral: for a nested term
-    (one whose kernel copies keep free variables) the outer points of its
-    main pass, NESTED_REPEAT * NESTED_INNER * samples / M, each of which
-    drew its own inner batches of the pilot's M points (the pilot's draws
-    are not counted).  For M_ij see chaos_algebra._m_orbit_integrals.
+    ``n`` counts the draws of the outermost integral, less a lattice
+    family's remainder (Integrator): for a nested term (one whose kernel
+    copies keep free variables) the outer points of its main pass,
+    NESTED_REPEAT * NESTED_INNER * samples / M, each of which drew its own
+    inner batches of the pilot's M points (the pilot's draws are not
+    counted).  For M_ij see chaos_algebra._m_orbit_integrals.
     """
 
     value: float
@@ -173,29 +176,41 @@ class Integrator:
     ``repeat`` batches).  A nested integral, one whose kernel copies keep
     free variables (the variance terms T_i and the fourth-power norms for
     i < k), spends NESTED_REPEAT * NESTED_INNER * samples kernel rows per
-    slot list on its estimate: NESTED_REPEAT * NESTED_INNER / M batches of
-    ``samples`` outer points, and for each outer point one inner batch of M
-    draws per slot list, shared by the copies on it.  The
-    inner batch size M, a power of two up to NESTED_INNER, comes from a
+    slot list (less a lattice family's remainder) on its estimate:
+    NESTED_REPEAT * NESTED_INNER / M batches of ``samples`` outer points,
+    and for each outer point one inner batch of M draws per slot list,
+    shared by the copies on it.  The inner batch size M, a power of two up
+    to NESTED_INNER, comes from a
     pilot of ``samples`` outer points with inner batches of NESTED_INNER
     (_pilot_batch_size), whose NESTED_INNER * samples kernel rows per slot
     list come on top of the budget and enter no estimate.
 
-    Chunks: ``integrate`` draws max(1, CHUNK_DRAWS // samples) batches at a
-    time from its path's one stream and calls the integrand on at most
-    CHUNK_DRAWS of their tuples at a time, so neither the drawn tuples nor a
-    nested integral's inner batches grow with ``repeat``.
-
+    Draw rules.  At ``strata`` 1 an integral over a box or line window is
+    one family of randomly shifted rank-1 lattice points (_lattice): its
+    repeat * samples draws become R >= 16 uniform shifts of a 2^m-point
+    lattice, less a remainder under 1/16 of them; the estimate is the mean
+    over the points, its standard error the spread of the R shift means.
+    A nested family draws each outer point with its inner batches as one
+    lattice point (_product_integral).  Ball windows, which sample by
+    rejection, and the pilots draw iid points instead (``draw``).
     ``strata`` > 1 switches on tensor stratification of the unit-cube
-    variates: with level L and a q-fold integral over a d-dimensional window
-    the cube splits into L^(q*d) equal strata with equal allocation (the
-    remainder of ``samples`` modulo the stratum count is dropped).  In a
-    nested integral each outer batch is stratified on its own, and the r
+    variates: with level L and a q-fold integral over a d-dimensional
+    window the cube splits into L^(q*d) equal strata with equal allocation
+    (the remainder of ``samples`` modulo the stratum count is dropped).  In
+    a nested integral each outer batch is stratified on its own, and the r
     copies on a slot list draw r independent inner batches of M instead of
     sharing one, each stratified on its own; an inner batch whose M draws
     are fewer than its L^(r*d) strata is drawn unstratified.
     Stratification needs a window with an inverse unit-cube map, which
     excludes balls.
+
+    Chunks: a lattice family is drawn, and its integrand called, on index
+    ranges of at most CHUNK_DRAWS draws and 8 * CHUNK_DRAWS unit variates,
+    so its draws do not depend on the chunk size; the other rules draw
+    max(1, CHUNK_DRAWS // samples) batches at a time from their path's one
+    stream and call the integrand on at most CHUNK_DRAWS of their tuples at
+    a time.  Neither the drawn tuples nor a nested integral's inner batches
+    grow with ``repeat``.
 
     Streams: each ingredient draws on its own path, the variance term T_i
     on ("variance", i, ...), the fourth-power norms and the M_ij orbits on
@@ -210,8 +225,9 @@ class Integrator:
     (2 delta)^d / theta(W) and the indicator of W.  The anchor is the
     tuple's first point, uniform in W (the top-order T_k and the outer
     draws of a nested integral), or for an inner batch its copies' first
-    shared variable.  The cube is a unit-cube map, so ``strata``
-    applies to it.  Other windows and kernels keep theta-uniform draws.
+    shared variable.  The cube is a unit-cube map, so the lattice and
+    ``strata`` apply to it.  Other windows and kernels keep theta-uniform
+    draws.
     """
 
     samples: int = 4096
@@ -232,10 +248,11 @@ class Integrator:
         return spawn_rng(self.seed, *path)
 
     def draw(self, window: Window, arity: int, n: int, rng: np.random.Generator, groups: int = 1, *, side: Optional[float] = None, anchor: Optional[np.ndarray] = None) -> tuple:
-        """Draw ``groups`` batches of n tuples of ``arity`` points, each batch
-        stratified on its own; returns (tuples, weights) with tuples of shape
-        (groups * n, arity, dim), n less the stratification remainder.  A
-        batch given an ``anchor`` is an inner batch (class docstring).
+        """Draw ``groups`` batches of n iid tuples of ``arity`` points, under
+        ``strata`` > 1 each batch stratified on its own (lattice families
+        are drawn by _integrate); returns (tuples, weights) with tuples of
+        shape (groups * n, arity, dim), n less the stratification remainder.
+        A batch given an ``anchor`` is an inner batch (class docstring).
 
         Without a cube ``side`` (see _local_side) the points are
         theta-uniform and the weights None.  With one, the points after the
@@ -249,66 +266,101 @@ class Integrator:
         cube = 0 if side is None else arity - (anchor is None)
         axes = arity * dim
         count = self.strata**axes
-        # head: the theta-uniform points of each tuple (all, or an anchor-free
-        # tuple's first); u: the unit variates of its cube points
         if self.strata <= 1 or (anchor is not None and n < count):
+            # head: the theta-uniform points of each tuple (all, or an anchor-free
+            # tuple's first); u: the unit variates of its cube points
             head = window.sample(rng, groups * n * (arity - cube)).reshape(groups * n, arity - cube, dim)
             u = rng.random((groups * n, cube, dim))
-        else:
-            if isinstance(window, BallWindow):
-                raise ConfigError("stratified sampling needs an invertible window map; balls sample by rejection")
-            n_per = n // count
-            if n_per < 1:
-                raise ConfigError(
-                    f"sample count {n} is below the stratum count {count} (level {self.strata}, {axes} axes)"
-                )
-            corners = np.stack(np.unravel_index(np.arange(count), (self.strata,) * axes), axis=-1)
-            u = ((corners[:, None, :] + rng.random((groups, count, n_per, axes))) / self.strata).reshape(-1, arity, dim)
-            head = window.from_unit(u[:, : arity - cube])
-            u = u[:, arity - cube :]
-        if cube == 0:
-            return head, None
-        base = head[:, 0] if anchor is None else np.repeat(anchor, len(u) // groups, axis=0)
-        pts = base[:, None] + side * (u - 0.5)
-        weights = np.where(window.contains(pts).all(axis=1), (side**dim / window_measure(window)) ** cube, 0.0)
-        return (pts if anchor is not None else np.concatenate([head, pts], axis=1)), weights
+            if cube == 0:
+                return head, None
+            pts, weights = _cube_points(window, u, side, head[:, :1] if anchor is None else np.repeat(anchor, n, axis=0)[:, None])
+            return (pts if anchor is not None else np.concatenate([head, pts], axis=1)), weights
+        if isinstance(window, BallWindow):
+            raise ConfigError("stratified sampling needs an invertible window map; balls sample by rejection")
+        n_per = n // count
+        if n_per < 1:
+            raise ConfigError(
+                f"sample count {n} is below the stratum count {count} (level {self.strata}, {axes} axes)"
+            )
+        corners = np.stack(np.unravel_index(np.arange(count), (self.strata,) * axes), axis=-1)
+        u = ((corners[:, None, :] + rng.random((groups, count, n_per, axes))) / self.strata).reshape(-1, arity, dim)
+        return _unit_points(window, u, side, None if anchor is None else np.repeat(anchor, n_per * count, axis=0)[:, None])
 
     def integrate(self, fn, window: Window, arity: int, *, path=(), repeat: int = 1, locality: Optional[float] = None):
         """Estimate of int_{W^arity} fn dtheta^arity with its standard error.
 
-        ``repeat`` > 1 averages that many independent batches of ``samples``
-        draws, each stratified on its own.  The draws and the calls of fn
-        follow the chunk rule of the class docstring.  A ``locality`` delta
-        switches on local draws (see the class docstring); fn must then
-        vanish unless every point lies within delta of the first, and it is
-        called only on the tuples of positive weight.
+        ``repeat`` > 1 multiplies the draws by ``repeat`` (one lattice family,
+        or that many batches of ``samples``, each stratified on its own).
+        The draws and the calls of fn follow the chunk rule of the class
+        docstring.  A ``locality`` delta switches on local draws (see the
+        class docstring); fn must then vanish unless every point lies within
+        delta of the first, and it is called only on the tuples of positive
+        weight.
 
         fn maps m tuples to m values, or to a (p, m) array of p integrands
         at once; then the result is a tuple of their p estimates, each by the
-        same plain or stratified rule over the same draws.
+        same rule over the same draws.
         """
+        return self._integrate(lambda tuples, _: fn(tuples), window, arity, path, repeat, locality)
+
+    def _on_lattice(self, window: Window) -> bool:
+        """Whether an integral over the window draws lattice points: strata 1 on a window with a unit-cube map."""
+        return self.strata <= 1 and not isinstance(window, BallWindow)
+
+    def _integrate(self, fn, window: Window, arity: int, path, repeat: int, locality: Optional[float], extra: int = 0):
+        """integrate for fn(tuples, variates): under the lattice rule each draw
+        has ``extra`` unit variates after its tuple's, passed to fn as
+        ``variates`` (rows of the tuples, columns in draw order); the other
+        rules pass None and take no ``extra``."""
         rng = self.rng(*path) if path else self.rng("integrate")
         side = _local_side(window, locality)
-        per_chunk = max(1, CHUNK_DRAWS // self.samples)
-
-        def sliced(tuples: np.ndarray) -> np.ndarray:
-            values = [np.asarray(fn(tuples[s : s + CHUNK_DRAWS]), dtype=float) for s in range(0, len(tuples), CHUNK_DRAWS)]
-            return np.concatenate(values, axis=-1) if values else np.zeros(0)
-
-        parts = []
-        for start in range(0, repeat, per_chunk):
-            pts, weights = self.draw(window, arity, self.samples, rng, groups=min(per_chunk, repeat - start), side=side)
-            vals = _weighted_values(sliced, pts.__getitem__, weights)
-            if not np.all(np.isfinite(vals)):
-                bad = int(np.flatnonzero(~np.isfinite(vals).reshape(-1, vals.shape[-1]).all(axis=0))[0])
-                raise IntegrationError(f"non-finite integrand value at tuple {pts[bad].tolist()}")
-            parts.append(vals)
-        vals = np.concatenate(parts, axis=-1)
         scale = window_measure(window) ** arity
-        count = self.strata ** (arity * window.point_dim)
-        if vals.ndim == 2:
-            return tuple(_mean_estimate(row, scale, count * repeat, self.strata > 1) for row in vals)
-        return _mean_estimate(vals, scale, count * repeat, self.strata > 1)
+        dim = window.point_dim
+        parts = []
+        if self._on_lattice(window):
+            # a chunk holds at most CHUNK_DRAWS draws and 8 * CHUNK_DRAWS unit variates
+            chunk = max(1, min(CHUNK_DRAWS, 8 * CHUNK_DRAWS // (arity * dim + extra)))
+            for u in lattice_chunks(rng, self.samples * repeat, arity * dim + extra, chunk):
+                pts, weights = _unit_points(window, u[:, : arity * dim].reshape(-1, arity, dim), side)
+                # only the inner batches' variates outlive the mapping
+                variates, u = (u[:, arity * dim :] if extra else None), None
+                parts.append(_finite(_weighted_values(lambda rows: fn(pts[rows], None if variates is None else variates[rows]), weights), pts))
+            shifts = lattice_shape(self.samples * repeat)[1]
+
+            def estimate(vals: np.ndarray) -> Estimate:
+                return _shift_estimate(vals, scale, shifts)
+        else:
+            def sliced(tuples: np.ndarray) -> np.ndarray:
+                values = [np.asarray(fn(tuples[s : s + CHUNK_DRAWS], None), dtype=float) for s in range(0, len(tuples), CHUNK_DRAWS)]
+                return np.concatenate(values, axis=-1) if values else np.zeros(0)
+
+            per_chunk = max(1, CHUNK_DRAWS // self.samples)
+            for start in range(0, repeat, per_chunk):
+                pts, weights = self.draw(window, arity, self.samples, rng, groups=min(per_chunk, repeat - start), side=side)
+                parts.append(_finite(_weighted_values(lambda rows: sliced(pts[rows]), weights), pts))
+            groups = self.strata ** (arity * dim) * repeat
+
+            def estimate(vals: np.ndarray) -> Estimate:
+                return _mean_estimate(vals, scale, groups, self.strata > 1)
+        vals = np.concatenate(parts, axis=-1)
+        return tuple(map(estimate, vals)) if vals.ndim == 2 else estimate(vals)
+
+
+def _finite(vals: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """vals, or IntegrationError naming the first tuple with a non-finite value."""
+    if not np.all(np.isfinite(vals)):
+        bad = int(np.flatnonzero(~np.isfinite(vals).reshape(-1, vals.shape[-1]).all(axis=0))[0])
+        raise IntegrationError(f"non-finite integrand value at tuple {pts[bad].tolist()}")
+    return vals
+
+
+def _shift_estimate(vals: np.ndarray, scale: float, shifts: int) -> Estimate:
+    """scale times the mean of a lattice family's draws ``vals``, with the
+    standard error from the spread of its ``shifts`` shift means, each the
+    mean of a contiguous run of draws (exactly 0 when they are all equal)."""
+    means = vals.reshape(shifts, -1).mean(axis=1)
+    se = scale * math.sqrt(float(_spread(means)) / (shifts - 1)) if shifts > 1 else math.inf
+    return Estimate(scale * float(vals.mean()), se, len(vals))
 
 
 def _mean_estimate(vals: np.ndarray, scale: float, groups: int, stratified: bool) -> Estimate:
@@ -327,18 +379,45 @@ def _mean_estimate(vals: np.ndarray, scale: float, groups: int, stratified: bool
     return Estimate(scale * mean, se, n_eff)
 
 
-def _weighted_values(fn, tuples, weights) -> np.ndarray:
-    """fn times the draw weights, one value per row on the last axis, on the
-    tuples that ``tuples(rows)`` builds for the selected rows: every row for
-    theta-uniform draws (weights None), else only the rows of positive
-    weight, so fn is never called where a zero weight would void its value."""
+def _weighted_values(values, weights) -> np.ndarray:
+    """The integrand times the draw weights, one value per row on the last
+    axis, where ``values(rows)`` evaluates the integrand on the selected rows:
+    every row for theta-uniform draws (weights None), else only the rows of
+    positive weight, so it is never called where a zero weight would void
+    its value."""
     if weights is None:
-        return np.asarray(fn(tuples(slice(None))), dtype=float)
+        return np.asarray(values(slice(None)), dtype=float)
     keep = weights > 0
-    kept = np.asarray(fn(tuples(keep)), dtype=float) * weights[keep]
+    kept = np.asarray(values(keep), dtype=float) * weights[keep]
     vals = np.zeros(kept.shape[:-1] + weights.shape)
     vals[..., keep] = kept
     return vals
+
+
+def _cube_points(window: Window, u: np.ndarray, side: float, anchors) -> tuple:
+    """Local draws, in place: the unit variates u (..., c, dim) placed in the
+    cube of side ``side`` around ``anchors`` (broadcast against u), and
+    their weights, of u's leading shape: (side^d / theta(W))^c times the
+    indicator that the c cube points lie in W."""
+    u -= 0.5
+    u *= side
+    u += anchors
+    weights = np.where(window.contains(u).all(axis=-1), (side**window.point_dim / window_measure(window)) ** u.shape[-2], 0.0)
+    return u, weights
+
+
+def _unit_points(window: Window, u: np.ndarray, side: Optional[float], anchors=None) -> tuple:
+    """(tuples, weights) of unit-cube variates u (..., arity, dim), mapped in
+    place: through the window's unit-cube map without a cube ``side``
+    (weights None), else local draws (_cube_points) around ``anchors`` or
+    around each tuple's first point, itself mapped into the window (u then
+    has shape (m, arity, dim))."""
+    if side is None or (anchors is None and u.shape[1] == 1):
+        return window.from_unit(u, out=u), None
+    if anchors is not None:
+        return _cube_points(window, u, side, anchors)
+    head = window.from_unit(u[:, :1], out=u[:, :1])
+    return u, _cube_points(window, u[:, 1:], side, head)[1]
 
 
 def _local_side(window: Window, locality: Optional[float]) -> Optional[float]:
@@ -387,25 +466,37 @@ def _spread(x: np.ndarray) -> np.ndarray:
     return np.where(x.max(axis=-1) == x.min(axis=-1), 0.0, x.var(axis=-1))
 
 
-def _inner_values(fn, order: int, window: Window, integrator: Integrator, y: np.ndarray, r: int, size: int, rng, side) -> np.ndarray:
-    """theta^r fn(y_j, x) times the draw weight, shape (len(y), size): one
-    inner batch of ``size`` draws of the r free variables per row of y."""
-    m = len(y)
-    xs, weights = integrator.draw(window, r, size, rng, groups=m, side=side, anchor=y[:, 0])
-    per = len(xs) // m
+def _inner_values(fn, order: int, window: Window, y: np.ndarray, draw) -> np.ndarray:
+    """theta^r fn(y_j, x) times the draw weight, shape (len(y), M): ``draw()``
+    gives the inner batches (xs, weights) of M draws of the r free variables
+    per row of y, row j's batch being rows j*M..(j+1)*M-1 of xs (of shape
+    (len(y) * M, r, dim) or (len(y), M, r, dim), weights alike); only this
+    function holds them, so it frees them once the tuples are built."""
+    m, shared, dim = y.shape
+    xs, weights = draw()
+    r = xs.shape[-2]
+    xs = xs.reshape(m, -1, r, dim)
+    per = xs.shape[1]
     theta_r = window_measure(window) ** r
 
     def tuples(rows) -> np.ndarray:
         # row t of the batch joins y[t // per]; only the selected rows are
         # built, and the drawn points go once copied
         nonlocal xs
-        own, xs = xs[rows], None
-        out = np.empty((len(own), order, window.point_dim))
-        out[:, : y.shape[1]] = np.repeat(y, per if weights is None else rows.reshape(m, per).sum(axis=1), axis=0)
-        out[:, y.shape[1] :] = own
+        own, xs = xs, None
+        if weights is None:
+            out = np.empty((m * per, order, dim))
+            out[:, :shared].reshape(m, per, shared, dim)[...] = y[:, None]
+            out[:, shared:].reshape(m, per, r, dim)[...] = own
+            return out
+        rows = rows.reshape(m, per)
+        own = own[rows]
+        out = np.empty((len(own), order, dim))
+        out[:, :shared] = np.repeat(y, rows.sum(axis=1), axis=0)
+        out[:, shared:] = own
         return out
 
-    return _weighted_values(lambda t: theta_r * fn(t), tuples, weights).reshape(m, -1)
+    return _weighted_values(lambda rows: theta_r * fn(tuples(rows)), None if weights is None else weights.reshape(-1)).reshape(m, -1)
 
 
 def _pilot_batch_size(fn, order: int, window: Window, integrator: Integrator, q: int, plan, path, side) -> int:
@@ -446,7 +537,8 @@ def _pilot_batch_size(fn, order: int, window: Window, integrator: Integrator, q:
     live = np.flatnonzero(w)
     for start in range(0, len(live), CHUNK_DRAWS):
         rows = live[start : start + CHUNK_DRAWS]
-        v = _inner_values(fn, order, window, plain, ys[rows][:, sl], r, NESTED_INNER, rng, side)
+        y = ys[rows][:, sl]
+        v = _inner_values(fn, order, window, y, lambda: plain.draw(window, r, NESTED_INNER, rng, groups=len(y), side=side, anchor=y[:, 0]))
         m[rows], s[rows], u[rows] = v.mean(axis=1) ** 2, _spread(v), _elementary_mean(v, c)
 
     def within(M: int, independent: bool) -> float:
@@ -461,20 +553,26 @@ def _product_integral(fn, order: int, window: Window, integrator: Integrator, q:
 
     ``fn`` maps (m, order, dim) tuples to m values; factor l puts the shared
     variables y[slots_l] first and its own free variables x_l after them.
-    The q shared variables are drawn by ``integrator.integrate`` on stream
-    path + (0,), which stratifies them, averages ``repeat`` batches and gives
-    the standard error.  The c factors on one slot list multiply c copies of
-    one kernel evaluation if they have no free variables.  Otherwise the
-    integral is nested (Integrator): a pilot on stream path + ("pilot",)
-    picks the inner batch size M (_pilot_batch_size), the outer draw
-    averages NESTED_REPEAT * NESTED_INNER / M times ``repeat`` batches, and
-    slot list g draws its inner batches of M on stream path + (g,), 1-based
-    in order of first appearance; the estimate of the c-th power of the
-    inner integral is e_c(v) / C(M, c) of one shared batch, or under
-    ``strata`` > 1 the product of c independent batch means.  Only this main
-    pass enters the estimate.
-    ``locality`` switches on local draws; it needs every shared variable to
-    share a factor with the first one.
+    The c factors on one slot list multiply c copies of one kernel
+    evaluation if they have no free variables.  Otherwise the integral is
+    nested (Integrator): a pilot on stream path + ("pilot",) picks the inner
+    batch size M (_pilot_batch_size), and the main pass draws
+    NESTED_REPEAT * NESTED_INNER / M times ``repeat`` times ``samples``
+    outer points, each with one inner batch of M draws per slot list.  Only
+    this main pass enters the estimate.
+
+    Under the lattice rule (Integrator) the main pass is one lattice family
+    on stream path + (0,): each draw holds the q shared variables and, slot
+    list by slot list in order of first appearance, its inner batch of M
+    draws of the free variables, (q + M sum_g r_g) d unit variates in all,
+    and the estimate of the c-th power of an inner integral is
+    e_c(v) / C(M, c) of its batch (the same on iid draws of a ball window).
+    Under ``strata`` > 1 the outer points are drawn by ``integrate`` on
+    stream path + (0,), each batch stratified on its own, and slot list g
+    draws c independent inner batches on stream path + (g,), 1-based in
+    order of first appearance, whose means multiply.
+    ``locality`` switches on local draws around the first shared variable,
+    so every shared variable must share a factor with it (ConfigError).
 
     ``first_mean`` returns (that estimate, the estimate of
     int (int fn(y[slots_1], x) dtheta^(order-|slots_1|)) dtheta^q(y),
@@ -482,9 +580,9 @@ def _product_integral(fn, order: int, window: Window, integrator: Integrator, q:
     own: per outer row the mean of the first slot list's kernel values, the
     inner batch's mean for a nested factor (under ``strata`` > 1 the average
     of its c batch means) or the kernel value itself for a factor without
-    free variables; its standard error follows the same plain or stratified
-    rule over the same outer rows.  For T_1 (q = 1, slots_1 = (0,)) it is
-    int fn dtheta^order, the mean of the U-statistic at unit rate.
+    free variables; its standard error follows the same rule over the same
+    outer rows.  For T_1 (q = 1, slots_1 = (0,)) it is int fn dtheta^order,
+    the mean of the U-statistic at unit rate.
 
     A factor without free variables is evaluated only on the rows whose
     product so far is nonzero; the others keep their value, so a kernel
@@ -496,12 +594,19 @@ def _product_integral(fn, order: int, window: Window, integrator: Integrator, q:
     for sl in slots:
         copies[tuple(sl)] = copies.get(tuple(sl), 0) + 1
     plan = [(list(sl), c, order - len(sl)) for sl, c in copies.items()]
+    if locality is not None:
+        unlinked = sorted(set(range(q)).difference(*(sl for sl, _, _ in plan if 0 in sl)))
+        if unlinked:
+            raise ConfigError(f"local draws need every shared variable in a factor with the first; {unlinked} share none")
     nested = any(r for _, _, r in plan)
     size = _pilot_batch_size(fn, order, window, integrator, q, plan, path, side) if nested else NESTED_INNER
-    streams = [integrator.rng(*path, g) if r else None for g, (_, _, r) in enumerate(plan, start=1)]
+    lattice = integrator._on_lattice(window)
+    streams = [integrator.rng(*path, g) if r and not lattice else None for g, (_, _, r) in enumerate(plan, start=1)]
+    dim = window.point_dim
 
-    def integrand(ys: np.ndarray) -> np.ndarray:
+    def integrand(ys: np.ndarray, variates) -> np.ndarray:
         out = np.ones(len(ys))
+        at = 0  # the next slot list's first column of variates
         for g, ((sl, c, r), rng) in enumerate(zip(plan, streams)):
             keep = first_mean and g == 0
             if r == 0:
@@ -514,21 +619,29 @@ def _product_integral(fn, order: int, window: Window, integrator: Integrator, q:
                     part = part * means
                 out[rows] = part
             elif integrator.strata > 1:
-                batches = [_inner_values(fn, order, window, integrator, ys[:, sl], r, size, rng, side).mean(axis=1) for _ in range(c)]
+                y = ys[:, sl]
+                batches = [_inner_values(fn, order, window, y, lambda: integrator.draw(window, r, size, rng, groups=len(y), side=side, anchor=y[:, 0])).mean(axis=1) for _ in range(c)]
                 for batch in batches:
                     out *= batch
                 means = sum(batches) / c if keep else None
             else:
-                v = _inner_values(fn, order, window, integrator, ys[:, sl], r, size, rng, side)
+                y = ys[:, sl]
+                if lattice:
+                    # batch j of row t: the variates' (t, j) block, around the row's y[0]
+                    block = variates[:, at : at + size * r * dim].reshape(len(y), size, r, dim)
+                    v = _inner_values(fn, order, window, y, lambda: _unit_points(window, block, side, y[:, None, :1]))
+                    at += size * r * dim
+                else:
+                    v = _inner_values(fn, order, window, y, lambda: integrator.draw(window, r, size, rng, groups=len(y), side=side, anchor=y[:, 0]))
                 out *= _elementary_mean(v, c)
                 means = v.mean(axis=1) if keep else None
             if keep:
                 first = means
         return np.stack([out, first]) if first_mean else out
 
-    est = integrator.integrate(
-        integrand, window, q, path=(*path, 0), repeat=NESTED_REPEAT * NESTED_INNER // size * repeat if nested else repeat, locality=locality,
-    )
+    extra = size * sum(r for _, _, r in plan) * dim if lattice else 0
+    batches = NESTED_REPEAT * NESTED_INNER // size * repeat if nested else repeat
+    est = integrator._integrate(integrand, window, q, (*path, 0), batches, locality, extra)
     if first_mean:
         return est[0].scaled(scale), est[1]
     return est.scaled(scale)

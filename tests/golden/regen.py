@@ -40,6 +40,9 @@ RUNS = (
     (None, ["bound", "--config", "gilbert.json", "--lambda", "50", "--out", "local_report.json"]),
     (None, ["experiment", "rate", "--config", "pairwise.json"]),
     (None, ["experiment", "rate", "--config", "gilbert.json"]),
+    # tensor stratification, whose draws the lattice rule leaves alone
+    (None, ["bound", "--config", "strata2.json", "--lambda", "50", "--out", "strata_report.json"]),
+    (None, ["variance", "--config", "strata2.json", "--lambda", "25,50", "--out", "strata_variance.csv"]),
 )
 
 

@@ -13,6 +13,7 @@ from poisson_ustats import (
     CapacityError,
     CellGrid,
     ConfigError,
+    Estimate,
     IntensityModel,
     Integrator,
     LineWindow,
@@ -37,11 +38,18 @@ from poisson_ustats import (
     wiener_ito_counts,
 )
 from poisson_ustats import chaos_algebra
+from poisson_ustats._lattice import lattice_shape
 from poisson_ustats._streams import spawn_rng
 from poisson_ustats.chaos_algebra import _assemble_m, _block_type_orbits, _m_orbit_integrals, _orbit_slots
 
 UNIT_SQUARE = BoxWindow(((0.0, 1.0), (0.0, 1.0)))
 GRID4 = CellGrid.regular((0.0, 0.0), (1.0, 1.0), (2, 2))
+
+
+def _drawn(count: int) -> int:
+    """The draws a lattice family of ``count`` keeps: whole shifts of its rule."""
+    size, shifts = lattice_shape(count)
+    return size * shifts
 
 
 def _symmetric_table(n_cells: int, order: int, seed: int) -> np.ndarray:
@@ -491,25 +499,48 @@ def test_m_ij_convex_position_counts_diagrams_exactly():
     assert m_ij(kern, 3, 3, im, integ).value == 41364.0
 
 
+def _exact_orbit_integrals(fn: SimpleFunction, i: int, j: int) -> list:
+    """(v_o, I_o) of every orbit of M_ij for an order-2 cell-grid kernel: the
+    orbit weight times the contraction of |coefficients| over the orbit's
+    slot lists, with one cell-measure vector per variable."""
+    measures = fn.grid.measures()
+    out = []
+    for types, weight in _block_type_orbits((i, i, j, j)):
+        slots, n_vars = _orbit_slots(types, (2 - i, 2 - i, 2 - j, 2 - j))
+        ops = [x for s in slots for x in (np.abs(fn.coeffs), s)]
+        ops += [x for b in range(n_vars) for x in (measures, [b])]
+        out.append((n_vars, weight * float(np.einsum(*ops, []))))
+    return out
+
+
 def test_allocated_orbit_integrals_match_the_cell_contraction():
-    # for a cell-grid kernel each orbit integral is exact: its weight times
-    # the contraction of |coefficients| over the orbit's slot lists, with
-    # one cell-measure vector per variable
+    # for a cell-grid kernel each orbit integral is exact (_exact_orbit_integrals)
     fn = SimpleFunction(GRID4, _symmetric_table(4, 2, 17))
     pairs = [(1, 1), (1, 2), (2, 2)]
     got = _m_orbit_integrals(fn.as_kernel(), UNIT_SQUARE, Integrator(samples=400, seed=5))
-    measures = GRID4.measures()
     for (i, j), (gi, gj, orbit_integrals) in zip(pairs, got):
         assert (gi, gj) == (i, j)
-        orbits = _block_type_orbits((i, i, j, j))
-        assert len(orbit_integrals) == len(orbits)
-        for (types, weight), (v, est) in zip(orbits, orbit_integrals):
-            slots, n_vars = _orbit_slots(types, (2 - i, 2 - i, 2 - j, 2 - j))
-            ops = [x for s in slots for x in (np.abs(fn.coeffs), s)]
-            ops += [x for b in range(n_vars) for x in (measures, [b])]
-            exact = weight * float(np.einsum(*ops, []))
-            assert v == n_vars and est.n % 400 == 0 and est.se > 0
-            assert abs(est.value - exact) <= 4.0 * est.se, (i, j, types, est, exact)
+        exact = _exact_orbit_integrals(fn, i, j)
+        assert len(orbit_integrals) == len(exact)
+        for (n_vars, value), (v, est) in zip(exact, orbit_integrals):
+            assert v == n_vars and est.n in {_drawn(400 * b) for b in range(1, 218)} and est.se > 0
+            assert abs(est.value - value) <= 4.0 * est.se, (i, j, est, value)
+
+
+def test_orbit_se_is_calibrated():
+    # z-scores of each assembled M_ij of an order-2 cell kernel on [0, 1]
+    # against its exact value over 200 seeds: the se of the allocated lattice
+    # families neither under- nor overstates the spread
+    fn = SimpleFunction(CellGrid.regular((0.0,), (1.0,), (4,)), _symmetric_table(4, 2, 17))
+    window = BoxWindow(((0.0, 1.0),))
+    exact = {(i, j): _assemble_m(2, i, j, [(v, Estimate(value, 0.0)) for v, value in _exact_orbit_integrals(fn, i, j)], 1.0).value for i, j in _record_pairs(2)}
+    z = np.zeros((200, len(exact)))
+    for seed in range(200):
+        for col, (i, j, orbits) in enumerate(_m_orbit_integrals(fn.as_kernel(), window, Integrator(samples=32, seed=seed))):
+            est = _assemble_m(2, i, j, orbits, 1.0)
+            z[seed, col] = (est.value - exact[i, j]) / est.se
+    mean, sd = z.mean(axis=0), z.std(axis=0, ddof=1)
+    assert np.all(np.abs(mean) <= 0.2) and np.all((0.8 <= sd) & (sd <= 1.25)), (mean, sd)
 
 
 def test_allocated_root_sum_se_matches_the_spread():
@@ -531,16 +562,26 @@ def _record_pairs(k: int) -> list:
     return [(i, j) for i in range(1, k + 1) for j in range(i, k + 1)]
 
 
-def test_pooled_allocation_spends_the_record_budget():
+def test_pooled_allocation_spends_the_record_budget(monkeypatch):
     # one allocation over every orbit of the record: sum_o w_o batches in all,
-    # at least one per orbit, and M_11 (one orbit of weight 1) can get more
+    # at least one per orbit, and M_11 (one orbit of weight 1) can get more;
+    # each orbit's n is the lattice family of its batches
     kern = UStatKernel(3, lambda t: t[:, :, 0].sum(axis=1) * (0.5 + t[:, :, 1].prod(axis=1)), name="sum-prod")
     pairs = _record_pairs(3)
+    allocated = {}
+    product_integral = chaos_algebra._product_integral
+
+    def recording(*args, **kwargs):
+        stream, i, j, o = args[6]
+        if stream == "m":
+            allocated.setdefault((i, j), []).append(kwargs["repeat"])
+        return product_integral(*args, **kwargs)
+
+    monkeypatch.setattr(chaos_algebra, "_product_integral", recording)
     got = _m_orbit_integrals(kern, UNIT_SQUARE, Integrator(samples=40, seed=2))
-    batches = {(i, j): [est.n // 40 for _, est in orbit_integrals] for i, j, orbit_integrals in got}
-    assert all(est.n % 40 == 0 for *_, orbit_integrals in got for _, est in orbit_integrals)
-    assert sum(map(sum, batches.values())) == sum(w for i, j in pairs for _, w in _block_type_orbits((i, i, j, j)))
-    assert min(map(min, batches.values())) >= 1 and batches[1, 1][0] > 1
+    assert all(est.n == _drawn(40 * b) for i, j, orbit_integrals in got for (_, est), b in zip(orbit_integrals, allocated[i, j]))
+    assert sum(map(sum, allocated.values())) == sum(w for i, j in pairs for _, w in _block_type_orbits((i, i, j, j)))
+    assert min(map(min, allocated.values())) >= 1 and allocated[1, 1][0] > 1
 
 
 def test_pooled_allocation_keeps_one_batch_per_exact_orbit():

@@ -47,8 +47,8 @@ from poisson_ustats import (
     wasserstein_bound,
 )
 from poisson_ustats import chaos_algebra
-from poisson_ustats.chaos_algebra import _block_type_orbits
-from poisson_ustats.clt_bounds import _fourth_power_norms, estimate_ingredients
+from poisson_ustats.chaos_algebra import MAX_INGREDIENT_ROWS, _block_type_orbits
+from poisson_ustats.clt_bounds import _fourth_power_norms, _ingredient_rows, estimate_ingredients
 
 UNIT_SQUARE = BoxWindow(((0.0, 1.0), (0.0, 1.0)))
 
@@ -320,6 +320,15 @@ def test_an_over_budget_record_is_refused_before_any_kernel_call():
     with pytest.raises(CapacityError, match="the orbit integrals .* take 4,894,403,328 draws"):
         geometric_bound(kern, IntensityModel(16.0, UNIT_SQUARE), Integrator(samples=256))
     assert calls == []
+
+
+def test_the_ingredient_row_guard_admits_what_its_comment_says():
+    # (1 + 8) * 16 rows per sample for each nested family, 1 for a top-order one
+    assert _ingredient_rows(2, 1200, False) == 174_000
+    assert _ingredient_rows(2, 344_827, True) <= MAX_INGREDIENT_ROWS < _ingredient_rows(2, 344_828, True)
+    assert _ingredient_rows(3, 346_020, False) <= MAX_INGREDIENT_ROWS < _ingredient_rows(3, 346_021, False)
+    with pytest.raises(CapacityError, match="take up to 100,000,120 kernel rows"):
+        estimate_ingredients(make_kernel("gilbert-count", delta=0.1), UNIT_SQUARE, Integrator(samples=344_828), "local")
 
 
 def test_a_lambda_power_of_m_ij_that_overflows_is_a_config_error():

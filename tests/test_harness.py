@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from collections import Counter
 
 import numpy as np
@@ -754,6 +755,25 @@ def test_cli_refused_work_exits_4(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_cmd_variance", non_finite)
     assert main(["variance", "--kernel", "pairwise-distance", "--lambda", "2"]) == 4
     assert capsys.readouterr().err == "error: non-finite integrand value\n"
+
+
+def test_cli_refuses_an_over_budget_ingredient_plan_before_any_draw(tmp_path, capsys, monkeypatch):
+    # at 2 * 10^9 samples the T_1 pilot would allocate its 30 GiB of outer
+    # draws; the record's row guard refuses the plan first, with exit 4, one
+    # error line, no traceback and no draw, well inside a second
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew")
+
+    monkeypatch.setattr(ustat_core.Integrator, "draw", no_draw)
+    monkeypatch.setattr(ustat_core, "lattice_chunks", no_draw)
+    config = {"kernel": "pairwise-distance", "lambdas": [4], "replicates": 10, "integrator": {"samples": 2_000_000_000, "seed": 1}}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    start = time.perf_counter()
+    assert main(["variance", "--config", str(cfg_path), "--lambda", "4"]) == 4
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err == "error: the order-2 variance terms and norms take up to 290,000,000,000 kernel rows, above the guard of 100,000,000\n"
 
 
 def test_cli_usage_errors_exit_2(tmp_path, capsys):

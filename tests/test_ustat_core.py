@@ -46,6 +46,7 @@ from poisson_ustats import (
     variance,
     variance_terms,
 )
+from poisson_ustats._lattice import lattice_chunks, lattice_shape
 from poisson_ustats._streams import spawn_rng
 from poisson_ustats.clt_bounds import _fourth_power_norms
 from poisson_ustats import ustat_core
@@ -56,6 +57,7 @@ from poisson_ustats.ustat_core import (
     _batch_variance,
     _elementary_mean,
     _product_integral,
+    _unit_points,
     _variance_term,
 )
 
@@ -65,6 +67,12 @@ UNIT_SQUARE = BoxWindow(((0.0, 1.0), (0.0, 1.0)))
 MEAN_DIST_SQUARE = (2.0 + math.sqrt(2.0) + 5.0 * math.asinh(1.0)) / 15.0
 # mean distance from the centre of the unit square to a uniform point
 MEAN_DIST_CENTER = (math.sqrt(2.0) + math.asinh(1.0)) / 6.0
+
+
+def _drawn(count: int) -> int:
+    """The draws a lattice family of ``count`` keeps: whole shifts of its rule."""
+    size, shifts = lattice_shape(count)
+    return size * shifts
 
 
 def _count_kernel():
@@ -466,7 +474,9 @@ def test_mean_se_is_calibrated(case, strata):
 
 
 def _chosen_size(est: Estimate, samples: int) -> int:
-    """The inner batch size M of a nested estimate's main pass, from its n = 128 * samples / M outer points."""
+    """The inner batch size M of a nested estimate's main pass, from its n
+    outer points: a lattice family of 128 * samples / M keeps more than
+    16/17 of them, so the quotient rounds down to M."""
     return NESTED_REPEAT * NESTED_INNER * samples // est.n
 
 
@@ -536,15 +546,16 @@ def test_variance_term_and_norm_se_is_calibrated(case):
 # T_1 and T_2 of small fixed-seed configs, pinned float for float: reading
 # the mean off T_1's pass must move no draw of any variance term; T_1's
 # pilot picks inner batches of 2 (4 under strata 2, its smallest stratified
-# size), so its n is 128 * samples / M outer points
+# size), so its n is 128 * samples / M outer points (2,560 = 20 shifts of a
+# 128-point rule at strata 1); the strata-2 case pins tensor stratification
 PINNED_VARIANCE_TERMS = {
     "pairwise-distance": (
         pairwise_distance_kernel(), Integrator(samples=40, seed=11),
-        [(1.109042334910622, 0.016173369726442437, 2560), (0.7231924364062892, 0.09659813163774647, 40)],
+        [(1.1123159525334931, 0.0058794675738742825, 2560), (0.6796481148062214, 0.07135471008114186, 40)],
     ),
     "gilbert-0.2": (
         gilbert_kernel(0.2), Integrator(samples=40, seed=11),
-        [(0.011670000000000005, 0.0002520436981781627, 2560), (0.04000000000000001, 0.006405126152203487, 40)],
+        [(0.011800000000000005, 0.00017167901505579054, 2560), (0.05000000000000001, 0.004920419323166419, 40)],
     ),
     "pairwise-distance-strata-2": (
         pairwise_distance_kernel(), Integrator(samples=64, seed=11, strata=2),
@@ -785,8 +796,9 @@ def test_a_family_without_pilot_spread_keeps_its_inner_batches(monkeypatch):
         for est in (variance_terms(kern, window, integ)[0], _fourth_power_norms(kern, window, integ)[0]):
             assert est.n == NESTED_REPEAT * 64 and est.se <= 1e-12 * est.value
     # a kernel of small support whose pilot values are all 0: the main pass
-    # keeps today's draws, pinned float for float to the estimator of fixed
-    # inner batches of NESTED_INNER (the mean's rows hit the support)
+    # keeps inner batches of NESTED_INNER, pinned float for float (a lattice
+    # family of 320 = 20 shifts of 16 points; one of the mean's rows hits
+    # the support)
     phase = _mark_pilot(monkeypatch)
     pilot_values = []
 
@@ -799,14 +811,15 @@ def test_a_family_without_pilot_spread_keeps_its_inner_batches(monkeypatch):
     t_1, mean = _variance_term(UStatKernel(2, near, name="near"), UNIT_SQUARE, Integrator(samples=40, seed=3), 1, first_mean=True)
     assert len(pilot_values) == 1 and not np.any(pilot_values[0])
     assert (t_1.value, t_1.se, t_1.n) == (0.0, 0.0, 320)
-    assert (mean.value, mean.se, mean.n) == (0.00078125, 0.00038878386641989305, 320)
+    assert (mean.value, mean.se, mean.n) == (0.00078125, 0.00078125, 320)
 
 
 def test_variance_terms_cost_is_linear_in_samples(monkeypatch):
     # T_1 of an order-2 kernel is nested: a pilot of samples outer points
-    # with one inner batch of 16 each, then a main pass of 128 * samples / M
-    # outer points with one shared inner batch of M each, so 128 * samples
-    # kernel rows whatever M; the top-order T_2 draws samples tuples; the
+    # with one inner batch of 16 each, then a main pass, a lattice family of
+    # 128 * samples / M outer points with one shared inner batch of M each,
+    # which keeps whole shifts of its rule: at most 128 * samples kernel rows
+    # whatever M; the top-order T_2 draws a family of samples tuples; the
     # fourth-power norm of T_1's slot list spends the same as T_1
     rows = {"pilot": 0, "main": 0}
     phase = _mark_pilot(monkeypatch)
@@ -820,10 +833,15 @@ def test_variance_terms_cost_is_linear_in_samples(monkeypatch):
         for family in (lambda integ: variance_terms(kern, UNIT_SQUARE, integ), lambda integ: _fourth_power_norms(kern, UNIT_SQUARE, integ)):
             rows.update(pilot=0, main=0)
             nested, top = family(Integrator(samples=samples, seed=1))
+            size = _chosen_size(nested, samples)
+            assert size in (2, 4, 8, 16)
             assert rows["pilot"] == NESTED_INNER * samples
-            assert rows["main"] == NESTED_REPEAT * NESTED_INNER * samples + samples
-            assert _chosen_size(nested, samples) in (2, 4, 8, 16) and nested.n * _chosen_size(nested, samples) == NESTED_REPEAT * NESTED_INNER * samples
-            assert top.n == samples
+            assert nested.n == _drawn(NESTED_REPEAT * NESTED_INNER * samples // size)
+            assert rows["main"] == nested.n * size + top.n <= NESTED_REPEAT * NESTED_INNER * samples + samples
+            assert top.n == _drawn(samples)
+    # at 300 samples the families drop a remainder: 300 draws keep 18 shifts
+    # of 16 points, and 19,200 outer points (M = 2) keep 18 shifts of 1,024
+    assert _drawn(300) == 18 * 16 and _drawn(NESTED_REPEAT * NESTED_INNER * 300 // 2) == 18 * 1024
 
 
 def test_linear_nested_se_matches_the_spread():
@@ -897,21 +915,47 @@ def test_local_draws_call_the_kernel_only_on_positive_weights():
     kern = replace(base, fn=recording)
     integ = Integrator(samples=1200, seed=0)
     mean = expectation(kern, IntensityModel(1.0, UNIT_SQUARE), integ)
-    # at strata = 1 every stream is consumed point by point, so one draw of
-    # every outer point and one of every inner batch repeat the draws of
-    # the pilot (1200 points, batches of 16, on one stream) and of the main
-    # pass (mean.n points, batches of the chosen M)
+    # redraw the pilot (1200 iid points, batches of 16, on one stream) and
+    # the main pass: one lattice family of mean.n draws, each an outer point
+    # and its inner batch of the chosen M, (1 + M) * 2 unit variates
     pilot = integ.rng("variance", 1, "pilot")
     ys = UNIT_SQUARE.sample(pilot, 1200)
     _, pilot_weights = integ.draw(UNIT_SQUARE, 1, NESTED_INNER, pilot, groups=1200, side=0.2, anchor=ys)
     size = _chosen_size(mean, 1200)
-    ys = UNIT_SQUARE.sample(integ.rng("variance", 1, 0), mean.n)
-    _, weights = integ.draw(UNIT_SQUARE, 1, size, integ.rng("variance", 1, 1), groups=mean.n, side=0.2, anchor=ys)
-    assert size < NESTED_INNER
+    count = NESTED_REPEAT * NESTED_INNER * 1200 // size
+    u = np.concatenate(list(lattice_chunks(integ.rng("variance", 1, 0), count, (1 + size) * 2, CHUNK_DRAWS)))
+    ys = UNIT_SQUARE.from_unit(u[:, :2])
+    _, weights = _unit_points(UNIT_SQUARE, u[:, 2:].reshape(len(u), size, 1, 2), 0.2, ys[:, None, None])
+    assert size < NESTED_INNER and len(u) == mean.n
     assert sum(map(len, seen)) == np.count_nonzero(pilot_weights) + np.count_nonzero(weights) < 1200 * NESTED_INNER + mean.n * size
+    assert weights.shape == (mean.n, size)
     variance_terms(kern, UNIT_SQUARE, integ)
     tuples = np.concatenate(seen)
     assert np.all((tuples >= 0.0) & (tuples <= 1.0))
+
+
+def test_local_product_integrals_need_every_shared_variable_next_to_the_first():
+    # local draws place every shared variable in the cube around the first,
+    # which holds only when each one shares a kernel copy with it: a chain of
+    # three copies 0-1, 1-2, 2-3 is refused before any kernel call, and a
+    # triangle 0-1, 0-2, 1-2 agrees with uniform draws
+    base = gilbert_kernel(0.3, mode="euclidean")
+    calls = []
+
+    def fn(t):
+        calls.append(len(t))
+        return base.fn(t)
+
+    integ = Integrator(samples=4000, seed=3)
+    with pytest.raises(ConfigError, match=r"\[2, 3\] share none"):
+        _product_integral(fn, 2, UNIT_SQUARE, integ, 4, [[0, 1], [1, 2], [2, 3]], ("chain",), locality=0.3)
+    assert calls == []
+    assert math.isfinite(_product_integral(fn, 2, UNIT_SQUARE, integ, 4, [[0, 1], [1, 2], [2, 3]], ("chain",)).value)
+    local, plain = (
+        _product_integral(fn, 2, UNIT_SQUARE, integ, 3, [[0, 1], [0, 2], [1, 2]], ("triangle",), locality=delta)
+        for delta in (0.3, None)
+    )
+    assert abs(local.value - plain.value) <= 4.0 * math.hypot(local.se, plain.se) and local.se < plain.se
 
 
 def test_product_integral_reuses_repeated_top_order_copies():
@@ -965,7 +1009,8 @@ def test_product_integral_evaluates_later_factors_on_live_rows_only():
     rows.clear()
     plain = integ.integrate(oracle, win, 4, path=("live", 0), repeat=3)
     assert (est.value, est.se, est.n) == (1.5 * plain.value, 1.5 * plain.se, plain.n)
-    assert seen == expected and seen[0] == 1800 > seen[1] > seen[2] > 0
+    # the lattice family of 3 * 600 draws keeps 28 shifts of 64 points
+    assert seen == expected and seen[0] == _drawn(1800) == 1792 > seen[1] > seen[2] > 0
 
 
 def test_product_integral_skips_non_finite_values_on_zero_rows():
@@ -1006,7 +1051,7 @@ def test_integrate_calls_fn_on_at_most_chunk_draws_tuples(locality):
         sizes.clear()
         est = integ.integrate(fn, UNIT_SQUARE, 2, path=("chunks",), repeat=repeat, locality=locality)
         assert max(sizes) <= CHUNK_DRAWS < 20_000
-        assert est.n == 20_000 * repeat
+        assert est.n == _drawn(20_000 * repeat)
         if locality is None:
             assert sum(sizes) == est.n
         else:
