@@ -277,8 +277,7 @@ class Ingredients:
             if not c_k > 0:
                 raise ConfigError(f"c_k must be positive, got {c_k}")
             delta = float(self.kernel.locality)
-            d = self.window.dimension
-            b = lam * unit_ball_volume(d) * (4.0 * delta) ** d
+            b = _local_mass(lam, delta, self.window.dimension)
             local_terms = []
             for i, q in enumerate(self.norms, start=1):
                 norm, norm_se = _sqrt_estimate(q.value, q.se)
@@ -289,6 +288,18 @@ class Ingredients:
         if self.mode != "general":
             detail.update(vtilde=vtilde.value, vtilde_se=vtilde.se)
         return BoundReport(mode=self.mode, k=k, lam=lam, variance=var.value, variance_se=var.se, m=m, **detail)
+
+
+def _local_mass(lam: float, delta: float, dim: int) -> float:
+    """b = lam * vol(B(0, 4 delta)) of the local bound, or ConfigError
+    naming delta where it has no float value."""
+    try:
+        b = lam * unit_ball_volume(dim) * (4.0 * delta) ** dim
+    except OverflowError:
+        b = math.inf
+    if not math.isfinite(b):
+        raise ConfigError(f"delta {delta:g} overflows b(delta) = lambda * vol(B(0, 4 delta)) at lambda {lam:g} in dimension {dim}")
+    return b
 
 
 def _ingredient_rows(k: int, samples: int, norms: bool) -> int:

@@ -39,7 +39,7 @@ from ._files import _csv_numbers, _read_csv, _write_text
 from ._streams import _cell_streams, spawn_rng, stream_token
 from .applications import make_kernel
 # geometric_bound, local_bound and variance_terms are unused here; perfbench/tracing.py SITES wraps them
-from .clt_bounds import BoundReport, Ingredients, estimate_ingredients, geometric_bound, local_bound
+from .clt_bounds import BoundReport, Ingredients, _local_mass, estimate_ingredients, geometric_bound, local_bound
 from .distance import SampleSet, kolmogorov_to_normal, wasserstein_to_normal
 from .errors import ConfigError, DegenerateFunctionalError, _as_config_error, _whole_number
 from .point_process import (
@@ -178,6 +178,9 @@ class ExperimentConfig:
             lambdas[-1] ** (2 * kernel.order)
         except OverflowError:
             raise ConfigError(f"lambda {lambdas[-1]:g} overflows lambda^{2 * kernel.order} (2k for order {kernel.order})") from None
+        # and a delta whose local bound has no float b(delta) at that lambda
+        if kernel.locality is not None and not isinstance(self.window, LineWindow):
+            _local_mass(lambdas[-1], kernel.locality, self.window.point_dim)
 
     def resolve_kernel(self) -> UStatKernel:
         if isinstance(self.kernel, UStatKernel):

@@ -50,6 +50,7 @@ from .point_process import (
     IntensityModel,
     PointConfiguration,
     Window,
+    unit_ball_volume,
     window_measure,
 )
 
@@ -220,14 +221,16 @@ class Integrator:
     of its estimate.
 
     Local draws: given a kernel's locality delta on a box or ball window W
-    with (2 delta)^d < theta(W), every point after a tuple's anchor is drawn
-    uniformly in the cube of side 2 delta around the anchor and weighted by
-    (2 delta)^d / theta(W) and the indicator of W.  The anchor is the
-    tuple's first point, uniform in W (the top-order T_k and the outer
-    draws of a nested integral), or for an inner batch its copies' first
-    shared variable.  The cube is a unit-cube map, so the lattice and
-    ``strata`` apply to it.  Other windows and kernels keep theta-uniform
-    draws.
+    whose delta-ball is smaller than W, omega_d delta^d < theta(W)
+    (_local_radius), every point after a tuple's anchor is drawn uniformly
+    in the ball of radius delta around the anchor, the kernel's support,
+    and weighted by omega_d delta^d / theta(W) and the indicator of W.  The
+    anchor is the tuple's first point, uniform in W (the top-order T_k and
+    the outer draws of a nested integral), or for an inner batch its
+    copies' first shared variable.  The ball is drawn through a
+    measure-preserving map of the unit cube (_ball_points), so the lattice
+    and ``strata`` apply to it.  Other windows and kernels keep
+    theta-uniform draws.
     """
 
     samples: int = 4096
@@ -247,33 +250,33 @@ class Integrator:
     def rng(self, *path) -> np.random.Generator:
         return spawn_rng(self.seed, *path)
 
-    def draw(self, window: Window, arity: int, n: int, rng: np.random.Generator, groups: int = 1, *, side: Optional[float] = None, anchor: Optional[np.ndarray] = None) -> tuple:
+    def draw(self, window: Window, arity: int, n: int, rng: np.random.Generator, groups: int = 1, *, radius: Optional[float] = None, anchor: Optional[np.ndarray] = None) -> tuple:
         """Draw ``groups`` batches of n iid tuples of ``arity`` points, under
         ``strata`` > 1 each batch stratified on its own (lattice families
         are drawn by _integrate); returns (tuples, weights) with tuples of
         shape (groups * n, arity, dim), n less the stratification remainder.
         A batch given an ``anchor`` is an inner batch (class docstring).
 
-        Without a cube ``side`` (see _local_side) the points are
+        Without a ball ``radius`` delta (see _local_radius) the points are
         theta-uniform and the weights None.  With one, the points after the
-        anchor are uniform in the cube of that side around it, the anchor
-        being ``anchor[g]`` for batch g (shape (groups, dim)) or else each
-        tuple's first point, uniform in the window; a tuple weighs
-        (side^d / theta(W))^c times the indicator that its c cube points lie
-        in W.
+        anchor are uniform in the ball of radius delta around it
+        (_ball_points), the anchor being ``anchor[g]`` for batch g (shape
+        (groups, dim)) or else each tuple's first point, uniform in the
+        window; a tuple weighs (omega_d delta^d / theta(W))^c times the
+        indicator that its c ball points lie in W.
         """
         dim = window.point_dim
-        cube = 0 if side is None else arity - (anchor is None)
+        ball = 0 if radius is None else arity - (anchor is None)
         axes = arity * dim
         count = self.strata**axes
         if self.strata <= 1 or (anchor is not None and n < count):
             # head: the theta-uniform points of each tuple (all, or an anchor-free
-            # tuple's first); u: the unit variates of its cube points
-            head = window.sample(rng, groups * n * (arity - cube)).reshape(groups * n, arity - cube, dim)
-            u = rng.random((groups * n, cube, dim))
-            if cube == 0:
+            # tuple's first); u: the unit variates of its ball points
+            head = window.sample(rng, groups * n * (arity - ball)).reshape(groups * n, arity - ball, dim)
+            u = rng.random((groups * n, ball, dim))
+            if ball == 0:
                 return head, None
-            pts, weights = _cube_points(window, u, side, head[:, :1] if anchor is None else np.repeat(anchor, n, axis=0)[:, None])
+            pts, weights = _ball_points(window, u, radius, head[:, :1] if anchor is None else np.repeat(anchor, n, axis=0)[:, None])
             return (pts if anchor is not None else np.concatenate([head, pts], axis=1)), weights
         if isinstance(window, BallWindow):
             raise ConfigError("stratified sampling needs an invertible window map; balls sample by rejection")
@@ -284,7 +287,7 @@ class Integrator:
             )
         corners = np.stack(np.unravel_index(np.arange(count), (self.strata,) * axes), axis=-1)
         u = ((corners[:, None, :] + rng.random((groups, count, n_per, axes))) / self.strata).reshape(-1, arity, dim)
-        return _unit_points(window, u, side, None if anchor is None else np.repeat(anchor, n_per * count, axis=0)[:, None])
+        return _unit_points(window, u, radius, None if anchor is None else np.repeat(anchor, n_per * count, axis=0)[:, None])
 
     def integrate(self, fn, window: Window, arity: int, *, path=(), repeat: int = 1, locality: Optional[float] = None):
         """Estimate of int_{W^arity} fn dtheta^arity with its standard error.
@@ -313,7 +316,7 @@ class Integrator:
         ``variates`` (rows of the tuples, columns in draw order); the other
         rules pass None and take no ``extra``."""
         rng = self.rng(*path) if path else self.rng("integrate")
-        side = _local_side(window, locality)
+        radius = _local_radius(window, locality)
         scale = window_measure(window) ** arity
         dim = window.point_dim
         parts = []
@@ -321,7 +324,7 @@ class Integrator:
             # a chunk holds at most CHUNK_DRAWS draws and 8 * CHUNK_DRAWS unit variates
             chunk = max(1, min(CHUNK_DRAWS, 8 * CHUNK_DRAWS // (arity * dim + extra)))
             for u in lattice_chunks(rng, self.samples * repeat, arity * dim + extra, chunk):
-                pts, weights = _unit_points(window, u[:, : arity * dim].reshape(-1, arity, dim), side)
+                pts, weights = _unit_points(window, u[:, : arity * dim].reshape(-1, arity, dim), radius)
                 # only the inner batches' variates outlive the mapping
                 variates, u = (u[:, arity * dim :] if extra else None), None
                 parts.append(_finite(_weighted_values(lambda rows: fn(pts[rows], None if variates is None else variates[rows]), weights), pts))
@@ -336,7 +339,7 @@ class Integrator:
 
             per_chunk = max(1, CHUNK_DRAWS // self.samples)
             for start in range(0, repeat, per_chunk):
-                pts, weights = self.draw(window, arity, self.samples, rng, groups=min(per_chunk, repeat - start), side=side)
+                pts, weights = self.draw(window, arity, self.samples, rng, groups=min(per_chunk, repeat - start), radius=radius)
                 parts.append(_finite(_weighted_values(lambda rows: sliced(pts[rows]), weights), pts))
             groups = self.strata ** (arity * dim) * repeat
 
@@ -394,40 +397,92 @@ def _weighted_values(values, weights) -> np.ndarray:
     return vals
 
 
-def _cube_points(window: Window, u: np.ndarray, side: float, anchors) -> tuple:
-    """Local draws, in place: the unit variates u (..., c, dim) placed in the
-    cube of side ``side`` around ``anchors`` (broadcast against u), and
-    their weights, of u's leading shape: (side^d / theta(W))^c times the
-    indicator that the c cube points lie in W."""
-    u -= 0.5
-    u *= side
-    u += anchors
-    weights = np.where(window.contains(u).all(axis=-1), (side**window.point_dim / window_measure(window)) ** u.shape[-2], 0.0)
-    return u, weights
+def _ball_points(window: Window, u: np.ndarray, radius: float, anchors) -> tuple:
+    """Local draws, in place: the unit variates u (..., c, dim) mapped
+    uniformly into the ball of radius delta = ``radius`` around ``anchors``
+    (broadcast against u), and their weights, of u's leading shape:
+    (omega_d delta^d / theta(W))^c times the indicator that the c ball
+    points lie in W.
+
+    The map of one point's variates (u_1, .., u_d) preserves measure: in
+    1-D the interval, (u_1 - 1/2) 2 delta + a, in that order of float
+    operations; in 2-D polar, radius delta sqrt(u_1) at angle
+    phi = 2 pi u_2; in 3-D the equal-area sphere, radius delta u_1^(1/3),
+    height z = 1 - 2 u_2 and angle phi = 2 pi u_3.  cos phi and sin phi
+    come from the half angle h = pi u_d in [0, pi), where sin h =
+    sqrt(1 - cos^2 h) >= 0: one cosine over half the range, and no sign.
+    Every step runs column by column on transposed views, so the anchors'
+    axis is innermost even where one anchor serves a batch of points, and
+    spent columns of u hold the intermediates: two temporaries in all."""
+    dim = u.shape[-1]
+    cols = [u[..., a].T for a in range(dim)]
+    if dim == 1:
+        (x,) = cols
+        x -= 0.5
+        x *= 2.0 * radius
+    else:
+        # twice the radius, which the double-angle formulas halve, and cos h
+        r = np.cbrt(cols[0], order="C") if dim == 3 else np.sqrt(cols[0], order="C")
+        r *= 2.0 * radius
+        cos = np.multiply(cols[-1], math.pi, order="C")
+        np.cos(cos, out=cos)
+        if dim == 3:
+            # the height 2 r (1/2 - u_2) into the spent angle column, and the
+            # radius sqrt(1 - z^2) = 2 sqrt(u_2 - u_2^2) of its circle into r
+            u_2 = cols[1]
+            np.subtract(0.5, u_2, out=cols[2])
+            cols[2] *= r
+            np.multiply(u_2, u_2, out=cols[0])
+            u_2 -= cols[0]
+            np.sqrt(u_2, out=u_2)
+            r *= u_2
+            r *= 2.0
+        # sin(phi) / 2 = sin h cos h in the spent first column
+        sin = cols[0]
+        np.multiply(cos, cos, out=sin)
+        np.subtract(1.0, sin, out=sin)
+        np.sqrt(sin, out=sin)
+        sin *= cos
+        np.multiply(sin, r, out=cols[1])
+        cos *= cos
+        cos -= 0.5  # cos(phi) / 2
+        np.multiply(cos, r, out=cols[0])
+    for a, x in enumerate(cols):
+        x += anchors[..., a].T
+    # the window test of each of the c points, joined point by point
+    held = window.contains(u)
+    inside = held[..., 0]
+    for j in range(1, held.shape[-1]):
+        inside = inside & held[..., j]
+    weight = (unit_ball_volume(dim) * radius**dim / window_measure(window)) ** u.shape[-2]
+    return u, np.where(inside, weight, 0.0)
 
 
-def _unit_points(window: Window, u: np.ndarray, side: Optional[float], anchors=None) -> tuple:
+def _unit_points(window: Window, u: np.ndarray, radius: Optional[float], anchors=None) -> tuple:
     """(tuples, weights) of unit-cube variates u (..., arity, dim), mapped in
-    place: through the window's unit-cube map without a cube ``side``
-    (weights None), else local draws (_cube_points) around ``anchors`` or
+    place: through the window's unit-cube map without a ball ``radius``
+    (weights None), else local draws (_ball_points) around ``anchors`` or
     around each tuple's first point, itself mapped into the window (u then
     has shape (m, arity, dim))."""
-    if side is None or (anchors is None and u.shape[1] == 1):
+    if radius is None or (anchors is None and u.shape[1] == 1):
         return window.from_unit(u, out=u), None
     if anchors is not None:
-        return _cube_points(window, u, side, anchors)
+        return _ball_points(window, u, radius, anchors)
     head = window.from_unit(u[:, :1], out=u[:, :1])
-    return u, _cube_points(window, u[:, 1:], side, head)[1]
+    return u, _ball_points(window, u[:, 1:], radius, head)[1]
 
 
-def _local_side(window: Window, locality: Optional[float]) -> Optional[float]:
-    """Side 2 delta of the cube of local draws around their anchor, or None
-    for theta-uniform draws: no locality, a line window, or a cube no
-    smaller than the window."""
+def _local_radius(window: Window, locality: Optional[float]) -> Optional[float]:
+    """Radius delta of the ball of local draws around their anchor, or None
+    for theta-uniform draws: no locality, a line window, or a ball no
+    smaller than the window.  omega_d delta^d < theta(W) is tested as
+    delta < (theta(W) / omega_d)^(1/d), which cannot overflow (in 1-D it is
+    2 delta < theta(W), exactly)."""
     if locality is None or not isinstance(window, (BoxWindow, BallWindow)):
         return None
-    side = 2.0 * float(locality)
-    return side if side**window.point_dim < window_measure(window) else None
+    dim = window.point_dim
+    radius = float(locality)
+    return radius if radius < (window_measure(window) / unit_ball_volume(dim)) ** (1.0 / dim) else None
 
 
 def _elementary_mean(v: np.ndarray, r: int) -> np.ndarray:
@@ -499,7 +554,7 @@ def _inner_values(fn, order: int, window: Window, y: np.ndarray, draw) -> np.nda
     return _weighted_values(lambda rows: theta_r * fn(tuples(rows)), None if weights is None else weights.reshape(-1)).reshape(m, -1)
 
 
-def _pilot_batch_size(fn, order: int, window: Window, integrator: Integrator, q: int, plan, path, side) -> int:
+def _pilot_batch_size(fn, order: int, window: Window, integrator: Integrator, q: int, plan, path, radius) -> int:
     """Inner batch size M of a nested _product_integral's main pass, chosen
     by a pilot on its own stream path + ("pilot",).
 
@@ -529,7 +584,7 @@ def _pilot_batch_size(fn, order: int, window: Window, integrator: Integrator, q:
         return sizes[0]
     plain = replace(integrator, strata=1)
     rng = integrator.rng(*path, "pilot")
-    ys, weights = plain.draw(window, q, integrator.samples, rng, side=side)
+    ys, weights = plain.draw(window, q, integrator.samples, rng, radius=radius)
     n = len(ys)
     w = np.ones(n) if weights is None else weights
     # per row mu^2, s and U_16; rows of zero weight keep 0 and draw no inner batch
@@ -538,7 +593,7 @@ def _pilot_batch_size(fn, order: int, window: Window, integrator: Integrator, q:
     for start in range(0, len(live), CHUNK_DRAWS):
         rows = live[start : start + CHUNK_DRAWS]
         y = ys[rows][:, sl]
-        v = _inner_values(fn, order, window, y, lambda: plain.draw(window, r, NESTED_INNER, rng, groups=len(y), side=side, anchor=y[:, 0]))
+        v = _inner_values(fn, order, window, y, lambda: plain.draw(window, r, NESTED_INNER, rng, groups=len(y), radius=radius, anchor=y[:, 0]))
         m[rows], s[rows], u[rows] = v.mean(axis=1) ** 2, _spread(v), _elementary_mean(v, c)
 
     def within(M: int, independent: bool) -> float:
@@ -589,7 +644,7 @@ def _product_integral(fn, order: int, window: Window, integrator: Integrator, q:
     value that is not finite on such a row is never computed and raises no
     IntegrationError.  Nested factors draw their inner batches for every row.
     """
-    side = _local_side(window, locality)
+    radius = _local_radius(window, locality)
     copies = {}
     for sl in slots:
         copies[tuple(sl)] = copies.get(tuple(sl), 0) + 1
@@ -599,7 +654,7 @@ def _product_integral(fn, order: int, window: Window, integrator: Integrator, q:
         if unlinked:
             raise ConfigError(f"local draws need every shared variable in a factor with the first; {unlinked} share none")
     nested = any(r for _, _, r in plan)
-    size = _pilot_batch_size(fn, order, window, integrator, q, plan, path, side) if nested else NESTED_INNER
+    size = _pilot_batch_size(fn, order, window, integrator, q, plan, path, radius) if nested else NESTED_INNER
     lattice = integrator._on_lattice(window)
     streams = [integrator.rng(*path, g) if r and not lattice else None for g, (_, _, r) in enumerate(plan, start=1)]
     dim = window.point_dim
@@ -620,7 +675,7 @@ def _product_integral(fn, order: int, window: Window, integrator: Integrator, q:
                 out[rows] = part
             elif integrator.strata > 1:
                 y = ys[:, sl]
-                batches = [_inner_values(fn, order, window, y, lambda: integrator.draw(window, r, size, rng, groups=len(y), side=side, anchor=y[:, 0])).mean(axis=1) for _ in range(c)]
+                batches = [_inner_values(fn, order, window, y, lambda: integrator.draw(window, r, size, rng, groups=len(y), radius=radius, anchor=y[:, 0])).mean(axis=1) for _ in range(c)]
                 for batch in batches:
                     out *= batch
                 means = sum(batches) / c if keep else None
@@ -629,10 +684,10 @@ def _product_integral(fn, order: int, window: Window, integrator: Integrator, q:
                 if lattice:
                     # batch j of row t: the variates' (t, j) block, around the row's y[0]
                     block = variates[:, at : at + size * r * dim].reshape(len(y), size, r, dim)
-                    v = _inner_values(fn, order, window, y, lambda: _unit_points(window, block, side, y[:, None, :1]))
+                    v = _inner_values(fn, order, window, y, lambda: _unit_points(window, block, radius, y[:, None, :1]))
                     at += size * r * dim
                 else:
-                    v = _inner_values(fn, order, window, y, lambda: integrator.draw(window, r, size, rng, groups=len(y), side=side, anchor=y[:, 0]))
+                    v = _inner_values(fn, order, window, y, lambda: integrator.draw(window, r, size, rng, groups=len(y), radius=radius, anchor=y[:, 0]))
                 out *= _elementary_mean(v, c)
                 means = v.mean(axis=1) if keep else None
             if keep:

@@ -382,6 +382,18 @@ def test_criterion_06_model_variances():
 # 7. decay rate of the distance for the pairwise-distance kernel
 
 
+def _null_dw_floor(n: int) -> float:
+    """The d_w floor of n draws of an exactly normal law, the first-order
+    mean of their d_w to N(0, 1), sqrt(2/pi) int sqrt(Phi (1 - Phi)) dx
+    n^(-1/2) (del Barrio, Gine and Matran 1999); the integral, 1.6147, by
+    the midpoint rule on [-12, 12] with Phi from math.erf."""
+    h = 1e-3
+    mids = (-12.0 + (i + 0.5) * h for i in range(24_000))
+    cdf = (0.5 * (1.0 + math.erf(x / math.sqrt(2.0))) for x in mids)
+    integral = h * math.fsum(math.sqrt(p * (1.0 - p)) for p in cdf)
+    return math.sqrt(2.0 / math.pi) * integral / math.sqrt(n)
+
+
 def test_criterion_07_rate_fit():
     lambdas = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
     config = ExperimentConfig(
@@ -393,7 +405,8 @@ def test_criterion_07_rate_fit():
         seed=43,
     )
     fit = rate_experiment(config)
-    floor = 1.0 / math.sqrt(config.replicates)
+    floor = _null_dw_floor(config.replicates)
+    assert floor == pytest.approx(0.0288, abs=5e-5)
     ok_floor = floor < min(fit.d_w)
     ok_slope = -0.75 <= fit.slope <= -0.25
     # quadrupling lam exactly halves the theoretical column

@@ -905,6 +905,40 @@ def test_cli_refuses_lambdas_whose_powers_overflow_before_any_draw(capsys, monke
     assert calls == Counter()
 
 
+GILBERT_SQUARE = {"kernel": "gilbert-count", "window": {"shape": "box", "bounds": [[0.0, 1.0], [0.0, 1.0]]}, "lambdas": [25, 50, 100], "replicates": 20, "integrator": {"samples": 64, "seed": 4}}
+
+
+@pytest.mark.parametrize("verb", [["bound", "--lambda", "25"], ["variance"], ["experiment", "rate"]])
+def test_cli_refuses_a_delta_whose_local_bound_overflows(tmp_path, capsys, monkeypatch, verb):
+    # b(delta) = lam * vol(B(0, 4 delta)) of the local bound has no float at
+    # delta 1e300: exit 2 with an error line, before any draw
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({**GILBERT_SQUARE, "delta": 1e300}))
+    calls = Counter()
+    count_calls(monkeypatch, harness, "estimate_ingredients", calls)
+    count_calls(monkeypatch, harness, "_draw_cell", calls)
+    assert main([*verb, "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: delta 1e+300 overflows b(delta)") and "Traceback" not in err, err
+    assert calls == Counter()
+
+
+def test_cli_keeps_a_finite_delta_larger_than_the_window(tmp_path, capsys):
+    # delta 5.0 and 1.5 both cover every pair of the unit square, and their
+    # balls are larger than it, so both draw theta-uniform points: the same
+    # variance rows, and a local bound with b(delta) at delta 5
+    out = {}
+    for delta in (5.0, 1.5):
+        cfg_path = tmp_path / f"config-{delta}.json"
+        cfg_path.write_text(json.dumps({**GILBERT_SQUARE, "delta": delta}))
+        assert main(["variance", "--config", str(cfg_path)]) == 0
+        out[delta] = capsys.readouterr().out
+    assert out[5.0] == out[1.5]
+    assert main(["bound", "--config", str(tmp_path / "config-5.0.json"), "--lambda", "25"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["mode"] == "local" and report["b_delta"] == 25.0 * math.pi * 20.0**2
+
+
 def test_lambda_overflow_bound_is_lambda_to_the_2k():
     # pairwise distance has order 2: lam^4 must be a finite float
     ok = ExperimentConfig(kernel="pairwise-distance", window=UNIT_SQUARE, lambdas=(1e77,), replicates=1)

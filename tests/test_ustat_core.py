@@ -9,6 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -43,6 +44,7 @@ from poisson_ustats import (
     ou_inverse,
     pairwise_distance_kernel,
     sample_points,
+    unit_ball_volume,
     variance,
     variance_terms,
 )
@@ -54,8 +56,10 @@ from poisson_ustats.ustat_core import (
     CHUNK_DRAWS,
     NESTED_INNER,
     NESTED_REPEAT,
+    _ball_points,
     _batch_variance,
     _elementary_mean,
+    _local_radius,
     _product_integral,
     _unit_points,
     _variance_term,
@@ -496,22 +500,38 @@ def _mark_pilot(monkeypatch) -> list:
     return phase
 
 
-def _cell_family(cells: int, band: bool):
-    """An order-2 cell kernel on [0, 1] (only neighbouring cells when
-    ``band``, then local with delta two cell widths) and its exact T_1, T_2
-    and fourth-power norms through chaos_kernels_simple."""
-    coeffs = np.zeros((cells, cells))
-    for i, j in itertools.permutations(range(cells), 2):
+def _cell_family(cells: int, band: bool, dim: int = 1):
+    """An order-2 cell kernel on [0, 1]^dim, ``cells`` cells per axis (only
+    on cells at Chebyshev distance 1 when ``band``, then local with delta
+    two cell diagonals, 2 sqrt(dim) / cells) and its exact T_1, T_2 and
+    fourth-power norms through chaos_kernels_simple."""
+    count = cells**dim
+    at = np.stack(np.unravel_index(np.arange(count), (cells,) * dim), axis=-1)
+    coeffs = np.zeros((count, count))
+    for i, j in itertools.permutations(range(count), 2):
         if not band:
             coeffs[i, j] = 0.5 + ((i + j + i * j) % 5) / 2.0
-        elif abs(i - j) == 1:
-            coeffs[i, j] = 1.0 + 0.3 * min(i, j)
-    fn = SimpleFunction(CellGrid.regular((0.0,), (1.0,), (cells,)), coeffs)
-    model = IntensityModel(1.0, BoxWindow(((0.0, 1.0),)))
+        elif np.abs(at[i] - at[j]).max() == 1:
+            coeffs[i, j] = 1.0 + 0.3 * min(i, j) / cells ** (dim - 1)
+    fn = SimpleFunction(CellGrid.regular((0.0,) * dim, (1.0,) * dim, (cells,) * dim), coeffs)
+    model = IntensityModel(1.0, BoxWindow(((0.0, 1.0),) * dim))
     chaos = chaos_kernels_simple(fn, model)
     terms = [math.factorial(i) * f_i.norm_sq(model) for i, f_i in enumerate(chaos, start=1)]
     norms = [SimpleFunction(f_i.grid, f_i.coeffs**2).norm_sq(model) for f_i in chaos]
-    return fn.as_kernel(locality=2.0 / cells if band else None), model.window, terms + norms
+    kern = fn.as_kernel(locality=2.0 * math.sqrt(dim) / cells if band else None)
+    if dim > 1:
+        # fn.value_at tests the points against every cell in turn; on a grid
+        # of 2^p cells per axis flooring finds the same cells of [0, 1)^dim
+        ids = cells ** np.arange(dim - 1, -1, -1)
+
+        def lookup(t):
+            cell = (t * cells).astype(np.intp) @ ids
+            return np.where(np.all(t < 1.0, axis=(1, 2)), coeffs[cell[:, 0], cell[:, 1]], 0.0)
+
+        kern = replace(kern, fn=lookup)
+        pts = model.window.sample(spawn_rng(0, "cells"), 4000).reshape(-1, 2, dim)
+        assert np.array_equal(kern(pts), fn.value_at(pts))
+    return kern, model.window, terms + norms
 
 
 SE_CALIBRATION = {
@@ -519,6 +539,9 @@ SE_CALIBRATION = {
     "line-intersections": (line_intersection_kernel(LineWindow(1.0)), LineWindow(1.0), [64.0 * math.pi / 3.0, math.pi**2]),
     "cell-plain": _cell_family(6, band=False),
     "cell-local": _cell_family(8, band=True),
+    # 8 x 8 cells on the unit square: the delta-ball (0.39) is smaller than
+    # the window, so every ingredient draws in the ball
+    "cell-local-2d": _cell_family(8, band=True, dim=2),
 }
 
 
@@ -527,7 +550,9 @@ def test_variance_term_and_norm_se_is_calibrated(case):
     # z-scores of T_1, T_2 (and for the cell kernels the two fourth-power
     # norms) against their exact values over 200 seeds: the se of the
     # pilot-sized nested passes neither under- nor overstates the spread;
-    # the pilots pick inner batches below NESTED_INNER for every T_1
+    # the pilots pick inner batches below NESTED_INNER for every T_1 in 1-D
+    # and on the line, and for some T_1 of the 2-D family (8 or 16 for
+    # all but a few seeds)
     kern, window, exact = SE_CALIBRATION[case]
     z, sizes = [], set()
     for seed in range(200):
@@ -540,7 +565,7 @@ def test_variance_term_and_norm_se_is_calibrated(case):
     z = np.array(z)
     mean, sd = z.mean(axis=0), z.std(axis=0, ddof=1)
     assert np.all(np.abs(mean) <= 0.2) and np.all((0.8 <= sd) & (sd <= 1.25)), (mean, sd)
-    assert max(sizes) < NESTED_INNER
+    assert (min(sizes) if case == "cell-local-2d" else max(sizes)) < NESTED_INNER
 
 
 # T_1 and T_2 of small fixed-seed configs, pinned float for float: reading
@@ -555,7 +580,7 @@ PINNED_VARIANCE_TERMS = {
     ),
     "gilbert-0.2": (
         gilbert_kernel(0.2), Integrator(samples=40, seed=11),
-        [(0.011800000000000005, 0.00017167901505579054, 2560), (0.05000000000000001, 0.004920419323166419, 40)],
+        [(0.011652301696036125, 0.00010905852632360403, 2560), (0.051836278784231596, 0.003437666743322638, 40)],
     ),
     "pairwise-distance-strata-2": (
         pairwise_distance_kernel(), Integrator(samples=64, seed=11, strata=2),
@@ -890,14 +915,68 @@ def test_local_draws_agree_with_uniform_draws(window, delta):
         assert x.se < y.se
 
 
-def test_local_draws_need_a_cube_smaller_than_the_window():
-    # (2 delta)^d >= theta(W): the uniform draws are kept, bit for bit
+def test_local_draws_need_a_ball_smaller_than_the_window():
+    # omega_d delta^d >= theta(W): the uniform draws are kept, bit for bit
     local = gilbert_kernel(0.6)
     plain = replace(local, locality=None)
     integ = Integrator(samples=500, seed=2)
     assert variance_terms(local, UNIT_SQUARE, integ) == variance_terms(plain, UNIT_SQUARE, integ)
     model = IntensityModel(1.0, UNIT_SQUARE)
     assert expectation(local, model, integ) == expectation(plain, model, integ)
+    # on the unit square delta 0.55 takes local draws: its cube, 1.21, is
+    # larger than the window, but its ball, 0.95, is smaller; the mean still
+    # meets the closed form of test_gilbert_mean_matches_the_closed_form
+    assert _local_radius(UNIT_SQUARE, 0.6) is None and _local_radius(UNIT_SQUARE, 0.55) == 0.55
+    local = gilbert_kernel(0.55)
+    got, uniform = expectation(local, model, integ), expectation(replace(local, locality=None), model, integ)
+    assert got != uniform
+    assert got.within(0.5 * (math.pi * 0.55**2 - 8.0 * 0.55**3 / 3.0 + 0.55**4 / 2.0), 4.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_ball_points_are_uniform_in_the_ball(dim):
+    # iid variates through the ball map around anchors well inside the
+    # window: every point lies within delta of its anchor and weighs
+    # omega_d delta^d / theta(W); E(x - a) = 0 and E|x - a|^2 =
+    # d / (d + 2) delta^2 within 4 se; the counts in 8 equal-volume radial
+    # shells and in 8 equal angular sectors (in 1-D the two sides, in 3-D
+    # also 8 equal-area zones of the height) pass a chi-square test
+    delta, n = 0.3, 40_000
+    window = BoxWindow(((-1.0, 1.0),) * dim)
+    rng = spawn_rng(5, "ball", dim)
+    anchors = rng.uniform(-0.5, 0.5, (n, 1, dim))
+    pts, weights = _ball_points(window, rng.random((n, 1, dim)), delta, anchors)
+    x = (pts - anchors)[:, 0]
+    dist = np.linalg.norm(x, axis=1)
+    assert dist.max() <= delta + 1e-12
+    assert np.all(weights == unit_ball_volume(dim) * delta**dim / 2.0**dim)
+    for values, mean in [*((x[:, a], 0.0) for a in range(dim)), (dist**2, dim / (dim + 2) * delta**2)]:
+        assert abs(values.mean() - mean) <= 4.0 * values.std(ddof=1) / math.sqrt(n)
+    shells = np.minimum((8 * (dist / delta) ** dim).astype(int), 7)
+    if dim == 1:
+        sectors = [(x[:, 0] > 0).astype(int)]
+    else:
+        turn = np.arctan2(x[:, 1], x[:, 0]) / (2.0 * math.pi) % 1.0
+        sectors = [np.minimum((8 * turn).astype(int), 7)]
+        if dim == 3:
+            # Archimedes: the height over the radius is uniform on [-1, 1]
+            sectors.append(np.minimum((4 * (x[:, 2] / dist + 1.0)).astype(int), 7))
+    for labels in (shells, *sectors):
+        counts = np.bincount(labels, minlength=labels.max() + 1)
+        assert scipy.stats.chisquare(counts).pvalue > 1e-3, counts
+
+
+def test_ball_points_in_one_dimension_are_the_interval():
+    # d = 1 is the interval (u - 0.5) 2 delta + a, in that order of float
+    # operations, for each of 3 points; a tuple weighs 0 unless all 3 lie in W
+    rng = spawn_rng(6, "interval")
+    u, anchors = rng.random((500, 3, 1)), rng.random((500, 1, 1))
+    window = BoxWindow(((0.0, 1.0),))
+    want = (u - 0.5) * (2.0 * 0.15) + anchors
+    inside = np.all((want >= 0.0) & (want <= 1.0), axis=(1, 2))
+    got, weights = _ball_points(window, u.copy(), 0.15, anchors)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(weights, np.where(inside, (2.0 * 0.15 / 1.0) ** 3, 0.0))
 
 
 def test_local_draws_call_the_kernel_only_on_positive_weights():
@@ -920,12 +999,12 @@ def test_local_draws_call_the_kernel_only_on_positive_weights():
     # and its inner batch of the chosen M, (1 + M) * 2 unit variates
     pilot = integ.rng("variance", 1, "pilot")
     ys = UNIT_SQUARE.sample(pilot, 1200)
-    _, pilot_weights = integ.draw(UNIT_SQUARE, 1, NESTED_INNER, pilot, groups=1200, side=0.2, anchor=ys)
+    _, pilot_weights = integ.draw(UNIT_SQUARE, 1, NESTED_INNER, pilot, groups=1200, radius=0.1, anchor=ys)
     size = _chosen_size(mean, 1200)
     count = NESTED_REPEAT * NESTED_INNER * 1200 // size
     u = np.concatenate(list(lattice_chunks(integ.rng("variance", 1, 0), count, (1 + size) * 2, CHUNK_DRAWS)))
     ys = UNIT_SQUARE.from_unit(u[:, :2])
-    _, weights = _unit_points(UNIT_SQUARE, u[:, 2:].reshape(len(u), size, 1, 2), 0.2, ys[:, None, None])
+    _, weights = _unit_points(UNIT_SQUARE, u[:, 2:].reshape(len(u), size, 1, 2), 0.1, ys[:, None, None])
     assert size < NESTED_INNER and len(u) == mean.n
     assert sum(map(len, seen)) == np.count_nonzero(pilot_weights) + np.count_nonzero(weights) < 1200 * NESTED_INNER + mean.n * size
     assert weights.shape == (mean.n, size)
@@ -935,7 +1014,7 @@ def test_local_draws_call_the_kernel_only_on_positive_weights():
 
 
 def test_local_product_integrals_need_every_shared_variable_next_to_the_first():
-    # local draws place every shared variable in the cube around the first,
+    # local draws place every shared variable in the ball around the first,
     # which holds only when each one shares a kernel copy with it: a chain of
     # three copies 0-1, 1-2, 2-3 is refused before any kernel call, and a
     # triangle 0-1, 0-2, 1-2 agrees with uniform draws
@@ -1061,16 +1140,16 @@ def test_integrate_calls_fn_on_at_most_chunk_draws_tuples(locality):
 def test_inner_batches_below_their_stratum_count_are_drawn_unstratified():
     # a batch given an anchor (an inner batch) of NESTED_INNER draws over 2
     # axes has 25 strata at level 5: it is drawn plain, bit for bit, with and
-    # without a local cube; at level 2 (4 strata) it is stratified
+    # without a local ball; at level 2 (4 strata) it is stratified
     anchor = np.array([[0.5, 0.5], [0.2, 0.7]])
     fine = Integrator(samples=400, seed=2, strata=5)
     plain = replace(fine, strata=1)
 
-    def draw(integ, side):
-        return integ.draw(UNIT_SQUARE, 1, NESTED_INNER, spawn_rng(1, "inner"), groups=2, side=side, anchor=anchor)
+    def draw(integ, radius):
+        return integ.draw(UNIT_SQUARE, 1, NESTED_INNER, spawn_rng(1, "inner"), groups=2, radius=radius, anchor=anchor)
 
-    for side in (None, 0.2):
-        (got, got_w), (want, want_w) = draw(fine, side), draw(plain, side)
+    for radius in (None, 0.1):
+        (got, got_w), (want, want_w) = draw(fine, radius), draw(plain, radius)
         np.testing.assert_array_equal(got, want)
         assert (got_w is None and want_w is None) or np.array_equal(got_w, want_w)
     assert not np.array_equal(draw(replace(fine, strata=2), None)[0], draw(plain, None)[0])
