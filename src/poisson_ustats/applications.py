@@ -26,7 +26,8 @@ from .point_process import (
     BoxWindow,
     IntensityModel,
     LineWindow,
-    sample_points,
+    _check_cells,
+    _draw_cells,
     unit_ball_volume,
     window_measure,
 )
@@ -399,6 +400,8 @@ def sylvester_estimate(k: int, intensity: IntensityModel, replicates: int, integ
     within 3 combined standard errors.
     """
     win = intensity.window
+    if isinstance(win, LineWindow):
+        raise ConfigError("convex position probability needs a spatial window")
     if abs(window_measure(win) - 1.0) > 1e-12:
         raise ConfigError("convex position probability needs a unit-measure window")
     replicates = int(replicates)
@@ -407,8 +410,9 @@ def sylvester_estimate(k: int, intensity: IntensityModel, replicates: int, integ
     kernel = convex_position_kernel(k)
     lam = float(intensity.lam)
     streams = _cell_streams(seed, ("sylvester",), range(replicates))
-    samples = [sample_points(intensity, rng).points for _, rng in streams]
-    scaled = np.array(_evaluate_many(kernel, samples)) / lam**k
+    points, sizes, _ = _draw_cells(win, intensity.mean_count(), streams, replicates)
+    _check_cells(win, points, sizes)
+    scaled = np.array(_evaluate_many(kernel, points, sizes)) / lam**k
     p = float(np.mean(scaled))
     p_se = float(np.std(scaled, ddof=1) / math.sqrt(replicates))
     norm_sq = _variance_term(kernel, win, integrator, 1).scaled(lam ** (2 * k - 1))

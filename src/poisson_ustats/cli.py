@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from typing import Optional
 
 from ._files import _csv_text, _fmt, _read_text, _write_text
@@ -82,22 +81,23 @@ def _parse_lambdas(text: str) -> tuple:
 
 
 def _load_config(args) -> ExperimentConfig:
-    updates = {}
+    """The config file's fields (or --kernel's defaults) merged with the
+    flag overrides, validated once as the fields that will run."""
     if args.config:
-        config = ExperimentConfig.from_json(_read_text(args.config))
+        fields = ExperimentConfig._json_fields(_read_text(args.config))
         if args.kernel:
-            updates["kernel"] = args.kernel
+            fields["kernel"] = args.kernel
     elif args.kernel:
-        config = ExperimentConfig(kernel=args.kernel, window=default_window(args.kernel), lambdas=(1.0,), replicates=200)
+        fields = dict(kernel=args.kernel, window=default_window(args.kernel), lambdas=(1.0,), replicates=200)
     else:
         raise ConfigError("need --config or --kernel")
     if args.seed is not None:
-        updates["seed"] = args.seed
+        fields["seed"] = args.seed
     if args.replicates is not None:
-        updates["replicates"] = args.replicates
+        fields["replicates"] = args.replicates
     if args.lam_list:
-        updates["lambdas"] = _parse_lambdas(args.lam_list)
-    return replace(config, **updates) if updates else config
+        fields["lambdas"] = _parse_lambdas(args.lam_list)
+    return ExperimentConfig(**fields)
 
 
 def _draw(config: ExperimentConfig, lam: float):

@@ -12,15 +12,18 @@ byte-reproduces its outputs.
 The replicates of one lambda run as a batch.  _streams._cell_streams
 derives the streams of all its cells in one vectorized pass, each equal to
 spawn_rng(seed, lambda index, replicate index) with the stream_token value
-as the record's token, and resets one generator in place per cell.  Each
-cell draws its points from it once through point_process._draw_cell, the
-draw rule of sample_points and sample_lines.  Then point_process._check_cells
-runs every PointConfiguration check on all cells of the lambda, in stacked
-blocks, and ustat_core._evaluate_many computes their kernel sums together:
-exhaustive kernels grouped by configuration size, local kernels on one
-cell grid per group of consecutive cells (at most _GROUP_RUNS partner runs);
-every value equals evaluate on the sampled configuration of that cell
-alone, bit for bit.
+as the record's token, and resets one generator in place per cell.
+point_process._draw_cells draws every cell from its stream, by the draw
+rule of sample_points and sample_lines, into one point buffer for the
+lambda: consecutive rows per cell, with the cell sizes beside it.  Then
+point_process._check_cells runs every PointConfiguration check on all
+cells of the lambda, in blocks that are slices of that buffer, and
+ustat_core._evaluate_many computes their kernel sums together, gathering
+every kernel call's tuples into one reused buffer: exhaustive kernels
+grouped by configuration size, local kernels on one cell grid per group of
+consecutive cells (at most _GROUP_RUNS partner runs); every value equals
+evaluate on the sampled configuration of that cell alone, bit for bit.
+A lambda's buffer is freed before the next lambda draws.
 """
 
 from __future__ import annotations
@@ -49,9 +52,9 @@ from .point_process import (
     LineWindow,
     Window,
     _check_cells,
-    _draw_cell,
+    _draw_cells,
     # sample_lines and sample_points are unused here (_simulate calls
-    # _draw_cell and _check_cells); perfbench/tracing.py SITES wraps both
+    # _draw_cells and _check_cells); perfbench/tracing.py SITES wraps both
     sample_lines,
     sample_points,
 )
@@ -192,6 +195,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
+        return cls(**cls._json_fields(text))
+
+    @staticmethod
+    def _json_fields(text: str) -> dict:
+        """The constructor's fields from a JSON config, parsed but not yet
+        validated together, so that overrides can join them first."""
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -219,7 +228,7 @@ class ExperimentConfig:
             for key in ("records", "rates", "report"):
                 if not isinstance(out.get(key, ""), str):
                     raise ConfigError(f"config 'out.{key}' must be a path string")
-            return cls(
+            return dict(
                 kernel=kernel,
                 window=window,
                 lambdas=tuple(doc["lambdas"]),
@@ -287,14 +296,12 @@ def _simulate(config: ExperimentConfig, ingredients: Ingredients) -> list:
                 f"({var.value:.3g}, se {var.se:.3g})"
             )
         sd = math.sqrt(var.value)
-        mean_count = config.intensity(lam).mean_count()
-        tokens = []
-        samples = []
-        for token, rng in _cell_streams(config.seed, (li,), range(config.replicates)):
-            tokens.append(token)
-            samples.append(_draw_cell(config.window, mean_count, rng))
-        _check_cells(config.window, samples)
-        values = _evaluate_many(ingredients.kernel.at_intensity(lam), samples)
+        streams = _cell_streams(config.seed, (li,), range(config.replicates))
+        points, sizes, tokens = _draw_cells(config.window, config.intensity(lam).mean_count(), streams, config.replicates)
+        _check_cells(config.window, points, sizes)
+        values = _evaluate_many(ingredients.kernel.at_intensity(lam), points, sizes)
+        # the next lambda draws into a buffer of its own: free this one first
+        del points
         records.extend(
             ReplicateRecord(lam=lam, index=r, value=value, standardized=(value - mean) / sd, seed=token)
             for r, (value, token) in enumerate(zip(values, tokens))
@@ -341,8 +348,10 @@ def rate_experiment(config: ExperimentConfig) -> RateFitResult:
     bounds = [ingredients.report(lam, config.c_k).bound for lam in config.lambdas]
     d_w = []
     d_k = []
-    for lam in config.lambdas:
-        values = np.array([r.standardized for r in records if r.lam == lam])
+    reps = config.replicates
+    for li, lam in enumerate(config.lambdas):
+        # _simulate returns each lambda's records as one run of replicates
+        values = np.array([r.standardized for r in records[li * reps : (li + 1) * reps]])
         sample = SampleSet(values, label=f"lambda={lam:g}")
         d_w.append(wasserstein_to_normal(sample))
         d_k.append(kolmogorov_to_normal(sample))

@@ -123,11 +123,8 @@ class BoxWindow:
         return out
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        # from_unit in place on the fresh draw: the same products and sums
         u = rng.random((n, self.dimension))
-        u *= self._span
-        u += self._low
-        return u
+        return self.from_unit(u, out=u)
 
 
 @dataclass(frozen=True)
@@ -211,14 +208,8 @@ class LineWindow:
         return out
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        # from_unit in place on the fresh draw: the same operations in order
         u = rng.random((n, 2))
-        u[:, 0] *= math.pi
-        col = u[:, 1]
-        col *= 2.0
-        col -= 1.0
-        col *= self.radius
-        return u
+        return self.from_unit(u, out=u)
 
 
 Window = Union[BoxWindow, BallWindow, LineWindow]
@@ -269,7 +260,7 @@ class PointConfiguration:
             raise ConfigError(f"points must be a (n, d) array, got shape {pts.shape}")
         if self.kind not in ("spatial", "lines"):
             raise ConfigError(f"unknown configuration kind {self.kind!r}")
-        _check_cells(self.window, [pts])
+        _check_cells(self.window, pts, [len(pts)])
         pts = pts.copy()
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
@@ -300,54 +291,92 @@ class PointConfiguration:
         )
 
 
-# points per stacked block of _check_cells
+# points per block of _check_cells
 _CHECK_POINTS = 1 << 14
 
 
-def _check_cells(window: Optional[Window], arrays) -> None:
-    """PointConfiguration's data checks on each (n_i, d) float array.
+def _check_cells(window: Optional[Window], points: np.ndarray, sizes) -> None:
+    """PointConfiguration's data checks on each cell of ``points``, an
+    (N, d) float array whose consecutive rows hold cells of ``sizes`` points.
 
-    Raises ConfigError if an array has a non-finite coordinate, repeats a
+    Raises ConfigError if a cell has a non-finite coordinate, repeats a
     point, or has a point outside ``window`` (when given).  Consecutive
-    arrays are stacked into blocks of at most _CHECK_POINTS points (a larger
-    array is a block of its own), so each check runs once per block.  Equal
-    rows count as repeated only within one array: sorted lexicographically
-    by (array, coordinates) they are adjacent, with -0.0 == 0.0 as in
-    np.unique(axis=0).  Two equal rows have equal first coordinates, so a
-    block whose sorted first column has no two equal neighbours holds no
-    repeat; only a block with such a tie pays for the lexsort.  Drawn
-    coordinates are continuous, so a tie is rare.
+    cells form blocks of at most _CHECK_POINTS points (a larger cell is a
+    block of its own), each a slice of ``points``, so each check runs once
+    per block.  Equal rows count as repeated only within one cell: sorted
+    lexicographically by (cell, coordinates) they are adjacent, with
+    -0.0 == 0.0 as in np.unique(axis=0).  Two equal rows have equal first
+    coordinates, so a block whose sorted first column has no two equal
+    neighbours holds no repeat; only a block with such a tie pays for the
+    lexsort.  Drawn coordinates are continuous, so a tie is rare.
     """
 
-    def check(block):
-        stacked = np.concatenate(block)
-        if not np.isfinite(stacked).all():
+    def check(block, counts):
+        if not np.isfinite(block).all():
             raise ConfigError("configuration contains non-finite coordinates")
-        first = np.sort(stacked[:, 0])
+        first = np.sort(block[:, 0])
         if (first[1:] == first[:-1]).any():
-            cell = np.repeat(np.arange(len(block)), [len(pts) for pts in block])
-            order = np.lexsort((*stacked.T[::-1], cell))
-            srt, cell = stacked[order], cell[order]
+            cell = np.repeat(np.arange(len(counts)), counts)
+            order = np.lexsort((*block.T[::-1], cell))
+            srt, cell = block[order], cell[order]
             if ((srt[1:] == srt[:-1]).all(axis=1) & (cell[1:] == cell[:-1])).any():
                 raise ConfigError("configuration has repeated points")
-        if window is not None and not window.contains(stacked).all():
+        if window is not None and not window.contains(block).all():
             raise ConfigError("configuration has points outside its window")
 
-    block, size = [], 0
-    for pts in arrays:
-        if block and size + len(pts) > _CHECK_POINTS:
-            check(block)
-            block, size = [], 0
-        block.append(pts)
-        size += len(pts)
-    if block:
-        check(block)
+    start, size, counts = 0, 0, []
+    for n in sizes:
+        if counts and size + n > _CHECK_POINTS:
+            check(points[start : start + size], counts)
+            start, size, counts = start + size, 0, []
+        counts.append(n)
+        size += n
+    if counts:
+        check(points[start : start + size], counts)
 
 
 def _draw_cell(window: Window, mean: float, rng: np.random.Generator) -> np.ndarray:
     """One Poisson sample on ``window`` with mean count ``mean``: the count, then the points."""
     n = int(rng.poisson(mean))
     return window.sample(rng, n) if n else np.empty((0, window.point_dim))
+
+
+def _draw_cells(window: Window, mean: float, streams, cells: int) -> tuple:
+    """Draw one Poisson sample of mean count ``mean`` on ``window`` from each
+    of the ``cells`` (token, generator) pairs of ``streams`` (as
+    _streams._cell_streams yields them) into one buffer.
+
+    Returns (points, sizes, tokens): an (N, d) array holding the cells'
+    points in order, each cell's count and each stream's token.  Each cell
+    draws its count, then its points, as _draw_cell does, so its rows equal
+    sample_points (sample_lines) on its generator bit for bit.  A window
+    with a unit-cube map draws every cell's uniform variates straight into
+    the buffer and maps them once at the end (from_unit works axis by axis,
+    with the same operations as sample); a ball window, which samples by
+    rejection, copies each cell's sample in.  The buffer starts at the
+    total mean count plus ten of its standard deviations and doubles when
+    a draw would overrun it.
+    """
+    total = mean * cells
+    buf = np.empty((int(total + 10.0 * math.sqrt(total)) + 1, window.point_dim))
+    rejection = isinstance(window, BallWindow)
+    sizes, tokens = [], []
+    pos = 0
+    for token, rng in streams:
+        n = int(rng.poisson(mean))
+        if pos + n > len(buf):
+            grown = np.empty((max(2 * len(buf), pos + n), buf.shape[1]))
+            grown[:pos] = buf[:pos]
+            buf = grown
+        if rejection:
+            buf[pos : pos + n] = window.sample(rng, n)
+        elif n:
+            rng.random(out=buf[pos : pos + n])
+        sizes.append(n)
+        tokens.append(token)
+        pos += n
+    points = buf[:pos]
+    return points if rejection else window.from_unit(points, out=points), sizes, tokens
 
 
 def _sample(intensity: IntensityModel, seed, kind: str) -> PointConfiguration:

@@ -828,68 +828,94 @@ def evaluate(kernel: UStatKernel, config: PointConfiguration, *, exhaustive: boo
     points by cell id) unless ``exhaustive`` is set; both paths sum the same
     nonzero terms.  This is the one-configuration case of _evaluate_many.
     """
-    return _evaluate_many(kernel, [config.points], exhaustive=exhaustive)[0]
+    return _evaluate_many(kernel, config.points, [config.size], exhaustive=exhaustive)[0]
 
 
-def _evaluate_many(kernel: UStatKernel, point_arrays, *, exhaustive: bool = False) -> list:
-    """evaluate for each (n_i, d) point array, as a list of floats.
+def _evaluate_many(kernel: UStatKernel, points: np.ndarray, sizes, *, exhaustive: bool = False) -> list:
+    """evaluate for each cell of ``points``, an (N, d) array whose
+    consecutive rows hold cells of ``sizes`` points, as a list of floats.
 
-    Each value is k! times the fsum of the array's batch sums: the sums of
+    Each value is k! times the fsum of the cell's batch sums: the sums of
     its rows of _subset_batches (or _local_subset_batches) in consecutive
     slices of _SUBSET_BATCH rows, the fixed batches of the one enumerator
-    _anchor_subsets, so it does not depend on which other arrays are
-    passed.  Exhaustive sums group the arrays by size: each subset batch is
-    indexed once per size and applied to as many same-size arrays as fit in
+    _anchor_subsets, so it does not depend on which other cells are
+    passed.  Exhaustive sums group the cells by size: each subset batch is
+    indexed once per size and applied to as many same-size cells as fit in
     one kernel call of at most _SUBSET_BATCH tuples, whose row sums are each
-    array's batch sums.  Local kernels stack consecutive arrays of at least
-    k points in groups of at most _GROUP_RUNS partner runs (a larger array
-    alone) and enumerate each group on one grid; a kernel call takes one
-    batch of the group's rows, and _owner_slice_sums cuts each array's
-    slices out of the calls' values.  Tuples are gathered by np.take along
-    axis 0, the same copy as fancy indexing but faster in numpy.
+    cell's batch sums.  Local kernels stack consecutive cells of at least
+    k points in groups of at most _GROUP_RUNS partner runs (a larger cell
+    alone), each a slice of ``points`` where no smaller cell lies between
+    them, and enumerate each group on one grid; a kernel call takes one
+    batch of the group's rows, and _owner_slice_sums cuts each cell's
+    slices out of the calls' values.
+
+    Every kernel call gathers its tuples into one buffer of at most
+    _SUBSET_BATCH tuples, allocated once per call of _evaluate_many (as is
+    the exhaustive path's buffer of index rows), by np.take along axis 0
+    (the same copy as fancy indexing, but faster in numpy) in "clip" mode:
+    the indices are in range by construction, and "raise" mode would copy
+    through a fresh temporary.  A kernel may return a view of its tuples,
+    so each call's values are reduced before the next gather overwrites
+    them.
     """
     if not kernel.symmetric:
         raise ConfigError("evaluate needs a symmetric kernel")
     k = kernel.order
-    parts = [[] for _ in point_arrays]
+    d = points.shape[1]
+    sizes = np.asarray(sizes, dtype=np.intp)
+    starts = np.concatenate(([0], sizes.cumsum()))
+    # no kernel call takes more tuples than the k-subsets of all the points
+    batch = min(_SUBSET_BATCH, math.comb(len(points), k))
+    tuples = np.empty(batch * k * d)
+
+    def gather(rows, idx):
+        out = tuples[: idx.size * d].reshape(*idx.shape, d)
+        return kernel(np.take(rows, idx, axis=0, out=out, mode="clip"))
+
+    parts = [[] for _ in sizes]
     if kernel.locality is not None and not exhaustive:
         # a grid stores (3^(d-1) + 1) / 2 partner runs per point; holding at
-        # most _GROUP_RUNS of them keeps a grid of several arrays near one
+        # most _GROUP_RUNS of them keeps a grid of several cells near one
         # batch of tuples in size, and its stacked ids, at most C (2C - 1)^d
         # for C points, far below 1 << 62 (2e15 at most, in dimension 5)
+        per_point = (3 ** (d - 1) + 1) // 2
         groups, held = [], _GROUP_RUNS
-        for i, pts in enumerate(point_arrays):
-            if len(pts) >= k:
-                runs = len(pts) * (3 ** (pts.shape[1] - 1) + 1) // 2
-                if held + runs > _GROUP_RUNS:
-                    groups.append([])
-                    held = 0
-                groups[-1].append(i)
-                held += runs
+        for i in np.flatnonzero(sizes >= k).tolist():
+            runs = int(sizes[i]) * per_point
+            if held + runs > _GROUP_RUNS:
+                groups.append([])
+                held = 0
+            groups[-1].append(i)
+            held += runs
         for group in groups:
-            rows = np.concatenate([point_arrays[i] for i in group])
-            sizes = [len(point_arrays[i]) for i in group]
-            owner = np.repeat(group, sizes)
+            counts = sizes[group]
+            lo, hi = starts[group[0]], starts[group[-1] + 1]
+            if hi - lo > counts.sum():  # smaller cells lie between the group's
+                rows = np.concatenate([points[starts[i] : starts[i + 1]] for i in group])
+            else:
+                rows = points[lo:hi]
+            owner = np.repeat(group, counts)
             batches = (
-                (owner[idx[:, 0]], kernel(np.take(rows, idx, axis=0)))
-                for idx in _local_subset_batches(rows, kernel.locality, k, sizes)
+                (owner[idx[:, 0]], gather(rows, idx))
+                for idx in _local_subset_batches(rows, kernel.locality, k, counts)
             )
             for i, v in _owner_slice_sums(batches):
                 parts[i].append(v)
     else:
+        at = np.empty(batch * k, dtype=np.intp)
         by_size = {}
-        for i, pts in enumerate(point_arrays):
-            by_size.setdefault(len(pts), []).append(i)
+        for i, n in enumerate(sizes.tolist()):
+            by_size.setdefault(n, []).append(i)
         for n, members in by_size.items():
-            rows = np.concatenate([point_arrays[i] for i in members])
+            first = starts[members]
             for idx in _subset_batches(n, k):
                 step = max(1, _SUBSET_BATCH // len(idx))
                 for s in range(0, len(members), step):
                     group = members[s : s + step]
-                    # row indices into the stacked arrays, so that the tuples
-                    # are C-ordered as pts[idx] is for a single array
-                    at = (n * np.arange(s, s + len(group)))[:, None, None] + idx
-                    sums = kernel(np.take(rows, at.reshape(-1, k), axis=0)).reshape(len(group), len(idx)).sum(axis=1)
+                    # row indices into points, so that the tuples are
+                    # C-ordered as pts[idx] is for a single cell
+                    rows = np.add(first[s : s + len(group), None, None], idx, out=at[: len(group) * idx.size].reshape(len(group), *idx.shape))
+                    sums = gather(points, rows.reshape(-1, k)).reshape(len(group), len(idx)).sum(axis=1)
                     for i, v in zip(group, sums.tolist()):
                         parts[i].append(v)
     return [math.factorial(k) * math.fsum(p) for p in parts]

@@ -378,17 +378,32 @@ def test_simulate_checks_every_sampled_cell(bad, message, monkeypatch):
     # one cell of the second lambda draws a configuration that PointConfiguration refuses
     config = flat_config(lambdas=(2.0, 4.0), replicates=50)
     cells = []
-    draw = harness._draw_cell
+    draw = harness._draw_cells
 
-    def drawn(window, mean, rng):
-        cells.append(mean)
-        return np.array(bad) if len(cells) == 87 else draw(window, mean, rng)
+    def drawn(window, mean, streams, count):
+        points, sizes, tokens = draw(window, mean, streams, count)
+        i = 86 - len(cells)  # cell 87 of the run, in the second lambda
+        if 0 <= i < len(sizes):
+            at = sum(sizes[:i])
+            points = np.concatenate([points[:at], bad, points[at + sizes[i] :]])
+            sizes = sizes[:i] + [len(bad)] + sizes[i + 1 :]
+        cells.extend([mean] * len(sizes))
+        return points, sizes, tokens
 
-    monkeypatch.setattr(harness, "_draw_cell", drawn)
+    checked = []
+    check = harness._check_cells
+
+    def counted(window, points, sizes):
+        checked.append(list(sizes))
+        check(window, points, sizes)
+
+    monkeypatch.setattr(harness, "_draw_cells", drawn)
+    monkeypatch.setattr(harness, "_check_cells", counted)
     with pytest.raises(ConfigError, match=message):
         harness._simulate(config, Ingredients(config.kernel, config.window, Estimate(0.3, 0.0), (Estimate(1.0, 0.0),)))
     # the cells of a lambda are checked together, once all of them are drawn
     assert cells == [2.0] * 50 + [4.0] * 50
+    assert [len(sizes) for sizes in checked] == [50, 50] and checked[1][36] == len(bad)
 
 
 def test_rate_run_spawns_one_stream_per_cell(monkeypatch):
@@ -838,10 +853,17 @@ def test_cli_rate_writes_requested_outputs(tmp_path, capsys, monkeypatch):
     cfg_path.write_text(json.dumps(config))
     rates_path = tmp_path / "rates.csv"
     calls = Counter()
-    count_calls(monkeypatch, harness, "_draw_cell", calls)
+    draw = harness._draw_cells
+
+    def drawn(window, mean, streams, count):
+        points, sizes, tokens = draw(window, mean, streams, count)
+        calls["cells"] += len(sizes)
+        return points, sizes, tokens
+
+    monkeypatch.setattr(harness, "_draw_cells", drawn)
     assert main(["experiment", "rate", "--config", str(cfg_path), "--out", str(rates_path)]) == 0
     # every (lambda, replicate) cell is sampled once, for the fit and the records alike
-    assert calls["_draw_cell"] == 300
+    assert calls["cells"] == 300
     out = capsys.readouterr().out
     assert "slope=" in out
     rows = read_rates(rates_path)
@@ -861,7 +883,7 @@ def test_cli_rate_rejects_a_bad_constant_before_any_estimation(tmp_path, capsys,
     cfg_path.write_text(json.dumps(config))
     calls = Counter()
     count_calls(monkeypatch, harness, "estimate_ingredients", calls)
-    count_calls(monkeypatch, harness, "_draw_cell", calls)
+    count_calls(monkeypatch, harness, "_draw_cells", calls)
     assert main(["experiment", "rate", "--config", str(cfg_path), "--out", str(tmp_path / "rates.csv")]) == 2
     assert "c_k must be positive" in capsys.readouterr().err
     assert calls == Counter()
@@ -875,7 +897,7 @@ def test_cli_refuses_a_negative_integrator_seed_before_any_draw(tmp_path, capsys
     cfg_path.write_text(json.dumps(config))
     calls = Counter()
     count_calls(monkeypatch, harness, "estimate_ingredients", calls)
-    count_calls(monkeypatch, harness, "_draw_cell", calls)
+    count_calls(monkeypatch, harness, "_draw_cells", calls)
     assert main([*verb, "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert err == "error: integrator seed must be nonnegative, got -5\n"
@@ -897,7 +919,7 @@ def test_cli_refuses_a_negative_integrator_seed_before_any_draw(tmp_path, capsys
 def test_cli_refuses_lambdas_whose_powers_overflow_before_any_draw(capsys, monkeypatch, argv):
     calls = Counter()
     count_calls(monkeypatch, harness, "estimate_ingredients", calls)
-    count_calls(monkeypatch, harness, "_draw_cell", calls)
+    count_calls(monkeypatch, harness, "_draw_cells", calls)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and ("overflows" in err or "finite" in err), err
@@ -916,11 +938,29 @@ def test_cli_refuses_a_delta_whose_local_bound_overflows(tmp_path, capsys, monke
     cfg_path.write_text(json.dumps({**GILBERT_SQUARE, "delta": 1e300}))
     calls = Counter()
     count_calls(monkeypatch, harness, "estimate_ingredients", calls)
-    count_calls(monkeypatch, harness, "_draw_cell", calls)
+    count_calls(monkeypatch, harness, "_draw_cells", calls)
     assert main([*verb, "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: delta 1e+300 overflows b(delta)") and "Traceback" not in err, err
     assert calls == Counter()
+
+
+def test_cli_validates_the_file_grid_with_the_lambda_override(tmp_path, capsys):
+    # --lambda replaces the file's grid before the config is validated: a
+    # file lambda that overflows, or whose b(delta) overflows, is not run
+    over = tmp_path / "over.json"
+    over.write_text(json.dumps({"kernel": "pairwise-distance", "lambdas": [4, 1e300], "replicates": 20, "integrator": {"samples": 64, "seed": 4}}))
+    assert main(["variance", "--config", str(over), "--lambda", "4"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("4,")
+    near = tmp_path / "near.json"
+    near.write_text(json.dumps({**GILBERT_SQUARE, "lambdas": [25, 50], "delta": 3e152}))
+    assert main(["bound", "--config", str(near), "--lambda", "25"]) == 0
+    assert json.loads(capsys.readouterr().out)["lambda"] == 25.0
+    # at delta 4e152, b(delta) overflows at the override's own lambda
+    near.write_text(json.dumps({**GILBERT_SQUARE, "lambdas": [25, 50], "delta": 4e152}))
+    assert main(["bound", "--config", str(near), "--lambda", "25"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: delta 4e+152 overflows b(delta)") and "at lambda 25 " in err and "Traceback" not in err, err
 
 
 def test_cli_keeps_a_finite_delta_larger_than_the_window(tmp_path, capsys):

@@ -24,7 +24,7 @@ from poisson_ustats import (
     write_points_csv,
 )
 from poisson_ustats import point_process
-from poisson_ustats._streams import spawn_rng, stream_token
+from poisson_ustats._streams import _cell_streams, spawn_rng, stream_token
 
 UNIT_SQUARE = BoxWindow(((0.0, 1.0), (0.0, 1.0)))
 
@@ -215,6 +215,12 @@ def _cell_batches(draw):
     return window, [np.array(rows, dtype=float).reshape(len(rows), dim) for rows in cells]
 
 
+def _check_stacked(window, arrays) -> None:
+    """_check_cells on a list of (n_i, d) cells, stacked into its (points, sizes) form."""
+    points = np.concatenate(arrays) if arrays else np.empty((0, 2))
+    point_process._check_cells(window, points, [len(pts) for pts in arrays])
+
+
 @pytest.mark.parametrize("block", [3, point_process._CHECK_POINTS])
 @given(case=_cell_batches())
 @settings(max_examples=200, deadline=None)
@@ -223,10 +229,10 @@ def test_check_cells_matches_the_per_array_oracle(block, case):
     failures = {f for f in (_per_array_failure(window, pts) for pts in arrays) if f}
     with mock.patch.object(point_process, "_CHECK_POINTS", block):
         if not failures:
-            point_process._check_cells(window, arrays)
+            _check_stacked(window, arrays)
             return
         with pytest.raises(ConfigError) as err:
-            point_process._check_cells(window, arrays)
+            _check_stacked(window, arrays)
     # blocks run the checks in a fixed order, so with several failing cells
     # the message is that of one of them
     assert any(f in str(err.value) for f in failures)
@@ -238,41 +244,41 @@ def test_check_cells_counts_repeats_within_a_cell_only():
     b = np.array([[0.75, 0.5], [0.25, 0.25]])
     empty = np.empty((0, 2))
     # the same point in two cells, in one block and across a block boundary
-    point_process._check_cells(UNIT_SQUARE, [a, empty, b])
+    _check_stacked(UNIT_SQUARE, [a, empty, b])
     with mock.patch.object(point_process, "_CHECK_POINTS", 3):
-        point_process._check_cells(UNIT_SQUARE, [empty, a, empty, b, empty])
-        point_process._check_cells(UNIT_SQUARE, [])
+        _check_stacked(UNIT_SQUARE, [empty, a, empty, b, empty])
+        _check_stacked(UNIT_SQUARE, [])
         # a cell larger than a block is a block of its own, and -0.0 == 0.0
         big = np.vstack([a, [[0.9, 0.9], [0.1, 0.1], [-0.0, 0.5]]])
         with pytest.raises(ConfigError, match="repeated"):
-            point_process._check_cells(UNIT_SQUARE, [a, big, b])
+            _check_stacked(UNIT_SQUARE, [a, big, b])
         with pytest.raises(ConfigError, match="outside"):
-            point_process._check_cells(UNIT_SQUARE, [a, b, empty, np.array([[0.5, 1.5]])])
+            _check_stacked(UNIT_SQUARE, [a, b, empty, np.array([[0.5, 1.5]])])
         with pytest.raises(ConfigError, match="non-finite"):
-            point_process._check_cells(None, [a, b, np.array([[np.nan, 0.5]])])
+            _check_stacked(None, [a, b, np.array([[np.nan, 0.5]])])
     # without a window only the finite and repeat checks run
-    point_process._check_cells(None, [np.array([[5.0, -5.0]])])
+    _check_stacked(None, [np.array([[5.0, -5.0]])])
 
 
 def test_check_cells_sorts_first_and_lexsorts_only_on_a_tie():
     # distinct rows that share a first coordinate pass
-    point_process._check_cells(UNIT_SQUARE, [np.array([[0.5, 0.25], [0.5, 0.75], [0.5, 0.0]])])
+    _check_stacked(UNIT_SQUARE, [np.array([[0.5, 0.25], [0.5, 0.75], [0.5, 0.0]])])
     # the same row in two arrays of one block passes
     row = np.array([[0.3, 0.6]])
-    point_process._check_cells(UNIT_SQUARE, [np.vstack([row, [[0.1, 0.2]]]), np.vstack([[[0.9, 0.2]], row])])
+    _check_stacked(UNIT_SQUARE, [np.vstack([row, [[0.1, 0.2]]]), np.vstack([[[0.9, 0.2]], row])])
     # -0.0 and 0.0 tie in the first coordinate, and the rows are equal
     with pytest.raises(ConfigError, match="repeated"):
-        point_process._check_cells(UNIT_SQUARE, [np.array([[-0.0, 0.5], [0.5, 0.5], [0.0, 0.5]])])
+        _check_stacked(UNIT_SQUARE, [np.array([[-0.0, 0.5], [0.5, 0.5], [0.0, 0.5]])])
     pts = spawn_rng(3, "check").random((point_process._CHECK_POINTS, 2))
     assert len(np.unique(pts[:, 0])) == len(pts)
     with mock.patch.object(point_process.np, "lexsort", wraps=np.lexsort) as lexsort:
-        point_process._check_cells(UNIT_SQUARE, [pts])
+        _check_stacked(UNIT_SQUARE, [pts])
         assert lexsort.call_count == 0
         # one repeat hidden among the random points of one array
         hidden = pts.copy()
         hidden[9000] = hidden[123]
         with pytest.raises(ConfigError, match="repeated"):
-            point_process._check_cells(UNIT_SQUARE, [hidden])
+            _check_stacked(UNIT_SQUARE, [hidden])
         assert lexsort.call_count == 1
 
 
@@ -338,6 +344,52 @@ def test_line_sampling_matches_from_unit(radius, n):
     assert drawn.shape == (n, 2) and drawn.dtype == mapped.dtype
     assert drawn.tobytes() == mapped.tobytes()
     assert np.all(win.contains(drawn))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 17, 1000])
+def test_box_sampling_is_bit_identical_to_from_unit(dim, n):
+    box = BoxWindow(((-1.0, 0.5), (0.25, 3.0), (-2.0, -1.5))[:dim])
+    drawn = box.sample(spawn_rng(8, "box", n), n)
+    u = spawn_rng(8, "box", n).random((n, dim))
+    mapped = box.from_unit(u)
+    # the broadcast map along the short last axis, with the same operations
+    u *= box.highs() - box.lows()
+    u += box.lows()
+    assert drawn.shape == (n, dim) and drawn.dtype == mapped.dtype
+    assert drawn.tobytes() == mapped.tobytes() == u.tobytes()
+    assert np.all(box.contains(drawn))
+
+
+DRAW_WINDOWS = [
+    BoxWindow(((-1.0, 1.0),)),
+    BoxWindow(((0.0, 1.0), (-1.0, 0.5))),
+    BoxWindow(((0.0, 1.0), (0.0, 2.0), (-1.0, 1.0))),
+    LineWindow(1.5),
+    BallWindow(0.8, 2),
+]
+
+
+@pytest.mark.parametrize("window", DRAW_WINDOWS, ids=["box-1d", "box-2d", "box-3d", "lines", "ball"])
+@pytest.mark.parametrize("mean, sized_for", [(0.7, 40), (30.0, 3)])
+def test_draw_cells_match_one_shot_samples(window, mean, sized_for):
+    # mean 0.7 leaves about half of the cells empty; a buffer sized for 3
+    # cells of mean 30 grows several times while 40 are drawn
+    intensity = IntensityModel(mean / window_measure(window), window)
+    streams = _cell_streams(5, (1,), range(40))
+    points, sizes, tokens = point_process._draw_cells(window, intensity.mean_count(), streams, sized_for)
+    draw = sample_lines if isinstance(window, LineWindow) else sample_points
+    starts = np.cumsum([0] + sizes)
+    assert points.shape == (starts[-1], window.point_dim)
+    assert tokens == [stream_token(5, 1, r) for r in range(40)]
+    for r in range(40):
+        one = draw(intensity, spawn_rng(5, 1, r)).points
+        assert points[starts[r] : starts[r + 1]].tobytes() == one.tobytes()
+    if mean < 1:
+        assert 0 in sizes
+    else:
+        total = intensity.mean_count() * sized_for
+        assert starts[-1] > total + 10.0 * math.sqrt(total) + 1
 
 
 def test_with_point_and_without_index():

@@ -192,6 +192,11 @@ def test_locality_counts_pairs_exactly_delta_apart(pts, delta):
     assert evaluate(kern, cfg) == 1.0
 
 
+def _evaluate_cells(kern: UStatKernel, arrays, **kwargs) -> list:
+    """_evaluate_many on a list of (n_i, d) cells, stacked into its (points, sizes) form."""
+    return ustat_core._evaluate_many(kern, np.concatenate(arrays), [len(a) for a in arrays], **kwargs)
+
+
 def test_locality_grid_too_large_to_index():
     wide = spawn_rng(8, "wide").random((100, 10))
     with pytest.raises(CapacityError):
@@ -200,7 +205,7 @@ def test_locality_grid_too_large_to_index():
     # stacked on one grid with small ones
     small = [spawn_rng(8, "small", i).random((5, 10)) for i in range(3)]
     with pytest.raises(CapacityError):
-        ustat_core._evaluate_many(gilbert_kernel(1e-3), [small[0], wide, *small[1:]])
+        _evaluate_cells(gilbert_kernel(1e-3), [small[0], wide, *small[1:]])
     with pytest.raises(CapacityError):
         ustat_core._local_subset_batches(np.concatenate([small[0], wide, *small[1:]]), 1e-3, 2, [5, 100, 5, 5])
 
@@ -223,7 +228,47 @@ def test_batched_locality_never_refuses_what_one_array_admits():
     ids = [_grid_ids(a, 1e-9) for a in arrays]
     assert all(2**54 < n < 2**56 for n in ids)
     assert len(arrays) * max(ids) >= 1 << 62
-    assert ustat_core._evaluate_many(kern, arrays) == [evaluate(kern, PointConfiguration(a)) for a in arrays]
+    assert _evaluate_cells(kern, arrays) == [evaluate(kern, PointConfiguration(a)) for a in arrays]
+
+
+def _view_kernel(order: int, delta=None) -> UStatKernel:
+    """A symmetric kernel that writes each value into its tuple's first
+    coordinate, in place, and returns that column: a view of its input."""
+
+    def fn(t):
+        close = 1.0 if delta is None else np.all(np.linalg.norm(t[:, :, None] - t[:, None], axis=-1) <= delta, axis=(1, 2))
+        t[:, 0, 0] = close * np.exp(-np.abs(t).sum(axis=(1, 2)))
+        return t[:, 0, 0]
+
+    return UStatKernel(order, fn, locality=delta)
+
+
+def _combinations_oracle(kern: UStatKernel, pts: np.ndarray) -> float:
+    """k! times the kernel summed over itertools.combinations of the points,
+    each tuple built fresh."""
+    combos = list(itertools.combinations(range(len(pts)), kern.order))
+    if not combos:
+        return 0.0
+    return math.factorial(kern.order) * math.fsum(kern(pts[np.array(combos)]).tolist())
+
+
+@pytest.mark.parametrize("batch", [None, 7])
+def test_evaluate_many_reduces_each_call_before_the_next_gather(batch):
+    # a kernel returning a view of its tuples sees its values overwritten by
+    # the next gather into the shared buffer; every cell must still match
+    # the combinations oracle, on both paths: cells below the order, one
+    # exhaustive size with more subsets than a batch, and (at batch 7) kernel
+    # calls whose batches cross from one cell into the next
+    rng = spawn_rng(11, "view")
+    sizes = [0, 5, 1, 2, 60, 5, 5, 3, 0, 9, 2, 30, 5]
+    cells = [rng.random((n, 2)) for n in sizes]
+    big = batch or ustat_core._SUBSET_BATCH
+    assert math.comb(60, 3) > big
+    with mock.patch.object(ustat_core, "_SUBSET_BATCH", big):
+        for kern in (_view_kernel(3), _view_kernel(2, 0.3), _view_kernel(3, 0.3)):
+            oracle = [_combinations_oracle(kern, pts) for pts in cells]
+            assert _evaluate_cells(kern, cells) == pytest.approx(oracle, rel=1e-12, abs=0.0)
+            assert _evaluate_cells(kern, cells, exhaustive=True) == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
 
 def test_batched_grids_stay_far_below_the_id_limit():
@@ -262,9 +307,9 @@ def test_batched_locality_matches_single_arrays(case, batch, runs):
     kern, arrays = case
     with mock.patch.object(ustat_core, "_SUBSET_BATCH", batch or ustat_core._SUBSET_BATCH):
         with mock.patch.object(ustat_core, "_GROUP_RUNS", runs or ustat_core._GROUP_RUNS):
-            many = ustat_core._evaluate_many(kern, arrays)
+            many = _evaluate_cells(kern, arrays)
             alone = [evaluate(kern, PointConfiguration(a)) for a in arrays]
-            full = ustat_core._evaluate_many(kern, arrays, exhaustive=True)
+            full = _evaluate_cells(kern, arrays, exhaustive=True)
     assert list(map(repr, many)) == list(map(repr, alone))
     assert many == pytest.approx(full, rel=1e-12, abs=0.0)
 
@@ -277,7 +322,7 @@ def test_batched_locality_memory_stays_bounded():
     kern = gilbert_kernel(0.1)
     tracemalloc.start()
     try:
-        ustat_core._evaluate_many(kern, arrays)
+        _evaluate_cells(kern, arrays)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -398,8 +443,8 @@ def test_kernels_get_c_contiguous_tuples():
     for kern in (_contiguous_kernel(3), _contiguous_kernel(2, 0.3), _contiguous_kernel(3, 0.3)):
         evaluate(kern, cfg)
         evaluate(kern, cfg, exhaustive=True)
-        ustat_core._evaluate_many(kern, [cfg.points, cfg.points[:7], cfg.points[7:30]])
-        ustat_core._evaluate_many(kern, [cfg.points, cfg.points[:7], cfg.points[7:30]], exhaustive=True)
+        _evaluate_cells(kern, [cfg.points, cfg.points[:7], cfg.points[7:30]])
+        _evaluate_cells(kern, [cfg.points, cfg.points[:7], cfg.points[7:30]], exhaustive=True)
         for i in range(1, kern.order + 1):
             iterated_difference(kern, cfg, UNIT_SQUARE.sample(rng, i))
     # one subset (of the two configuration points) joined to 40 prefixes in one kernel call
