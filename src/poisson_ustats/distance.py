@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from statistics import NormalDist
 from typing import Optional
 
@@ -98,19 +97,6 @@ def _sorted_values(sample) -> np.ndarray:
     return x
 
 
-@lru_cache(maxsize=8)
-def _quantile_levels(n: int) -> tuple:
-    """The strip levels i/n, i = 0..n, and H = -phi(ndtri(.)) at each
-    (0 at both ends), as read-only arrays: a rate fit reads them once per
-    replicate count, not once per lambda."""
-    u = np.arange(n + 1) / n
-    h = np.zeros(n + 1)
-    h[1:-1] = -_phi(_ndtri(u[1:-1]))
-    u.flags.writeable = False
-    h.flags.writeable = False
-    return u, h
-
-
 def wasserstein_to_normal(sample) -> float:
     """Exact 1-Wasserstein distance of the empirical law to N(0, 1).
 
@@ -121,7 +107,10 @@ def wasserstein_to_normal(sample) -> float:
     strips need no special casing since H(0) = H(1) = 0.
     """
     x = _sorted_values(sample)
-    u, h = _quantile_levels(x.size)
+    n = x.size
+    u = np.arange(n + 1) / n
+    h = np.zeros(n + 1)
+    h[1:-1] = -_phi(_ndtri(u[1:-1]))
     a, b = u[:-1], u[1:]
     ha, hb = h[:-1], h[1:]
     c = _ndtr(x)

@@ -335,12 +335,6 @@ def _check_cells(window: Optional[Window], points: np.ndarray, sizes) -> None:
         check(points[start : start + size], counts)
 
 
-def _draw_cell(window: Window, mean: float, rng: np.random.Generator) -> np.ndarray:
-    """One Poisson sample on ``window`` with mean count ``mean``: the count, then the points."""
-    n = int(rng.poisson(mean))
-    return window.sample(rng, n) if n else np.empty((0, window.point_dim))
-
-
 def _draw_cells(window: Window, mean: float, streams, cells: int) -> tuple:
     """Draw one Poisson sample of mean count ``mean`` on ``window`` from each
     of the ``cells`` (token, generator) pairs of ``streams`` (as
@@ -348,7 +342,7 @@ def _draw_cells(window: Window, mean: float, streams, cells: int) -> tuple:
 
     Returns (points, sizes, tokens): an (N, d) array holding the cells'
     points in order, each cell's count and each stream's token.  Each cell
-    draws its count, then its points, as _draw_cell does, so its rows equal
+    draws its Poisson count, then that many points, so its rows equal
     sample_points (sample_lines) on its generator bit for bit.  A window
     with a unit-cube map draws every cell's uniform variates straight into
     the buffer and maps them once at the end (from_unit works axis by axis,
@@ -382,7 +376,7 @@ def _draw_cells(window: Window, mean: float, streams, cells: int) -> tuple:
 def _sample(intensity: IntensityModel, seed, kind: str) -> PointConfiguration:
     rng = seed if isinstance(seed, np.random.Generator) else spawn_rng(seed)
     return PointConfiguration(
-        _draw_cell(intensity.window, intensity.mean_count(), rng),
+        _draw_cells(intensity.window, intensity.mean_count(), [(None, rng)], 1)[0],
         kind=kind,
         seed=seed if isinstance(seed, int) else None,
         window=intensity.window,
