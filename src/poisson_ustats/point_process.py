@@ -10,8 +10,9 @@ offset ``p`` carries Lebesgue measure on ``[-r, r]``, so the measure of all
 lines hitting the disk of radius r is ``2*pi*r``.
 
 Sampling draws ``N ~ Poisson(lambda * theta(W))`` and then N i.i.d. points
-from normalized ``theta``.  Configurations are simple (no repeated points),
-ordered, and carry their seed for provenance.
+from normalized ``theta``, N rows of unit-cube variates mapped through the
+window's measure-preserving ``from_unit``.  Configurations are simple (no
+repeated points), ordered, and carry their seed for provenance.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from ._files import _csv_text, _fmt, _read_csv, _write_text
 from ._streams import spawn_rng
-from .errors import ConfigError, WindowError
+from .errors import CapacityError, ConfigError, WindowError
 
 __all__ = [
     "BoxWindow",
@@ -63,8 +64,16 @@ def _as_points(points, width: int) -> np.ndarray:
     return pts
 
 
+class _UnitCubeWindow:
+    """Every window samples by mapping uniform unit-cube variates through its from_unit."""
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        u = rng.random((n, self.point_dim))
+        return self.from_unit(u, out=u)
+
+
 @dataclass(frozen=True)
-class BoxWindow:
+class BoxWindow(_UnitCubeWindow):
     """Axis-aligned box given by per-axis (low, high) bounds."""
 
     bounds: tuple
@@ -122,13 +131,57 @@ class BoxWindow:
             out[..., c] += self._low[c]
         return out
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        u = rng.random((n, self.dimension))
-        return self.from_unit(u, out=u)
+
+def _ball_map(u: np.ndarray, radius: float) -> list:
+    """Map unit variates u (..., dim), in place, uniformly into the centred
+    ball of the given radius; returns u's columns as transposed views.
+
+    The map of one point's variates (u_1, .., u_d) preserves measure: in
+    1-D the interval, (u_1 - 1/2) 2 radius, in that order of float
+    operations; in 2-D polar, radius sqrt(u_1) at angle phi = 2 pi u_2; in
+    3-D the equal-area sphere, radius u_1^(1/3), height z = 1 - 2 u_2 and
+    angle phi = 2 pi u_3.  cos phi and sin phi come from the half angle
+    h = pi u_d in [0, pi), sin h = sqrt(1 - cos^2 h) >= 0: one cosine over
+    half the range, and no sign.  Every step runs column by column on the
+    transposed views (where _ball_points adds anchors innermost)."""
+    dim = u.shape[-1]
+    cols = [u[..., a].T for a in range(dim)]
+    if dim == 1:
+        (x,) = cols
+        x -= 0.5
+        x *= 2.0 * radius
+        return cols
+    # twice the radius, which the double-angle formulas halve, and cos h
+    r = np.cbrt(cols[0], order="C") if dim == 3 else np.sqrt(cols[0], order="C")
+    r *= 2.0 * radius
+    cos = np.multiply(cols[-1], math.pi, order="C")
+    np.cos(cos, out=cos)
+    if dim == 3:
+        # the height 2 r (1/2 - u_2) into the spent angle column, and the
+        # radius sqrt(1 - z^2) = 2 sqrt(u_2 - u_2^2) of its circle into r
+        u_2 = cols[1]
+        np.subtract(0.5, u_2, out=cols[2])
+        cols[2] *= r
+        np.multiply(u_2, u_2, out=cols[0])
+        u_2 -= cols[0]
+        np.sqrt(u_2, out=u_2)
+        r *= u_2
+        r *= 2.0
+    # sin(phi) / 2 = sin h cos h in the spent first column
+    sin = cols[0]
+    np.multiply(cos, cos, out=sin)
+    np.subtract(1.0, sin, out=sin)
+    np.sqrt(sin, out=sin)
+    sin *= cos
+    np.multiply(sin, r, out=cols[1])
+    cos *= cos
+    cos -= 0.5  # cos(phi) / 2
+    np.multiply(cos, r, out=cols[0])
+    return cols
 
 
 @dataclass(frozen=True)
-class BallWindow:
+class BallWindow(_UnitCubeWindow):
     """Centred Euclidean ball of given radius in R^dim."""
 
     radius: float
@@ -153,24 +206,25 @@ class BallWindow:
         pts = _as_points(points, self.point_dim)
         return np.linalg.norm(pts, axis=-1) <= self.radius
 
-    # no from_unit: sampling is by rejection, so stratified drivers are not
-    # available for ball windows
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        out = np.empty((n, self.dimension))
-        got = 0
-        while got < n:
-            m = max(16, int((n - got) / 0.5) + 8)
-            cand = rng.uniform(-self.radius, self.radius, size=(m, self.dimension))
-            keep = cand[self.contains(cand)]
-            take = min(len(keep), n - got)
-            out[got : got + take] = keep[:take]
-            got += take
+    def from_unit(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Map uniform unit-cube variates (shape (..., d)) into the ball by
+        _ball_map, into ``out`` if given (which may be u itself).  In 2-D and
+        3-D the radius variate is capped at 1 - 2^-40 first: the map rounds
+        by a few ulps, which carries some u_1 near 1 past R (by up to 2 ulps
+        in 3-D), outside ``contains``; capped, every radius is below
+        (1 - 2^-42) R, over a thousand ulps inside, and only draws of
+        probability 2^-40 move.  A cap, not a pull-back of the rows that land
+        outside, as it costs one column pass, not a norm of every point."""
+        out = np.empty(np.shape(u)) if out is None else out
+        out[...] = u  # a no-op when out is u
+        if self.dimension > 1:
+            np.minimum(out[..., 0], 1.0 - 2.0**-40, out=out[..., 0])
+        _ball_map(out, self.radius)
         return out
 
 
 @dataclass(frozen=True)
-class LineWindow:
+class LineWindow(_UnitCubeWindow):
     """All lines meeting the centred disk of the given radius.
 
     State space points are (phi, p) pairs; see the module docstring for the
@@ -206,10 +260,6 @@ class LineWindow:
         col -= 1.0
         col *= self.radius
         return out
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        u = rng.random((n, 2))
-        return self.from_unit(u, out=u)
 
 
 Window = Union[BoxWindow, BallWindow, LineWindow]
@@ -293,6 +343,9 @@ class PointConfiguration:
 
 # points per block of _check_cells
 _CHECK_POINTS = 1 << 14
+# rows of one _draw_cells buffer, 200 MB at d = 3: it admits every benchmark workload
+# (128,000 rows at most), demo and test (1.01M rows at most, acceptance criterion 02)
+_DRAW_POINTS = 1 << 23
 
 
 def _check_cells(window: Optional[Window], points: np.ndarray, sizes) -> None:
@@ -338,22 +391,22 @@ def _check_cells(window: Optional[Window], points: np.ndarray, sizes) -> None:
 def _draw_cells(window: Window, mean: float, streams, cells: int) -> tuple:
     """Draw one Poisson sample of mean count ``mean`` on ``window`` from each
     of the ``cells`` (token, generator) pairs of ``streams`` (as
-    _streams._cell_streams yields them) into one buffer.
+    _streams._cell_streams yields them, or one (None, generator) pair for a
+    one-shot sample_points or sample_lines) into one buffer.
 
     Returns (points, sizes, tokens): an (N, d) array holding the cells'
     points in order, each cell's count and each stream's token.  Each cell
-    draws its Poisson count, then that many points, so its rows equal
-    sample_points (sample_lines) on its generator bit for bit.  A window
-    with a unit-cube map draws every cell's uniform variates straight into
-    the buffer and maps them once at the end (from_unit works axis by axis,
-    with the same operations as sample); a ball window, which samples by
-    rejection, copies each cell's sample in.  The buffer starts at the
-    total mean count plus ten of its standard deviations and doubles when
-    a draw would overrun it.
-    """
+    draws its Poisson count, then that many rows of uniform variates into
+    the buffer, mapped once at the end by the window's from_unit, point by
+    point, so each cell equals window.sample after its count bit for bit.
+    The buffer starts at the total mean count plus ten of its standard
+    deviations (CapacityError before any draw if that exceeds _DRAW_POINTS
+    rows) and doubles when a draw would overrun it."""
     total = mean * cells
-    buf = np.empty((int(total + 10.0 * math.sqrt(total)) + 1, window.point_dim))
-    rejection = isinstance(window, BallWindow)
+    start = total + 10.0 * math.sqrt(total)
+    if not start < _DRAW_POINTS:
+        raise CapacityError(f"{cells} cell(s) of mean count {mean:.6g} need about {start:.4g} points, above the budget of {_DRAW_POINTS:,}")
+    buf = np.empty((int(start) + 1, window.point_dim))
     sizes, tokens = [], []
     pos = 0
     for token, rng in streams:
@@ -362,15 +415,13 @@ def _draw_cells(window: Window, mean: float, streams, cells: int) -> tuple:
             grown = np.empty((max(2 * len(buf), pos + n), buf.shape[1]))
             grown[:pos] = buf[:pos]
             buf = grown
-        if rejection:
-            buf[pos : pos + n] = window.sample(rng, n)
-        elif n:
+        if n:
             rng.random(out=buf[pos : pos + n])
         sizes.append(n)
         tokens.append(token)
         pos += n
     points = buf[:pos]
-    return points if rejection else window.from_unit(points, out=points), sizes, tokens
+    return window.from_unit(points, out=points), sizes, tokens
 
 
 def _sample(intensity: IntensityModel, seed, kind: str) -> PointConfiguration:

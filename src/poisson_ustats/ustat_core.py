@@ -25,8 +25,8 @@ fourth-moment terms M_ij are all integrals of a product of kernel copies
 that share some variables; one estimator, _product_integral, computes them
 through Integrator, and reads the mean int f dtheta^k off the kernel values
 of T_1's pass.  The sampling rules (randomly shifted lattice points at
-``strata`` 1, tensor strata above, iid draws for balls and pilots; the
-draw counts, local draws and chunks) are stated in the Integrator
+``strata`` 1, tensor strata above, iid draws for the pilots; the draw
+counts, local draws and chunks) are stated in the Integrator
 docstring, the estimator of a nested term in _product_integral's, the
 pilot that sizes its inner batches in _pilot_batch_size's, and the
 allocation of the M_ij draws in chaos_algebra._m_orbit_integrals'.
@@ -45,11 +45,11 @@ from ._lattice import lattice_chunks, lattice_shape
 from ._streams import spawn_rng
 from .errors import CapacityError, ConfigError, IntegrationError, _whole_number
 from .point_process import (
-    BallWindow,
-    BoxWindow,
     IntensityModel,
+    LineWindow,
     PointConfiguration,
     Window,
+    _ball_map,
     unit_ball_volume,
     window_measure,
 )
@@ -186,31 +186,30 @@ class Integrator:
     (_pilot_batch_size), whose NESTED_INNER * samples kernel rows per slot
     list come on top of the budget and enter no estimate.
 
-    Draw rules.  At ``strata`` 1 an integral over a box or line window is
-    one family of randomly shifted rank-1 lattice points (_lattice): its
+    Draw rules.  Every window maps unit-cube variates through its
+    measure-preserving from_unit.  At ``strata`` 1 an integral is one
+    family of randomly shifted rank-1 lattice points (_lattice): its
     repeat * samples draws become R >= 16 uniform shifts of a 2^m-point
     lattice, less a remainder under 1/16 of them; the estimate is the mean
     over the points, its standard error the spread of the R shift means.
     A nested family draws each outer point with its inner batches as one
-    lattice point (_product_integral).  Ball windows, which sample by
-    rejection, and the pilots draw iid points instead (``draw``).
-    ``strata`` > 1 switches on tensor stratification of the unit-cube
-    variates: with level L and a q-fold integral over a d-dimensional
-    window the cube splits into L^(q*d) equal strata with equal allocation
-    (the remainder of ``samples`` modulo the stratum count is dropped).  In
-    a nested integral each outer batch is stratified on its own, and the r
-    copies on a slot list draw r independent inner batches of M instead of
-    sharing one, each stratified on its own; an inner batch whose M draws
-    are fewer than its L^(r*d) strata is drawn unstratified.
-    Stratification needs a window with an inverse unit-cube map, which
-    excludes balls.
+    lattice point (_product_integral).  Only the pilots draw iid points
+    (``draw``).  ``strata`` > 1 switches on tensor stratification of the
+    unit-cube variates: with level L and a q-fold integral over a
+    d-dimensional window the cube splits into L^(q*d) equal strata with
+    equal allocation (the remainder of ``samples`` modulo the stratum count
+    is dropped).  In a nested integral each outer batch is stratified on
+    its own, and the r copies on a slot list draw r independent inner
+    batches of M instead of sharing one, each stratified on its own; an
+    inner batch whose M draws are fewer than its L^(r*d) strata is drawn
+    unstratified.
 
     Chunks: a lattice family is drawn, and its integrand called, on index
     ranges of at most CHUNK_DRAWS draws and 8 * CHUNK_DRAWS unit variates,
-    so its draws do not depend on the chunk size; the other rules draw
-    max(1, CHUNK_DRAWS // samples) batches at a time from their path's one
-    stream and call the integrand on at most CHUNK_DRAWS of their tuples at
-    a time.  Neither the drawn tuples nor a nested integral's inner batches
+    so its draws do not depend on the chunk size; the stratified rule draws
+    max(1, CHUNK_DRAWS // samples) batches at a time from its path's one
+    stream and calls the integrand on at most CHUNK_DRAWS of their tuples
+    at a time.  Neither the drawn tuples nor a nested integral's inner batches
     grow with ``repeat``.
 
     Streams: each ingredient draws on its own path, the variance term T_i
@@ -278,8 +277,6 @@ class Integrator:
                 return head, None
             pts, weights = _ball_points(window, u, radius, head[:, :1] if anchor is None else np.repeat(anchor, n, axis=0)[:, None])
             return (pts if anchor is not None else np.concatenate([head, pts], axis=1)), weights
-        if isinstance(window, BallWindow):
-            raise ConfigError("stratified sampling needs an invertible window map; balls sample by rejection")
         n_per = n // count
         if n_per < 1:
             raise ConfigError(
@@ -306,10 +303,6 @@ class Integrator:
         """
         return self._integrate(lambda tuples, _: fn(tuples), window, arity, path, repeat, locality)
 
-    def _on_lattice(self, window: Window) -> bool:
-        """Whether an integral over the window draws lattice points: strata 1 on a window with a unit-cube map."""
-        return self.strata <= 1 and not isinstance(window, BallWindow)
-
     def _integrate(self, fn, window: Window, arity: int, path, repeat: int, locality: Optional[float], extra: int = 0):
         """integrate for fn(tuples, variates): under the lattice rule each draw
         has ``extra`` unit variates after its tuple's, passed to fn as
@@ -320,7 +313,7 @@ class Integrator:
         scale = window_measure(window) ** arity
         dim = window.point_dim
         parts = []
-        if self._on_lattice(window):
+        if self.strata <= 1:
             # a chunk holds at most CHUNK_DRAWS draws and 8 * CHUNK_DRAWS unit variates
             chunk = max(1, min(CHUNK_DRAWS, 8 * CHUNK_DRAWS // (arity * dim + extra)))
             for u in lattice_chunks(rng, self.samples * repeat, arity * dim + extra, chunk):
@@ -344,7 +337,7 @@ class Integrator:
             groups = self.strata ** (arity * dim) * repeat
 
             def estimate(vals: np.ndarray) -> Estimate:
-                return _mean_estimate(vals, scale, groups, self.strata > 1)
+                return _mean_estimate(vals, scale, groups)
         vals = np.concatenate(parts, axis=-1)
         return tuple(map(estimate, vals)) if vals.ndim == 2 else estimate(vals)
 
@@ -366,15 +359,15 @@ def _shift_estimate(vals: np.ndarray, scale: float, shifts: int) -> Estimate:
     return Estimate(scale * float(vals.mean()), se, len(vals))
 
 
-def _mean_estimate(vals: np.ndarray, scale: float, groups: int, stratified: bool) -> Estimate:
-    """scale times the mean of the draws ``vals`` with its standard error:
-    if ``stratified``, from the spread within each of ``groups`` equal
+def _mean_estimate(vals: np.ndarray, scale: float, groups: int) -> Estimate:
+    """scale times the mean of the stratified draws ``vals`` with its
+    standard error: from the spread within each of ``groups`` equal
     consecutive groups (the strata of every batch) when each holds at least
     2 draws, else plain."""
     n_eff = len(vals)
     mean = float(vals.mean())
     n_per = n_eff // groups
-    if stratified and n_per >= 2:
+    if n_per >= 2:
         per_stratum = vals.reshape(groups, n_per).var(axis=1, ddof=1)
         se = scale * math.sqrt(float(per_stratum.sum()) / n_per) / groups
     else:
@@ -402,52 +395,10 @@ def _ball_points(window: Window, u: np.ndarray, radius: float, anchors) -> tuple
     uniformly into the ball of radius delta = ``radius`` around ``anchors``
     (broadcast against u), and their weights, of u's leading shape:
     (omega_d delta^d / theta(W))^c times the indicator that the c ball
-    points lie in W.
-
-    The map of one point's variates (u_1, .., u_d) preserves measure: in
-    1-D the interval, (u_1 - 1/2) 2 delta + a, in that order of float
-    operations; in 2-D polar, radius delta sqrt(u_1) at angle
-    phi = 2 pi u_2; in 3-D the equal-area sphere, radius delta u_1^(1/3),
-    height z = 1 - 2 u_2 and angle phi = 2 pi u_3.  cos phi and sin phi
-    come from the half angle h = pi u_d in [0, pi), where sin h =
-    sqrt(1 - cos^2 h) >= 0: one cosine over half the range, and no sign.
-    Every step runs column by column on transposed views, so the anchors'
-    axis is innermost even where one anchor serves a batch of points, and
-    spent columns of u hold the intermediates: two temporaries in all."""
+    points lie in W.  The ball is _ball_map's, without BallWindow.from_unit's
+    radius cap: nothing here tests the ball, only W."""
     dim = u.shape[-1]
-    cols = [u[..., a].T for a in range(dim)]
-    if dim == 1:
-        (x,) = cols
-        x -= 0.5
-        x *= 2.0 * radius
-    else:
-        # twice the radius, which the double-angle formulas halve, and cos h
-        r = np.cbrt(cols[0], order="C") if dim == 3 else np.sqrt(cols[0], order="C")
-        r *= 2.0 * radius
-        cos = np.multiply(cols[-1], math.pi, order="C")
-        np.cos(cos, out=cos)
-        if dim == 3:
-            # the height 2 r (1/2 - u_2) into the spent angle column, and the
-            # radius sqrt(1 - z^2) = 2 sqrt(u_2 - u_2^2) of its circle into r
-            u_2 = cols[1]
-            np.subtract(0.5, u_2, out=cols[2])
-            cols[2] *= r
-            np.multiply(u_2, u_2, out=cols[0])
-            u_2 -= cols[0]
-            np.sqrt(u_2, out=u_2)
-            r *= u_2
-            r *= 2.0
-        # sin(phi) / 2 = sin h cos h in the spent first column
-        sin = cols[0]
-        np.multiply(cos, cos, out=sin)
-        np.subtract(1.0, sin, out=sin)
-        np.sqrt(sin, out=sin)
-        sin *= cos
-        np.multiply(sin, r, out=cols[1])
-        cos *= cos
-        cos -= 0.5  # cos(phi) / 2
-        np.multiply(cos, r, out=cols[0])
-    for a, x in enumerate(cols):
+    for a, x in enumerate(_ball_map(u, radius)):
         x += anchors[..., a].T
     # the window test of each of the c points, joined point by point
     held = window.contains(u)
@@ -478,7 +429,7 @@ def _local_radius(window: Window, locality: Optional[float]) -> Optional[float]:
     smaller than the window.  omega_d delta^d < theta(W) is tested as
     delta < (theta(W) / omega_d)^(1/d), which cannot overflow (in 1-D it is
     2 delta < theta(W), exactly)."""
-    if locality is None or not isinstance(window, (BoxWindow, BallWindow)):
+    if locality is None or isinstance(window, LineWindow):
         return None
     dim = window.point_dim
     radius = float(locality)
@@ -621,7 +572,7 @@ def _product_integral(fn, order: int, window: Window, integrator: Integrator, q:
     list by slot list in order of first appearance, its inner batch of M
     draws of the free variables, (q + M sum_g r_g) d unit variates in all,
     and the estimate of the c-th power of an inner integral is
-    e_c(v) / C(M, c) of its batch (the same on iid draws of a ball window).
+    e_c(v) / C(M, c) of its batch.
     Under ``strata`` > 1 the outer points are drawn by ``integrate`` on
     stream path + (0,), each batch stratified on its own, and slot list g
     draws c independent inner batches on stream path + (g,), 1-based in
@@ -655,7 +606,7 @@ def _product_integral(fn, order: int, window: Window, integrator: Integrator, q:
             raise ConfigError(f"local draws need every shared variable in a factor with the first; {unlinked} share none")
     nested = any(r for _, _, r in plan)
     size = _pilot_batch_size(fn, order, window, integrator, q, plan, path, radius) if nested else NESTED_INNER
-    lattice = integrator._on_lattice(window)
+    lattice = integrator.strata <= 1
     streams = [integrator.rng(*path, g) if r and not lattice else None for g, (_, _, r) in enumerate(plan, start=1)]
     dim = window.point_dim
 
@@ -681,13 +632,10 @@ def _product_integral(fn, order: int, window: Window, integrator: Integrator, q:
                 means = sum(batches) / c if keep else None
             else:
                 y = ys[:, sl]
-                if lattice:
-                    # batch j of row t: the variates' (t, j) block, around the row's y[0]
-                    block = variates[:, at : at + size * r * dim].reshape(len(y), size, r, dim)
-                    v = _inner_values(fn, order, window, y, lambda: _unit_points(window, block, radius, y[:, None, :1]))
-                    at += size * r * dim
-                else:
-                    v = _inner_values(fn, order, window, y, lambda: integrator.draw(window, r, size, rng, groups=len(y), radius=radius, anchor=y[:, 0]))
+                # batch j of row t: the variates' (t, j) block, around the row's y[0]
+                block = variates[:, at : at + size * r * dim].reshape(len(y), size, r, dim)
+                v = _inner_values(fn, order, window, y, lambda: _unit_points(window, block, radius, y[:, None, :1]))
+                at += size * r * dim
                 out *= _elementary_mean(v, c)
                 means = v.mean(axis=1) if keep else None
             if keep:

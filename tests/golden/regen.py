@@ -43,6 +43,13 @@ RUNS = (
     # tensor stratification, whose draws the lattice rule leaves alone
     (None, ["bound", "--config", "strata2.json", "--lambda", "50", "--out", "strata_report.json"]),
     (None, ["variance", "--config", "strata2.json", "--lambda", "25,50", "--out", "strata_variance.csv"]),
+    # a ball window, which samples and integrates through its unit-cube map:
+    # on the lattice at strata 1, on tensor strata at strata 2
+    (None, ["sample", "--config", "ball.json", "--lambda", "50", "--out", "ball_sample.csv"]),
+    (None, ["bound", "--config", "ball.json", "--lambda", "50", "--out", "ball_report.json"]),
+    (None, ["variance", "--config", "ball.json", "--lambda", "25,50", "--out", "ball_variance.csv"]),
+    (None, ["bound", "--config", "ball_strata2.json", "--lambda", "50", "--out", "ball_strata_report.json"]),
+    (None, ["variance", "--config", "ball_strata2.json", "--lambda", "25,50", "--out", "ball_strata_variance.csv"]),
 )
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poisson_ustats import cli, clt_bounds, harness, ustat_core
+from poisson_ustats import cli, clt_bounds, harness, point_process, ustat_core
 from poisson_ustats import (
     BallWindow,
     BoxWindow,
@@ -925,6 +925,25 @@ def test_cli_refuses_lambdas_whose_powers_overflow_before_any_draw(capsys, monke
     assert err.startswith("error: ") and ("overflows" in err or "finite" in err), err
     assert "Traceback" not in err
     assert calls == Counter()
+
+
+@pytest.mark.parametrize("verb", ["sample", "eval"])
+@pytest.mark.parametrize("lam", ["1e17", "1e19"])
+def test_cli_refuses_a_draw_above_the_point_budget(capsys, monkeypatch, verb, lam):
+    # 1e17 points would need an EiB buffer, and 1e19 lies past numpy's
+    # Poisson limit: exit 4 with one error line, before a point buffer is
+    # allocated (the only np.empty of a draw) or a count drawn
+    class NoBuffer:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def empty(self, *args, **kwargs):
+            raise AssertionError("a point buffer was allocated")
+
+    monkeypatch.setattr(point_process, "np", NoBuffer())
+    assert main([verb, "--kernel", "pairwise-distance", "--lambda", lam]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "budget" in err, err
 
 
 GILBERT_SQUARE = {"kernel": "gilbert-count", "window": {"shape": "box", "bounds": [[0.0, 1.0], [0.0, 1.0]]}, "lambdas": [25, 50, 100], "replicates": 20, "integrator": {"samples": 64, "seed": 4}}

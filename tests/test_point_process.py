@@ -127,6 +127,23 @@ def test_ball_sampling_inside():
     assert np.all(np.linalg.norm(cfg.points, axis=1) <= 1.5)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_ball_from_unit_lands_inside_at_the_float_edge(dim):
+    # radius variates at nextafter(1, 0) and up to 64 ulps below it, crossed
+    # with angle (and height) variates at 0, near 1 and at random, for radii
+    # e^-8 .. e^8: the polar map rounds some of these past the radius
+    # (2-D and 3-D), and from_unit must keep every point in contains
+    rng = spawn_rng(3, "ball-edge", dim)
+    below_one = 1.0 - np.arange(1, 66) * 2.0**-53
+    assert below_one[0] == np.nextafter(1.0, 0.0)
+    angles = np.concatenate([[0.0, 2.0**-53, 0.25, 0.5], below_one[:8], rng.random(1500 if dim == 2 else 24)])
+    axes = [np.concatenate([below_one, angles])] if dim == 1 else [below_one] + [angles] * (dim - 1)
+    u = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    for radius in np.exp(np.linspace(-8.0, 8.0, 33)):
+        ball = BallWindow(radius, dim)
+        assert ball.contains(ball.from_unit(u)).all()
+
+
 def test_sample_lines_kind_and_ranges():
     win = LineWindow(1.0)
     im = IntensityModel(5.0, win)

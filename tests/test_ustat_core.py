@@ -981,34 +981,39 @@ def test_local_draws_need_a_ball_smaller_than_the_window():
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_ball_points_are_uniform_in_the_ball(dim):
     # iid variates through the ball map around anchors well inside the
-    # window: every point lies within delta of its anchor and weighs
-    # omega_d delta^d / theta(W); E(x - a) = 0 and E|x - a|^2 =
-    # d / (d + 2) delta^2 within 4 se; the counts in 8 equal-volume radial
-    # shells and in 8 equal angular sectors (in 1-D the two sides, in 3-D
-    # also 8 equal-area zones of the height) pass a chi-square test
+    # window, and the samples of a centred ball window of radius delta (the
+    # same map without anchors): every point lies within delta of its
+    # anchor, and a local draw weighs omega_d delta^d / theta(W); E(x - a) = 0
+    # and E|x - a|^2 = d / (d + 2) delta^2 within 4 se; the counts in 8
+    # equal-volume radial shells and in 8 equal angular sectors (in 1-D the
+    # two sides, in 3-D also 8 equal-area zones of the height) pass a
+    # chi-square test
     delta, n = 0.3, 40_000
     window = BoxWindow(((-1.0, 1.0),) * dim)
     rng = spawn_rng(5, "ball", dim)
     anchors = rng.uniform(-0.5, 0.5, (n, 1, dim))
     pts, weights = _ball_points(window, rng.random((n, 1, dim)), delta, anchors)
-    x = (pts - anchors)[:, 0]
-    dist = np.linalg.norm(x, axis=1)
-    assert dist.max() <= delta + 1e-12
     assert np.all(weights == unit_ball_volume(dim) * delta**dim / 2.0**dim)
-    for values, mean in [*((x[:, a], 0.0) for a in range(dim)), (dist**2, dim / (dim + 2) * delta**2)]:
-        assert abs(values.mean() - mean) <= 4.0 * values.std(ddof=1) / math.sqrt(n)
-    shells = np.minimum((8 * (dist / delta) ** dim).astype(int), 7)
-    if dim == 1:
-        sectors = [(x[:, 0] > 0).astype(int)]
-    else:
-        turn = np.arctan2(x[:, 1], x[:, 0]) / (2.0 * math.pi) % 1.0
-        sectors = [np.minimum((8 * turn).astype(int), 7)]
-        if dim == 3:
-            # Archimedes: the height over the radius is uniform on [-1, 1]
-            sectors.append(np.minimum((4 * (x[:, 2] / dist + 1.0)).astype(int), 7))
-    for labels in (shells, *sectors):
-        counts = np.bincount(labels, minlength=labels.max() + 1)
-        assert scipy.stats.chisquare(counts).pvalue > 1e-3, counts
+    ball = BallWindow(delta, dim)
+    sampled = ball.sample(rng, n)
+    assert sampled.shape == (n, dim) and ball.contains(sampled).all()
+    for x in ((pts - anchors)[:, 0], sampled):
+        dist = np.linalg.norm(x, axis=1)
+        assert dist.max() <= delta + 1e-12
+        for values, mean in [*((x[:, a], 0.0) for a in range(dim)), (dist**2, dim / (dim + 2) * delta**2)]:
+            assert abs(values.mean() - mean) <= 4.0 * values.std(ddof=1) / math.sqrt(n)
+        shells = np.minimum((8 * (dist / delta) ** dim).astype(int), 7)
+        if dim == 1:
+            sectors = [(x[:, 0] > 0).astype(int)]
+        else:
+            turn = np.arctan2(x[:, 1], x[:, 0]) / (2.0 * math.pi) % 1.0
+            sectors = [np.minimum((8 * turn).astype(int), 7)]
+            if dim == 3:
+                # Archimedes: the height over the radius is uniform on [-1, 1]
+                sectors.append(np.minimum((4 * (x[:, 2] / dist + 1.0)).astype(int), 7))
+        for labels in (shells, *sectors):
+            counts = np.bincount(labels, minlength=labels.max() + 1)
+            assert scipy.stats.chisquare(counts).pvalue > 1e-3, counts
 
 
 def test_ball_points_in_one_dimension_are_the_interval():
@@ -1266,9 +1271,21 @@ def test_integrator_validation():
     whole = Integrator(samples=100.0, seed=3.0, strata=2.0)
     assert (whole.samples, whole.seed, whole.strata) == (100, 3, 2)
     assert all(type(v) is int for v in (whole.samples, whole.seed, whole.strata))
-    integ = Integrator(samples=64, seed=0, strata=2)
-    with pytest.raises(ConfigError):
-        integ.integrate(lambda t: np.ones(len(t)), BallWindow(1.0), 1)
+
+
+@pytest.mark.parametrize("strata", [1, 2])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_ball_windows_integrate_on_both_rules(dim, strata):
+    # int |x|^2 dtheta over the ball B of radius R is d / (d + 2) R^2 theta(B),
+    # on the lattice at strata 1, which keeps 31 shifts of 64 points of the
+    # 2,000 draws, and on tensor strata at strata 2, which keeps all 2,000
+    ball = BallWindow(0.7, dim)
+    integ = Integrator(samples=2000, seed=3, strata=strata)
+    est = integ.integrate(lambda t: (t[:, 0] ** 2).sum(axis=1), ball, 1, path=("ball", dim))
+    assert est.within(dim / (dim + 2) * 0.7**2 * ball.measure(), 4.0)
+    assert 0.0 < est.se < 0.05 * est.value
+    assert est.n == (_drawn(2000) if strata == 1 else 2000)
+    assert _drawn(2000) == 31 * 64
 
 
 def test_integrator_exact_on_constants():
