@@ -26,6 +26,7 @@ from .point_process import (
     BoxWindow,
     IntensityModel,
     LineWindow,
+    _buffer_rows,
     _check_cells,
     _draw_cells,
     unit_ball_volume,
@@ -407,6 +408,7 @@ def sylvester_estimate(k: int, intensity: IntensityModel, replicates: int, integ
     replicates = int(replicates)
     if replicates < 2:
         raise ConfigError("need at least 2 replicates")
+    _buffer_rows(intensity.mean_count(), replicates)
     kernel = convex_position_kernel(k)
     lam = float(intensity.lam)
     streams = _cell_streams(seed, ("sylvester",), range(replicates))

@@ -51,6 +51,7 @@ from .point_process import (
     IntensityModel,
     LineWindow,
     Window,
+    _buffer_rows,
     _check_cells,
     _draw_cells,
     # sample_lines and sample_points are unused here (_simulate calls
@@ -280,9 +281,11 @@ def moment_table(config: ExperimentConfig) -> list:
 def run_replicates(config: ExperimentConfig) -> list:
     """Simulate every (lambda, replicate) cell of the config.
 
-    Aborts before sampling a lambda whose formula variance is statistically
-    indistinguishable from zero, naming that lambda.
+    Refuses the largest lambda's point buffer above its budget before any
+    stream or ingredient, and aborts before sampling a lambda whose formula
+    variance is statistically indistinguishable from zero, naming it.
     """
+    _buffer_rows(config.intensity(config.lambdas[-1]).mean_count(), config.replicates)
     return _simulate(config, estimate_ingredients(config.resolve_kernel(), config.window, config.integrator))
 
 
@@ -341,6 +344,8 @@ def rate_experiment(config: ExperimentConfig) -> RateFitResult:
     local = kernel.locality is not None
     if not (local or kernel.geometric):
         raise ConfigError("rate experiments need a geometric or local kernel")
+    # the largest lambda's replicate buffer, refused before any stream or ingredient
+    _buffer_rows(config.intensity(config.lambdas[-1]).mean_count(), config.replicates)
     ingredients = estimate_ingredients(
         kernel, config.window, config.integrator, "local" if local else "geometric"
     )

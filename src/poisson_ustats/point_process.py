@@ -200,11 +200,16 @@ class BallWindow(_UnitCubeWindow):
         return self.dimension
 
     def measure(self) -> float:
-        return unit_ball_volume(self.dimension) * self.radius**self.dimension
+        try:
+            return unit_ball_volume(self.dimension) * self.radius**self.dimension
+        except OverflowError:
+            raise WindowError(f"ball of radius {self.radius:g} in dimension {self.dimension} has no finite measure") from None
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        pts = _as_points(points, self.point_dim)
-        return np.linalg.norm(pts, axis=-1) <= self.radius
+        # scaled by a power of two near 1 / R (at most 2^1022): exactly the
+        # unscaled test, but no square of a point in the ball overflows
+        scale = 2.0 ** -max(math.frexp(self.radius)[1], -1022)
+        return np.linalg.norm(_as_points(points, self.point_dim) * scale, axis=-1) <= self.radius * scale
 
     def from_unit(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Map uniform unit-cube variates (shape (..., d)) into the ball by
@@ -388,6 +393,16 @@ def _check_cells(window: Optional[Window], points: np.ndarray, sizes) -> None:
         check(points[start : start + size], counts)
 
 
+def _buffer_rows(mean: float, cells: int) -> int:
+    """Rows of _draw_cells' first buffer for ``cells`` cells of mean count ``mean``, their
+    total mean count plus ten standard deviations; CapacityError from _DRAW_POINTS up."""
+    total = mean * cells
+    start = total + 10.0 * math.sqrt(total)
+    if not start < _DRAW_POINTS:
+        raise CapacityError(f"{cells} cell(s) of mean count {mean:.6g} need about {start:.4g} points, above the budget of {_DRAW_POINTS:,}")
+    return int(start) + 1
+
+
 def _draw_cells(window: Window, mean: float, streams, cells: int) -> tuple:
     """Draw one Poisson sample of mean count ``mean`` on ``window`` from each
     of the ``cells`` (token, generator) pairs of ``streams`` (as
@@ -399,14 +414,9 @@ def _draw_cells(window: Window, mean: float, streams, cells: int) -> tuple:
     draws its Poisson count, then that many rows of uniform variates into
     the buffer, mapped once at the end by the window's from_unit, point by
     point, so each cell equals window.sample after its count bit for bit.
-    The buffer starts at the total mean count plus ten of its standard
-    deviations (CapacityError before any draw if that exceeds _DRAW_POINTS
-    rows) and doubles when a draw would overrun it."""
-    total = mean * cells
-    start = total + 10.0 * math.sqrt(total)
-    if not start < _DRAW_POINTS:
-        raise CapacityError(f"{cells} cell(s) of mean count {mean:.6g} need about {start:.4g} points, above the budget of {_DRAW_POINTS:,}")
-    buf = np.empty((int(start) + 1, window.point_dim))
+    The buffer starts at _buffer_rows (CapacityError before any draw above
+    _DRAW_POINTS rows) and doubles when a draw would overrun it."""
+    buf = np.empty((_buffer_rows(mean, cells), window.point_dim))
     sizes, tokens = [], []
     pos = 0
     for token, rng in streams:

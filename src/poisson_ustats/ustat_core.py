@@ -186,23 +186,23 @@ class Integrator:
     (_pilot_batch_size), whose NESTED_INNER * samples kernel rows per slot
     list come on top of the budget and enter no estimate.
 
-    Draw rules.  Every window maps unit-cube variates through its
-    measure-preserving from_unit.  At ``strata`` 1 an integral is one
-    family of randomly shifted rank-1 lattice points (_lattice): its
-    repeat * samples draws become R >= 16 uniform shifts of a 2^m-point
-    lattice, less a remainder under 1/16 of them; the estimate is the mean
-    over the points, its standard error the spread of the R shift means.
-    A nested family draws each outer point with its inner batches as one
-    lattice point (_product_integral).  Only the pilots draw iid points
-    (``draw``).  ``strata`` > 1 switches on tensor stratification of the
-    unit-cube variates: with level L and a q-fold integral over a
-    d-dimensional window the cube splits into L^(q*d) equal strata with
-    equal allocation (the remainder of ``samples`` modulo the stratum count
-    is dropped).  In a nested integral each outer batch is stratified on
-    its own, and the r copies on a slot list draw r independent inner
+    Draw rules.  Every draw maps unit-cube variates through _unit_points
+    (the window's measure-preserving from_unit, or local draws below); only
+    their source and the estimator depend on the rule.  At ``strata`` 1 an
+    integral is one family of randomly shifted rank-1 lattice points
+    (_lattice): its repeat * samples draws become R >= 16 uniform shifts of
+    a 2^m-point lattice, less a remainder under 1/16 of them; the estimate
+    is the mean over the points, its standard error the spread of the R
+    shift means.  A nested family draws each outer point with its inner
+    batches as one lattice point (_product_integral).  The pilots draw iid
+    variates.  ``strata`` > 1 switches on tensor stratification of the
+    unit-cube variates (_unit_variates): with level L and a q-fold integral
+    over a d-dimensional window the cube splits into L^(q*d) equal strata
+    with equal allocation (the remainder of ``samples`` modulo the stratum
+    count is dropped).  In a nested integral each outer batch is stratified
+    on its own, and the r copies on a slot list draw r independent inner
     batches of M instead of sharing one, each stratified on its own; an
-    inner batch whose M draws are fewer than its L^(r*d) strata is drawn
-    unstratified.
+    inner batch whose M draws are fewer than its L^(r*d) strata is iid.
 
     Chunks: a lattice family is drawn, and its integrand called, on index
     ranges of at most CHUNK_DRAWS draws and 8 * CHUNK_DRAWS unit variates,
@@ -249,43 +249,6 @@ class Integrator:
     def rng(self, *path) -> np.random.Generator:
         return spawn_rng(self.seed, *path)
 
-    def draw(self, window: Window, arity: int, n: int, rng: np.random.Generator, groups: int = 1, *, radius: Optional[float] = None, anchor: Optional[np.ndarray] = None) -> tuple:
-        """Draw ``groups`` batches of n iid tuples of ``arity`` points, under
-        ``strata`` > 1 each batch stratified on its own (lattice families
-        are drawn by _integrate); returns (tuples, weights) with tuples of
-        shape (groups * n, arity, dim), n less the stratification remainder.
-        A batch given an ``anchor`` is an inner batch (class docstring).
-
-        Without a ball ``radius`` delta (see _local_radius) the points are
-        theta-uniform and the weights None.  With one, the points after the
-        anchor are uniform in the ball of radius delta around it
-        (_ball_points), the anchor being ``anchor[g]`` for batch g (shape
-        (groups, dim)) or else each tuple's first point, uniform in the
-        window; a tuple weighs (omega_d delta^d / theta(W))^c times the
-        indicator that its c ball points lie in W.
-        """
-        dim = window.point_dim
-        ball = 0 if radius is None else arity - (anchor is None)
-        axes = arity * dim
-        count = self.strata**axes
-        if self.strata <= 1 or (anchor is not None and n < count):
-            # head: the theta-uniform points of each tuple (all, or an anchor-free
-            # tuple's first); u: the unit variates of its ball points
-            head = window.sample(rng, groups * n * (arity - ball)).reshape(groups * n, arity - ball, dim)
-            u = rng.random((groups * n, ball, dim))
-            if ball == 0:
-                return head, None
-            pts, weights = _ball_points(window, u, radius, head[:, :1] if anchor is None else np.repeat(anchor, n, axis=0)[:, None])
-            return (pts if anchor is not None else np.concatenate([head, pts], axis=1)), weights
-        n_per = n // count
-        if n_per < 1:
-            raise ConfigError(
-                f"sample count {n} is below the stratum count {count} (level {self.strata}, {axes} axes)"
-            )
-        corners = np.stack(np.unravel_index(np.arange(count), (self.strata,) * axes), axis=-1)
-        u = ((corners[:, None, :] + rng.random((groups, count, n_per, axes))) / self.strata).reshape(-1, arity, dim)
-        return _unit_points(window, u, radius, None if anchor is None else np.repeat(anchor, n_per * count, axis=0)[:, None])
-
     def integrate(self, fn, window: Window, arity: int, *, path=(), repeat: int = 1, locality: Optional[float] = None):
         """Estimate of int_{W^arity} fn dtheta^arity with its standard error.
 
@@ -312,34 +275,32 @@ class Integrator:
         radius = _local_radius(window, locality)
         scale = window_measure(window) ** arity
         dim = window.point_dim
-        parts = []
+        axes = arity * dim
         if self.strata <= 1:
             # a chunk holds at most CHUNK_DRAWS draws and 8 * CHUNK_DRAWS unit variates
-            chunk = max(1, min(CHUNK_DRAWS, 8 * CHUNK_DRAWS // (arity * dim + extra)))
-            for u in lattice_chunks(rng, self.samples * repeat, arity * dim + extra, chunk):
-                pts, weights = _unit_points(window, u[:, : arity * dim].reshape(-1, arity, dim), radius)
-                # only the inner batches' variates outlive the mapping
-                variates, u = (u[:, arity * dim :] if extra else None), None
-                parts.append(_finite(_weighted_values(lambda rows: fn(pts[rows], None if variates is None else variates[rows]), weights), pts))
-            shifts = lattice_shape(self.samples * repeat)[1]
-
-            def estimate(vals: np.ndarray) -> Estimate:
-                return _shift_estimate(vals, scale, shifts)
+            chunk = max(1, min(CHUNK_DRAWS, 8 * CHUNK_DRAWS // (axes + extra)))
+            chunks = lattice_chunks(rng, self.samples * repeat, axes + extra, chunk)
+            # the estimator and its groups of consecutive draws: the shifts, or the strata of every batch
+            estimate, groups = _shift_estimate, lattice_shape(self.samples * repeat)[1]
         else:
-            def sliced(tuples: np.ndarray) -> np.ndarray:
-                values = [np.asarray(fn(tuples[s : s + CHUNK_DRAWS], None), dtype=float) for s in range(0, len(tuples), CHUNK_DRAWS)]
-                return np.concatenate(values, axis=-1) if values else np.zeros(0)
-
             per_chunk = max(1, CHUNK_DRAWS // self.samples)
-            for start in range(0, repeat, per_chunk):
-                pts, weights = self.draw(window, arity, self.samples, rng, groups=min(per_chunk, repeat - start), radius=radius)
-                parts.append(_finite(_weighted_values(lambda rows: sliced(pts[rows]), weights), pts))
-            groups = self.strata ** (arity * dim) * repeat
+            chunks = (_unit_variates(rng, min(per_chunk, repeat - start), self.samples, axes, self.strata) for start in range(0, repeat, per_chunk))
+            estimate, groups = _mean_estimate, self.strata**axes * repeat
+        parts = []
+        for u in chunks:
+            pts, weights = _unit_points(window, u[..., :axes].reshape(-1, arity, dim), radius)
+            # only the inner batches' variates outlive the mapping
+            variates, u = (u[:, axes:] if extra else None), None
 
-            def estimate(vals: np.ndarray) -> Estimate:
-                return _mean_estimate(vals, scale, groups)
+            def values(rows) -> np.ndarray:
+                # the selected rows in calls of at most CHUNK_DRAWS, at least one
+                tuples, more = pts[rows], (None if variates is None else variates[rows])
+                calls = range(0, max(1, len(tuples)), CHUNK_DRAWS)
+                return np.concatenate([np.asarray(fn(tuples[s : s + CHUNK_DRAWS], None if more is None else more[s : s + CHUNK_DRAWS]), dtype=float) for s in calls], axis=-1)
+
+            parts.append(_finite(_weighted_values(values, weights), pts))
         vals = np.concatenate(parts, axis=-1)
-        return tuple(map(estimate, vals)) if vals.ndim == 2 else estimate(vals)
+        return tuple(estimate(v, scale, groups) for v in vals) if vals.ndim == 2 else estimate(vals, scale, groups)
 
 
 def _finite(vals: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -423,6 +384,21 @@ def _unit_points(window: Window, u: np.ndarray, radius: Optional[float], anchors
     return u, _ball_points(window, u[:, 1:], radius, head)[1]
 
 
+def _unit_variates(rng: np.random.Generator, groups: int, n: int, axes: int, level: int) -> np.ndarray:
+    """Unit-cube variates of ``groups`` batches of n draws on ``axes`` axes,
+    (groups, n', axes), from one rng.random call: iid at ``level`` 1, else
+    each batch stratified on its own over level^axes equal strata, stratum
+    by stratum, n' = n less its remainder (ConfigError if n is below it)."""
+    if level <= 1:
+        return rng.random((groups, n, axes))
+    count = level**axes
+    n_per = n // count
+    if n_per < 1:
+        raise ConfigError(f"sample count {n} is below the stratum count {count} (level {level}, {axes} axes)")
+    corners = np.stack(np.unravel_index(np.arange(count), (level,) * axes), axis=-1)
+    return ((corners[:, None, :] + rng.random((groups, count, n_per, axes))) / level).reshape(groups, count * n_per, axes)
+
+
 def _local_radius(window: Window, locality: Optional[float]) -> Optional[float]:
     """Radius delta of the ball of local draws around their anchor, or None
     for theta-uniform draws: no locality, a line window, or a ball no
@@ -472,16 +448,16 @@ def _spread(x: np.ndarray) -> np.ndarray:
     return np.where(x.max(axis=-1) == x.min(axis=-1), 0.0, x.var(axis=-1))
 
 
-def _inner_values(fn, order: int, window: Window, y: np.ndarray, draw) -> np.ndarray:
-    """theta^r fn(y_j, x) times the draw weight, shape (len(y), M): ``draw()``
-    gives the inner batches (xs, weights) of M draws of the r free variables
-    per row of y, row j's batch being rows j*M..(j+1)*M-1 of xs (of shape
-    (len(y) * M, r, dim) or (len(y), M, r, dim), weights alike); only this
-    function holds them, so it frees them once the tuples are built."""
+def _inner_values(fn, order: int, window: Window, y: np.ndarray, variates, radius: Optional[float]) -> np.ndarray:
+    """theta^r fn(y_j, x) times the draw weight, shape (len(y), M):
+    ``variates()`` gives the unit variates (len(y), M, r * dim) of the inner
+    batches, mapped by _unit_points around each row's y_j[0] (a ball
+    ``radius`` or None); only this function holds them, so it frees them
+    once the tuples are built."""
     m, shared, dim = y.shape
-    xs, weights = draw()
-    r = xs.shape[-2]
-    xs = xs.reshape(m, -1, r, dim)
+    r = order - shared
+    xs = variates()
+    xs, weights = _unit_points(window, xs.reshape(*xs.shape[:2], r, dim), radius, y[:, None, :1])
     per = xs.shape[1]
     theta_r = window_measure(window) ** r
 
@@ -502,7 +478,7 @@ def _inner_values(fn, order: int, window: Window, y: np.ndarray, draw) -> np.nda
         out[:, shared:] = own
         return out
 
-    return _weighted_values(lambda rows: theta_r * fn(tuples(rows)), None if weights is None else weights.reshape(-1)).reshape(m, -1)
+    return _weighted_values(lambda rows: theta_r * fn(tuples(rows)), None if weights is None else weights.reshape(-1)).reshape(m, per)
 
 
 def _pilot_batch_size(fn, order: int, window: Window, integrator: Integrator, q: int, plan, path, radius) -> int:
@@ -533,10 +509,12 @@ def _pilot_batch_size(fn, order: int, window: Window, integrator: Integrator, q:
         sizes = [M for M in sizes if M >= integrator.strata ** (r * window.point_dim)] or [NESTED_INNER]
     if len(sizes) == 1:
         return sizes[0]
-    plain = replace(integrator, strata=1)
     rng = integrator.rng(*path, "pilot")
-    ys, weights = plain.draw(window, q, integrator.samples, rng, radius=radius)
-    n = len(ys)
+    n, dim = integrator.samples, window.point_dim
+    # iid outer rows; a local tuple draws its anchors, then its ball points
+    heads = q if radius is None else 1
+    u = np.concatenate([_unit_variates(rng, 1, n, heads * dim, 1), _unit_variates(rng, 1, n, (q - heads) * dim, 1)], axis=-1)
+    ys, weights = _unit_points(window, u.reshape(n, q, dim), radius)
     w = np.ones(n) if weights is None else weights
     # per row mu^2, s and U_16; rows of zero weight keep 0 and draw no inner batch
     m, s, u = np.zeros(n), np.zeros(n), np.zeros(n)
@@ -544,7 +522,7 @@ def _pilot_batch_size(fn, order: int, window: Window, integrator: Integrator, q:
     for start in range(0, len(live), CHUNK_DRAWS):
         rows = live[start : start + CHUNK_DRAWS]
         y = ys[rows][:, sl]
-        v = _inner_values(fn, order, window, y, lambda: plain.draw(window, r, NESTED_INNER, rng, groups=len(y), radius=radius, anchor=y[:, 0]))
+        v = _inner_values(fn, order, window, y, lambda: _unit_variates(rng, len(y), NESTED_INNER, r * dim, 1), radius)
         m[rows], s[rows], u[rows] = v.mean(axis=1) ** 2, _spread(v), _elementary_mean(v, c)
 
     def within(M: int, independent: bool) -> float:
@@ -567,16 +545,17 @@ def _product_integral(fn, order: int, window: Window, integrator: Integrator, q:
     outer points, each with one inner batch of M draws per slot list.  Only
     this main pass enters the estimate.
 
-    Under the lattice rule (Integrator) the main pass is one lattice family
-    on stream path + (0,): each draw holds the q shared variables and, slot
-    list by slot list in order of first appearance, its inner batch of M
-    draws of the free variables, (q + M sum_g r_g) d unit variates in all,
-    and the estimate of the c-th power of an inner integral is
-    e_c(v) / C(M, c) of its batch.
-    Under ``strata`` > 1 the outer points are drawn by ``integrate`` on
-    stream path + (0,), each batch stratified on its own, and slot list g
-    draws c independent inner batches on stream path + (g,), 1-based in
-    order of first appearance, whose means multiply.
+    The main pass is one Integrator._integrate on stream path + (0,), whose
+    integrand maps each row's inner batches of unit variates, like its
+    outer draws, through _unit_points (_inner_values); only their source
+    and estimator depend on the rule.  Under the lattice rule (Integrator)
+    each lattice draw holds the q shared variables and, slot list by slot
+    list in order of first appearance, its inner batch of M draws of the
+    free variables, (q + M sum_g r_g) d unit variates in all, and the
+    estimate of the c-th power of an inner integral is e_c(v) / C(M, c) of
+    its batch.  Under ``strata`` > 1 each outer batch is stratified on its
+    own, and slot list g draws c independent inner batches on stream
+    path + (g,), 1-based in order of first appearance, whose means multiply.
     ``locality`` switches on local draws around the first shared variable,
     so every shared variable must share a factor with it (ConfigError).
 
@@ -624,20 +603,22 @@ def _product_integral(fn, order: int, window: Window, integrator: Integrator, q:
                 for _ in range(c):
                     part = part * means
                 out[rows] = part
-            elif integrator.strata > 1:
-                y = ys[:, sl]
-                batches = [_inner_values(fn, order, window, y, lambda: integrator.draw(window, r, size, rng, groups=len(y), radius=radius, anchor=y[:, 0])).mean(axis=1) for _ in range(c)]
-                for batch in batches:
-                    out *= batch
-                means = sum(batches) / c if keep else None
             else:
                 y = ys[:, sl]
-                # batch j of row t: the variates' (t, j) block, around the row's y[0]
-                block = variates[:, at : at + size * r * dim].reshape(len(y), size, r, dim)
-                v = _inner_values(fn, order, window, y, lambda: _unit_points(window, block, radius, y[:, None, :1]))
-                at += size * r * dim
-                out *= _elementary_mean(v, c)
-                means = v.mean(axis=1) if keep else None
+                if lattice:
+                    # one batch for the c copies; batch j of row t: the variates' (t, j) block
+                    block = variates[:, at : at + size * r * dim].reshape(len(y), size, r * dim)
+                    at += size * r * dim
+                    v = _inner_values(fn, order, window, y, lambda: block, radius)
+                    out *= _elementary_mean(v, c)
+                    means = v.mean(axis=1) if keep else None
+                else:
+                    # c batches, stratified only when their M draws fill the L^(r*d) strata
+                    level = integrator.strata if size >= integrator.strata ** (r * dim) else 1
+                    batches = [_inner_values(fn, order, window, y, lambda: _unit_variates(rng, len(y), size, r * dim, level), radius).mean(axis=1) for _ in range(c)]
+                    for batch in batches:
+                        out *= batch
+                    means = sum(batches) / c if keep else None
             if keep:
                 first = means
         return np.stack([out, first]) if first_mean else out

@@ -43,6 +43,9 @@ RUNS = (
     # tensor stratification, whose draws the lattice rule leaves alone
     (None, ["bound", "--config", "strata2.json", "--lambda", "50", "--out", "strata_report.json"]),
     (None, ["variance", "--config", "strata2.json", "--lambda", "25,50", "--out", "strata_variance.csv"]),
+    # at level 5 an inner batch's 25 strata exceed its NESTED_INNER draws: drawn iid
+    (None, ["bound", "--config", "strata5.json", "--lambda", "50", "--out", "strata5_report.json"]),
+    (None, ["variance", "--config", "strata5.json", "--lambda", "25,50", "--out", "strata5_variance.csv"]),
     # a ball window, which samples and integrates through its unit-cube map:
     # on the lattice at strata 1, on tensor strata at strata 2
     (None, ["sample", "--config", "ball.json", "--lambda", "50", "--out", "ball_sample.csv"]),

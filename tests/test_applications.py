@@ -9,8 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
+from poisson_ustats import applications
 from poisson_ustats import (
     BoxWindow,
+    CapacityError,
     ConfigError,
     IntensityModel,
     Integrator,
@@ -453,6 +455,15 @@ def test_sylvester_window_guard():
     im = IntensityModel(4.0, BoxWindow(((0.0, 2.0), (0.0, 1.0))))
     with pytest.raises(ConfigError):
         sylvester_estimate(3, im, replicates=10, integrator=Integrator(samples=100))
+
+
+def test_sylvester_refuses_replicates_above_the_point_budget_before_any_stream(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(applications, "_cell_streams", refused)
+    with pytest.raises(CapacityError, match="budget"):
+        sylvester_estimate(3, IntensityModel(8.0, UNIT_SQUARE), replicates=100_000_000, integrator=Integrator(samples=100))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from poisson_ustats import cli, clt_bounds, harness, point_process, ustat_core
 from poisson_ustats import (
     BallWindow,
     BoxWindow,
+    CapacityError,
     ConfigError,
     DegenerateFunctionalError,
     ExperimentConfig,
@@ -779,7 +780,8 @@ def test_cli_refuses_an_over_budget_ingredient_plan_before_any_draw(tmp_path, ca
     def no_draw(*args, **kwargs):
         raise AssertionError("drew")
 
-    monkeypatch.setattr(ustat_core.Integrator, "draw", no_draw)
+    # every draw source of the integrator: lattice, strata and the pilots' iid variates
+    monkeypatch.setattr(ustat_core, "_unit_variates", no_draw)
     monkeypatch.setattr(ustat_core, "lattice_chunks", no_draw)
     config = {"kernel": "pairwise-distance", "lambdas": [4], "replicates": 10, "integrator": {"samples": 2_000_000_000, "seed": 1}}
     cfg_path = tmp_path / "config.json"
@@ -944,6 +946,39 @@ def test_cli_refuses_a_draw_above_the_point_budget(capsys, monkeypatch, verb, la
     assert main([verb, "--kernel", "pairwise-distance", "--lambda", lam]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "budget" in err, err
+
+
+def test_replicates_above_the_point_budget_are_refused_before_any_stream(tmp_path, capsys, monkeypatch):
+    # 10^8 replicates at lambda 8 need a buffer of 8e8 points, which
+    # _draw_cells refuses: the rate experiment and run_replicates refuse them
+    # first, with exit 4 and one error line in under a second, before a cell
+    # stream is derived (a 3.2 GB seed array) or an ingredient estimated
+    def refused(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(harness, "_cell_streams", refused)
+    monkeypatch.setattr(harness, "estimate_ingredients", refused)
+    config = {"kernel": "pairwise-distance", "lambdas": [2, 4, 8], "replicates": 100_000_000, "integrator": {"samples": 256}}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    start = time.perf_counter()
+    assert main(["experiment", "rate", "--config", str(cfg_path)]) == 4
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err == "error: 100000000 cell(s) of mean count 8 need about 8.003e+08 points, above the budget of 8,388,608\n"
+    with pytest.raises(CapacityError, match="mean count 8 "):
+        run_replicates(flat_config(lambdas=(2.0, 8.0), replicates=100_000_000))
+
+
+def test_cli_refuses_a_ball_without_a_finite_measure(tmp_path, capsys):
+    # radius^2 of a 2-D ball of radius 1e160 is past the floats: exit 2 with one error line
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"kernel": "pairwise-distance", "window": {"shape": "ball", "radius": 1e160}, "lambdas": [4], "replicates": 20}))
+    assert main(["sample", "--config", str(cfg_path), "--out", str(tmp_path / "points.csv")]) == 2
+    assert capsys.readouterr().err == "error: ball of radius 1e+160 in dimension 2 has no finite measure\n"
+    # a 1-D ball of radius 1e200 has one: its draws lie inside it
+    cfg_path.write_text(json.dumps({"kernel": "pairwise-distance", "window": {"shape": "ball", "radius": 1e200, "dimension": 1}, "lambdas": [1e-200], "replicates": 20}))
+    assert main(["sample", "--config", str(cfg_path), "--out", str(tmp_path / "points.csv")]) == 0
 
 
 GILBERT_SQUARE = {"kernel": "gilbert-count", "window": {"shape": "box", "bounds": [[0.0, 1.0], [0.0, 1.0]]}, "lambdas": [25, 50, 100], "replicates": 20, "integrator": {"samples": 64, "seed": 4}}

@@ -144,6 +144,30 @@ def test_ball_from_unit_lands_inside_at_the_float_edge(dim):
         assert ball.contains(ball.from_unit(u)).all()
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_ball_contains_its_draws_at_the_largest_finite_measure(dim):
+    # at the largest radius whose measure is a float, the squares of the
+    # coordinates overflow; contains still holds every mapped draw, with no
+    # floating-point warning, and the next radius up has no finite measure
+    def finite(radius) -> bool:
+        try:
+            return window_measure(BallWindow(radius, dim)) > 0
+        except WindowError:
+            return False
+
+    radius = (np.finfo(float).max / unit_ball_volume(dim)) ** (1.0 / dim)
+    while finite(np.nextafter(radius, np.inf)):
+        radius = np.nextafter(radius, np.inf)
+    while not finite(radius):
+        radius = np.nextafter(radius, 0.0)
+    with pytest.raises(WindowError, match="finite"):
+        window_measure(BallWindow(np.nextafter(radius, np.inf), dim))
+    u = np.concatenate([spawn_rng(5, "ball-far", dim).random((4000, dim)), np.full((1, dim), np.nextafter(1.0, 0.0))])
+    ball = BallWindow(radius, dim)
+    with np.errstate(all="raise"):
+        assert ball.contains(ball.from_unit(u)).all()
+
+
 def test_sample_lines_kind_and_ranges():
     win = LineWindow(1.0)
     im = IntensityModel(5.0, win)

@@ -59,9 +59,12 @@ from poisson_ustats.ustat_core import (
     _ball_points,
     _batch_variance,
     _elementary_mean,
+    _inner_values,
     _local_radius,
+    _pilot_batch_size,
     _product_integral,
     _unit_points,
+    _unit_variates,
     _variance_term,
 )
 
@@ -1048,8 +1051,8 @@ def test_local_draws_call_the_kernel_only_on_positive_weights():
     # the main pass: one lattice family of mean.n draws, each an outer point
     # and its inner batch of the chosen M, (1 + M) * 2 unit variates
     pilot = integ.rng("variance", 1, "pilot")
-    ys = UNIT_SQUARE.sample(pilot, 1200)
-    _, pilot_weights = integ.draw(UNIT_SQUARE, 1, NESTED_INNER, pilot, groups=1200, radius=0.1, anchor=ys)
+    ys = UNIT_SQUARE.from_unit(_unit_variates(pilot, 1, 1200, 2, 1)[0])
+    _, pilot_weights = _unit_points(UNIT_SQUARE, _unit_variates(pilot, 1200, NESTED_INNER, 2, 1).reshape(1200, -1, 1, 2), 0.1, ys[:, None, None])
     size = _chosen_size(mean, 1200)
     count = NESTED_REPEAT * NESTED_INNER * 1200 // size
     u = np.concatenate(list(lattice_chunks(integ.rng("variance", 1, 0), count, (1 + size) * 2, CHUNK_DRAWS)))
@@ -1187,31 +1190,117 @@ def test_integrate_calls_fn_on_at_most_chunk_draws_tuples(locality):
             assert sum(sizes) < est.n
 
 
-def test_inner_batches_below_their_stratum_count_are_drawn_unstratified():
-    # a batch given an anchor (an inner batch) of NESTED_INNER draws over 2
-    # axes has 25 strata at level 5: it is drawn plain, bit for bit, with and
-    # without a local ball; at level 2 (4 strata) it is stratified
-    anchor = np.array([[0.5, 0.5], [0.2, 0.7]])
+def test_inner_batches_below_their_stratum_count_are_drawn_unstratified(monkeypatch):
+    # an inner batch of NESTED_INNER draws over 2 axes has 25 strata at
+    # level 5: T_1's main pass draws it plain, bit for bit, with and without
+    # a local ball; at level 2 (4 strata) it is stratified
     fine = Integrator(samples=400, seed=2, strata=5)
-    plain = replace(fine, strata=1)
+    source = ustat_core._unit_variates
+    calls = []
 
-    def draw(integ, radius):
-        return integ.draw(UNIT_SQUARE, 1, NESTED_INNER, spawn_rng(1, "inner"), groups=2, radius=radius, anchor=anchor)
+    def recording(rng, groups, n, axes, level):
+        u = source(rng, groups, n, axes, level)
+        calls.append((n, level, u.copy()))
+        return u
 
-    for radius in (None, 0.1):
-        (got, got_w), (want, want_w) = draw(fine, radius), draw(plain, radius)
-        np.testing.assert_array_equal(got, want)
-        assert (got_w is None and want_w is None) or np.array_equal(got_w, want_w)
-    assert not np.array_equal(draw(replace(fine, strata=2), None)[0], draw(plain, None)[0])
-    # without an anchor the same batch is an outer one, and too small
+    monkeypatch.setattr(ustat_core, "_unit_variates", recording)
+
+    def first_inner(kernel, integ):
+        # the main pass's first inner batch: the call after its first outer,
+        # stratified, batch of 400 draws (the pilot's draws are iid)
+        calls.clear()
+        _variance_term(kernel, UNIT_SQUARE, integ, 1)
+        outer = next(j for j, (n, level, _) in enumerate(calls) if n == 400 and level > 1)
+        return calls[outer + 1]
+
+    for kernel in (pairwise_distance_kernel(), gilbert_kernel(0.1)):
+        n, level, u = first_inner(kernel, fine)
+        assert n == NESTED_INNER and level == 1
+        np.testing.assert_array_equal(u, fine.rng("variance", 1, 1).random(u.shape))
+        n, level, u = first_inner(kernel, replace(fine, strata=2))
+        assert level == 2 and not np.array_equal(u, fine.rng("variance", 1, 1).random(u.shape))
+    # a batch of the same size without an anchor is an outer one, and too small
     with pytest.raises(ConfigError, match="below the stratum count"):
-        fine.draw(UNIT_SQUARE, 1, NESTED_INNER, spawn_rng(1, "inner"))
+        replace(fine, samples=NESTED_INNER).integrate(lambda t: t[:, 0, 0], UNIT_SQUARE, 1)
     # no inner batch size up to NESTED_INNER stratifies 25 strata, so T_1's
     # pilot keeps M = NESTED_INNER; at level 2 only M >= 4 is a candidate
     est = _variance_term(pairwise_distance_kernel(), UNIT_SQUARE, fine, 1)
     assert _chosen_size(est, 400) == NESTED_INNER and est.n == NESTED_REPEAT * 400 and math.isfinite(est.se)
     est = _variance_term(pairwise_distance_kernel(), UNIT_SQUARE, replace(fine, strata=2), 1)
     assert _chosen_size(est, 400) in (4, 8, 16) and est.n * _chosen_size(est, 400) == NESTED_REPEAT * NESTED_INNER * 400
+
+
+def _retired_draw(window, arity, n, rng, groups=1, *, strata=1, radius=None, anchor=None):
+    """The retired Integrator.draw, as it was but for ``strata`` passed in:
+    the oracle of the one draw pipeline."""
+    dim = window.point_dim
+    ball = 0 if radius is None else arity - (anchor is None)
+    axes = arity * dim
+    count = strata**axes
+    if strata <= 1 or (anchor is not None and n < count):
+        head = window.sample(rng, groups * n * (arity - ball)).reshape(groups * n, arity - ball, dim)
+        u = rng.random((groups * n, ball, dim))
+        if ball == 0:
+            return head, None
+        pts, weights = _ball_points(window, u, radius, head[:, :1] if anchor is None else np.repeat(anchor, n, axis=0)[:, None])
+        return (pts if anchor is not None else np.concatenate([head, pts], axis=1)), weights
+    n_per = n // count
+    if n_per < 1:
+        raise ConfigError(f"sample count {n} is below the stratum count {count} (level {strata}, {axes} axes)")
+    corners = np.stack(np.unravel_index(np.arange(count), (strata,) * axes), axis=-1)
+    u = ((corners[:, None, :] + rng.random((groups, count, n_per, axes))) / strata).reshape(-1, arity, dim)
+    return _unit_points(window, u, radius, None if anchor is None else np.repeat(anchor, n_per * count, axis=0)[:, None])
+
+
+def _assert_same_draws(got, want):
+    np.testing.assert_array_equal(got[0].reshape(want[0].shape), want[0])
+    assert (got[1] is None and want[1] is None) or np.array_equal(got[1].reshape(-1), want[1])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_the_draw_pipeline_matches_the_retired_draw(dim, monkeypatch):
+    # every draw maps unit variates through _unit_points, and gives the
+    # retired Integrator.draw's tuples and weights bit for bit: outer
+    # batches of the stratified rule (through _integrate), the pilot's iid
+    # outer rows and inner batches (through _pilot_batch_size), and the
+    # inner batches of the stratified rule, at their own level or iid
+    # below their stratum count (the map of _inner_values)
+    window = BoxWindow(((0.0, 1.0),) * dim)
+    maps = []
+    unit_points = ustat_core._unit_points
+
+    def recording(*args):
+        pts, weights = unit_points(*args)
+        maps.append((pts.copy(), None if weights is None else weights.copy()))
+        return pts, weights
+
+    monkeypatch.setattr(ustat_core, "_unit_points", recording)
+    ones = lambda t: np.ones(len(t))  # noqa: E731
+    for radius, groups in itertools.product((None, 0.1), (1, 2, 3)):
+        for level, arity in itertools.product((2, 3), (1, 2)):
+            integ = Integrator(samples=level ** (arity * dim) + 1, seed=groups, strata=level)
+            maps.clear()
+            integ._integrate(lambda t, _: ones(t), window, arity, ("oracle",), groups, radius)
+            want = _retired_draw(window, arity, integ.samples, integ.rng("oracle"), groups, strata=level, radius=radius)
+            _assert_same_draws(maps[0], want)
+        for q in (1, 2):
+            integ = Integrator(samples=groups, seed=groups)
+            maps.clear()
+            _pilot_batch_size(ones, q + 1, window, integ, q, [(list(range(q)), 1, 1)], ("oracle",), radius)
+            rng = integ.rng("oracle", "pilot")
+            ys, weights = _retired_draw(window, q, groups, rng, radius=radius)
+            _assert_same_draws(maps[0], (ys, weights))
+            y = ys if weights is None else ys[weights > 0]
+            if len(y):
+                _assert_same_draws(maps[1], _retired_draw(window, 1, NESTED_INNER, rng, len(y), radius=radius, anchor=y[:, 0]))
+            assert len(maps) == 1 + bool(len(y))
+        y = window.sample(spawn_rng(groups, "anchors"), groups * 2).reshape(groups, 2, dim)
+        for level, size in itertools.product((1, 2, 3), (NESTED_INNER, 3**dim)):
+            rng, again = spawn_rng(level, "inner"), spawn_rng(level, "inner")
+            maps.clear()
+            at = level if size >= level**dim else 1
+            _inner_values(lambda t: t[:, 0, 0], 2, window, y[:, :1], lambda: _unit_variates(rng, groups, size, dim, at), radius)
+            _assert_same_draws(maps[0], _retired_draw(window, 1, size, again, groups, strata=level, radius=radius, anchor=y[:, 0]))
 
 
 NESTED_CHUNK_CASES = {
