@@ -3,7 +3,7 @@
 
 general:   fourth-moment terms at the full intensity (any kernel), each a
            polynomial in lam, so one estimation serves every lam
-geometric: intensity-independent kernels, bound = rate_factor / sqrt(lam)
+geometric: any kernel (its fn is lambda-free), bound = rate_factor / sqrt(lam)
 local:     kernels with a support radius, ingredients at unit intensity
 """
 
@@ -30,7 +30,7 @@ def main() -> None:
 
     # order-1 count: everything is exact and the bound is 2 / sqrt(lam); the
     # lambda-free ingredients are estimated once and reported at each lam
-    flat = UStatKernel(1, lambda t: np.ones(t.shape[0]), name="flat-count", geometric=True)
+    flat = UStatKernel(1, lambda t: np.ones(t.shape[0]), name="flat-count")
     record = estimate_ingredients(flat, UNIT_SQUARE, integ, "general")
     for lam in (1.0, 4.0, 16.0, 100.0):
         rep = record.report(lam)

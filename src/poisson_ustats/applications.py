@@ -214,7 +214,7 @@ def gilbert_kernel(delta: float, mode: str = "unit") -> UStatKernel:
         return 0.5 * dist * close
 
     name = "gilbert-count" if mode == "unit" else "gilbert-length"
-    return UStatKernel(order=2, fn=fn, name=name, geometric=True, locality=delta)
+    return UStatKernel(order=2, fn=fn, name=name, locality=delta)
 
 
 def gilbert_f1(y, delta: float, intensity: IntensityModel, mode: str = "unit", integrator: Optional[Integrator] = None) -> Estimate:
@@ -277,7 +277,7 @@ def pairwise_distance_kernel() -> UStatKernel:
         t = np.asarray(tuples, dtype=float)
         return _distance(t[:, 0, :], t[:, 1, :])
 
-    return UStatKernel(order=2, fn=fn, name="pairwise-distance", geometric=True)
+    return UStatKernel(order=2, fn=fn, name="pairwise-distance")
 
 
 def counterexample_kernel() -> UStatKernel:
@@ -295,7 +295,7 @@ def counterexample_kernel() -> UStatKernel:
         # for tiny magnitudes and would misreport an opposite-side pair
         return np.where(np.sign(t[:, 0, 0]) * np.sign(t[:, 1, 0]) >= 0, 1.0, -1.0)
 
-    return UStatKernel(order=2, fn=fn, name="counterexample", geometric=True)
+    return UStatKernel(order=2, fn=fn, name="counterexample")
 
 
 def counterexample_closed_form(config) -> float:
@@ -318,12 +318,7 @@ def convex_position_kernel(k: int) -> UStatKernel:
     k = int(k)
     if k < 3:
         raise ConfigError(f"convex position needs order >= 3, got {k}")
-    return UStatKernel(
-        order=k,
-        fn=convex_position_mask,
-        name=f"convex-position-{k}",
-        geometric=True,
-    )
+    return UStatKernel(order=k, fn=convex_position_mask, name=f"convex-position-{k}")
 
 
 def line_intersection_kernel(window: LineWindow, region_radius: Optional[float] = None) -> UStatKernel:
@@ -367,7 +362,7 @@ def line_intersection_kernel(window: LineWindow, region_radius: Optional[float] 
         inside = ok & (p1 * p1 + p2 * p2 - 2.0 * p1 * p2 * np.cos(turn) <= r_sq * det * det)
         return 0.5 * inside
 
-    return UStatKernel(order=2, fn=fn, name="line-intersections", geometric=True)
+    return UStatKernel(order=2, fn=fn, name="line-intersections")
 
 
 # ---------------------------------------------------------------------------

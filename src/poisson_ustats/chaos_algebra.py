@@ -480,8 +480,7 @@ def _m_orbit_integrals(kernel: UStatKernel, window: Window, integrator: Integrat
     first draws one pilot batch on stream ("m-pilot", i, j, o, 0); orbit o
     of (i, j) is scored g_ij se_o, its pilot standard error times the
     delta-method gradient g_ij = C(k,i)^2 C(k,j)^2 / (2 sqrt(M_ij)) of the
-    pilots' M_ij (0 when that is not positive; an intensity factor would
-    scale every pair alike).  Of the sum of w_o over the record's orbits,
+    pilots' M_ij (0 when that is not positive).  Of the sum of w_o over the record's orbits,
     the batches that one per labelled diagram would take, every orbit keeps
     one and the others go in proportion to the scores, rounded to whole
     batches by largest remainder, so when no pilot shows spread each orbit
@@ -542,9 +541,9 @@ def _m_orbit_integrals(kernel: UStatKernel, window: Window, integrator: Integrat
     )
 
 
-def _assemble_m(k: int, i: int, j: int, orbit_integrals, lam: float, factor: float = 1.0) -> Estimate:
-    """M_ij = C(k,i)^2 C(k,j)^2 factor^4 sum_o lam^(v_o) I_o, with the kernel's intensity factor at lam."""
-    scale = math.comb(k, i) ** 2 * math.comb(k, j) ** 2 * factor**4
+def _assemble_m(k: int, i: int, j: int, orbit_integrals, lam: float) -> Estimate:
+    """M_ij = C(k,i)^2 C(k,j)^2 sum_o lam^(v_o) I_o at lam."""
+    scale = math.comb(k, i) ** 2 * math.comb(k, j) ** 2
     try:
         value = math.fsum(lam**v * est.value for v, est in orbit_integrals)
     except OverflowError:
@@ -556,7 +555,7 @@ def _assemble_m(k: int, i: int, j: int, orbit_integrals, lam: float, factor: flo
 
 def m_ij(kernel: UStatKernel, i: int, j: int, intensity: IntensityModel, integrator: Integrator) -> Estimate:
     """Fourth-moment quantity M_ij at the given intensity, the general report's MTerm:
-    the lam polynomial C(k,i)^2 C(k,j)^2 factor(lam)^4 sum_o lam^(v_o) I_o of the
+    the lam polynomial C(k,i)^2 C(k,j)^2 sum_o lam^(v_o) I_o of the
     orbit integrals I_o over v_o variables that _m_orbit_integrals draws.
 
     It estimates the kernel's whole record, every pair 1 <= i' <= j' <= k
@@ -565,9 +564,8 @@ def m_ij(kernel: UStatKernel, i: int, j: int, intensity: IntensityModel, integra
     k = kernel.order
     if not 1 <= i <= j <= k:
         raise ConfigError(f"need 1 <= i <= j <= order, got i={i}, j={j}, order={k}")
-    lam = float(intensity.lam)
     record = {(a, b): orbit_integrals for a, b, orbit_integrals in _m_orbit_integrals(kernel, intensity.window, integrator)}
-    return _assemble_m(k, i, j, record[i, j], lam, kernel.factor(lam))
+    return _assemble_m(k, i, j, record[i, j], float(intensity.lam))
 
 
 def chaos_kernels_simple(fn: SimpleFunction, intensity: IntensityModel) -> list:

@@ -15,9 +15,14 @@ import argparse
 import sys
 from typing import Optional
 
-from ._files import _csv_text, _fmt, _read_text, _write_text
+from ._files import _csv_numbers, _fmt, _read_text, _write_text
 from .applications import kernel_summaries
-from .clt_bounds import BoundReport, geometric_bound, local_bound, wasserstein_bound
+from .clt_bounds import (
+    BoundReport,
+    geometric_bound,
+    local_bound,
+    wasserstein_bound,  # unused; perfbench/tracing.py SITES wraps it here
+)
 from .errors import (
     AssumptionViolationError,
     CapacityError,
@@ -122,7 +127,7 @@ def _cmd_sample(args) -> int:
 def _cmd_eval(args) -> int:
     config = _load_config(args)
     lam = config.lambdas[0]
-    kernel = config.resolve_kernel().at_intensity(lam)
+    kernel = config.resolve_kernel()
     sample = _draw(config, lam)
     value = evaluate(kernel, sample)
     print(f"lambda={lam:g} points={sample.size} value={_fmt(value)}")
@@ -138,9 +143,10 @@ def _cmd_kernels(_args) -> int:
 def _cmd_variance(args) -> int:
     config = _load_config(args)
     rows = moment_table(config)
-    text = _csv_text(
+    text = _csv_numbers(
         ["lambda", "mean", "variance", "variance_se"],
-        ([_fmt(lam), _fmt(mean), _fmt(var.value), _fmt(var.se)] for lam, mean, var in rows),
+        (float,) * 4,
+        ((lam, mean, var.value, var.se) for lam, mean, var in rows),
     )
     if args.out:
         _write_text(args.out, text)
@@ -158,10 +164,8 @@ def _cmd_bound(args) -> int:
     intensity = config.intensity(config.lambdas[0])
     if kernel.locality is not None:
         report = local_bound(kernel, intensity, config.integrator, c_k=config.c_k)
-    elif kernel.geometric:
-        report = geometric_bound(kernel, intensity, config.integrator)
     else:
-        report = wasserstein_bound(kernel, intensity, config.integrator)
+        report = geometric_bound(kernel, intensity, config.integrator)
     out = args.out or config.report_path
     if out:
         emit_report(report, out)

@@ -5,9 +5,9 @@ Three assembly modes share one report type:
 * general: 2 k^{7/2} sum_{i<=j} sqrt(M_ij) / Var F at the full intensity,
   where each M_ij = C(k,i)^2 C(k,j)^2 sum_o lam^(v_o) I_o is a polynomial
   in lam whose coefficients are lam-free block-type orbit integrals I_o;
-* geometric: for an intensity-independent kernel and lam >= 1 the same
-  shape factors as lam^{-1/2} times a lam-free constant, with M and the
-  leading variance coefficient V-tilde evaluated at unit intensity;
+* geometric: for any kernel (its ``fn`` is lambda-free) and lam >= 1 the
+  same shape factors as lam^{-1/2} times a lam-free constant, with M and
+  the leading variance coefficient V-tilde evaluated at unit intensity;
 * local: for a kernel supported on tuples of diameter <= delta, a sum of
   per-order terms lam^{1 - 3i/2} max(1, b^{i/2}) weighted by the fourth
   powers of the rescaled chaos kernels, where b is the largest mass a
@@ -45,7 +45,7 @@ from .errors import (
     LocalityError,
     _as_config_error,
 )
-from .point_process import IntensityModel, LineWindow, Window, sample_points, unit_ball_volume
+from .point_process import IntensityModel, LineWindow, Window, sample_points, unit_ball_volume, window_measure
 from .ustat_core import NESTED_INNER, NESTED_REPEAT, Estimate, Integrator, UStatKernel, _product_integral, assemble_variance, variance, variance_terms
 
 __all__ = [
@@ -225,9 +225,9 @@ def _fourth_power_norms(kernel: UStatKernel, window, integrator: Integrator) -> 
 class Ingredients:
     """The lambda-free integrals of one (kernel, window, integrator).
 
-    E F = lam^k mean and Var F = sum_i lam^(2k-i) terms[i-1], times the kernel's
-    intensity factor (squared for Var F); mean = int f dtheta^k is read off
-    the kernel values of T_1's pass (variance_terms), not drawn on its own.
+    E F = lam^k mean and Var F = sum_i lam^(2k-i) terms[i-1]; mean =
+    int f dtheta^k is read off the kernel values of T_1's pass
+    (variance_terms), not drawn on its own.
     A "local" record adds the norms
     int (f~_i)^4 dtheta^i, a "general" or "geometric" one the triples (i, j,
     orbit integrals of the lam polynomial M_ij); local and geometric records
@@ -245,8 +245,7 @@ class Ingredients:
 
     def moments(self, lam: float) -> tuple:
         """Formula mean and variance estimate at rate lam."""
-        factor = self.kernel.factor(lam)
-        return lam**self.kernel.order * factor * self.mean.value, assemble_variance(self.terms, lam, factor)
+        return lam**self.kernel.order * self.mean.value, assemble_variance(self.terms, lam)
 
     def report(self, lam: float, c_k: Optional[float] = None) -> BoundReport:
         """Bound at lam (lam >= 1 in the rate forms); c_k (local mode) defaults to default_local_constant(k)."""
@@ -255,11 +254,11 @@ class Ingredients:
         lam = float(lam)
         k = self.kernel.order
         var = self.moments(lam)[1]
-        # the geometric mode reads its M~_ij at unit intensity (its kernels have no factor)
-        at, factor = (lam, self.kernel.factor(lam)) if self.mode == "general" else (1.0, 1.0)
+        # the geometric mode reads its M~_ij at unit intensity
+        at = lam if self.mode == "general" else 1.0
         m = []
         for i, j, orbit_integrals in self.m:
-            est = _assemble_m(k, i, j, orbit_integrals, at, factor)
+            est = _assemble_m(k, i, j, orbit_integrals, at)
             m.append(MTerm(i, j, est.value, est.se))
         root_sum = 2.0 * k**3.5 * math.fsum(_sqrt_estimate(t.value, t.se)[0] for t in m)
         vtilde = self.terms[0]
@@ -318,20 +317,30 @@ def estimate_ingredients(kernel: UStatKernel, window: Window, integrator: Integr
     "geometric" adds what that bound needs (a kernel can fit several).
     Before any draw, CapacityError refuses a record whose T_i and norms may
     take more than MAX_INGREDIENT_ROWS kernel rows, or whose M_ij orbits
-    take more than MAX_DIAGRAM_DRAWS draws."""
+    take more than MAX_DIAGRAM_DRAWS draws, and ConfigError a window whose
+    measure overflows the record's integrals."""
     if mode == "local":
         if kernel.locality is None:
             raise LocalityError("kernel declares no support diameter; not a local kernel")
         if isinstance(window, LineWindow):
             raise ConfigError("local bounds need a spatial window")
-    elif mode == "geometric":
-        if not kernel.geometric or kernel.intensity_factor is not None:
-            raise ConfigError("kernel is not flagged intensity-independent")
-    elif mode not in (None, "general"):
+    elif mode not in (None, "general", "geometric"):
         raise ConfigError(f"unknown mode {mode!r}")
     rows = _ingredient_rows(kernel.order, integrator.samples, mode == "local")
     if rows > MAX_INGREDIENT_ROWS:
         raise CapacityError(f"the order-{kernel.order} variance terms and norms take up to {rows:,} kernel rows, above the guard of {MAX_INGREDIENT_ROWS:,}")
+    # an integral over n variables scales its values by theta(W)^n, and its
+    # standard error squares them.  The most variables are T_1's 2k - 1, or
+    # 4k - 3 for the norms and M_11 (whose one connected diagram is one block)
+    variables = 2 * kernel.order - 1 if mode is None else 4 * kernel.order - 3
+    theta = window_measure(window)
+    try:
+        theta ** (2 * variables)
+    except OverflowError:
+        raise ConfigError(
+            f"window {window} is too large: its measure {theta:g} to the power {2 * variables} overflows, "
+            f"the square of an order-{kernel.order} integral over {variables} of its variables"
+        ) from None
     # the M_ij record goes first: its guard refuses an over-budget record before any draw
     m = _m_orbit_integrals(kernel, window, integrator) if mode in ("general", "geometric") else ()
     mean, terms = variance_terms(kernel, window, integrator, with_mean=True)
@@ -351,7 +360,7 @@ def estimate_ingredients(kernel: UStatKernel, window: Window, integrator: Integr
 
 
 def geometric_bound(kernel: UStatKernel, intensity: IntensityModel, integrator: Integrator) -> BoundReport:
-    """Rate-form bound for an intensity-independent kernel at lam >= 1.
+    """Rate-form bound for any kernel (its ``fn`` is lambda-free) at lam >= 1.
 
     Evaluates all ingredients at unit intensity: vtilde is the leading
     variance coefficient k^2 int (int f dtheta^{k-1})^2 dtheta, the m

@@ -56,10 +56,12 @@ def _as_config_error(what: str):
 
 
 def _whole_number(what: str, value) -> int:
-    """``value`` as an int, or ConfigError if it is not a whole number (4.0 passes, 2.7 and "4" do not).
+    """``value`` as an int, or ConfigError if it is not a whole number (4.0 passes, 2.7, "4" and True do not).
 
     A value int() cannot read raises int()'s TypeError or ValueError, which _as_config_error reports as malformed.
     """
+    if isinstance(value, bool):
+        raise ConfigError(f"{what} must be a whole number, got {value!r}")
     try:
         whole = int(value)
     except OverflowError:

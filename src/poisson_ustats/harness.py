@@ -154,7 +154,10 @@ class ExperimentConfig:
             if self.k is not None:
                 object.__setattr__(self, "k", _whole_number("k", self.k))
             for name in ("delta", "c_k"):
-                value = None if getattr(self, name) is None else float(getattr(self, name))
+                value = getattr(self, name)
+                if isinstance(value, bool):
+                    raise ConfigError(f"{name} must be a number, got {value!r}")
+                value = None if value is None else float(value)
                 if value is not None and not (math.isfinite(value) and value > 0):
                     raise ConfigError(f"{name} must be positive and finite, got {value}")
                 object.__setattr__(self, name, value)
@@ -222,6 +225,10 @@ class ExperimentConfig:
             kernel = doc["kernel"]
             if not isinstance(kernel, str):
                 raise ConfigError("config 'kernel' must be a registered name")
+            # tuple() of a string would read "48" as the grid (4, 8), and float(True) is 1.0
+            lambdas = doc["lambdas"]
+            if not isinstance(lambdas, list) or any(isinstance(v, bool) for v in lambdas):
+                raise ConfigError(f"config 'lambdas' must be a list of numbers, got {lambdas!r}")
             window = window_from_spec(doc["window"]) if "window" in doc else default_window(kernel)
             integ = _section(doc, "integrator", {"samples", "seed", "strata"})
             integrator = Integrator(**integ)
@@ -232,7 +239,7 @@ class ExperimentConfig:
             return dict(
                 kernel=kernel,
                 window=window,
-                lambdas=tuple(doc["lambdas"]),
+                lambdas=tuple(lambdas),
                 replicates=doc["replicates"],
                 integrator=integrator,
                 seed=doc.get("seed", 0),
@@ -302,7 +309,7 @@ def _simulate(config: ExperimentConfig, ingredients: Ingredients) -> list:
         streams = _cell_streams(config.seed, (li,), range(config.replicates))
         points, sizes, tokens = _draw_cells(config.window, config.intensity(lam).mean_count(), streams, config.replicates)
         _check_cells(config.window, points, sizes)
-        values = _evaluate_many(ingredients.kernel.at_intensity(lam), points, sizes)
+        values = _evaluate_many(ingredients.kernel, points, sizes)
         # the next lambda draws into a buffer of its own: free this one first
         del points
         records.extend(
@@ -329,10 +336,10 @@ def _ols_loglog(lambdas: Sequence[float], d_w: Sequence[float]) -> tuple:
 def rate_experiment(config: ExperimentConfig) -> RateFitResult:
     """Distances and bounds across the lambda grid with a slope fit.
 
-    Needs at least 3 lambdas, at least 100 replicates per lambda, lambdas
-    >= 1 (the rate-form bounds assume it), and a kernel that is either
-    intensity-independent or local; kernels outside those families have no
-    rate-form bound to compare against.
+    Needs at least 3 lambdas, at least 100 replicates per lambda and
+    lambdas >= 1 (the rate-form bounds assume it).  Any kernel (its ``fn``
+    is lambda-free) has a rate-form bound: the local one when it declares a
+    locality radius, else the geometric one.
     """
     if len(config.lambdas) < 3:
         raise ConfigError(f"rate fit needs >= 3 lambdas, got {len(config.lambdas)}")
@@ -342,8 +349,6 @@ def rate_experiment(config: ExperimentConfig) -> RateFitResult:
         raise ConfigError("rate-form bounds need every lambda >= 1")
     kernel = config.resolve_kernel()
     local = kernel.locality is not None
-    if not (local or kernel.geometric):
-        raise ConfigError("rate experiments need a geometric or local kernel")
     # the largest lambda's replicate buffer, refused before any stream or ingredient
     _buffer_rows(config.intensity(config.lambdas[-1]).mean_count(), config.replicates)
     ingredients = estimate_ingredients(

@@ -23,7 +23,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ._files import _csv_text, _fmt, _read_csv, _write_text
+from ._files import _csv_numbers, _read_csv, _write_text
 from ._streams import spawn_rng
 from .errors import CapacityError, ConfigError, WindowError
 
@@ -461,7 +461,7 @@ def sample_lines(intensity: IntensityModel, seed) -> PointConfiguration:
 def _points_csv(config: PointConfiguration) -> str:
     """CSV text of a configuration, as write_points_csv writes it."""
     header = ["phi", "p"] if config.kind == "lines" else [f"x{i + 1}" for i in range(config.dim)]
-    return _csv_text(header, ([_fmt(v) for v in row] for row in config.points))
+    return _csv_numbers(header, (float,) * len(header), config.points.tolist())
 
 
 def write_points_csv(config: PointConfiguration, path) -> None:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -124,25 +124,19 @@ class UStatKernel:
     """Symmetric kernel of a U-statistic.
 
     ``fn`` maps an array of tuples with shape (m, order, dim) to m values.
-    ``geometric`` marks kernels whose value does not depend on the intensity
-    rate (up to the optional scalar factor ``intensity_factor(lam)``), and
-    ``locality`` is a radius beyond which the kernel vanishes: if set, ``fn``
-    must return 0 whenever the Euclidean distance between two tuple points
-    exceeds it.
-
-    The kernel at rate lam is ``factor(lam) * fn``.  Functions that take an
-    IntensityModel apply the factor; lambda-free estimators integrate ``fn``
-    alone, and Ingredients, expectation, variance and m_ij scale what they
-    assemble at lam by factor(lam)^p (p = 1, 2, 4 for E F, Var F, M_ij).
+    It takes no intensity, so any kernel (its ``fn`` is lambda-free) is
+    geometric in the paper's sense: lambda-free estimators integrate ``fn``
+    once, and the moments at rate lam scale by powers of lam alone.
+    ``locality`` is a radius beyond which the kernel vanishes: if set,
+    ``fn`` must return 0 whenever the Euclidean distance between two tuple
+    points exceeds it.
     """
 
     order: int
     fn: Callable[[np.ndarray], np.ndarray]
     name: str = ""
     symmetric: bool = True
-    geometric: bool = False
     locality: Optional[float] = None
-    intensity_factor: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
         if int(self.order) < 1:
@@ -155,18 +149,6 @@ class UStatKernel:
         tuples = np.asarray(tuples, dtype=float)
         out = np.asarray(self.fn(tuples), dtype=float)
         return out.reshape(tuples.shape[0])
-
-    def factor(self, lam: float) -> float:
-        """The scalar intensity factor g(lam); 1.0 for a kernel without one."""
-        return 1.0 if self.intensity_factor is None else float(self.intensity_factor(float(lam)))
-
-    def at_intensity(self, lam: float) -> "UStatKernel":
-        """The kernel at rate lam, factor(lam) * fn, with no factor left."""
-        if self.intensity_factor is None:
-            return self
-        g = self.factor(lam)
-        base = self.fn
-        return replace(self, fn=lambda tuples: g * np.asarray(base(tuples)), intensity_factor=None)
 
 
 @dataclass(frozen=True)
@@ -928,10 +910,9 @@ def difference(kernel: UStatKernel, config: PointConfiguration, y) -> float:
 
 
 def expectation(kernel: UStatKernel, intensity: IntensityModel, integrator: Integrator) -> Estimate:
-    """E F = lam^k factor(lam) int f dtheta^k, read off T_1's pass (see
-    variance_terms); equals Ingredients.moments' mean bit for bit."""
-    lam = float(intensity.lam)
-    return _variance_term(kernel, intensity.window, integrator, 1, first_mean=True)[1].scaled(lam**kernel.order * kernel.factor(lam))
+    """E F = lam^k int f dtheta^k, read off T_1's pass (see variance_terms);
+    equals Ingredients.moments' mean bit for bit."""
+    return _variance_term(kernel, intensity.window, integrator, 1, first_mean=True)[1].scaled(float(intensity.lam) ** kernel.order)
 
 
 def ou_generator(kernel: UStatKernel, config: PointConfiguration, intensity: IntensityModel, integrator: Integrator) -> Estimate:
@@ -940,7 +921,6 @@ def ou_generator(kernel: UStatKernel, config: PointConfiguration, intensity: Int
     L F = -k F + k int sum_{(k-1)-tuples} f(xs, z) dmu(z); the integral is
     estimated by Monte Carlo over z.
     """
-    kernel = kernel.at_intensity(intensity.lam)
     k = kernel.order
     F = evaluate(kernel, config)
     est = integrator.integrate(
@@ -960,7 +940,6 @@ def ou_generator_direct(kernel: UStatKernel, config: PointConfiguration, intensi
     Cross-validates :func:`ou_generator`; the two agree in distribution and,
     for fixed configurations, within Monte Carlo error.
     """
-    kernel = kernel.at_intensity(intensity.lam)
     F = evaluate(kernel, config)
     removal = math.fsum(evaluate(kernel, config.without_index(i)) - F for i in range(config.size))
     k = kernel.order
@@ -981,7 +960,6 @@ def ou_inverse(kernel: UStatKernel, config: PointConfiguration, intensity: Inten
     integrated U-statistics of orders 1..k; for order k the integral is empty
     and the term is the exact U-statistic value.
     """
-    kernel = kernel.at_intensity(intensity.lam)
     k = kernel.order
     lam = float(intensity.lam)
     mean_est = integrator.integrate(kernel, intensity.window, k, path=("ou-inverse", 0), locality=kernel.locality).scaled(lam**k)
@@ -1009,7 +987,6 @@ def chaos_kernel(kernel: UStatKernel, i: int, ys, intensity: IntensityModel, int
     Exact (zero standard error) for i = k, identically zero for i > k,
     Monte Carlo otherwise.
     """
-    kernel = kernel.at_intensity(intensity.lam)
     k = kernel.order
     if i < 1:
         raise ConfigError(f"chaos kernel index must be >= 1, got {i}")
@@ -1064,21 +1041,17 @@ def _variance_term(kernel: UStatKernel, window: Window, integrator: Integrator, 
     )
 
 
-def assemble_variance(terms, lam: float, factor: float = 1.0) -> Estimate:
-    """Var F = sum_i lam^(2k-i) factor^2 T_i from the rate-free terms T_1..T_k.
-
-    ``factor`` is the kernel's scalar intensity factor at ``lam``.
-    """
+def assemble_variance(terms, lam: float) -> Estimate:
+    """Var F = sum_i lam^(2k-i) T_i from the rate-free terms T_1..T_k."""
     k = len(terms)
-    parts = [lam ** (2 * k - i) * factor**2 * t.value for i, t in enumerate(terms, start=1)]
-    ses = [lam ** (2 * k - i) * factor**2 * t.se for i, t in enumerate(terms, start=1)]
+    parts = [lam ** (2 * k - i) * t.value for i, t in enumerate(terms, start=1)]
+    ses = [lam ** (2 * k - i) * t.se for i, t in enumerate(terms, start=1)]
     return Estimate(math.fsum(parts), combine_se(*ses), max(t.n for t in terms))
 
 
 def variance(kernel: UStatKernel, intensity: IntensityModel, integrator: Integrator) -> Estimate:
-    """Var F = sum_i lam^(2k-i) factor(lam)^2 T_i from the chaos decomposition (Ingredients.moments' variance)."""
-    lam = float(intensity.lam)
-    return assemble_variance(variance_terms(kernel, intensity.window, integrator), lam, kernel.factor(lam))
+    """Var F = sum_i lam^(2k-i) T_i from the chaos decomposition (Ingredients.moments' variance)."""
+    return assemble_variance(variance_terms(kernel, intensity.window, integrator), float(intensity.lam))
 
 
 def check_symmetry(kernel: UStatKernel, window: Window, seed: int = 0, trials: int = 64, tol: float = 1e-9) -> bool:

@@ -100,7 +100,7 @@ def _third_moment_se(centered: np.ndarray) -> float:
 
 
 def flat_count_kernel() -> UStatKernel:
-    return UStatKernel(1, lambda t: np.ones(t.shape[0]), name="flat-count", geometric=True)
+    return UStatKernel(1, lambda t: np.ones(t.shape[0]), name="flat-count")
 
 
 # ---------------------------------------------------------------------------

@@ -520,6 +520,4 @@ def test_make_kernel_rejects_constants_the_kernel_does_not_read(name, constants,
 
 def test_pairwise_distance_symmetry_flag():
     kern = pairwise_distance_kernel()
-    assert kern.geometric
     assert kern.order == 2
-    assert convex_position_kernel(3).geometric

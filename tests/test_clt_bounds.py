@@ -1,6 +1,5 @@
 """Bound reports, the three bound modes, and the inner-product fluctuation oracle."""
 
-import dataclasses
 import itertools
 import json
 import math
@@ -17,16 +16,15 @@ from poisson_ustats import (
     CellGrid,
     ConfigError,
     DegenerateFunctionalError,
+    ExperimentConfig,
     IntensityModel,
     Integrator,
     LineWindow,
     LocalityError,
     LocalTerm,
     MTerm,
-    PointConfiguration,
     SimpleFunction,
     UStatKernel,
-    chaos_kernel,
     chaos_kernels_simple,
     counterexample_kernel,
     default_local_constant,
@@ -37,10 +35,8 @@ from poisson_ustats import (
     local_bound,
     m_ij,
     make_kernel,
-    ou_generator,
-    ou_generator_direct,
-    ou_inverse,
     r_terms_small,
+    rate_experiment,
     unit_ball_volume,
     variance,
     variance_terms,
@@ -67,7 +63,7 @@ JSON_FIELDS = [
 
 
 def unit_count_kernel() -> UStatKernel:
-    return UStatKernel(1, lambda t: np.ones(t.shape[0]), name="unit-count", geometric=True)
+    return UStatKernel(1, lambda t: np.ones(t.shape[0]), name="unit-count")
 
 
 # ---------------------------------------------------------------------------
@@ -220,23 +216,20 @@ def test_general_loop_estimates_each_orbit_set_once(monkeypatch):
 
 def test_report_variance_is_the_moments_variance_in_every_mode():
     integ = Integrator(samples=400, seed=9)
-    per_lam = dict(intensity_factor=lambda lam: 1.0 / lam)
-    flat = dataclasses.replace(unit_count_kernel(), **per_lam)
     records = [
-        estimate_ingredients(flat, UNIT_SQUARE, integ, "general"),
+        estimate_ingredients(unit_count_kernel(), UNIT_SQUARE, integ, "general"),
         estimate_ingredients(make_kernel("pairwise-distance"), UNIT_SQUARE, integ, "geometric"),
-        estimate_ingredients(dataclasses.replace(gilbert_kernel(0.2), **per_lam), UNIT_SQUARE, integ, "local"),
+        estimate_ingredients(gilbert_kernel(0.2), UNIT_SQUARE, integ, "local"),
     ]
     for record in records:
         for lam in (1.0, 4.0):
             rep = record.report(lam)
             var = record.moments(lam)[1]
             assert (rep.variance, rep.variance_se) == (var.value, var.se), (record.mode, lam)
-    # the order-1 count scaled by 1/lam: Var F = 1/lam, M_11 = lam^-3, and
-    # the bound does not see the scaling
+    # the order-1 count: Var F = lam and M_11 = lam, so the bound is 2 / sqrt(lam)
     rep = records[0].report(4.0)
-    assert rep.variance == 0.25
-    assert rep.m[0].value == 4.0 / 4.0**4
+    assert rep.variance == 4.0
+    assert rep.m[0].value == 4.0
     assert rep.bound == 1.0
 
 
@@ -246,8 +239,8 @@ def _smooth_pair_kernel() -> UStatKernel:
 
 @pytest.mark.parametrize("lam", [0.5, 4.0])
 @pytest.mark.parametrize("make", [unit_count_kernel, _smooth_pair_kernel])
-def test_one_shots_apply_the_intensity_factor_as_the_record_does(make, lam):
-    kern = dataclasses.replace(make(), intensity_factor=lambda lam: 1.0 / lam)
+def test_one_shots_equal_the_record(make, lam):
+    kern = make()
     integ = Integrator(samples=100, seed=4)
     model = IntensityModel(lam, UNIT_SQUARE)
     rec = estimate_ingredients(kern, UNIT_SQUARE, integ, "general")
@@ -257,13 +250,6 @@ def test_one_shots_apply_the_intensity_factor_as_the_record_does(make, lam):
     for term in rec.report(lam).m:
         est = m_ij(kern, term.i, term.j, model, integ)
         assert (est.value, est.se) == (term.value, term.se)
-    # the operators evaluate the kernel at lam, factor included
-    baked = kern.at_intensity(lam)
-    config = PointConfiguration(np.array([[0.1, 0.2], [0.7, 0.4], [0.3, 0.9]]))
-    ys = np.array([[0.5, 0.5]])
-    assert chaos_kernel(kern, 1, ys, model, integ) == chaos_kernel(baked, 1, ys, model, integ)
-    for op in (ou_generator, ou_generator_direct, ou_inverse):
-        assert op(kern, config, model, integ) == op(baked, config, model, integ), op.__name__
 
 
 ONE_SHOT_MEAN_CASES = {
@@ -272,20 +258,18 @@ ONE_SHOT_MEAN_CASES = {
     "gilbert-local": (gilbert_kernel(0.1), UNIT_SQUARE, Integrator(samples=200, seed=3)),
     "lines": (make_kernel("line-intersections", window=LineWindow(1.0)), LineWindow(1.0), Integrator(samples=200, seed=3)),
     "convex-position-3": (make_kernel("convex-position-3"), UNIT_SQUARE, Integrator(samples=64, seed=3)),
-    "order-1-with-factor": (
-        UStatKernel(1, lambda t: 1.0 + t[:, 0, 0], intensity_factor=lambda lam: 1.0 / lam), UNIT_SQUARE, Integrator(samples=200, seed=3),
-    ),
+    "order-1": (UStatKernel(1, lambda t: 1.0 + t[:, 0, 0]), UNIT_SQUARE, Integrator(samples=200, seed=3)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ONE_SHOT_MEAN_CASES))
 def test_expectation_is_the_record_mean(case):
     # the one-shot reads the same pass as the record: equal with ==, value,
-    # se and n, after the scale lam^k g(lam)
+    # se and n, after the scale lam^k
     kern, window, integ = ONE_SHOT_MEAN_CASES[case]
     record = estimate_ingredients(kern, window, integ)
     for lam in (1.0, 7.0):
-        scale = lam**kern.order * kern.factor(lam)
+        scale = lam**kern.order
         assert expectation(kern, IntensityModel(lam, window), integ) == record.mean.scaled(scale)
         assert expectation(kern, IntensityModel(lam, window), integ).value == record.moments(lam)[0]
     if case == "convex-position-3":
@@ -301,7 +285,7 @@ def test_non_symmetric_kernel_is_refused_before_any_integral(mode):
         calls.append(len(t))
         return t[:, 0, 0] - t[:, 1, 1]
 
-    kern = UStatKernel(2, fn, symmetric=False, geometric=True)
+    kern = UStatKernel(2, fn, symmetric=False)
     with pytest.raises(ConfigError, match="symmetric"):
         estimate_ingredients(kern, UNIT_SQUARE, Integrator(samples=64), mode)
     assert calls == []
@@ -316,7 +300,7 @@ def test_an_over_budget_record_is_refused_before_any_kernel_call():
         calls.append(len(t))
         return np.ones(len(t))
 
-    kern = UStatKernel(4, fn, name="constant-4", geometric=True)
+    kern = UStatKernel(4, fn, name="constant-4")
     with pytest.raises(CapacityError, match="the orbit integrals .* take 4,894,403,328 draws"):
         geometric_bound(kern, IntensityModel(16.0, UNIT_SQUARE), Integrator(samples=256))
     assert calls == []
@@ -345,18 +329,16 @@ def test_a_lambda_power_of_m_ij_that_overflows_is_a_config_error():
 # geometric mode
 
 
-def test_geometric_mode_needs_the_flag():
-    plain = UStatKernel(2, lambda t: np.ones(t.shape[0]), name="plain")
-    with pytest.raises(ConfigError, match="intensity-independent"):
-        geometric_bound(plain, IntensityModel(4.0, UNIT_SQUARE), Integrator(samples=200, seed=0))
-    scaled = UStatKernel(
-        1,
-        lambda t: np.ones(t.shape[0]),
-        geometric=True,
-        intensity_factor=lambda lam: 1.0 / lam,
-    )
-    with pytest.raises(ConfigError, match="intensity-independent"):
-        geometric_bound(scaled, IntensityModel(4.0, UNIT_SQUARE), Integrator(samples=200, seed=0))
+def test_geometric_bound_and_rate_experiment_take_an_unflagged_kernel():
+    # a kernel's fn takes no intensity, so every kernel has the rate form
+    grid = CellGrid.regular((0.0, 0.0), (1.0, 1.0), (2, 2))
+    kern = SimpleFunction(grid, 1.0 - np.eye(4)).as_kernel()
+    integ = Integrator(samples=200, seed=3)
+    rep = geometric_bound(kern, IntensityModel(4.0, UNIT_SQUARE), integ)
+    assert rep.mode == "geometric"
+    assert rep.bound == rep.rate_factor / 2.0 > 0
+    config = ExperimentConfig(kernel=kern, window=UNIT_SQUARE, lambdas=(1.0, 4.0, 16.0), replicates=100, integrator=integ)
+    assert rate_experiment(config).bounds[1] == rep.bound
 
 
 def test_geometric_mode_needs_lam_at_least_one():

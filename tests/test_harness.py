@@ -41,7 +41,7 @@ from poisson_ustats import (
     window_to_spec,
 )
 from poisson_ustats._streams import spawn_rng, stream_token
-from poisson_ustats.applications import line_intersection_kernel, pairwise_distance_kernel
+from poisson_ustats.applications import kernel_summaries, line_intersection_kernel, pairwise_distance_kernel
 from poisson_ustats.clt_bounds import BoundReport, Ingredients, MTerm
 from poisson_ustats.cli import main
 from poisson_ustats.point_process import sample_lines, sample_points
@@ -51,7 +51,7 @@ UNIT_SQUARE = BoxWindow(((0.0, 1.0), (0.0, 1.0)))
 
 
 def flat_count_kernel() -> UStatKernel:
-    return UStatKernel(1, lambda t: np.ones(t.shape[0]), name="flat-count", geometric=True)
+    return UStatKernel(1, lambda t: np.ones(t.shape[0]), name="flat-count")
 
 
 def count_calls(monkeypatch, module, name: str, calls: Counter) -> None:
@@ -313,7 +313,7 @@ def test_replicates_abort_on_degenerate_variance():
 
 
 def _order3_kernel() -> UStatKernel:
-    return UStatKernel(3, lambda t: np.prod(t[..., 0], axis=1) + t.sum(axis=(1, 2)), name="order-3", geometric=True)
+    return UStatKernel(3, lambda t: np.prod(t[..., 0], axis=1) + t.sum(axis=(1, 2)), name="order-3")
 
 
 def _local_order3_kernel(delta: float) -> UStatKernel:
@@ -324,7 +324,7 @@ def _local_order3_kernel(delta: float) -> UStatKernel:
         gaps = np.linalg.norm(t[:, :, None, :] - t[:, None, :, :], axis=-1)
         return np.all(gaps <= delta, axis=(1, 2)) * np.exp(-t.sum(axis=(1, 2)))
 
-    return UStatKernel(3, fn, name="local-order-3", geometric=True, locality=delta)
+    return UStatKernel(3, fn, name="local-order-3", locality=delta)
 
 
 # (window, kernel, lambdas, replicates).  The small lambdas give empty and
@@ -591,9 +591,6 @@ def test_rate_experiment_validates_inputs():
         rate_experiment(flat_config(lambdas=(1.0, 2.0, 4.0), replicates=50))
     with pytest.raises(ConfigError, match="lambda >= 1"):
         rate_experiment(flat_config(lambdas=(0.5, 2.0, 4.0), replicates=150))
-    plain = UStatKernel(1, lambda t: np.ones(t.shape[0]), name="plain")
-    with pytest.raises(ConfigError, match="geometric or local"):
-        rate_experiment(flat_config(kernel=plain, lambdas=(1.0, 2.0, 4.0), replicates=150))
 
 
 def test_rate_experiment_flat_count():
@@ -740,6 +737,34 @@ def test_cli_bound_report_cycle(tmp_path, capsys):
     assert (tmp_path / "from_config.json").read_text() == report_path.read_text()
     assert main(["report", str(tmp_path / "from_config.json")]) == 0
     assert "report is valid" in capsys.readouterr().out
+
+
+# every kernel the CLI can build: its constants, and the exit code and mode
+# (or error line) of bound, the local mode where the kernel has a locality
+CLI_BOUND_CASES = {
+    "gilbert-count": ({"delta": 0.1}, 0, "local"),
+    "gilbert-length": ({"delta": 0.1}, 0, "local"),
+    "pairwise-distance": ({}, 0, "geometric"),
+    "convex-position-3": ({}, 0, "geometric"),
+    "convex-position-k": ({"k": 3}, 0, "geometric"),
+    "convex-position-4": ({}, 4, "error: the orbit integrals of the order-4 M_ij take 1,223,600,832 draws"),
+    "line-intersections": ({}, 0, "geometric"),
+    "counterexample": ({}, 3, "error: first-order variance coefficient is consistent with zero"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_BOUND_CASES))
+def test_cli_bound_dispatches_every_kernel(tmp_path, capsys, name):
+    assert set(kernel_summaries()) <= set(CLI_BOUND_CASES)
+    constants, code, expected = CLI_BOUND_CASES[name]
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"kernel": name, "lambdas": [4], "replicates": 20, "integrator": {"samples": 64, "seed": 1}, **constants}))
+    assert main(["bound", "--config", str(cfg_path)]) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert json.loads(out)["mode"] == expected
+    else:
+        assert err.startswith(expected) and err.count("\n") == 1, err
 
 
 def test_cli_bound_degenerate_exits_3(tmp_path, capsys):
@@ -906,6 +931,72 @@ def test_cli_refuses_a_negative_integrator_seed_before_any_draw(tmp_path, capsys
     assert calls == Counter()
     with pytest.raises(ConfigError, match="nonnegative"):
         Integrator(seed=-1)
+
+
+@pytest.mark.parametrize("lambdas", ["48", [True, 4], 4])
+def test_cli_refuses_a_lambda_grid_that_is_not_a_list_of_numbers(tmp_path, capsys, monkeypatch, lambdas):
+    # a string grid was read character by character ("48" ran as (4, 8)),
+    # and a boolean as the lambda 1.0
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"kernel": "pairwise-distance", "lambdas": lambdas, "replicates": 20}))
+    calls = Counter()
+    count_calls(monkeypatch, harness, "estimate_ingredients", calls)
+    assert main(["variance", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"error: config 'lambdas' must be a list of numbers, got {lambdas!r}\n"
+    assert calls == Counter()
+
+
+@pytest.mark.parametrize(
+    "fields, err",
+    [
+        ({"integrator": {"samples": True}}, "integrator samples must be a whole number, got True"),
+        ({"integrator": {"seed": False}}, "integrator seed must be a whole number, got False"),
+        ({"replicates": True}, "replicates must be a whole number, got True"),
+        ({"seed": True}, "seed must be a whole number, got True"),
+        ({"kernel": "gilbert-count", "delta": True}, "delta must be a number, got True"),
+    ],
+)
+def test_cli_refuses_a_boolean_where_a_number_is_expected(tmp_path, capsys, monkeypatch, fields, err):
+    # "samples": true ran as one sample, and its variance_se read inf with exit 0
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"kernel": "pairwise-distance", "lambdas": [4], "replicates": 20, **fields}))
+    calls = Counter()
+    count_calls(monkeypatch, harness, "estimate_ingredients", calls)
+    assert main(["variance", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
+    assert calls == Counter()
+
+
+HUGE_DISK = {"kernel": "line-intersections", "lambdas": [4], "replicates": 20, "integrator": {"samples": 64, "seed": 4}}
+
+
+@pytest.mark.parametrize("radius", [1e100, 1e200])
+@pytest.mark.parametrize("verb, power, variables", [("bound", 10, 5), ("variance", 6, 3)])
+def test_cli_refuses_a_window_whose_measure_overflows_the_integrals(tmp_path, capsys, monkeypatch, radius, verb, power, variables):
+    # the window measure scales an integral over n variables by theta^n, and
+    # its standard error squares that: at radius 1e200 bound ended in an
+    # OverflowError traceback, and at 1e100 variance printed an inf se
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({**HUGE_DISK, "window": {"shape": "line-disk", "radius": radius}}))
+    calls = Counter()
+    count_calls(monkeypatch, clt_bounds, "_m_orbit_integrals", calls)
+    count_calls(monkeypatch, clt_bounds, "variance_terms", calls)
+    assert main([verb, "--config", str(cfg_path)]) == 2
+    theta = 2.0 * math.pi * radius
+    assert capsys.readouterr().err == (
+        f"error: window LineWindow(radius={radius!r}) is too large: its measure {theta:g} to the power {power} "
+        f"overflows, the square of an order-2 integral over {variables} of its variables\n"
+    )
+    assert calls == Counter()
+
+
+def test_cli_samples_and_evaluates_on_a_window_too_large_to_integrate(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({**HUGE_DISK, "window": {"shape": "line-disk", "radius": 1e200}, "lambdas": [1e-200]}))
+    assert main(["sample", "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().out.startswith("phi,p\n")
+    assert main(["eval", "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().out.startswith("lambda=1e-200 points=")
 
 
 @pytest.mark.parametrize(

@@ -100,18 +100,6 @@ def test_kernel_validation():
         UStatKernel(2, lambda t: t, locality=-1.0)
 
 
-def test_at_intensity_bakes_factor():
-    kern = UStatKernel(
-        1,
-        lambda t: np.ones(t.shape[0]),
-        geometric=True,
-        intensity_factor=lambda lam: 1.0 / lam,
-    )
-    fixed = kern.at_intensity(4.0)
-    assert fixed.intensity_factor is None
-    assert fixed(np.zeros((3, 1, 2)))[0] == pytest.approx(0.25)
-
-
 def test_evaluate_counts_points():
     cfg = PointConfiguration(np.array([[0.1, 0.1], [0.2, 0.7], [0.9, 0.4]]))
     assert evaluate(_count_kernel(), cfg) == 3.0
