@@ -181,6 +181,11 @@ def _distance(a: np.ndarray, b) -> np.ndarray:
     the kernels pass strided views ``t[:, 0, :]`` of their (n, 2, d) tuples,
     and an operation on such an (n, d) view, or a reduction over its short
     last axis, runs several times slower than on one column.
+
+    Which NaN comes out of a sum of two NaNs depends on the loop numpy
+    runs, and the column loops here do not keep the one norm's reduction
+    keeps; rows that end in NaN are therefore redone with np.linalg.norm,
+    so their sign and payload bits match too.
     """
     total = a[:, 0] - b[..., 0]
     total *= total
@@ -188,7 +193,11 @@ def _distance(a: np.ndarray, b) -> np.ndarray:
         diff = a[:, c] - b[..., c]
         diff *= diff
         total += diff
-    return np.sqrt(total, out=total)
+    out = np.sqrt(total, out=total)
+    if np.isnan(np.max(out, initial=0.0)):
+        bad = np.isnan(out)
+        out[bad] = np.linalg.norm(a[bad] - (b[bad] if b.ndim == 2 else b), axis=1)
+    return out
 
 
 def gilbert_kernel(delta: float, mode: str = "unit") -> UStatKernel:

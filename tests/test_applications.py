@@ -158,6 +158,8 @@ def _pair_tuples(draw):
 @given(_pair_tuples())
 # 0.3^2 + 0.5^2 + 0.7^2 rounds differently when added in reverse order
 @example((np.array([[[0.3, 0.5, 0.7], [0.0, 0.0, 0.0]]]), np.zeros(3)))
+# two NaNs of opposite sign: the sum keeps one of them, and norm's choice must win
+@example((np.zeros((1, 2, 3)), np.array([0.0, np.nan, -np.nan])))
 @settings(max_examples=300, deadline=None)
 def test_distance_on_kernel_views_is_bit_identical_to_linalg_norm(case):
     # the kernels pass strided column views of C-contiguous (m, 2, d) tuples
