@@ -687,3 +687,151 @@ def test_wiener_ito_rejects_foreign_grid_points():
     val = wiener_ito(ind, cfg, im)
     inside = GRID4.locate(cfg.points)
     assert val == pytest.approx(np.count_nonzero(inside == 0) - 10.0 * 0.25)
+
+
+# the orbit integrals of two records at 64 samples, integrator seed 11, each
+# (v_o, (value, se, n)) in repr: pins the integrator's floats below the CLI
+PINNED_ORBIT_INTEGRALS = {
+    "line-intersections": (
+        LineWindow(1.0),
+        [
+            (1, 1, [
+                (5, (50.87577259555304, 1.890177388834715, 3200)),
+            ]),
+            (1, 2, [
+                (4, (55.807291738230546, 5.4313407090678405, 768)),
+                (4, (61.98760338527426, 7.382111650377969, 704)),
+                (5, (206.43138219351957, 9.318763097296175, 3712)),
+                (5, (198.91279511043294, 26.84852925833441, 1280)),
+            ]),
+            (2, 2, [
+                (2, (12.64543063889574, 1.8556841244556483, 64)),
+                (3, (33.91311511907792, 5.336539257044474, 256)),
+                (3, (24.546635705237353, 5.895792836206558, 192)),
+                (3, (41.85847351840476, 6.067214041690469, 320)),
+                (3, (57.16782262930278, 10.936651005509068, 256)),
+                (3, (34.88206126533729, 7.9867280324488, 192)),
+                (3, (41.66468428915288, 10.844696448634265, 256)),
+                (3, (52.969055995512186, 10.47144679732982, 192)),
+                (4, (160.72500020610397, 24.759019432826605, 320)),
+                (3, (63.95044565311837, 14.072532089348606, 256)),
+                (3, (45.21748682543723, 10.879312178550656, 192)),
+                (4, (131.50227289590327, 19.06071506113161, 640)),
+                (4, (137.51871675388577, 15.618374889815835, 1088)),
+            ]),
+        ],
+    ),
+    "convex-position-3": (
+        UNIT_SQUARE,
+        [
+            (1, 1, [
+                (9, (1.0, 0.0, 64)),
+            ]),
+            (1, 2, [
+                (8, (4.0, 0.0, 64)),
+                (8, (4.0, 0.0, 64)),
+                (9, (4.0, 0.0, 64)),
+                (9, (4.0, 0.0, 64)),
+            ]),
+            (1, 3, [
+                (7, (18.0, 0.0, 64)),
+                (7, (36.0, 0.0, 64)),
+                (8, (18.0, 0.0, 64)),
+                (8, (18.0, 0.0, 64)),
+            ]),
+            (2, 2, [
+                (6, (8.0, 0.0, 64)),
+                (7, (16.0, 0.0, 64)),
+                (7, (16.0, 0.0, 64)),
+                (7, (16.0, 0.0, 64)),
+                (7, (16.0, 0.0, 64)),
+                (7, (16.0, 0.0, 64)),
+                (7, (16.0, 0.0, 64)),
+                (7, (16.0, 0.0, 64)),
+                (8, (16.0, 0.0, 64)),
+                (7, (16.0, 0.0, 64)),
+                (7, (16.0, 0.0, 64)),
+                (8, (16.0, 0.0, 64)),
+                (8, (16.0, 0.0, 64)),
+            ]),
+            (2, 3, [
+                (5, (72.0, 0.0, 64)),
+                (5, (144.0, 0.0, 64)),
+                (6, (72.0, 0.0, 64)),
+                (6, (144.0, 0.0, 64)),
+                (6, (144.0, 0.0, 64)),
+                (6, (72.0, 0.0, 64)),
+                (6, (144.0, 0.0, 64)),
+                (6, (144.0, 0.0, 64)),
+                (6, (144.0, 0.0, 64)),
+                (7, (36.0, 0.0, 64)),
+                (6, (144.0, 0.0, 64)),
+                (6, (144.0, 0.0, 64)),
+                (6, (144.0, 0.0, 64)),
+                (6, (72.0, 0.0, 64)),
+                (7, (144.0, 0.0, 64)),
+                (7, (36.0, 0.0, 64)),
+                (6, (72.0, 0.0, 64)),
+                (6, (144.0, 0.0, 64)),
+                (7, (72.0, 0.0, 64)),
+                (7, (72.0, 0.0, 64)),
+            ]),
+            (3, 3, [
+                (3, (216.0, 0.0, 64)),
+                (4, (1296.0, 0.0, 64)),
+                (4, (1296.0, 0.0, 64)),
+                (4, (1296.0, 0.0, 64)),
+                (4, (1296.0, 0.0, 64)),
+                (4, (648.0, 0.0, 64)),
+                (5, (648.0, 0.0, 64)),
+                (4, (1296.0, 0.0, 64)),
+                (5, (1296.0, 0.0, 64)),
+                (5, (1296.0, 0.0, 64)),
+                (5, (648.0, 0.0, 64)),
+                (5, (324.0, 0.0, 64)),
+                (5, (648.0, 0.0, 64)),
+                (4, (648.0, 0.0, 64)),
+                (4, (1296.0, 0.0, 64)),
+                (5, (1296.0, 0.0, 64)),
+                (5, (648.0, 0.0, 64)),
+                (5, (648.0, 0.0, 64)),
+                (5, (1296.0, 0.0, 64)),
+                (5, (1296.0, 0.0, 64)),
+                (5, (1296.0, 0.0, 64)),
+                (5, (1296.0, 0.0, 64)),
+                (6, (324.0, 0.0, 64)),
+                (5, (324.0, 0.0, 64)),
+                (5, (648.0, 0.0, 64)),
+                (6, (324.0, 0.0, 64)),
+                (4, (648.0, 0.0, 64)),
+                (4, (1296.0, 0.0, 64)),
+                (5, (648.0, 0.0, 64)),
+                (5, (1296.0, 0.0, 64)),
+                (5, (1296.0, 0.0, 64)),
+                (5, (648.0, 0.0, 64)),
+                (5, (1296.0, 0.0, 64)),
+                (5, (1296.0, 0.0, 64)),
+                (5, (1296.0, 0.0, 64)),
+                (6, (324.0, 0.0, 64)),
+                (5, (1296.0, 0.0, 64)),
+                (5, (1296.0, 0.0, 64)),
+                (5, (1296.0, 0.0, 64)),
+                (5, (648.0, 0.0, 64)),
+                (6, (1296.0, 0.0, 64)),
+                (6, (324.0, 0.0, 64)),
+                (5, (324.0, 0.0, 64)),
+                (5, (648.0, 0.0, 64)),
+                (6, (324.0, 0.0, 64)),
+                (6, (324.0, 0.0, 64)),
+            ]),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_ORBIT_INTEGRALS))
+def test_orbit_integrals_are_pinned_to_their_floats(case):
+    window, pinned = PINNED_ORBIT_INTEGRALS[case]
+    kern = line_intersection_kernel(window) if case == "line-intersections" else convex_position_kernel(3)
+    record = _m_orbit_integrals(kern, window, Integrator(samples=64, seed=11))
+    assert [(i, j, [(v, (e.value, e.se, e.n)) for v, e in orbits]) for i, j, orbits in record] == pinned

@@ -581,3 +581,18 @@ def test_r_terms_match_closed_form_moments():
             float(np.sum(row**4 * mu)) + 3.0 * float(np.sum(row**2 * mu)) ** 2
         )
     assert rt[1].within(w2_exact, nse=4.0)
+
+
+# the fourth-power norms of gilbert-count at delta 0.2 on the unit square
+# (local draws) at 64 samples, integrator seed 11, as (value, se, n) in
+# repr: pins the integrator's floats below the CLI
+PINNED_FOURTH_POWER_NORMS = {
+    1: [(0.00015488045474406386, 1.813658572858868e-06, 2048), (0.006258641614573415, 0.0004469828044837392, 64)],
+    2: [(0.00015334274189585621, 2.1769183645199795e-06, 2048), (0.006381360077604267, 0.0003880698541326602, 64)],
+}
+
+
+@pytest.mark.parametrize("strata", sorted(PINNED_FOURTH_POWER_NORMS))
+def test_fourth_power_norms_are_pinned_to_their_floats(strata):
+    norms = _fourth_power_norms(gilbert_kernel(0.2), UNIT_SQUARE, Integrator(samples=64, seed=11, strata=strata))
+    assert [(e.value, e.se, e.n) for e in norms] == PINNED_FOURTH_POWER_NORMS[strata]
