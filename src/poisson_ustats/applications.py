@@ -353,12 +353,33 @@ def line_intersection_kernel(window: LineWindow, region_radius: Optional[float] 
     * T_1 = 4 int (int f dtheta)^2 dtheta = 64 pi R^3 / 3: the lines meeting
       a chord of length l have measure 2 l, so int f(L, .) dtheta = l(L) =
       2 sqrt(R^2 - p^2).
+
+    The test is exact in floats only while its squares are normal floats:
+    the left side reaches (|p1| + |p2|)^2 <= 4 R^2, the right side r^2.
+    Both radii must lie in [sqrt(tiny), sqrt(max) / 2], about
+    [1.49e-154, 6.7e153] (tiny and max the smallest normal and the largest
+    float64).  Above it the squares overflow and the count rests on inf and
+    NaN comparisons; below it they underflow to 0 and every non-parallel
+    pair counts.  Such a kernel is built, so a window can still be sampled,
+    but raises ConfigError when it is evaluated; the radii are checked once
+    here, not per call.
     """
     if not isinstance(window, LineWindow):
         raise ConfigError("line intersections need a line window")
     radius = window.radius if region_radius is None else float(region_radius)
     if not radius > 0:
         raise ConfigError(f"region radius must be positive, got {radius}")
+    floats = np.finfo(float)
+    lo, hi = math.sqrt(floats.tiny), math.sqrt(floats.max) / 2.0
+    if not lo <= min(window.radius, radius) <= max(window.radius, radius) <= hi:
+
+        def refused(tuples: np.ndarray) -> np.ndarray:
+            raise ConfigError(
+                f"line intersections need window and region radii in [{lo:.3g}, {hi:.3g}], where the squares "
+                f"of the crossing test are normal floats; got {window.radius:g} and {radius:g}"
+            )
+
+        return UStatKernel(order=2, fn=refused, name="line-intersections")
     r_sq = radius * radius
 
     def fn(tuples: np.ndarray) -> np.ndarray:

@@ -348,6 +348,29 @@ def test_line_intersection_kernel_counts():
     assert evaluate(kern, far) == 0.0
 
 
+@pytest.mark.parametrize("radius, region", [(1e200, None), (1e-200, None), (1.0, 1e-200), (1.0, 1e200), (1e100, 1e155)])
+def test_line_intersection_kernel_refuses_radii_whose_squares_leave_the_normal_floats(radius, region):
+    # at 1e200 the squares overflow and the count rested on inf/NaN
+    # comparisons; at 1e-200 they underflow to 0 and every non-parallel pair
+    # counted.  The kernel is still built (a window samples), and refuses
+    # only when it is evaluated
+    kern = line_intersection_kernel(LineWindow(radius), region)
+    pairs = LineWindow(radius).sample(spawn_rng(2, "huge"), 8).reshape(4, 2, 2)
+    with pytest.raises(ConfigError, match=r"radii in \[1\.49e-154, 6\.7e\+153\]"):
+        kern(pairs)
+
+
+@pytest.mark.parametrize("radius", [1e-150, 1.0, 2.5, 1e100])
+def test_line_intersection_kernel_counts_half_the_pairs_at_any_normal_scale(radius):
+    # the crossing of two uniform lines lies in their disk with probability
+    # 1/2 at every radius (int f dtheta^2 = pi^2 R^2 over theta^2 = (2 pi R)^2
+    # pairs, times 2 for the 1/2 per pair); 1e-150 and 1e100 keep their
+    # squares normal, so they count as radius 1 does
+    pairs = LineWindow(radius).sample(spawn_rng(2, "scale"), 400_000).reshape(-1, 2, 2)
+    share = 2.0 * float(np.mean(line_intersection_kernel(LineWindow(radius))(pairs)))
+    assert share == pytest.approx(0.5, abs=0.005)
+
+
 def _oracle_line_values(pairs, r_sq):
     """The scalar solver's kernel values, 0.5 * 1{|pt|^2 <= r^2}, and |pt|^2
     (inf for a parallel pair)."""

@@ -991,12 +991,19 @@ def test_cli_refuses_a_window_whose_measure_overflows_the_integrals(tmp_path, ca
 
 
 def test_cli_samples_and_evaluates_on_a_window_too_large_to_integrate(tmp_path, capsys):
+    # the window samples; the kernel's crossing test would square offsets
+    # near 1e200, so eval refuses it instead of counting by NaN comparisons
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({**HUGE_DISK, "window": {"shape": "line-disk", "radius": 1e200}, "lambdas": [1e-200]}))
     assert main(["sample", "--config", str(cfg_path)]) == 0
     assert capsys.readouterr().out.startswith("phi,p\n")
-    assert main(["eval", "--config", str(cfg_path)]) == 0
-    assert capsys.readouterr().out.startswith("lambda=1e-200 points=")
+    assert main(["eval", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: line intersections need window and region radii in [1.49e-154, 6.7e+153], where the squares "
+        "of the crossing test are normal floats; got 1e+200 and 1e+200\n"
+    )
 
 
 @pytest.mark.parametrize(
