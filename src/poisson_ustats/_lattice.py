@@ -45,30 +45,48 @@ def lattice_shape(count: int) -> tuple:
     return 1 << m, count >> m
 
 
-def _rule(lo: int, hi: int, z: np.ndarray, size: int) -> np.ndarray:
-    """Points lo..hi-1 of the unshifted 2^m-point rule, exact in float64."""
-    return (np.multiply.outer(np.arange(lo, hi, dtype=np.int64), z) & (size - 1)) * (1.0 / size)
+def _rule(lo: int, hi: int, z: np.ndarray, size: int, out=None, index=None) -> np.ndarray:
+    """Points lo..hi-1 of the unshifted 2^m-point rule, exact in float64,
+    into ``out`` (hi - lo, len(z)) through the int64 scratch ``index`` of
+    that shape when they are given."""
+    index = np.multiply.outer(np.arange(lo, hi, dtype=np.int64), z, out=index)
+    index &= size - 1
+    return np.multiply(index, 1.0 / size, out=out)
 
 
-def lattice_chunks(rng: np.random.Generator, count: int, dims: int, chunk: int):
+def lattice_chunks(rng: np.random.Generator, count: int, dims: int, chunk: int, reuse: bool = False):
     """Yield the unit-cube draws (rows, dims) of a family in draw order, at
     most ``chunk`` rows at a time: whole shifts of one rule built once when
-    2^m <= chunk, else runs of one shift.  The generator keeps no reference
-    to a chunk it has yielded, so the caller can free it."""
+    2^m <= chunk, else runs of one shift.  Each chunk is built in place
+    (shift added into it, wrapped into [0, 1), padding axes drawn into a
+    scratch row block and copied in) in a buffer of the largest chunk's
+    size: a fresh one per chunk, which the caller may keep or free, or
+    with ``reuse`` one buffer that every chunk overwrites, so the caller
+    must be done with a chunk before it asks for the next."""
     size, shifts = lattice_shape(count)
     axes = min(dims, len(GENERATOR))
     z = np.array(GENERATOR[:axes], dtype=np.int64)
     shift = rng.random((shifts, axes))
     rule = _rule(0, size, z, size) if size <= chunk else None
     per = chunk // size if rule is not None else 1  # shifts per chunk
+    rows = min(per, shifts) * size if rule is not None else chunk  # the largest chunk
+    pad = np.empty((rows, dims - axes)) if axes < dims else None
+    index = np.empty((rows, axes), dtype=np.int64) if rule is None else None
+    buf = np.empty((rows, dims)) if reuse else None
 
     def draws(s: int, lo: int) -> np.ndarray:
+        n = min(chunk, size - lo) if rule is None else min(per, shifts - s) * size
+        u = np.empty((n, dims)) if buf is None else buf[:n]
+        head = u[:, :axes]
         if rule is None:
-            u = _rule(lo, min(lo + chunk, size), z, size) + shift[s]
+            _rule(lo, lo + n, z, size, head, index[:n])
+            head += shift[s]
         else:
-            u = (rule + shift[s : s + per, None]).reshape(-1, axes)
-        u -= u >= 1.0
-        return u if axes == dims else np.concatenate([u, rng.random((len(u), dims - axes))], axis=1)
+            np.add(rule, shift[s : s + n // size, None], out=u.reshape(-1, size, dims)[..., :axes])
+        head -= head >= 1.0
+        if pad is not None:
+            u[:, axes:] = rng.random(out=pad[:n])
+        return u
 
     for s in range(0, shifts, per):
         for lo in range(0, size, chunk) if rule is None else (0,):

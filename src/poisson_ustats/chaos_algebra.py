@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import CapacityError, ConfigError
 from .point_process import IntensityModel, PointConfiguration, Window
-from .ustat_core import Estimate, Integrator, UStatKernel, _product_integral, combine_se
+from .ustat_core import Estimate, Integrator, UStatKernel, _product_integral, _refuse_overflowing_window, combine_se
 
 __all__ = [
     "CellGrid",
@@ -491,7 +491,9 @@ def _m_orbit_integrals(kernel: UStatKernel, window: Window, integrator: Integrat
 
     Before any draw the guard counts ``samples`` times the pilots and the
     budget, every draw the record makes when a pilot shows spread, and
-    raises CapacityError when that exceeds MAX_DIAGRAM_DRAWS.
+    raises CapacityError when that exceeds MAX_DIAGRAM_DRAWS; then
+    ConfigError refuses a window whose measure overflows the orbit
+    integral of most variables, M_11's 4k - 3.
     """
     k = kernel.order
     if not kernel.symmetric:
@@ -510,6 +512,7 @@ def _m_orbit_integrals(kernel: UStatKernel, window: Window, integrator: Integrat
     draws = integrator.samples * (sum(map(len, plan.values())) + budget)
     if draws > MAX_DIAGRAM_DRAWS:
         raise CapacityError(f"the orbit integrals of the order-{k} M_ij take {draws:,} draws, above the guard of {MAX_DIAGRAM_DRAWS:,}")
+    _refuse_overflowing_window(window, k, max(v for orbits in plan.values() for _, v, _, _ in orbits))
 
     def absolute(tuples: np.ndarray) -> np.ndarray:
         return np.abs(kernel(tuples))

@@ -45,8 +45,8 @@ from .errors import (
     LocalityError,
     _as_config_error,
 )
-from .point_process import IntensityModel, LineWindow, Window, sample_points, unit_ball_volume, window_measure
-from .ustat_core import NESTED_INNER, NESTED_REPEAT, Estimate, Integrator, UStatKernel, _product_integral, assemble_variance, variance, variance_terms
+from .point_process import IntensityModel, LineWindow, Window, sample_points, unit_ball_volume
+from .ustat_core import NESTED_INNER, NESTED_REPEAT, Estimate, Integrator, UStatKernel, _product_integral, _refuse_overflowing_window, assemble_variance, variance, variance_terms
 
 __all__ = [
     "MTerm",
@@ -329,18 +329,9 @@ def estimate_ingredients(kernel: UStatKernel, window: Window, integrator: Integr
     rows = _ingredient_rows(kernel.order, integrator.samples, mode == "local")
     if rows > MAX_INGREDIENT_ROWS:
         raise CapacityError(f"the order-{kernel.order} variance terms and norms take up to {rows:,} kernel rows, above the guard of {MAX_INGREDIENT_ROWS:,}")
-    # an integral over n variables scales its values by theta(W)^n, and its
-    # standard error squares them.  The most variables are T_1's 2k - 1, or
-    # 4k - 3 for the norms and M_11 (whose one connected diagram is one block)
-    variables = 2 * kernel.order - 1 if mode is None else 4 * kernel.order - 3
-    theta = window_measure(window)
-    try:
-        theta ** (2 * variables)
-    except OverflowError:
-        raise ConfigError(
-            f"window {window} is too large: its measure {theta:g} to the power {2 * variables} overflows, "
-            f"the square of an order-{kernel.order} integral over {variables} of its variables"
-        ) from None
+    # the most variables are T_1's 2k - 1, or 4k - 3 for the norms and M_11
+    # (whose one connected diagram is one block)
+    _refuse_overflowing_window(window, kernel.order, 2 * kernel.order - 1 if mode is None else 4 * kernel.order - 3)
     # the M_ij record goes first: its guard refuses an over-budget record before any draw
     m = _m_orbit_integrals(kernel, window, integrator) if mode in ("general", "geometric") else ()
     mean, terms = variance_terms(kernel, window, integrator, with_mean=True)

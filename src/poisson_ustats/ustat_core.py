@@ -261,7 +261,7 @@ class Integrator:
         if self.strata <= 1:
             # a chunk holds at most CHUNK_DRAWS draws and 8 * CHUNK_DRAWS unit variates
             chunk = max(1, min(CHUNK_DRAWS, 8 * CHUNK_DRAWS // (axes + extra)))
-            chunks = lattice_chunks(rng, self.samples * repeat, axes + extra, chunk)
+            chunks = lattice_chunks(rng, self.samples * repeat, axes + extra, chunk, reuse=True)
             # the estimator and its groups of consecutive draws: the shifts, or the strata of every batch
             estimate, groups = _shift_estimate, lattice_shape(self.samples * repeat)[1]
         else:
@@ -269,14 +269,20 @@ class Integrator:
             chunks = (_unit_variates(rng, min(per_chunk, repeat - start), self.samples, axes, self.strata) for start in range(0, repeat, per_chunk))
             estimate, groups = _mean_estimate, self.strata**axes * repeat
         parts = []
+        scratch = _Scratch()
         for u in chunks:
             pts, weights = _unit_points(window, u[..., :axes].reshape(-1, arity, dim), radius)
-            # only the inner batches' variates outlive the mapping
-            variates, u = (u[:, axes:] if extra else None), None
+            variates = u[:, axes:] if extra else None
 
-            def values(rows) -> np.ndarray:
-                # the selected rows in calls of at most CHUNK_DRAWS, at least one
-                tuples, more = pts[rows], (None if variates is None else variates[rows])
+            def values(live) -> np.ndarray:
+                # the live rows (None: every row) in calls of at most CHUNK_DRAWS, at
+                # least one; the concatenation copies the values out of any view of
+                # the buffers that the next chunk overwrites
+                tuples, more = pts, variates
+                if live is not None:
+                    tuples = np.take(pts, live, axis=0, out=scratch("tuples", (len(live), *pts.shape[1:])), mode="clip")
+                    if more is not None:
+                        more = np.take(more, live, axis=0, out=scratch("variates", (len(live), more.shape[1])), mode="clip")
                 calls = range(0, max(1, len(tuples)), CHUNK_DRAWS)
                 return np.concatenate([np.asarray(fn(tuples[s : s + CHUNK_DRAWS], None if more is None else more[s : s + CHUNK_DRAWS]), dtype=float) for s in calls], axis=-1)
 
@@ -320,17 +326,35 @@ def _mean_estimate(vals: np.ndarray, scale: float, groups: int) -> Estimate:
 
 def _weighted_values(values, weights) -> np.ndarray:
     """The integrand times the draw weights, one value per row on the last
-    axis, where ``values(rows)`` evaluates the integrand on the selected rows:
-    every row for theta-uniform draws (weights None), else only the rows of
-    positive weight, so it is never called where a zero weight would void
-    its value."""
+    axis, where ``values(live)`` evaluates the integrand on the rows of the
+    index array ``live``: every row for theta-uniform draws (weights None,
+    ``live`` None), else only the rows of positive weight, so it is never
+    called where a zero weight would void its value."""
     if weights is None:
-        return np.asarray(values(slice(None)), dtype=float)
-    keep = weights > 0
-    kept = np.asarray(values(keep), dtype=float) * weights[keep]
+        return np.asarray(values(None), dtype=float)
+    live = np.flatnonzero(weights > 0)
+    kept = np.asarray(values(live), dtype=float) * np.take(weights, live)
     vals = np.zeros(kept.shape[:-1] + weights.shape)
-    vals[..., keep] = kept
+    vals[..., live] = kept
     return vals
+
+
+class _Scratch:
+    """Float buffers that the chunks of one integral reuse, one per name,
+    each as large as the largest request for it so far.  A request returns
+    a C-contiguous view whose contents the next request of that name
+    overwrites, so whatever is computed from it, kernel values included
+    (a kernel may return a view of its tuples), is used up before then."""
+
+    def __init__(self):
+        self._held = {}
+
+    def __call__(self, name: str, shape) -> np.ndarray:
+        size = math.prod(shape)
+        held = self._held.get(name)
+        if held is None or len(held) < size:
+            held = self._held[name] = np.empty(size)
+        return held[:size].reshape(shape)
 
 
 def _ball_points(window: Window, u: np.ndarray, radius: float, anchors) -> tuple:
@@ -394,6 +418,22 @@ def _local_radius(window: Window, locality: Optional[float]) -> Optional[float]:
     return radius if radius < (window_measure(window) / unit_ball_volume(dim)) ** (1.0 / dim) else None
 
 
+def _refuse_overflowing_window(window: Window, order: int, variables: int) -> None:
+    """ConfigError for a window whose measure theta(W) overflows an
+    order-``order`` integral over ``variables`` of its variables: the
+    integral scales its values by theta^variables, and its standard error
+    squares them.  Called before any draw by the estimators that hold most
+    variables (clt_bounds.estimate_ingredients, chaos_algebra._m_orbit_integrals)."""
+    theta = window_measure(window)
+    try:
+        theta ** (2 * variables)
+    except OverflowError:
+        raise ConfigError(
+            f"window {window} is too large: its measure {theta:g} to the power {2 * variables} overflows, "
+            f"the square of an order-{order} integral over {variables} of its variables"
+        ) from None
+
+
 def _elementary_mean(v: np.ndarray, r: int) -> np.ndarray:
     """e_r(v_1..v_M) / C(M, r) over the last axis, the mean of the products
     over all r-subsets, by the recurrence e_j += v_m e_(j-1) over m, which
@@ -430,37 +470,36 @@ def _spread(x: np.ndarray) -> np.ndarray:
     return np.where(x.max(axis=-1) == x.min(axis=-1), 0.0, x.var(axis=-1))
 
 
-def _inner_values(fn, order: int, window: Window, y: np.ndarray, variates, radius: Optional[float]) -> np.ndarray:
+def _inner_values(fn, order: int, window: Window, y: np.ndarray, variates, radius: Optional[float], scratch=None) -> np.ndarray:
     """theta^r fn(y_j, x) times the draw weight, shape (len(y), M):
     ``variates()`` gives the unit variates (len(y), M, r * dim) of the inner
-    batches, mapped by _unit_points around each row's y_j[0] (a ball
-    ``radius`` or None); only this function holds them, so it frees them
-    once the tuples are built."""
+    batches, mapped in place by _unit_points around each row's y_j[0] (a
+    ball ``radius`` or None).  The tuples are built in the "inner" buffer
+    of the _Scratch ``scratch`` (a fresh one if None): every row for
+    theta-uniform draws, else only the live rows, each gathered by np.take
+    of its y row and of its drawn points, so y must not live in that
+    buffer."""
     m, shared, dim = y.shape
     r = order - shared
+    scratch = _Scratch() if scratch is None else scratch
     xs = variates()
     xs, weights = _unit_points(window, xs.reshape(*xs.shape[:2], r, dim), radius, y[:, None, :1])
     per = xs.shape[1]
     theta_r = window_measure(window) ** r
 
-    def tuples(rows) -> np.ndarray:
-        # row t of the batch joins y[t // per]; only the selected rows are
-        # built, and the drawn points go once copied
-        nonlocal xs
-        own, xs = xs, None
-        if weights is None:
-            out = np.empty((m * per, order, dim))
-            out[:, :shared].reshape(m, per, shared, dim)[...] = y[:, None]
-            out[:, shared:].reshape(m, per, r, dim)[...] = own
-            return out
-        rows = rows.reshape(m, per)
-        own = own[rows]
-        out = np.empty((len(own), order, dim))
-        out[:, :shared] = np.repeat(y, rows.sum(axis=1), axis=0)
-        out[:, shared:] = own
+    def tuples(live) -> np.ndarray:
+        # row t of the batch joins y[t // per]
+        if live is None:
+            out = scratch("inner", (m, per, order, dim))
+            out[:, :, :shared] = y[:, None]
+            out[:, :, shared:] = xs
+            return out.reshape(m * per, order, dim)
+        out = scratch("inner", (len(live), order, dim))
+        out[:, :shared] = np.take(y, live // per, axis=0)
+        out[:, shared:] = np.take(xs.reshape(m * per, r, dim), live, axis=0)
         return out
 
-    return _weighted_values(lambda rows: theta_r * fn(tuples(rows)), None if weights is None else weights.reshape(-1)).reshape(m, per)
+    return _weighted_values(lambda live: theta_r * fn(tuples(live)), None if weights is None else weights.reshape(-1)).reshape(m, per)
 
 
 def _pilot_batch_size(fn, order: int, window: Window, integrator: Integrator, q: int, plan, path, radius) -> int:
@@ -501,10 +540,11 @@ def _pilot_batch_size(fn, order: int, window: Window, integrator: Integrator, q:
     # per row mu^2, s and U_16; rows of zero weight keep 0 and draw no inner batch
     m, s, u = np.zeros(n), np.zeros(n), np.zeros(n)
     live = np.flatnonzero(w)
+    scratch = _Scratch()
     for start in range(0, len(live), CHUNK_DRAWS):
         rows = live[start : start + CHUNK_DRAWS]
-        y = ys[rows][:, sl]
-        v = _inner_values(fn, order, window, y, lambda: _unit_variates(rng, len(y), NESTED_INNER, r * dim, 1), radius)
+        y = np.take(np.take(ys, rows, axis=0), sl, axis=1)
+        v = _inner_values(fn, order, window, y, lambda: _unit_variates(rng, len(y), NESTED_INNER, r * dim, 1), radius, scratch)
         m[rows], s[rows], u[rows] = v.mean(axis=1) ** 2, _spread(v), _elementary_mean(v, c)
 
     def within(M: int, independent: bool) -> float:
@@ -570,6 +610,11 @@ def _product_integral(fn, order: int, window: Window, integrator: Integrator, q:
     lattice = integrator.strata <= 1
     streams = [integrator.rng(*path, g) if r and not lattice else None for g, (_, _, r) in enumerate(plan, start=1)]
     dim = window.point_dim
+    scratch = _Scratch()
+
+    def slots(ys: np.ndarray, sl) -> np.ndarray:
+        # the slot list's columns of the rows ys, gathered into the "slots" buffer
+        return np.take(ys, sl, axis=1, out=scratch("slots", (len(ys), len(sl), dim)), mode="clip")
 
     def integrand(ys: np.ndarray, variates) -> np.ndarray:
         out = np.ones(len(ys))
@@ -577,32 +622,39 @@ def _product_integral(fn, order: int, window: Window, integrator: Integrator, q:
         for g, ((sl, c, r), rng) in enumerate(zip(plan, streams)):
             keep = first_mean and g == 0
             if r == 0:
-                # != 0, not > 0: a product of signed kernel values can be negative;
-                # the slice when every row is live is a view, so nothing is gathered
-                rows = slice(None) if out.all() else np.flatnonzero(out)
-                part = out[rows]
-                means = fn(ys[rows][:, sl]) if len(part) else part
+                # != 0, not > 0: a product of signed kernel values can be negative
+                live = None if out.all() else np.flatnonzero(out)
+                part = out if live is None else np.take(out, live)
+                if len(part):
+                    rows = ys if live is None else np.take(ys, live, axis=0, out=scratch("live", (len(live), q, dim)), mode="clip")
+                    means = fn(slots(rows, sl))
+                else:
+                    means = part
                 for _ in range(c):
                     part = part * means
-                out[rows] = part
+                if live is None:
+                    out = part
+                else:
+                    np.put(out, live, part)
             else:
-                y = ys[:, sl]
+                y = slots(ys, sl)
                 if lattice:
                     # one batch for the c copies; batch j of row t: the variates' (t, j) block
                     block = variates[:, at : at + size * r * dim].reshape(len(y), size, r * dim)
                     at += size * r * dim
-                    v = _inner_values(fn, order, window, y, lambda: block, radius)
+                    v = _inner_values(fn, order, window, y, lambda: block, radius, scratch)
                     out *= _elementary_mean(v, c)
                     means = v.mean(axis=1) if keep else None
                 else:
                     # c batches, stratified only when their M draws fill the L^(r*d) strata
                     level = integrator.strata if size >= integrator.strata ** (r * dim) else 1
-                    batches = [_inner_values(fn, order, window, y, lambda: _unit_variates(rng, len(y), size, r * dim, level), radius).mean(axis=1) for _ in range(c)]
+                    batches = [_inner_values(fn, order, window, y, lambda: _unit_variates(rng, len(y), size, r * dim, level), radius, scratch).mean(axis=1) for _ in range(c)]
                     for batch in batches:
                         out *= batch
                     means = sum(batches) / c if keep else None
             if keep:
-                first = means
+                # a copy: a kernel may return a view of the "slots" buffer
+                first = np.array(means, dtype=float)
         return np.stack([out, first]) if first_mean else out
 
     extra = size * sum(r for _, _, r in plan) * dim if lattice else 0

@@ -32,12 +32,13 @@ from poisson_ustats import (
     is_connected,
     line_intersection_kernel,
     m_ij,
+    pairwise_distance_kernel,
     product_expectation,
     sample_points,
     wiener_ito,
     wiener_ito_counts,
 )
-from poisson_ustats import chaos_algebra
+from poisson_ustats import chaos_algebra, ustat_core
 from poisson_ustats._lattice import lattice_shape
 from poisson_ustats._streams import spawn_rng
 from poisson_ustats.chaos_algebra import _assemble_m, _block_type_orbits, _m_orbit_integrals, _orbit_slots
@@ -835,3 +836,22 @@ def test_orbit_integrals_are_pinned_to_their_floats(case):
     kern = line_intersection_kernel(window) if case == "line-intersections" else convex_position_kernel(3)
     record = _m_orbit_integrals(kern, window, Integrator(samples=64, seed=11))
     assert [(i, j, [(v, (e.value, e.se, e.n)) for v, e in orbits]) for i, j, orbits in record] == pinned
+
+
+@pytest.mark.parametrize("window", [BoxWindow(((0.0, 1e100), (0.0, 1e100))), LineWindow(1e200)])
+def test_m_ij_refuses_a_window_whose_measure_overflows_before_any_draw(monkeypatch, window):
+    # the orbit integrals scale by theta(W)^v: their pilots printed
+    # RuntimeWarnings, then theta^arity raised a bare OverflowError; now the
+    # refusal of estimate_ingredients comes first, for M_11's 4k - 3 = 5
+    # variables
+    draws = []
+    monkeypatch.setattr(ustat_core, "lattice_chunks", lambda *args, **kwargs: draws.append(args) or iter(()))
+    kern = line_intersection_kernel(window) if isinstance(window, LineWindow) else pairwise_distance_kernel()
+    theta = window.measure()
+    with pytest.raises(ConfigError) as err:
+        m_ij(kern, 1, 1, IntensityModel(1e-200, window), Integrator(samples=64))
+    assert str(err.value) == (
+        f"window {window} is too large: its measure {theta:g} to the power 10 "
+        "overflows, the square of an order-2 integral over 5 of its variables"
+    )
+    assert draws == []

@@ -50,8 +50,8 @@ from poisson_ustats import (
 )
 from poisson_ustats._lattice import lattice_chunks, lattice_shape
 from poisson_ustats._streams import spawn_rng
-from poisson_ustats.clt_bounds import _fourth_power_norms
-from poisson_ustats import ustat_core
+from poisson_ustats.clt_bounds import _fourth_power_norms, estimate_ingredients
+from poisson_ustats import chaos_algebra, ustat_core
 from poisson_ustats.ustat_core import (
     CHUNK_DRAWS,
     NESTED_INNER,
@@ -633,6 +633,59 @@ def test_variance_terms_are_pinned_to_their_floats(case):
     assert variance_terms(kern, UNIT_SQUARE, integ) == terms
     # the mean has T_1's outer points
     assert mean.n == terms[0].n
+
+
+def _viewing(kern: UStatKernel) -> UStatKernel:
+    """kern, but writing each value into its tuple's first coordinate, in
+    place, and returning that column: a view of its input."""
+
+    def fn(t):
+        t[:, 0, 0] = kern.fn(t)
+        return t[:, 0, 0]
+
+    return UStatKernel(kern.order, fn, kern.name, locality=kern.locality)
+
+
+def _floats(result):
+    """Every (value, se, n) of an estimate or of a nested structure of them."""
+    if isinstance(result, Estimate):
+        return [(result.value, result.se, result.n)]
+    if isinstance(result, (tuple, list)):
+        return [x for part in result for x in _floats(part)]
+    if hasattr(result, "terms"):  # Ingredients
+        return _floats((result.mean, result.terms, result.norms, result.m))
+    return [result]
+
+
+LINES = LineWindow(1.0)
+LINE_KERNEL = line_intersection_kernel(LINES)
+GILBERT = gilbert_kernel(0.2)
+# an order-1 kernel on two slot lists: the first list's values are kept
+# for the mean while the second list's tuples are gathered
+DECAY = UStatKernel(1, lambda t: np.exp(-np.abs(t).sum(axis=(1, 2))))
+VIEW_CASES = {
+    "orbit record": (LINE_KERNEL, lambda kern, integ: chaos_algebra._m_orbit_integrals(kern, LINES, integ)),
+    "lines nested T_1": (LINE_KERNEL, lambda kern, integ: _variance_term(kern, LINES, integ, 1, first_mean=True)),
+    "lines pilot": (LINE_KERNEL, lambda kern, integ: _pilot_batch_size(kern, 2, LINES, integ, 1, [([0], 2, 1)], ("view",), None)),
+    "gilbert local T_1": (GILBERT, lambda kern, integ: _variance_term(kern, UNIT_SQUARE, integ, 1, first_mean=True)),
+    "gilbert local norms": (GILBERT, lambda kern, integ: _fourth_power_norms(kern, UNIT_SQUARE, integ)),
+    "gilbert pilot": (GILBERT, lambda kern, integ: _pilot_batch_size(kern, 2, UNIT_SQUARE, integ, 1, [([0], 4, 1)], ("view",), 0.2)),
+    "gilbert strata-2 record": (GILBERT, lambda kern, integ: estimate_ingredients(kern, UNIT_SQUARE, replace(integ, strata=2), "local")),
+    "first mean of two slot lists": (DECAY, lambda kern, integ: _product_integral(kern, 1, UNIT_SQUARE, integ, 2, [[0], [1]], ("view",), first_mean=True)),
+    "chunked plain integral": (LINE_KERNEL, lambda kern, integ: Integrator(40_000, 3).integrate(kern, LINES, 2)),
+    "chunked local integral": (GILBERT, lambda kern, integ: Integrator(40_000, 3).integrate(kern, UNIT_SQUARE, 2, locality=kern.locality)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VIEW_CASES))
+def test_integrals_use_each_kernel_call_before_its_buffer_is_reused(case):
+    # the integrator gathers tuples into buffers that later chunks, slot
+    # lists and inner batches overwrite; a kernel that returns a view of its
+    # tuples (and writes into them) must give the estimates, float for float,
+    # of the same kernel returning fresh arrays
+    kern, estimate = VIEW_CASES[case]
+    integ = Integrator(samples=64, seed=11)
+    assert _floats(estimate(_viewing(kern), integ)) == _floats(estimate(kern, integ))
 
 
 def test_chaos_kernel_first_order():
