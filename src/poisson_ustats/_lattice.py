@@ -54,15 +54,14 @@ def _rule(lo: int, hi: int, z: np.ndarray, size: int, out=None, index=None) -> n
     return np.multiply(index, 1.0 / size, out=out)
 
 
-def lattice_chunks(rng: np.random.Generator, count: int, dims: int, chunk: int, reuse: bool = False):
+def lattice_chunks(rng: np.random.Generator, count: int, dims: int, chunk: int):
     """Yield the unit-cube draws (rows, dims) of a family in draw order, at
     most ``chunk`` rows at a time: whole shifts of one rule built once when
-    2^m <= chunk, else runs of one shift.  Each chunk is built in place
-    (shift added into it, wrapped into [0, 1), padding axes drawn into a
-    scratch row block and copied in) in a buffer of the largest chunk's
-    size: a fresh one per chunk, which the caller may keep or free, or
-    with ``reuse`` one buffer that every chunk overwrites, so the caller
-    must be done with a chunk before it asks for the next."""
+    2^m <= chunk, else runs of one shift.  Every chunk is built in place in
+    one buffer of the largest chunk's rows (shift added into it, wrapped
+    into [0, 1), padding axes drawn into a scratch block and copied in),
+    which the next chunk overwrites: the caller must be done with a chunk,
+    or copy it, before it asks for the next."""
     size, shifts = lattice_shape(count)
     axes = min(dims, len(GENERATOR))
     z = np.array(GENERATOR[:axes], dtype=np.int64)
@@ -72,11 +71,11 @@ def lattice_chunks(rng: np.random.Generator, count: int, dims: int, chunk: int, 
     rows = min(per, shifts) * size if rule is not None else chunk  # the largest chunk
     pad = np.empty((rows, dims - axes)) if axes < dims else None
     index = np.empty((rows, axes), dtype=np.int64) if rule is None else None
-    buf = np.empty((rows, dims)) if reuse else None
+    buf = np.empty((rows, dims))
 
     def draws(s: int, lo: int) -> np.ndarray:
         n = min(chunk, size - lo) if rule is None else min(per, shifts - s) * size
-        u = np.empty((n, dims)) if buf is None else buf[:n]
+        u = buf[:n]
         head = u[:, :axes]
         if rule is None:
             _rule(lo, lo + n, z, size, head, index[:n])

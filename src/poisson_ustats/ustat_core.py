@@ -192,7 +192,13 @@ class Integrator:
     max(1, CHUNK_DRAWS // samples) batches at a time from its path's one
     stream and calls the integrand on at most CHUNK_DRAWS of their tuples
     at a time.  Neither the drawn tuples nor a nested integral's inner batches
-    grow with ``repeat``.
+    grow with ``repeat``.  Rows move by index only: a lattice family builds
+    every chunk in one buffer (lattice_chunks) and maps it in
+    place, and the rows of positive weight of local draws, a product
+    integral's slot-list columns and its inner-batch tuples are gathered by
+    np.take into buffers that the chunks of the integral reuse (_Scratch).
+    Each chunk's values are copied out before the next chunk overwrites
+    them, so a kernel may return a view of its tuples.
 
     Streams: each ingredient draws on its own path, the variance term T_i
     on ("variance", i, ...), the fourth-power norms and the M_ij orbits on
@@ -261,7 +267,7 @@ class Integrator:
         if self.strata <= 1:
             # a chunk holds at most CHUNK_DRAWS draws and 8 * CHUNK_DRAWS unit variates
             chunk = max(1, min(CHUNK_DRAWS, 8 * CHUNK_DRAWS // (axes + extra)))
-            chunks = lattice_chunks(rng, self.samples * repeat, axes + extra, chunk, reuse=True)
+            chunks = lattice_chunks(rng, self.samples * repeat, axes + extra, chunk)
             # the estimator and its groups of consecutive draws: the shifts, or the strata of every batch
             estimate, groups = _shift_estimate, lattice_shape(self.samples * repeat)[1]
         else:
@@ -470,18 +476,17 @@ def _spread(x: np.ndarray) -> np.ndarray:
     return np.where(x.max(axis=-1) == x.min(axis=-1), 0.0, x.var(axis=-1))
 
 
-def _inner_values(fn, order: int, window: Window, y: np.ndarray, variates, radius: Optional[float], scratch=None) -> np.ndarray:
+def _inner_values(fn, order: int, window: Window, y: np.ndarray, variates, radius: Optional[float], scratch) -> np.ndarray:
     """theta^r fn(y_j, x) times the draw weight, shape (len(y), M):
     ``variates()`` gives the unit variates (len(y), M, r * dim) of the inner
     batches, mapped in place by _unit_points around each row's y_j[0] (a
     ball ``radius`` or None).  The tuples are built in the "inner" buffer
-    of the _Scratch ``scratch`` (a fresh one if None): every row for
+    of the _Scratch ``scratch``: every row for
     theta-uniform draws, else only the live rows, each gathered by np.take
     of its y row and of its drawn points, so y must not live in that
     buffer."""
     m, shared, dim = y.shape
     r = order - shared
-    scratch = _Scratch() if scratch is None else scratch
     xs = variates()
     xs, weights = _unit_points(window, xs.reshape(*xs.shape[:2], r, dim), radius, y[:, None, :1])
     per = xs.shape[1]
@@ -595,6 +600,15 @@ def _product_integral(fn, order: int, window: Window, integrator: Integrator, q:
     product so far is nonzero; the others keep their value, so a kernel
     value that is not finite on such a row is never computed and raises no
     IntegrationError.  Nested factors draw their inner batches for every row.
+
+    Rows are gathered by np.take into buffers of the integral's _Scratch,
+    reused across its chunks: a factor without free variables takes its
+    live rows along axis 0 (the "live" buffer, skipped when every row is
+    live), then every factor takes its slot list along axis 1 (the "slots"
+    buffer), and _inner_values builds the inner-batch tuples in the "inner"
+    buffer.  Each slot list's kernel values are multiplied into the product
+    before the next gather, and the first mean is copied, so a kernel may
+    return a view of its tuples.
     """
     radius = _local_radius(window, locality)
     copies = {}

@@ -48,11 +48,11 @@ def test_a_family_keeps_whole_shifts_of_the_largest_rule(count):
 def test_chunks_by_index_range_give_the_same_draws(count, dims):
     # the shifts come first, then the padding axes in draw order, so any chunk
     # size gives the same draws, none of them with more rows than its chunk
-    whole = np.concatenate(list(lattice_chunks(spawn_rng(5, "family"), count, dims, 10**9)))
+    whole = np.concatenate([u.copy() for u in lattice_chunks(spawn_rng(5, "family"), count, dims, 10**9)])
     for chunk in (1, 7, 1000, CHUNK_DRAWS):
         if count > 2000 * chunk:
             continue
-        parts = list(lattice_chunks(spawn_rng(5, "family"), count, dims, chunk))
+        parts = [u.copy() for u in lattice_chunks(spawn_rng(5, "family"), count, dims, chunk)]
         assert max(map(len, parts)) <= chunk
         np.testing.assert_array_equal(np.concatenate(parts), whole)
     size, shifts = lattice_shape(count)
@@ -88,7 +88,7 @@ def test_a_constant_integrand_has_zero_standard_error():
 def test_the_standard_error_is_the_spread_of_the_shift_means():
     # one-dimensional f(x) = x^2 over 1,200 draws: 18 shifts of 64 points
     est = Integrator(samples=1200, seed=4).integrate(lambda t: t[:, 0, 0] ** 2, BoxWindow(((0.0, 1.0),)), 1, path=("shifts",))
-    u = np.concatenate(list(lattice_chunks(Integrator(seed=4).rng("shifts"), 1200, 1, CHUNK_DRAWS)))[:, 0]
+    u = np.concatenate([u.copy() for u in lattice_chunks(Integrator(seed=4).rng("shifts"), 1200, 1, CHUNK_DRAWS)])[:, 0]
     means = (u**2).reshape(18, 64).mean(axis=1)
     assert est.n == 1152 and est.value == float((u**2).mean())
     assert est.se == pytest.approx(means.std(ddof=1) / math.sqrt(18), rel=1e-12)

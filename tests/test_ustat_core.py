@@ -1096,7 +1096,7 @@ def test_local_draws_call_the_kernel_only_on_positive_weights():
     _, pilot_weights = _unit_points(UNIT_SQUARE, _unit_variates(pilot, 1200, NESTED_INNER, 2, 1).reshape(1200, -1, 1, 2), 0.1, ys[:, None, None])
     size = _chosen_size(mean, 1200)
     count = NESTED_REPEAT * NESTED_INNER * 1200 // size
-    u = np.concatenate(list(lattice_chunks(integ.rng("variance", 1, 0), count, (1 + size) * 2, CHUNK_DRAWS)))
+    u = np.concatenate([u.copy() for u in lattice_chunks(integ.rng("variance", 1, 0), count, (1 + size) * 2, CHUNK_DRAWS)])
     ys = UNIT_SQUARE.from_unit(u[:, :2])
     _, weights = _unit_points(UNIT_SQUARE, u[:, 2:].reshape(len(u), size, 1, 2), 0.1, ys[:, None, None])
     assert size < NESTED_INNER and len(u) == mean.n
@@ -1340,7 +1340,7 @@ def test_the_draw_pipeline_matches_the_retired_draw(dim, monkeypatch):
             rng, again = spawn_rng(level, "inner"), spawn_rng(level, "inner")
             maps.clear()
             at = level if size >= level**dim else 1
-            _inner_values(lambda t: t[:, 0, 0], 2, window, y[:, :1], lambda: _unit_variates(rng, groups, size, dim, at), radius)
+            _inner_values(lambda t: t[:, 0, 0], 2, window, y[:, :1], lambda: _unit_variates(rng, groups, size, dim, at), radius, ustat_core._Scratch())
             _assert_same_draws(maps[0], _retired_draw(window, 1, size, again, groups, strata=level, radius=radius, anchor=y[:, 0]))
 
 
