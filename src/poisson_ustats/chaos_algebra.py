@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import CapacityError, ConfigError
 from .point_process import IntensityModel, PointConfiguration, Window
-from .ustat_core import Estimate, Integrator, UStatKernel, _product_integral, _refuse_overflowing_window, combine_se
+from .ustat_core import Estimate, Integrator, UStatKernel, _lam_polynomial, _product_integral, _refuse_overflowing_window
 
 __all__ = [
     "CellGrid",
@@ -545,15 +545,9 @@ def _m_orbit_integrals(kernel: UStatKernel, window: Window, integrator: Integrat
 
 
 def _assemble_m(k: int, i: int, j: int, orbit_integrals, lam: float) -> Estimate:
-    """M_ij = C(k,i)^2 C(k,j)^2 sum_o lam^(v_o) I_o at lam."""
+    """M_ij = C(k,i)^2 C(k,j)^2 sum_o lam^(v_o) I_o at lam, by ustat_core._lam_polynomial."""
     scale = math.comb(k, i) ** 2 * math.comb(k, j) ** 2
-    try:
-        value = math.fsum(lam**v * est.value for v, est in orbit_integrals)
-    except OverflowError:
-        top = max(v for v, _ in orbit_integrals)
-        raise ConfigError(f"lambda {lam:g} overflows the lambda^{top} of M_{i}{j} (order {k})") from None
-    se = combine_se(*(lam**v * est.se for v, est in orbit_integrals))
-    return Estimate(value, se, min(est.n for _, est in orbit_integrals)).scaled(scale)
+    return _lam_polynomial(orbit_integrals, lam, f"M_{i}{j} (order {k})").scaled(scale)
 
 
 def m_ij(kernel: UStatKernel, i: int, j: int, intensity: IntensityModel, integrator: Integrator) -> Estimate:

@@ -45,8 +45,8 @@ from .errors import (
     LocalityError,
     _as_config_error,
 )
-from .point_process import IntensityModel, LineWindow, Window, sample_points, unit_ball_volume
-from .ustat_core import NESTED_INNER, NESTED_REPEAT, Estimate, Integrator, UStatKernel, _product_integral, _refuse_overflowing_window, assemble_variance, variance, variance_terms
+from .point_process import IntensityModel, LineWindow, Window, _buffer_rows, sample_points, unit_ball_volume
+from .ustat_core import NESTED_INNER, NESTED_REPEAT, Estimate, Integrator, UStatKernel, _lam_polynomial, _product_integral, _refuse_overflowing_window, assemble_variance, variance, variance_terms
 
 __all__ = [
     "MTerm",
@@ -245,7 +245,7 @@ class Ingredients:
 
     def moments(self, lam: float) -> tuple:
         """Formula mean and variance estimate at rate lam."""
-        return lam**self.kernel.order * self.mean.value, assemble_variance(self.terms, lam)
+        return _lam_polynomial([(self.kernel.order, self.mean)], lam, "E F").value, assemble_variance(self.terms, lam)
 
     def report(self, lam: float, c_k: Optional[float] = None) -> BoundReport:
         """Bound at lam (lam >= 1 in the rate forms); c_k (local mode) defaults to default_local_constant(k)."""
@@ -253,7 +253,7 @@ class Ingredients:
             raise ConfigError("these ingredients carry no bound")
         lam = float(lam)
         k = self.kernel.order
-        var = self.moments(lam)[1]
+        var = assemble_variance(self.terms, lam)
         # the geometric mode reads its M~_ij at unit intensity
         at = lam if self.mode == "general" else 1.0
         m = []
@@ -414,6 +414,7 @@ def r_terms_small(chaos_fns: Sequence[SimpleFunction], intensity: IntensityModel
     batches = int(batches)
     if batches < 2 or replicates < 2 * batches:
         raise ConfigError(f"need >= 2 batches and >= 2 replicates per batch, got {replicates} / {batches}")
+    _buffer_rows(intensity.mean_count(), replicates)
     mu = float(intensity.lam) * grid.measures()
     xs = np.empty((replicates, k, k))
     ws = np.empty((replicates, k))
@@ -431,6 +432,10 @@ def r_terms_small(chaos_fns: Sequence[SimpleFunction], intensity: IntensityModel
             for j in range(k):
                 xs[rep, i, j] = float(np.sum(mu * v[i] * v[j]))
     groups = np.array_split(np.arange(replicates), batches)
+
+    def batch_means(per_batch) -> Estimate:
+        return Estimate(float(np.mean(per_batch)), float(np.std(per_batch, ddof=1) / math.sqrt(batches)), replicates)
+
     r_out = [[None] * k for _ in range(k)]
     rt_out = [None] * k
     for i in range(k):
@@ -439,15 +444,6 @@ def r_terms_small(chaos_fns: Sequence[SimpleFunction], intensity: IntensityModel
                 per_batch = np.array([np.var(xs[g, i, j], ddof=1) for g in groups])
             else:
                 per_batch = np.array([np.mean(xs[g, i, j] ** 2) for g in groups])
-            r_out[i][j] = Estimate(
-                float(np.mean(per_batch)),
-                float(np.std(per_batch, ddof=1) / math.sqrt(batches)),
-                replicates,
-            )
-        per_batch = np.array([np.mean(ws[g, i]) for g in groups])
-        rt_out[i] = Estimate(
-            float(np.mean(per_batch)),
-            float(np.std(per_batch, ddof=1) / math.sqrt(batches)),
-            replicates,
-        )
+            r_out[i][j] = batch_means(per_batch)
+        rt_out[i] = batch_means(np.array([np.mean(ws[g, i]) for g in groups]))
     return r_out, rt_out

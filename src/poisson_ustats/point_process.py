@@ -351,6 +351,9 @@ _CHECK_POINTS = 1 << 14
 # rows of one _draw_cells buffer, 200 MB at d = 3: it admits every benchmark workload
 # (128,000 rows at most), demo and test (1.01M rows at most, acceptance criterion 02)
 _DRAW_POINTS = 1 << 23
+# cells (random streams) of one _buffer_rows check: it admits every workload (2,000 replicates), demo and test (20,000
+# at most) and 10^6 streams (0.88 s, 246 MB); it refuses 8M replicates at lambda 1.02 on the unit square, within _DRAW_POINTS
+_DRAW_CELLS = 1 << 20
 
 
 def _check_cells(window: Optional[Window], points: np.ndarray, sizes) -> None:
@@ -394,12 +397,14 @@ def _check_cells(window: Optional[Window], points: np.ndarray, sizes) -> None:
 
 
 def _buffer_rows(mean: float, cells: int) -> int:
-    """Rows of _draw_cells' first buffer for ``cells`` cells of mean count ``mean``, their
-    total mean count plus ten standard deviations; CapacityError from _DRAW_POINTS up."""
+    """Rows of _draw_cells' first buffer for ``cells`` cells of mean count ``mean``, their total
+    mean count plus ten standard deviations; CapacityError from _DRAW_POINTS up, then above _DRAW_CELLS cells."""
     total = mean * cells
     start = total + 10.0 * math.sqrt(total)
     if not start < _DRAW_POINTS:
         raise CapacityError(f"{cells} cell(s) of mean count {mean:.6g} need about {start:.4g} points, above the budget of {_DRAW_POINTS:,}")
+    if cells > _DRAW_CELLS:
+        raise CapacityError(f"{cells} cell(s) need as many random streams, above the budget of {_DRAW_CELLS:,}")
     return int(start) + 1
 
 

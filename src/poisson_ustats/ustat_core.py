@@ -88,7 +88,8 @@ class Estimate:
     copies keep free variables) the outer points of its main pass,
     NESTED_REPEAT * NESTED_INNER * samples / M, each of which drew its own
     inner batches of the pilot's M points (the pilot's draws are not
-    counted).  For M_ij see chaos_algebra._m_orbit_integrals.
+    counted).  For M_ij see chaos_algebra._m_orbit_integrals; a lambda
+    polynomial (_lam_polynomial) takes the fewest ``n`` of its terms.
     """
 
     value: float
@@ -102,21 +103,36 @@ class Estimate:
         return abs(self.value - target) <= nse * self.se
 
     def scaled(self, c: float) -> "Estimate":
-        """The estimate of c times the quantity: value and se times c, same n."""
-        return Estimate(c * self.value, c * self.se, self.n)
+        """The estimate of c times the quantity: value times c, se times |c|, same n."""
+        return Estimate(c * self.value, abs(c) * self.se, self.n)
 
 
 def combine_se(*ses: float) -> float:
-    """sqrt of the sum of squares: plain whenever that is finite, else (the
-    squares overflow) rescaled by the largest term."""
+    """sqrt of the sum of squares: plain unless the squares overflow or underflow,
+    then rescaled by the largest term (so one se combines to its absolute value)."""
     try:
         total = math.sqrt(math.fsum(s * s for s in ses))
     except OverflowError:  # fsum's intermediate overflow
         total = math.inf
     top = max(map(abs, ses), default=0.0)
-    if total == math.inf and top < math.inf:
+    if (total == math.inf or total < top) and top < math.inf:
         return top * math.sqrt(math.fsum((s / top) ** 2 for s in ses))
     return total
+
+
+def _lam_polynomial(terms, lam: float, what: str) -> Estimate:
+    """The estimate of sum_p lam^p E_p from (p, E_p) pairs of lambda-free estimates,
+    the one assembly of every moment, M_ij and operator value at rate lam: value by
+    fsum, se by combine_se, n the fewest of the terms'.  ConfigError naming the top
+    power of ``what`` when a power of lam, or the sum, has no float."""
+    try:
+        parts = [(lam**p * est.value, lam**p * est.se) for p, est in terms]
+        value = math.fsum(v for v, _ in parts)
+    except (OverflowError, ValueError):  # a power past the floats, or inf - inf
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"lambda {lam:g} overflows the lambda^{max(p for p, _ in terms)} of {what}")
+    return Estimate(value, combine_se(*(s for _, s in parts)), min(est.n for _, est in terms))
 
 
 @dataclass(frozen=True)
@@ -978,7 +994,7 @@ def difference(kernel: UStatKernel, config: PointConfiguration, y) -> float:
 def expectation(kernel: UStatKernel, intensity: IntensityModel, integrator: Integrator) -> Estimate:
     """E F = lam^k int f dtheta^k, read off T_1's pass (see variance_terms);
     equals Ingredients.moments' mean bit for bit."""
-    return _variance_term(kernel, intensity.window, integrator, 1, first_mean=True)[1].scaled(float(intensity.lam) ** kernel.order)
+    return _lam_polynomial([(kernel.order, _variance_term(kernel, intensity.window, integrator, 1, first_mean=True)[1])], float(intensity.lam), "E F")
 
 
 def ou_generator(kernel: UStatKernel, config: PointConfiguration, intensity: IntensityModel, integrator: Integrator) -> Estimate:
@@ -1027,24 +1043,13 @@ def ou_inverse(kernel: UStatKernel, config: PointConfiguration, intensity: Inten
     and the term is the exact U-statistic value.
     """
     k = kernel.order
-    lam = float(intensity.lam)
-    mean_est = integrator.integrate(kernel, intensity.window, k, path=("ou-inverse", 0), locality=kernel.locality).scaled(lam**k)
     harmonic = math.fsum(1.0 / m for m in range(1, k + 1))
-    value = harmonic * mean_est.value
-    var = (harmonic * mean_est.se) ** 2
-    n = mean_est.n
+    terms = [(k, integrator.integrate(kernel, intensity.window, k, path=("ou-inverse", 0), locality=kernel.locality).scaled(harmonic))]
     for m in range(1, k):
-        est = integrator.integrate(
-            lambda ys: _ordered_prefix_sums(kernel, config, ys),
-            intensity.window,
-            k - m,
-            path=("ou-inverse", m),
-        )
-        value -= lam ** (k - m) * est.value / m
-        var += (lam ** (k - m) * est.se / m) ** 2
-        n = min(n, est.n)
-    value -= evaluate(kernel, config) / k
-    return Estimate(value, math.sqrt(var), n)
+        est = integrator.integrate(lambda ys: _ordered_prefix_sums(kernel, config, ys), intensity.window, k - m, path=("ou-inverse", m))
+        terms.append((k - m, est.scaled(-1.0 / m)))
+    est = _lam_polynomial(terms, float(intensity.lam), "L^-1 F")
+    return Estimate(est.value - evaluate(kernel, config) / k, est.se, est.n)
 
 
 def chaos_kernel(kernel: UStatKernel, i: int, ys, intensity: IntensityModel, integrator: Integrator) -> Estimate:
@@ -1070,7 +1075,7 @@ def chaos_kernel(kernel: UStatKernel, i: int, ys, intensity: IntensityModel, int
         return kernel(tup)
 
     est = integrator.integrate(fixed_fn, intensity.window, k - i, path=("chaos", i))
-    return est.scaled(math.comb(k, i) * float(intensity.lam) ** (k - i))
+    return _lam_polynomial([(k - i, est)], float(intensity.lam), f"f_{i}").scaled(math.comb(k, i))
 
 
 # ---------------------------------------------------------------------------
@@ -1109,10 +1114,7 @@ def _variance_term(kernel: UStatKernel, window: Window, integrator: Integrator, 
 
 def assemble_variance(terms, lam: float) -> Estimate:
     """Var F = sum_i lam^(2k-i) T_i from the rate-free terms T_1..T_k."""
-    k = len(terms)
-    parts = [lam ** (2 * k - i) * t.value for i, t in enumerate(terms, start=1)]
-    ses = [lam ** (2 * k - i) * t.se for i, t in enumerate(terms, start=1)]
-    return Estimate(math.fsum(parts), combine_se(*ses), max(t.n for t in terms))
+    return _lam_polynomial([(2 * len(terms) - i, t) for i, t in enumerate(terms, start=1)], lam, "Var F")
 
 
 def variance(kernel: UStatKernel, intensity: IntensityModel, integrator: Integrator) -> Estimate:

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -23,8 +24,10 @@ from poisson_ustats import (
     LocalityError,
     LocalTerm,
     MTerm,
+    PointConfiguration,
     SimpleFunction,
     UStatKernel,
+    chaos_kernel,
     chaos_kernels_simple,
     counterexample_kernel,
     default_local_constant,
@@ -35,6 +38,7 @@ from poisson_ustats import (
     local_bound,
     m_ij,
     make_kernel,
+    ou_inverse,
     r_terms_small,
     rate_experiment,
     unit_ball_volume,
@@ -42,7 +46,7 @@ from poisson_ustats import (
     variance_terms,
     wasserstein_bound,
 )
-from poisson_ustats import chaos_algebra
+from poisson_ustats import chaos_algebra, clt_bounds
 from poisson_ustats.chaos_algebra import MAX_INGREDIENT_ROWS, _block_type_orbits
 from poisson_ustats.clt_bounds import _fourth_power_norms, _ingredient_rows, estimate_ingredients
 
@@ -265,10 +269,10 @@ ONE_SHOT_MEAN_CASES = {
 @pytest.mark.parametrize("case", sorted(ONE_SHOT_MEAN_CASES))
 def test_expectation_is_the_record_mean(case):
     # the one-shot reads the same pass as the record: equal with ==, value,
-    # se and n, after the scale lam^k
+    # se and n, after the scale lam^k (at 1e-80 too, where the se's square underflows)
     kern, window, integ = ONE_SHOT_MEAN_CASES[case]
     record = estimate_ingredients(kern, window, integ)
-    for lam in (1.0, 7.0):
+    for lam in (1.0, 7.0, 1e-80):
         scale = lam**kern.order
         assert expectation(kern, IntensityModel(lam, window), integ) == record.mean.scaled(scale)
         assert expectation(kern, IntensityModel(lam, window), integ).value == record.moments(lam)[0]
@@ -323,6 +327,34 @@ def test_a_lambda_power_of_m_ij_that_overflows_is_a_config_error():
         wasserstein_bound(kern, model, integ)
     with pytest.raises(ConfigError, match=r"lambda 1e\+70 overflows the lambda\^5 of M_11"):
         m_ij(kern, 1, 1, model, integ)
+
+
+def _rate_entry_points(lam: float) -> dict:
+    """The public calls that assemble a lambda polynomial at rate lam on the unit square."""
+    kern, model, integ = make_kernel("pairwise-distance"), IntensityModel(lam, UNIT_SQUARE), Integrator(samples=64, seed=2)
+    config = PointConfiguration(np.array([[0.2, 0.3], [0.6, 0.7], [0.4, 0.9]]), window=UNIT_SQUARE)
+    return {
+        "variance": lambda: variance(kern, model, integ),
+        "expectation": lambda: expectation(kern, model, integ),
+        "moments": lambda: estimate_ingredients(kern, UNIT_SQUARE, integ).moments(lam),
+        "geometric_bound": lambda: geometric_bound(kern, model, integ),
+        "local_bound": lambda: local_bound(gilbert_kernel(0.1), model, integ),
+        "wasserstein_bound": lambda: wasserstein_bound(kern, model, integ),
+        "ou_inverse": lambda: ou_inverse(kern, config, model, integ),
+        "chaos_kernel": lambda: chaos_kernel(make_kernel("convex-position-3"), 1, [[0.5, 0.5]], model, integ),
+    }
+
+
+@pytest.mark.parametrize(
+    "lam, name",
+    [(1e200, name) for name in _rate_entry_points(1.0)]
+    # lam^3 has a float at 5.5e102, but lam^3 T_1 of pairwise distance does not
+    + [(5.5e102, "variance")],
+)
+def test_every_lambda_polynomial_refuses_a_rate_past_the_floats(lam, name):
+    # one assembly (ustat_core._lam_polynomial) names the power, never an OverflowError or an inf
+    with pytest.raises(ConfigError, match=rf"lambda {re.escape(f'{lam:g}')} overflows the lambda\^\d+ of"):
+        _rate_entry_points(lam)[name]()
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +506,13 @@ def test_stratified_ingredients_exact_on_cell_kernel():
     record = estimate_ingredients(kern, win, integ)
     assert record.terms == tuple(terms)
     assert record.mean.value == pytest.approx(float(mu @ coeffs @ mu), rel=1e-12)
+    # so the assembled moments are exact at every lambda: Var F = sum_i i! |f_i|^2
+    for lam in (6.0, 15.0, 30.0, 60.0):
+        mean, var = record.moments(lam)
+        im = IntensityModel(lam, win)
+        exact = math.fsum(math.factorial(i) * f_i.norm_sq(im) for i, f_i in enumerate(chaos_kernels_simple(fn, im), start=1))
+        assert var.value == pytest.approx(exact, rel=1e-12)
+        assert mean == pytest.approx(lam**2 * float(mu @ coeffs @ mu), rel=1e-12)
 
 
 def test_local_bound_accepts_a_sharper_constant():
@@ -529,6 +568,18 @@ def test_r_terms_capacity_limits():
     wide = CellGrid.regular((0.0,), (1.0,), (33,))
     with pytest.raises(CapacityError, match="32 cells"):
         r_terms_small([SimpleFunction(wide, np.ones(33))], model, replicates=100)
+
+
+def test_r_terms_refuse_a_replicate_count_before_any_stream(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a stream was derived")
+
+    monkeypatch.setattr(clt_bounds, "_cell_streams", refused)
+    with pytest.raises(CapacityError, match="above the budget of 8,388,608"):
+        r_terms_small([F1], IntensityModel(2.0, WINDOW3), replicates=10**8)
+    # 2M cells of 0.01 points each fit the point budget, not the stream budget
+    with pytest.raises(CapacityError, match="2000000 cell.* random streams, above the budget of 1,048,576"):
+        r_terms_small([F1], IntensityModel(0.01, WINDOW3), replicates=2 * 10**6)
 
 
 def _centered_poisson_moment(mu: float, power: int) -> float:

@@ -1,6 +1,7 @@
 """Every demo script runs to completion against the package sources."""
 
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -43,3 +44,12 @@ def test_readme_commands_run(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for line in commands:
         assert main(shlex.split(line)[1:]) == 0, line
+
+
+def test_readme_python_blocks_run(tmp_path, monkeypatch):
+    # each block runs in a fresh namespace, so drift of the documented API fails here
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert blocks
+    monkeypatch.chdir(tmp_path)
+    for n, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {n}", "exec"), {"__name__": "__main__"})

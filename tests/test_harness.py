@@ -1068,6 +1068,23 @@ def test_replicates_above_the_point_budget_are_refused_before_any_stream(tmp_pat
         run_replicates(flat_config(lambdas=(2.0, 8.0), replicates=100_000_000))
 
 
+def test_replicates_above_the_stream_budget_are_refused_before_any_stream(tmp_path, capsys, monkeypatch):
+    # 8M replicates at lambda 1.02 need 8,188,566 points, within the point
+    # budget, but 8M streams: refused in under a second before any derivation
+    def refused(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(harness, "_cell_streams", refused)
+    monkeypatch.setattr(harness, "estimate_ingredients", refused)
+    config = {"kernel": "pairwise-distance", "lambdas": [1.0, 1.01, 1.02], "replicates": 8_000_000, "integrator": {"samples": 256}}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    start = time.perf_counter()
+    assert main(["experiment", "rate", "--config", str(cfg_path)]) == 4
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == "error: 8000000 cell(s) need as many random streams, above the budget of 1,048,576\n"
+
+
 def test_cli_refuses_a_ball_without_a_finite_measure(tmp_path, capsys):
     # radius^2 of a 2-D ball of radius 1e160 is past the floats: exit 2 with one error line
     cfg_path = tmp_path / "config.json"

@@ -91,6 +91,8 @@ def test_estimate_helpers():
     assert float(est) == 2.0
     assert est.within(2.25)
     assert not est.within(2.5)
+    # a negative scale keeps the se nonnegative, as ou_inverse's terms need
+    assert est.scaled(-2.0) == Estimate(-4.0, 0.2, 10) and est.scaled(-2.0).within(-4.5)
 
 
 def test_kernel_validation():
