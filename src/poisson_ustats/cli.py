@@ -6,7 +6,7 @@ flags override individual fields.  Exit codes: 0 on success, 2 on a
 configuration or usage error (a file that cannot be read or written, or
 does not parse, is one), 3 when a variance degenerates and the normalized
 quantity does not exist, 4 when the work is refused by a capacity guard or a
-Monte Carlo integrand turns non-finite.
+Monte Carlo integrand or a kernel sum turns non-finite.
 """
 
 from __future__ import annotations

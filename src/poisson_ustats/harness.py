@@ -28,10 +28,11 @@ A lambda's buffer is freed before the next lambda draws.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -252,9 +253,9 @@ class ExperimentConfig:
             )
 
 
-@dataclass(frozen=True)
-class ReplicateRecord:
-    """One simulated value with its formula-moment standardization."""
+class ReplicateRecord(NamedTuple):
+    """One simulated value with its formula-moment standardization: a row
+    of the records CSV, its fields in RECORDS_HEADER's column order."""
 
     lam: float
     index: int
@@ -312,10 +313,8 @@ def _simulate(config: ExperimentConfig, ingredients: Ingredients) -> list:
         values = _evaluate_many(ingredients.kernel, points, sizes)
         # the next lambda draws into a buffer of its own: free this one first
         del points
-        records.extend(
-            ReplicateRecord(lam=lam, index=r, value=value, standardized=(value - mean) / sd, seed=token)
-            for r, (value, token) in enumerate(zip(values, tokens))
-        )
+        standardized = ((np.array(values) - mean) / sd).tolist()
+        records.extend(map(ReplicateRecord, itertools.repeat(lam), itertools.count(), values, standardized, tokens))
     return records
 
 
@@ -390,8 +389,7 @@ def _csv_table(payload) -> str:
     if isinstance(payload, RateFitResult):
         rows = zip(payload.lambdas, payload.d_w, payload.d_k, payload.bounds, payload.ratios)
         return _csv_numbers(RATES_HEADER, (float,) * len(RATES_HEADER), rows)
-    rows = ((r.lam, r.index, r.value, r.standardized, r.seed) for r in payload)
-    return _csv_numbers(RECORDS_HEADER, RECORDS_TYPES, rows)
+    return _csv_numbers(RECORDS_HEADER, RECORDS_TYPES, payload)
 
 
 def emit_csv(payload, path) -> None:

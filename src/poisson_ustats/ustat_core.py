@@ -849,7 +849,8 @@ def _evaluate_many(kernel: UStatKernel, points: np.ndarray, sizes, *, exhaustive
     the indices are in range by construction, and "raise" mode would copy
     through a fresh temporary.  A kernel may return a view of its tuples,
     so each call's values are reduced before the next gather overwrites
-    them.
+    them.  A cell whose sum is not finite raises IntegrationError naming
+    its index and point count.
     """
     if not kernel.symmetric:
         raise ConfigError("evaluate needs a symmetric kernel")
@@ -911,7 +912,16 @@ def _evaluate_many(kernel: UStatKernel, points: np.ndarray, sizes, *, exhaustive
                     sums = gather(points, rows.reshape(-1, k)).reshape(len(group), len(idx)).sum(axis=1)
                     for i, v in zip(group, sums.tolist()):
                         parts[i].append(v)
-    return [math.factorial(k) * math.fsum(p) for p in parts]
+    values = []
+    for i, p in enumerate(parts):
+        try:
+            value = math.factorial(k) * math.fsum(p)
+        except (OverflowError, ValueError):  # fsum's partials overflow, or add inf to -inf
+            value = math.nan
+        if not math.isfinite(value):
+            raise IntegrationError(f"non-finite kernel sum on configuration {i} ({sizes[i]} points)")
+        values.append(value)
+    return values
 
 
 def _owner_slice_sums(batches):

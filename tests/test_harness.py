@@ -481,6 +481,24 @@ def test_records_round_trip_and_determinism(tmp_path):
     assert header == "lambda,replicate,value,standardized,seed"
 
 
+def test_records_are_the_rows_of_the_records_csv(tmp_path):
+    # one shape from _simulate to emit_csv and back: a named tuple whose
+    # fields are the CSV's columns in order, each of its column's type
+    assert issubclass(ReplicateRecord, tuple)
+    assert len(ReplicateRecord._fields) == len(harness.RECORDS_HEADER)
+    assert [{"lam": "lambda", "index": "replicate"}.get(f, f) for f in ReplicateRecord._fields] == harness.RECORDS_HEADER
+    records = run_replicates(flat_config(replicates=40))
+    assert all(type(r) is ReplicateRecord for r in records)
+    assert all(tuple(map(type, r)) == harness.RECORDS_TYPES for r in records)
+    # the tokens use all 64 bits, and come back exactly
+    assert max(r.seed for r in records) >= 2**63
+    path = tmp_path / "records.csv"
+    emit_csv(records, path)
+    back = read_records(path)
+    assert back == records and all(type(r) is ReplicateRecord for r in back)
+    assert harness._csv_table(records) == harness._csv_table([tuple(r) for r in records])
+
+
 def test_empty_records_emit_a_header_only_csv(tmp_path):
     path = tmp_path / "empty_records.csv"
     emit_csv([], path)
@@ -739,6 +757,34 @@ def test_cli_bound_report_cycle(tmp_path, capsys):
     assert "report is valid" in capsys.readouterr().out
 
 
+def test_cli_report_prints_the_local_constants(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({**GILBERT_SQUARE, "lambdas": [25], "delta": 0.1, "c_k": 2.5}))
+    report_path = tmp_path / "report.json"
+    assert main(["bound", "--config", str(cfg_path), "--out", str(report_path)]) == 0
+    assert "local report" in capsys.readouterr().out
+    report = BoundReport.from_json(report_path.read_text())
+    assert main(["report", str(report_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "mode: local" in out and f"b(delta): {report.b_delta:.6g}" in out and "c_k: 2.5" in out
+
+
+def test_cli_kernel_flag_replaces_only_the_file_kernel(tmp_path, capsys):
+    # --kernel with --config builds the flag's kernel on the file's window,
+    # lambda and seed: the output of a file that names that kernel itself
+    fields = {"kernel": "pairwise-distance", "window": {"shape": "box", "bounds": [[0.0, 2.0], [0.0, 3.0]]}, "lambdas": [5], "replicates": 20, "seed": 7}
+    file_kernel = tmp_path / "file_kernel.json"
+    file_kernel.write_text(json.dumps(fields))
+    flag_kernel = tmp_path / "flag_kernel.json"
+    flag_kernel.write_text(json.dumps({**fields, "kernel": "convex-position-3"}))
+    outputs = []
+    for argv in (["--config", str(file_kernel), "--kernel", "convex-position-3"], ["--config", str(flag_kernel)], ["--config", str(file_kernel)]):
+        assert main(["eval", *argv]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] != outputs[2]
+    assert outputs[0].startswith("lambda=5 points=")
+
+
 # every kernel the CLI can build: its constants, and the exit code and mode
 # (or error line) of bound, the local mode where the kernel has a locality
 CLI_BOUND_CASES = {
@@ -796,6 +842,18 @@ def test_cli_refused_work_exits_4(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_cmd_variance", non_finite)
     assert main(["variance", "--kernel", "pairwise-distance", "--lambda", "2"]) == 4
     assert capsys.readouterr().err == "error: non-finite integrand value\n"
+
+
+def test_cli_eval_refuses_a_kernel_sum_that_overflows(tmp_path, capsys):
+    # the box has measure 1 but is 1e160 long: pairwise distances near 1e160
+    # sum to inf, which eval refuses like the other verbs refuse their integrands
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"kernel": "pairwise-distance", "window": {"shape": "box", "bounds": [[0, 1e160], [0, 1e-160]]}, "lambdas": [8], "replicates": 200}))
+    with np.errstate(over="ignore"):
+        assert main(["eval", "--config", str(cfg_path)]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("error:") == 1, err
+    assert err.startswith("error: non-finite kernel sum on configuration 0 (") and "Traceback" not in err
 
 
 def test_cli_refuses_an_over_budget_ingredient_plan_before_any_draw(tmp_path, capsys, monkeypatch):

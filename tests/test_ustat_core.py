@@ -113,6 +113,38 @@ def test_evaluate_empty_and_short_configs():
     assert evaluate(kern, PointConfiguration(np.array([[0.3, 0.3]]))) == 0.0
 
 
+def _sum_kernel(values) -> UStatKernel:
+    return UStatKernel(2, values, name="sum-test")
+
+
+def test_evaluate_refuses_a_kernel_sum_past_the_floats():
+    pts = PointConfiguration(np.random.default_rng(0).random((700, 2)))
+    # 244,650 pairs of 1e303: fsum's partials overflow
+    with pytest.raises(IntegrationError, match=r"non-finite kernel sum on configuration 0 \(700 points\)"):
+        evaluate(_sum_kernel(lambda t: np.full(t.shape[0], 1e303)), pts)
+    # 179,700 pairs sum to 1.797e308, which the factor 2! takes to inf
+    with pytest.raises(IntegrationError, match=r"\(600 points\)"):
+        evaluate(_sum_kernel(lambda t: np.full(t.shape[0], 1e303)), PointConfiguration(pts.points[:600]))
+    # 79,800 pairs stay finite
+    assert evaluate(_sum_kernel(lambda t: np.full(t.shape[0], 1e303)), PointConfiguration(pts.points[:400])) == pytest.approx(2.0 * math.comb(400, 2) * 1e303, rel=1e-12)
+
+
+def test_evaluate_refuses_a_kernel_of_opposite_infinities():
+    pts = PointConfiguration(np.random.default_rng(1).random((40, 2)))
+    opposite = _sum_kernel(lambda t: np.where(t[:, :, 0].sum(axis=1) < 1.0, np.inf, -np.inf))
+    with np.errstate(invalid="ignore"), pytest.raises(IntegrationError, match="non-finite kernel sum"):
+        evaluate(opposite, pts)
+    # the batched replicate path refuses the one bad cell by its index
+    cells = np.concatenate([pts.points[:1], pts.points])
+    with np.errstate(invalid="ignore"), pytest.raises(IntegrationError, match=r"configuration 1 \(40 points\)"):
+        ustat_core._evaluate_many(opposite, cells, [1, 40])
+
+
+def test_combine_se_rescales_squares_whose_fsum_overflows():
+    # 1e154^2 = 1e308 is a float, but the sum of two of them is not
+    assert ustat_core.combine_se(1e154, 1e154) == 1e154 * math.sqrt(2.0)
+
+
 def test_evaluate_ordered_pair_sum():
     # three collinear points spaced 1 apart: distances 1, 1, 2 summed over
     # ordered pairs give 8
@@ -604,6 +636,24 @@ def test_variance_term_and_norm_se_is_calibrated(case):
     mean, sd = z.mean(axis=0), z.std(axis=0, ddof=1)
     assert np.all(np.abs(mean) <= 0.2) and np.all((0.8 <= sd) & (sd <= 1.25)), (mean, sd)
     assert (min(sizes) if case == "cell-local-2d" else max(sizes)) < NESTED_INNER
+
+
+def test_nested_local_integral_gathers_the_inner_variates_of_its_live_rows():
+    # T_2 of an order-3 local kernel is a nested integral with local draws
+    # and two shared variables: the only integral that takes the inner-batch
+    # variates of the live rows.  Banded on 8 cells of [0, 1] (distinct cells
+    # spanning at most 2 indices), its exact 2! |f_2|^2 is 1.08958
+    coeffs = np.zeros((8, 8, 8))
+    for c in itertools.permutations(range(8), 3):
+        if max(c) - min(c) <= 2:
+            coeffs[c] = 1.0 + sum(c) / 10.0
+    fn = SimpleFunction(CellGrid.regular((0.0,), (1.0,), (8,)), coeffs)
+    model = IntensityModel(1.0, BoxWindow(((0.0, 1.0),)))
+    exact = 2.0 * chaos_kernels_simple(fn, model)[1].norm_sq(model)
+    kern = fn.as_kernel(locality=3.0 / 8.0)
+    for strata in (1, 2):
+        est = _variance_term(kern, model.window, Integrator(samples=2048, seed=0, strata=strata), 2)
+        assert abs(est.value - exact) <= 4.0 * est.se, (strata, est, exact)
 
 
 # T_1 and T_2 of small fixed-seed configs, pinned float for float: reading
