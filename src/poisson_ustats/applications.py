@@ -443,7 +443,7 @@ def sylvester_estimate(k: int, intensity: IntensityModel, replicates: int, integ
     scaled = np.array(_evaluate_many(kernel, points, sizes)) / lam**k
     p = float(np.mean(scaled))
     p_se = float(np.std(scaled, ddof=1) / math.sqrt(replicates))
-    norm_sq = _lam_polynomial([(2 * k - 1, _variance_term(kernel, win, integrator, 1))], lam, "|f_1|^2")
+    norm_sq = _lam_polynomial([(2 * k - 1, _variance_term(kernel, win, integrator, 1)[0])], lam, "|f_1|^2")
     base = k * k * lam ** (2 * k - 1)
     lower = Estimate(base * p * p, base * 2 * abs(p) * p_se, replicates)
     upper = Estimate(base * p, base * p_se, replicates)

@@ -52,7 +52,6 @@ __all__ = [
     "chaos_kernels_simple",
     "MAX_PARTITION_VARIABLES",
     "MAX_DIAGRAM_DRAWS",
-    "MAX_INGREDIENT_ROWS",
 ]
 
 MAX_PARTITION_VARIABLES = 16
@@ -61,13 +60,6 @@ MAX_PARTITION_VARIABLES = 16
 # diagram; 10^8 admits an order-3 record at 1,024 samples (45.0M) and refuses it
 # from 2,277 samples on, and refuses an order-4 record at 256 samples (4.9e9)
 MAX_DIAGRAM_DRAWS = 10**8
-# the T_i and fourth-power norms of a record call the kernel on at most
-# (1 + NESTED_REPEAT) * NESTED_INNER * samples rows per nested family (its pilot
-# and main pass) and samples rows per top-order one (clt_bounds._ingredient_rows);
-# 10^8 admits an order-2 local record (T_1, T_2 and two norms, 290 rows per
-# sample) up to 344,827 samples and an order-3 moment record up to 346,020, and
-# refuses 2 * 10^9 samples before a pilot allocates its outer draws
-MAX_INGREDIENT_ROWS = 10**8
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,7 +6,9 @@ flags override individual fields.  Exit codes: 0 on success, 2 on a
 configuration or usage error (a file that cannot be read or written, or
 does not parse, is one), 3 when a variance degenerates and the normalized
 quantity does not exist, 4 when the work is refused by a capacity guard or a
-Monte Carlo integrand or a kernel sum turns non-finite.
+Monte Carlo integrand or a kernel sum turns non-finite.  Every verb runs with
+numpy's floating-point warnings off: an overflow or invalid value reaches the
+package's own finiteness checks, which refuse it with one error line.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from __future__ import annotations
 import argparse
 import sys
 from typing import Optional
+
+import numpy as np
 
 from ._files import _csv_numbers, _fmt, _read_text, _write_text
 from .applications import kernel_summaries
@@ -223,7 +227,8 @@ def main(argv: Optional[list] = None) -> int:
         "report": _cmd_report,
     }
     try:
-        return handlers[args.verb](args)
+        with np.errstate(all="ignore"):
+            return handlers[args.verb](args)
     except (ConfigError, WindowError, LocalityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

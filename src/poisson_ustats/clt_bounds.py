@@ -36,7 +36,7 @@ import numpy as np
 from ._streams import _cell_streams
 # enumerate_pi_bar, m_ij and (below) variance are no longer called here; the imports stay
 # because the benchmark's tracing wraps them at these import sites (perfbench/tracing.py SITES)
-from .chaos_algebra import MAX_INGREDIENT_ROWS, SimpleFunction, _assemble_m, _block_type_orbits, _m_orbit_integrals, cell_counts, enumerate_pi_bar, m_ij
+from .chaos_algebra import SimpleFunction, _assemble_m, _block_type_orbits, _m_orbit_integrals, cell_counts, enumerate_pi_bar, m_ij
 from .errors import (
     AssumptionViolationError,
     CapacityError,
@@ -46,7 +46,7 @@ from .errors import (
     _as_config_error,
 )
 from .point_process import IntensityModel, LineWindow, Window, _buffer_rows, sample_points, unit_ball_volume
-from .ustat_core import NESTED_INNER, NESTED_REPEAT, Estimate, Integrator, UStatKernel, _lam_polynomial, _product_integral, _refuse_overflowing_window, assemble_variance, variance, variance_terms
+from .ustat_core import MAX_INGREDIENT_ROWS, NESTED_INNER, NESTED_REPEAT, Estimate, Integrator, UStatKernel, _lam_polynomial, _refuse_overflowing_window, assemble_variance, variance, variance_terms
 
 __all__ = [
     "MTerm",
@@ -203,35 +203,19 @@ def default_local_constant(k: int) -> float:
     return 2.0 * k**3.5 * total
 
 
-def _fourth_power_norms(kernel: UStatKernel, window, integrator: Integrator) -> list:
-    """Estimates of int (f~_i)^4 dtheta^i for i = 1..k at unit intensity.
-
-    The order-i rescaled chaos kernel f~_i(y) = C(k,i) int f(y, x) dtheta^{k-i}
-    enters through its fourth power, for i < k the nested estimate of
-    _product_integral with four copies on one slot list (e_4 of one shared
-    inner batch, or four independent stratified batches under ``strata`` > 1).
-    """
-    k = kernel.order
-    return [
-        _product_integral(
-            kernel, k, window, integrator, i, [range(i)] * 4, ("fourth-power", i),
-            scale=math.comb(k, i) ** 4, locality=kernel.locality,
-        )
-        for i in range(1, k + 1)
-    ]
-
-
 @dataclass(frozen=True)
 class Ingredients:
     """The lambda-free integrals of one (kernel, window, integrator).
 
     E F = lam^k mean and Var F = sum_i lam^(2k-i) terms[i-1]; mean =
     int f dtheta^k is read off the kernel values of T_1's pass
-    (variance_terms), not drawn on its own.
-    A "local" record adds the norms
-    int (f~_i)^4 dtheta^i, a "general" or "geometric" one the triples (i, j,
-    orbit integrals of the lam polynomial M_ij); local and geometric records
-    passed the check that vtilde = T_1 clears three standard errors of zero.
+    (variance_terms), not drawn on its own.  A "local" record adds the
+    norms int (f~_i)^4 dtheta^i of the rescaled chaos kernels
+    f~_i(y) = C(k,i) int f(y, x) dtheta^{k-i}, each read off the draws of
+    T_i's pass (_variance_term), a "general" or "geometric" one the triples
+    (i, j, orbit integrals of the lam polynomial M_ij); local and geometric
+    records passed the check that vtilde = T_1 clears three standard errors
+    of zero.
     """
 
     kernel: UStatKernel
@@ -301,17 +285,19 @@ def _local_mass(lam: float, delta: float, dim: int) -> float:
     return b
 
 
-def _ingredient_rows(k: int, samples: int, norms: bool) -> int:
-    """The most kernel rows of a record's T_1..T_k, and with ``norms`` of its
-    fourth-power norms: each family of index i < k is nested on one slot list
-    (its pilot and main pass), the top-order one plain."""
-    per_family = (k - 1) * (1 + NESTED_REPEAT) * NESTED_INNER * samples + samples
-    return per_family * (2 if norms else 1)
+def _ingredient_rows(k: int, samples: int, local: bool) -> int:
+    """The most kernel rows of a record's T_1..T_k, one family per order, a
+    local kernel's norms included (they are read off the same rows): each
+    family of index i < k is nested on one slot list (its pilot and main
+    pass), the top-order one plain, of NESTED_REPEAT batches for a
+    ``local`` kernel (_variance_term)."""
+    return (k - 1) * (1 + NESTED_REPEAT) * NESTED_INNER * samples + (NESTED_REPEAT if local else 1) * samples
 
 
 def estimate_ingredients(kernel: UStatKernel, window: Window, integrator: Integrator, mode: Optional[str] = None) -> Ingredients:
     """Estimate the lambda-free ingredients, each on its own integrator
-    stream but the mean, which shares T_1's pass (variance_terms).
+    stream but the mean and a local record's norms, which are read off the
+    T_i passes (variance_terms): one pass per order, whatever the mode.
 
     mode None gives the moment integrals only; "general", "local" or
     "geometric" adds what that bound needs (a kernel can fit several).
@@ -326,15 +312,20 @@ def estimate_ingredients(kernel: UStatKernel, window: Window, integrator: Integr
             raise ConfigError("local bounds need a spatial window")
     elif mode not in (None, "general", "geometric"):
         raise ConfigError(f"unknown mode {mode!r}")
-    rows = _ingredient_rows(kernel.order, integrator.samples, mode == "local")
+    rows = _ingredient_rows(kernel.order, integrator.samples, kernel.locality is not None)
     if rows > MAX_INGREDIENT_ROWS:
         raise CapacityError(f"the order-{kernel.order} variance terms and norms take up to {rows:,} kernel rows, above the guard of {MAX_INGREDIENT_ROWS:,}")
-    # the most variables are T_1's 2k - 1, or 4k - 3 for the norms and M_11
-    # (whose one connected diagram is one block)
-    _refuse_overflowing_window(window, kernel.order, 2 * kernel.order - 1 if mode is None else 4 * kernel.order - 3)
+    # the most variables are T_1's 2k - 1, or 4k - 3 for M_11 (whose one
+    # connected diagram is one block) and for the norms that a local kernel's
+    # T_1 pass reads in every mode
+    moments_only = mode is None and kernel.locality is None
+    _refuse_overflowing_window(window, kernel.order, 2 * kernel.order - 1 if moments_only else 4 * kernel.order - 3)
     # the M_ij record goes first: its guard refuses an over-budget record before any draw
     m = _m_orbit_integrals(kernel, window, integrator) if mode in ("general", "geometric") else ()
-    mean, terms = variance_terms(kernel, window, integrator, with_mean=True)
+    if mode == "local":
+        mean, terms, norms = variance_terms(kernel, window, integrator, with_mean=True, with_norms=True)
+    else:
+        mean, terms = variance_terms(kernel, window, integrator, with_mean=True)
     terms = tuple(terms)
     if mode is None:
         return Ingredients(kernel, window, mean, terms)
@@ -346,7 +337,7 @@ def estimate_ingredients(kernel: UStatKernel, window: Window, integrator: Integr
             "has no Gaussian first-order part"
         )
     if mode == "local":
-        return Ingredients(kernel, window, mean, terms, mode, norms=tuple(_fourth_power_norms(kernel, window, integrator)))
+        return Ingredients(kernel, window, mean, terms, mode, norms=tuple(norms))
     return Ingredients(kernel, window, mean, terms, mode, m=m, notes=_sign_note(kernel, window, integrator))
 
 

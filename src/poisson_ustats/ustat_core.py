@@ -20,11 +20,12 @@ many configurations of a local kernel on one grid, the configuration index
 being the slowest digit of the cell id, and sums each configuration's
 values in its own _SUBSET_BATCH slices, as if it were enumerated alone.
 
-The variance terms, the fourth-power norms of the local bound and the
-fourth-moment terms M_ij are all integrals of a product of kernel copies
-that share some variables; one estimator, _product_integral, computes them
-through Integrator, and reads the mean int f dtheta^k off the kernel values
-of T_1's pass.  The sampling rules (randomly shifted lattice points at
+The variance terms and the fourth-moment terms M_ij are integrals of a
+product of kernel copies that share some variables; one estimator,
+_product_integral, computes them through Integrator.  It reads the mean
+int f dtheta^k off the kernel values of T_1's pass, and for a local kernel
+the fourth-power norms of the local bound off the draws of each T_i
+(_variance_term).  The sampling rules (randomly shifted lattice points at
 ``strata`` 1, tensor strata above, iid draws for the pilots; the draw
 counts, local draws and chunks) are stated in the Integrator
 docstring, the estimator of a nested term in _product_integral's, the
@@ -43,7 +44,7 @@ import numpy as np
 
 from ._lattice import lattice_chunks, lattice_shape
 from ._streams import spawn_rng
-from .errors import CapacityError, ConfigError, IntegrationError, _whole_number
+from .errors import CapacityError, ConfigError, IntegrationError, LocalityError, _whole_number
 from .point_process import (
     IntensityModel,
     LineWindow,
@@ -69,6 +70,8 @@ __all__ = [
     "variance",
     "variance_terms",
     "check_symmetry",
+    "MAX_INGREDIENT_ROWS",
+    "MAX_EXHAUSTIVE_TUPLES",
 ]
 
 # tuples drawn at once when an integral repeats its batches (Integrator.integrate)
@@ -77,6 +80,20 @@ CHUNK_DRAWS = 1 << 14
 # slot list, in inner batches of at most NESTED_INNER draws (Integrator)
 NESTED_REPEAT = 8
 NESTED_INNER = 16
+# the T_i of a record call the kernel on at most (1 + NESTED_REPEAT) *
+# NESTED_INNER * samples rows per nested family (its pilot and main pass) and
+# samples rows per top-order one (NESTED_REPEAT * samples for a local kernel),
+# a local kernel's norms being read off the same rows (clt_bounds._ingredient_rows);
+# 10^8 admits an order-2 record up to 689,655 samples (145 rows per sample; a
+# local one, 152, up to 657,894) and an order-3 record up to 346,020, and refuses
+# 2 * 10^9 samples before a pilot allocates its outer draws
+MAX_INGREDIENT_ROWS = 10**8
+# an exhaustive kernel sum (_evaluate_many) calls the kernel on sum_i C(n_i, k)
+# tuples; 10^9 admits one configuration of 44,721 points for an order-2 kernel
+# (about 20 s for pairwise distance at 5 * 10^7 pairs per second on a 2-core
+# Xeon) or 1,818 for order 3, and refuses eval at lambda 10^6 on the unit square
+# (about 5 * 10^11 pairs) before the first kernel call
+MAX_EXHAUSTIVE_TUPLES = 10**9
 
 
 @dataclass(frozen=True)
@@ -172,14 +189,15 @@ class Integrator:
     """Monte Carlo integrator against the normalized window measure.
 
     ``samples`` is the draw count of a plain integral (of each of its
-    ``repeat`` batches).  A nested integral, one whose kernel copies keep
-    free variables (the variance terms T_i and the fourth-power norms for
-    i < k), spends NESTED_REPEAT * NESTED_INNER * samples kernel rows per
-    slot list (less a lattice family's remainder) on its estimate:
-    NESTED_REPEAT * NESTED_INNER / M batches of ``samples`` outer points,
-    and for each outer point one inner batch of M draws per slot list,
-    shared by the copies on it.  The inner batch size M, a power of two up
-    to NESTED_INNER, comes from a
+    ``repeat`` batches; a local kernel's top-order T_k repeats
+    NESTED_REPEAT, see _variance_term).  A nested integral, one whose kernel
+    copies keep free variables (the variance terms T_i for i < k, and with
+    them a local kernel's norms), spends NESTED_REPEAT * NESTED_INNER *
+    samples kernel rows per slot list (less a lattice family's remainder)
+    on its estimate: NESTED_REPEAT * NESTED_INNER / M batches of
+    ``samples`` outer points, and for each outer point one inner batch of M
+    draws per slot list, shared by the copies on it.  The inner batch size
+    M, a power of two up to NESTED_INNER, comes from a
     pilot of ``samples`` outer points with inner batches of NESTED_INNER
     (_pilot_batch_size), whose NESTED_INNER * samples kernel rows per slot
     list come on top of the budget and enter no estimate.
@@ -217,9 +235,10 @@ class Integrator:
     them, so a kernel may return a view of its tuples.
 
     Streams: each ingredient draws on its own path, the variance term T_i
-    on ("variance", i, ...), the fourth-power norms and the M_ij orbits on
-    theirs, except the mean int f dtheta^k, which has no draw of its own:
-    it is read off T_1's kernel values (see _product_integral).  A nested
+    on ("variance", i, ...) and the M_ij orbits on theirs, except two that
+    have no draw of their own: the mean int f dtheta^k is read off T_1's
+    kernel values, and a local kernel's fourth-power norm of order i off
+    T_i's draws (see _product_integral and _variance_term).  A nested
     integral's pilot draws on its path + ("pilot",), apart from the streams
     of its estimate.
 
@@ -456,18 +475,24 @@ def _refuse_overflowing_window(window: Window, order: int, variables: int) -> No
         ) from None
 
 
-def _elementary_mean(v: np.ndarray, r: int) -> np.ndarray:
-    """e_r(v_1..v_M) / C(M, r) over the last axis, the mean of the products
-    over all r-subsets, by the recurrence e_j += v_m e_(j-1) over m, which
-    has no cancellation: nonnegative v give e_r >= 0, and exactly 0 when
-    fewer than r of them are nonzero.  Unbiased for mu^r when the v_m are
-    independent with mean mu."""
+def _elementary_sums(v: np.ndarray, r: int) -> list:
+    """[e_0(v), ..., e_r(v)] of v_1..v_M over the last axis, by the
+    recurrence e_j += v_m e_(j-1) over m, which has no cancellation:
+    nonnegative v give e_j >= 0, and exactly 0 when fewer than j of them
+    are nonzero.  Each e_j takes the same float operations whatever r."""
     columns = np.moveaxis(v, -1, 0).copy()
     e = [np.ones(v.shape[:-1])] + [np.zeros(v.shape[:-1]) for _ in range(r)]
     for m, column in enumerate(columns):
         for j in range(min(m + 1, r), 0, -1):
             e[j] += column * e[j - 1]
-    return e[r] / math.comb(v.shape[-1], r)
+    return e
+
+
+def _elementary_mean(v: np.ndarray, r: int) -> np.ndarray:
+    """e_r(v_1..v_M) / C(M, r) over the last axis (_elementary_sums), the
+    mean of the products over all r-subsets.  Unbiased for mu^r when the
+    v_m are independent with mean mu."""
+    return _elementary_sums(v, r)[r] / math.comb(v.shape[-1], r)
 
 
 def _batch_variance(m, s, c: int, size: int, independent: bool):
@@ -527,15 +552,19 @@ def _pilot_batch_size(fn, order: int, window: Window, integrator: Integrator, q:
     """Inner batch size M of a nested _product_integral's main pass, chosen
     by a pilot on its own stream path + ("pilot",).
 
-    The candidates are the powers of two from the slot list's copy count c
-    to NESTED_INNER; under ``strata`` > 1 only those that stratify the inner
-    batch (M >= L^(r*d)), or NESTED_INNER alone if none does.  A single
-    candidate, or a plan of several slot lists, keeps NESTED_INNER and draws
-    no pilot.  The pilot draws ``samples`` plain outer rows, each with one
-    plain inner batch of NESTED_INNER values, and takes per row the plug-in
-    mean mu and variance s of those values.  A row's estimate at batch size
-    M, w U_M with w the outer draw weight, has conditional variance
-    w^2 Var(U_M | y) (_batch_variance), and its spread over rows is
+    ``plan`` holds one row (slot list, copies c, free variables r, floor)
+    per slot list (_product_integral), the floor, at least c, being the
+    fewest inner draws that the pass's reads need.  The candidates are the
+    powers of two from the floor to NESTED_INNER; under ``strata`` > 1 only
+    those that stratify the inner batch (M >= L^(r*d)), or NESTED_INNER
+    alone if none does.  A single candidate, or a plan of several slot
+    lists, keeps NESTED_INNER and draws no pilot.  The score is that of the
+    estimate of the c-th power alone.  The pilot draws ``samples`` plain
+    outer rows, each with one plain inner batch of NESTED_INNER values, and
+    takes per row the plug-in mean mu and variance s of those values.  A
+    row's estimate at batch size M, w U_M with w the outer draw weight, has
+    conditional variance w^2 Var(U_M | y) (_batch_variance), and its spread
+    over rows is
     V_M = A + mean_rows(w^2 Var(U_M | y)), with the between-row part
     A = max(0, var_rows(w U_16) - mean_rows(w^2 Var(U_16 | y))).  At a fixed
     count of kernel rows the main pass's variance is proportional to
@@ -544,8 +573,8 @@ def _pilot_batch_size(fn, order: int, window: Window, integrator: Integrator, q:
     """
     if len(plan) > 1:
         return NESTED_INNER
-    ((sl, c, r),) = plan
-    sizes = [1 << e for e in range(NESTED_INNER.bit_length()) if c <= 1 << e <= NESTED_INNER]
+    ((sl, c, r, floor),) = plan
+    sizes = [1 << e for e in range(NESTED_INNER.bit_length()) if floor <= 1 << e <= NESTED_INNER]
     stratified = integrator.strata > 1
     if stratified:
         sizes = [M for M in sizes if M >= integrator.strata ** (r * window.point_dim)] or [NESTED_INNER]
@@ -575,7 +604,7 @@ def _pilot_batch_size(fn, order: int, window: Window, integrator: Integrator, q:
     return min(reversed(sizes), key=lambda M: (between + within(M, stratified)) * M)
 
 
-def _product_integral(fn, order: int, window: Window, integrator: Integrator, q: int, slots, path, scale: float = 1.0, repeat: int = 1, locality: Optional[float] = None, first_mean: bool = False):
+def _product_integral(fn, order: int, window: Window, integrator: Integrator, q: int, slots, path, scale: float = 1.0, repeat: int = 1, locality: Optional[float] = None, reads=()):
     """Estimate of scale * int prod_l (int fn(y[slots_l], x_l) dtheta^(order-|slots_l|)) dtheta^q(y).
 
     ``fn`` maps (m, order, dim) tuples to m values; factor l puts the shared
@@ -602,15 +631,20 @@ def _product_integral(fn, order: int, window: Window, integrator: Integrator, q:
     ``locality`` switches on local draws around the first shared variable,
     so every shared variable must share a factor with it (ConfigError).
 
-    ``first_mean`` returns (that estimate, the estimate of
-    int (int fn(y[slots_1], x) dtheta^(order-|slots_1|)) dtheta^q(y),
-    unscaled), the second read off the same pass with no kernel call of its
-    own: per outer row the mean of the first slot list's kernel values, the
-    inner batch's mean for a nested factor (under ``strata`` > 1 the average
-    of its c batch means) or the kernel value itself for a factor without
-    free variables; its standard error follows the same rule over the same
-    outer rows.  For T_1 (q = 1, slots_1 = (0,)) it is int fn dtheta^order,
-    the mean of the U-statistic at unit rate.
+    ``reads``, powers p, returns (that estimate, then for each p the
+    estimate of int (int fn(y[slots_1], x) dtheta^(order-|slots_1|))^p
+    dtheta^q(y), unscaled), each read off the same pass with no kernel call
+    of its own: per outer row, for a factor without free variables the p-th
+    power of the kernel value; for a nested factor under the lattice rule
+    e_p(v) / C(M, p) of its inner batch (its mean for p = 1), and under
+    ``strata`` > 1 the product of the first p of its batch means (for p = 1
+    the average of all of them).  Their standard errors follow the same
+    rule over the same outer rows.  The first slot list's plan row carries
+    the largest p as its floor: its inner batches hold at least that many
+    draws, and under ``strata`` > 1 it draws that many batches, of which
+    the first c multiply into the estimate.  For T_1 (q = 1,
+    slots_1 = (0,)) p = 1 reads int fn dtheta^order, the mean of the
+    U-statistic at unit rate.
 
     A factor without free variables is evaluated only on the rows whose
     product so far is nonzero; the others keep their value, so a kernel
@@ -623,22 +657,23 @@ def _product_integral(fn, order: int, window: Window, integrator: Integrator, q:
     live), then every factor takes its slot list along axis 1 (the "slots"
     buffer), and _inner_values builds the inner-batch tuples in the "inner"
     buffer.  Each slot list's kernel values are multiplied into the product
-    before the next gather, and the first mean is copied, so a kernel may
+    before the next gather, and the reads are copied, so a kernel may
     return a view of its tuples.
     """
     radius = _local_radius(window, locality)
     copies = {}
     for sl in slots:
         copies[tuple(sl)] = copies.get(tuple(sl), 0) + 1
-    plan = [(list(sl), c, order - len(sl)) for sl, c in copies.items()]
+    # one row (slot list, copies c, free variables r, floor) per slot list
+    plan = [(list(sl), c, order - len(sl), max((c, *reads)) if g == 0 else c) for g, (sl, c) in enumerate(copies.items())]
     if locality is not None:
-        unlinked = sorted(set(range(q)).difference(*(sl for sl, _, _ in plan if 0 in sl)))
+        unlinked = sorted(set(range(q)).difference(*(sl for sl, _, _, _ in plan if 0 in sl)))
         if unlinked:
             raise ConfigError(f"local draws need every shared variable in a factor with the first; {unlinked} share none")
-    nested = any(r for _, _, r in plan)
+    nested = any(r for _, _, r, _ in plan)
     size = _pilot_batch_size(fn, order, window, integrator, q, plan, path, radius) if nested else NESTED_INNER
     lattice = integrator.strata <= 1
-    streams = [integrator.rng(*path, g) if r and not lattice else None for g, (_, _, r) in enumerate(plan, start=1)]
+    streams = [integrator.rng(*path, g) if r and not lattice else None for g, (_, _, r, _) in enumerate(plan, start=1)]
     dim = window.point_dim
     scratch = _Scratch()
 
@@ -649,8 +684,9 @@ def _product_integral(fn, order: int, window: Window, integrator: Integrator, q:
     def integrand(ys: np.ndarray, variates) -> np.ndarray:
         out = np.ones(len(ys))
         at = 0  # the next slot list's first column of variates
-        for g, ((sl, c, r), rng) in enumerate(zip(plan, streams)):
-            keep = first_mean and g == 0
+        read = []
+        for g, ((sl, c, r, floor), rng) in enumerate(zip(plan, streams)):
+            keep = bool(reads) and g == 0
             if r == 0:
                 # != 0, not > 0: a product of signed kernel values can be negative
                 live = None if out.all() else np.flatnonzero(out)
@@ -666,6 +702,8 @@ def _product_integral(fn, order: int, window: Window, integrator: Integrator, q:
                     out = part
                 else:
                     np.put(out, live, part)
+                if keep:  # the first slot list: every row is live
+                    read = [means if p == 1 else means**p for p in reads]
             else:
                 y = slots(ys, sl)
                 if lattice:
@@ -673,25 +711,28 @@ def _product_integral(fn, order: int, window: Window, integrator: Integrator, q:
                     block = variates[:, at : at + size * r * dim].reshape(len(y), size, r * dim)
                     at += size * r * dim
                     v = _inner_values(fn, order, window, y, lambda: block, radius, scratch)
-                    out *= _elementary_mean(v, c)
-                    means = v.mean(axis=1) if keep else None
+                    e = _elementary_sums(v, floor)
+                    out *= e[c] / math.comb(size, c)
+                    if keep:
+                        read = [v.mean(axis=1) if p == 1 else e[p] / math.comb(size, p) for p in reads]
                 else:
-                    # c batches, stratified only when their M draws fill the L^(r*d) strata
+                    # floor batches, stratified only when their M draws fill the L^(r*d) strata
                     level = integrator.strata if size >= integrator.strata ** (r * dim) else 1
-                    batches = [_inner_values(fn, order, window, y, lambda: _unit_variates(rng, len(y), size, r * dim, level), radius, scratch).mean(axis=1) for _ in range(c)]
-                    for batch in batches:
+                    batches = [_inner_values(fn, order, window, y, lambda: _unit_variates(rng, len(y), size, r * dim, level), radius, scratch).mean(axis=1) for _ in range(floor)]
+                    for batch in batches[:c]:
                         out *= batch
-                    means = sum(batches) / c if keep else None
+                    if keep:
+                        read = [sum(batches) / floor if p == 1 else math.prod(batches[:p]) for p in reads]
             if keep:
-                # a copy: a kernel may return a view of the "slots" buffer
-                first = np.array(means, dtype=float)
-        return np.stack([out, first]) if first_mean else out
+                # copies: a kernel may return a view of the "slots" buffer
+                read = [np.array(x, dtype=float) for x in read]
+        return np.stack([out, *read]) if reads else out
 
-    extra = size * sum(r for _, _, r in plan) * dim if lattice else 0
+    extra = size * sum(r for _, _, r, _ in plan) * dim if lattice else 0
     batches = NESTED_REPEAT * NESTED_INNER // size * repeat if nested else repeat
     est = integrator._integrate(integrand, window, q, (*path, 0), batches, locality, extra)
-    if first_mean:
-        return est[0].scaled(scale), est[1]
+    if reads:
+        return (est[0].scaled(scale), *est[1:])
     return est.scaled(scale)
 
 
@@ -850,7 +891,9 @@ def _evaluate_many(kernel: UStatKernel, points: np.ndarray, sizes, *, exhaustive
     through a fresh temporary.  A kernel may return a view of its tuples,
     so each call's values are reduced before the next gather overwrites
     them.  A cell whose sum is not finite raises IntegrationError naming
-    its index and point count.
+    its index and point count.  An exhaustive sum over more than
+    MAX_EXHAUSTIVE_TUPLES subsets, sum_i C(n_i, k) in all, raises
+    CapacityError before the first kernel call.
     """
     if not kernel.symmetric:
         raise ConfigError("evaluate needs a symmetric kernel")
@@ -900,6 +943,9 @@ def _evaluate_many(kernel: UStatKernel, points: np.ndarray, sizes, *, exhaustive
         by_size = {}
         for i, n in enumerate(sizes.tolist()):
             by_size.setdefault(n, []).append(i)
+        count = sum(len(members) * math.comb(n, k) for n, members in by_size.items())
+        if count > MAX_EXHAUSTIVE_TUPLES:
+            raise CapacityError(f"an exhaustive order-{k} sum over {len(points):,} points takes {count:,} kernel tuples, above the budget of {MAX_EXHAUSTIVE_TUPLES:,}")
         for n, members in by_size.items():
             first = starts[members]
             for idx in _subset_batches(n, k):
@@ -1092,34 +1138,59 @@ def chaos_kernel(kernel: UStatKernel, i: int, ys, intensity: IntensityModel, int
 # variance
 
 
-def variance_terms(kernel: UStatKernel, window: Window, integrator: Integrator, *, with_mean: bool = False):
+def variance_terms(kernel: UStatKernel, window: Window, integrator: Integrator, *, with_mean: bool = False, with_norms: bool = False):
     """Rate-free variance terms T_i = i! C(k,i)^2 int (int f dtheta^{k-i})^2 dtheta^i.
 
     Var F = sum_i lam^(2k-i) T_i.  For i < k the inner integral's square is
     the nested estimate of _product_integral, unbiased and linear in
-    ``samples``.  Index 0 of the returned list is T_1.
+    ``samples``.  Index 0 of the returned list is T_1.  Each T_i is one
+    pass (_variance_term).
 
     ``with_mean`` returns (mean, terms) instead, with mean the estimate of
     int f dtheta^k read off T_1's pass at no kernel call of its own: for
     k > 1 the average of each outer point's inner-batch mean, an unbiased
-    estimate of int f(y, .) dtheta^(k-1).
+    estimate of int f(y, .) dtheta^(k-1).  ``with_norms`` appends the
+    fourth-power norms N_1..N_k that a local kernel's passes read off their
+    draws, (terms, norms) or (mean, terms, norms); a kernel without
+    locality reads none (LocalityError).
     """
-    if with_mean:
-        first, mean = _variance_term(kernel, window, integrator, 1, first_mean=True)
-    else:
-        first = _variance_term(kernel, window, integrator, 1)
-    terms = [first] + [_variance_term(kernel, window, integrator, i) for i in range(2, kernel.order + 1)]
-    return (mean, terms) if with_mean else terms
+    if with_norms and kernel.locality is None:
+        raise LocalityError("kernel declares no support diameter; its variance passes read no fourth-power norms")
+    passes = [_variance_term(kernel, window, integrator, i, first_mean=with_mean and i == 1) for i in range(1, kernel.order + 1)]
+    terms = [term for term, _, _ in passes]
+    if not (with_mean or with_norms):
+        return terms
+    return (passes[0][1],) * with_mean + (terms,) + ([norm for _, _, norm in passes],) * with_norms
 
 
-def _variance_term(kernel: UStatKernel, window: Window, integrator: Integrator, i: int, first_mean: bool = False):
-    """The one term T_i of :func:`variance_terms`, on its stream ("variance", i);
-    ``first_mean`` adds the mean of its first factor's kernel values (_product_integral)."""
+def _variance_term(kernel: UStatKernel, window: Window, integrator: Integrator, i: int, first_mean: bool = False) -> tuple:
+    """(T_i, mean, norm): the term T_i of :func:`variance_terms`, one
+    _product_integral pass on its stream ("variance", i), and what is read
+    off it.  ``first_mean`` reads the mean of its first factor's kernel
+    values, else mean is None.  A kernel that declares locality also reads
+    the fourth-power norm N_i = C(k,i)^4 int (int f dtheta^(k-i))^4 dtheta^i
+    of the local bound, the same inner integral to the fourth power, else
+    norm is None.  For i < k that is e_4(v) / C(M, 4) of each outer row's
+    inner batch, so its pilot scores T_i over M >= 4 alone (four
+    independent inner batches under ``strata`` > 1, the first two of which
+    give T_i).  For i = k it is the fourth power of the kernel values, and
+    the top-order family draws NESTED_REPEAT batches of ``samples`` tuples:
+    at ``samples`` draws the skewed fourth powers of a kernel that vanishes
+    off a small ball leave its standard error uncalibrated.  The rule
+    follows the kernel alone, so every caller of one kernel draws the same
+    T_i."""
     k = kernel.order
-    return _product_integral(
+    local = kernel.locality is not None
+    reads = (1,) * first_mean + (4,) * local
+    est = _product_integral(
         kernel, k, window, integrator, i, [range(i)] * 2, ("variance", i),
-        scale=math.factorial(i) * math.comb(k, i) ** 2, locality=kernel.locality, first_mean=first_mean,
+        scale=math.factorial(i) * math.comb(k, i) ** 2, repeat=NESTED_REPEAT if local and i == k else 1,
+        locality=kernel.locality, reads=reads,
     )
+    term, *more = est if reads else (est,)
+    mean = more[0] if first_mean else None
+    norm = more[-1].scaled(math.comb(k, i) ** 4) if local else None
+    return term, mean, norm
 
 
 def assemble_variance(terms, lam: float) -> Estimate:

@@ -46,9 +46,10 @@ from poisson_ustats import (
     variance_terms,
     wasserstein_bound,
 )
-from poisson_ustats import chaos_algebra, clt_bounds
-from poisson_ustats.chaos_algebra import MAX_INGREDIENT_ROWS, _block_type_orbits
-from poisson_ustats.clt_bounds import _fourth_power_norms, _ingredient_rows, estimate_ingredients
+from poisson_ustats import chaos_algebra, clt_bounds, ustat_core
+from poisson_ustats.chaos_algebra import _block_type_orbits
+from poisson_ustats.clt_bounds import _ingredient_rows, estimate_ingredients
+from poisson_ustats.ustat_core import MAX_INGREDIENT_ROWS
 
 UNIT_SQUARE = BoxWindow(((0.0, 1.0), (0.0, 1.0)))
 
@@ -311,12 +312,30 @@ def test_an_over_budget_record_is_refused_before_any_kernel_call():
 
 
 def test_the_ingredient_row_guard_admits_what_its_comment_says():
-    # (1 + 8) * 16 rows per sample for each nested family, 1 for a top-order one
+    # (1 + 8) * 16 rows per sample for each nested family, 1 for a top-order
+    # one, 8 for a local kernel's; its norms are read off the same rows, so
+    # an order-2 local record takes 152 rows per sample in every mode
     assert _ingredient_rows(2, 1200, False) == 174_000
-    assert _ingredient_rows(2, 344_827, True) <= MAX_INGREDIENT_ROWS < _ingredient_rows(2, 344_828, True)
+    assert _ingredient_rows(2, 1200, True) == 182_400
+    assert _ingredient_rows(2, 689_655, False) <= MAX_INGREDIENT_ROWS < _ingredient_rows(2, 689_656, False)
+    assert _ingredient_rows(2, 657_894, True) <= MAX_INGREDIENT_ROWS < _ingredient_rows(2, 657_895, True)
     assert _ingredient_rows(3, 346_020, False) <= MAX_INGREDIENT_ROWS < _ingredient_rows(3, 346_021, False)
-    with pytest.raises(CapacityError, match="take up to 100,000,120 kernel rows"):
-        estimate_ingredients(make_kernel("gilbert-count", delta=0.1), UNIT_SQUARE, Integrator(samples=344_828), "local")
+    for mode in (None, "local"):
+        with pytest.raises(CapacityError, match="take up to 100,000,040 kernel rows"):
+            estimate_ingredients(make_kernel("gilbert-count", delta=0.1), UNIT_SQUARE, Integrator(samples=657_895), mode)
+    # the guard counts the rows that a local record draws: T_1's pilot and
+    # main pass and T_2's family, the norms with them (local draws call the
+    # kernel on the rows of positive weight alone, so fewer)
+    rows = []
+    kern = gilbert_kernel(0.2)
+
+    def counted(t):
+        rows.append(len(t))
+        return kern.fn(t)
+
+    record = estimate_ingredients(UStatKernel(2, counted, locality=0.2), UNIT_SQUARE, Integrator(samples=300, seed=1), "local")
+    assert len(record.norms) == 2
+    assert 0.5 * _ingredient_rows(2, 300, True) < sum(rows) <= _ingredient_rows(2, 300, True)
 
 
 def test_a_lambda_power_of_m_ij_that_overflows_is_a_config_error():
@@ -495,8 +514,7 @@ def test_stratified_ingredients_exact_on_cell_kernel():
     fn = SimpleFunction(CellGrid.regular((0.0,), (1.0,), (4,)), coeffs)
     kern = fn.as_kernel(locality=1.0)
     integ = Integrator(samples=4096, seed=0, strata=4)
-    terms = variance_terms(kern, win, integ)
-    norms = _fourth_power_norms(kern, win, integ)
+    terms, norms = variance_terms(kern, win, integ, with_norms=True)
     im = IntensityModel(1.0, win)
     for i, f_i in enumerate(chaos_kernels_simple(fn, im), start=1):
         assert terms[i - 1].value == pytest.approx(math.factorial(i) * f_i.norm_sq(im), rel=1e-12)
@@ -636,14 +654,61 @@ def test_r_terms_match_closed_form_moments():
 
 # the fourth-power norms of gilbert-count at delta 0.2 on the unit square
 # (local draws) at 64 samples, integrator seed 11, as (value, se, n) in
-# repr: pins the integrator's floats below the CLI
+# repr, read off the T_i passes (T_2's of 8 batches of 64 tuples): pins the
+# integrator's floats below the CLI
 PINNED_FOURTH_POWER_NORMS = {
-    1: [(0.00015488045474406386, 1.813658572858868e-06, 2048), (0.006258641614573415, 0.0004469828044837392, 64)],
-    2: [(0.00015334274189585621, 2.1769183645199795e-06, 2048), (0.006381360077604267, 0.0003880698541326602, 64)],
+    1: [(0.00015609806838198892, 1.638433265845749e-06, 2048), (0.0066574766194236815, 8.927012584517275e-05, 512)],
+    2: [(0.00015454323284199795, 2.1437492112341337e-06, 2048), (0.006596117387908256, 0.0001233559658299018, 512)],
 }
+
+
+def test_a_local_record_reads_its_norms_off_one_pass_per_order(monkeypatch):
+    # the T_i pass of each order also reads its fourth-power norm: k product
+    # integrals in all (two per order before), on the variance streams, and
+    # no ("fourth-power", ...) stream is derived
+    passes, paths = [], []
+    product, spawn = ustat_core._product_integral, ustat_core.spawn_rng
+
+    def counted(*args, **kwargs):
+        passes.append(args[6])
+        return product(*args, **kwargs)
+
+    def spied(seed, *path):
+        paths.append(path)
+        return spawn(seed, *path)
+
+    monkeypatch.setattr(ustat_core, "_product_integral", counted)
+    monkeypatch.setattr(ustat_core, "spawn_rng", spied)
+    for strata in (1, 2):
+        passes.clear()
+        record = estimate_ingredients(gilbert_kernel(0.2), UNIT_SQUARE, Integrator(samples=64, seed=3, strata=strata), "local")
+        assert passes == [("variance", 1), ("variance", 2)]
+        assert len(record.norms) == 2 and all(norm.value > 0 for norm in record.norms)
+    assert ("variance", 1, "pilot") in paths and not any("fourth-power" in path for path in paths)
+
+
+def test_a_local_kernel_draws_the_same_moments_in_every_mode():
+    # the passes follow the kernel's locality, not the bound mode: the
+    # moments of every record, and of variance and expectation, agree bit
+    # for bit
+    kern, integ = gilbert_kernel(0.2), Integrator(samples=200, seed=3)
+    records = [estimate_ingredients(kern, UNIT_SQUARE, integ, mode) for mode in (None, "local", "geometric")]
+    for lam in (25.0, 100.0):
+        moments = [record.moments(lam) for record in records]
+        assert moments[1] == moments[0] == moments[2]
+        model = IntensityModel(lam, UNIT_SQUARE)
+        assert (expectation(kern, model, integ).value, variance(kern, model, integ)) == moments[0]
+    assert records[1].norms and not records[0].norms and not records[2].norms
+
+
+def test_only_a_local_kernel_reads_norms():
+    with pytest.raises(LocalityError, match="no support diameter"):
+        variance_terms(make_kernel("pairwise-distance"), UNIT_SQUARE, Integrator(samples=16), with_norms=True)
 
 
 @pytest.mark.parametrize("strata", sorted(PINNED_FOURTH_POWER_NORMS))
 def test_fourth_power_norms_are_pinned_to_their_floats(strata):
-    norms = _fourth_power_norms(gilbert_kernel(0.2), UNIT_SQUARE, Integrator(samples=64, seed=11, strata=strata))
+    kern, integ = gilbert_kernel(0.2), Integrator(samples=64, seed=11, strata=strata)
+    _, norms = variance_terms(kern, UNIT_SQUARE, integ, with_norms=True)
     assert [(e.value, e.se, e.n) for e in norms] == PINNED_FOURTH_POWER_NORMS[strata]
+    assert estimate_ingredients(kern, UNIT_SQUARE, integ, "local").norms == tuple(norms)

@@ -636,10 +636,11 @@ def test_rate_experiment_local_kernel_bounds_per_lambda(monkeypatch):
     calls = Counter()
     count_calls(monkeypatch, harness, "variance_terms", calls)
     count_calls(monkeypatch, clt_bounds, "variance_terms", calls)
-    count_calls(monkeypatch, clt_bounds, "_fourth_power_norms", calls)
+    count_calls(monkeypatch, ustat_core, "_product_integral", calls)
     fit = rate_experiment(config)
-    # the lambda-free ingredients are estimated once for the whole grid
-    assert calls == {"variance_terms": 1, "_fourth_power_norms": 1}
+    # the lambda-free ingredients are estimated once for the whole grid, in
+    # one pass per chaos order that also reads the fourth-power norms
+    assert calls == {"variance_terms": 1, "_product_integral": 2}
     assert len(fit.bounds) == 3
     assert all(math.isfinite(b) and b > 0 for b in fit.bounds)
     assert all(d > 0 for d in fit.d_w)
@@ -854,6 +855,34 @@ def test_cli_eval_refuses_a_kernel_sum_that_overflows(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.count("error:") == 1, err
     assert err.startswith("error: non-finite kernel sum on configuration 0 (") and "Traceback" not in err
+
+
+def test_cli_verbs_let_no_numpy_warning_reach_stderr(tmp_path, capsys):
+    # the box has measure 1 but is 1e160 long: the distance kernel overflows
+    # and its squares turn to inf - inf; with no errstate around the call,
+    # stderr holds only the package's own refusal, one line per verb
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"kernel": "pairwise-distance", "window": {"shape": "box", "bounds": [[0, 1e160], [0, 1e-160]]}, "lambdas": [8], "replicates": 200}))
+    assert main(["eval", "--config", str(cfg_path)]) == 4
+    assert capsys.readouterr().err == "error: non-finite kernel sum on configuration 0 (11 points)\n"
+    assert main(["variance", "--config", str(cfg_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite integrand value at tuple [[") and err.count("\n") == 1, err
+
+
+def test_cli_eval_refuses_an_exhaustive_sum_over_its_budget(capsys, monkeypatch):
+    # a million points of an order-2 kernel make 5 * 10^11 pairs: eval
+    # refuses them after the draw, before the enumeration starts
+    def no_enumeration(*args):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(ustat_core, "_subset_batches", no_enumeration)
+    start = time.perf_counter()
+    assert main(["eval", "--kernel", "pairwise-distance", "--lambda", "1000000"]) == 4
+    assert time.perf_counter() - start < 5.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: an exhaustive order-2 sum over 1,000,184 points takes 500,183,516,836 kernel tuples, above the budget of 1,000,000,000\n"
 
 
 def test_cli_refuses_an_over_budget_ingredient_plan_before_any_draw(tmp_path, capsys, monkeypatch):

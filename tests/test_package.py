@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import poisson_ustats
@@ -61,3 +64,11 @@ def test_src_imports_no_scipy():
                 continue
             found += [(path.name, n) for n in names if n.split(".")[0] == "scipy"]
     assert found == []
+
+
+def test_the_package_runs_as_a_module():
+    # python -m poisson_ustats is the command line front end
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-m", "poisson_ustats", "kernels"], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "pairwise-distance:" in done.stdout

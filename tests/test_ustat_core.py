@@ -50,7 +50,7 @@ from poisson_ustats import (
 )
 from poisson_ustats._lattice import lattice_chunks, lattice_shape
 from poisson_ustats._streams import spawn_rng
-from poisson_ustats.clt_bounds import _fourth_power_norms, estimate_ingredients
+from poisson_ustats.clt_bounds import estimate_ingredients
 from poisson_ustats import chaos_algebra, ustat_core
 from poisson_ustats.ustat_core import (
     CHUNK_DRAWS,
@@ -138,6 +138,31 @@ def test_evaluate_refuses_a_kernel_of_opposite_infinities():
     cells = np.concatenate([pts.points[:1], pts.points])
     with np.errstate(invalid="ignore"), pytest.raises(IntegrationError, match=r"configuration 1 \(40 points\)"):
         ustat_core._evaluate_many(opposite, cells, [1, 40])
+
+
+def test_an_exhaustive_sum_over_its_budget_is_refused_before_any_kernel_call(monkeypatch):
+    # the budget counts sum_i C(n_i, k) over the cells, exactly: 10 points
+    # make 45 pairs, and one more cell of 2 points one pair more
+    calls = []
+
+    def counted(t):
+        calls.append(len(t))
+        return np.ones(len(t))
+
+    kern = UStatKernel(2, counted, name="pairs")
+    points = np.random.default_rng(2).random((12, 2))
+    monkeypatch.setattr(ustat_core, "MAX_EXHAUSTIVE_TUPLES", 45)
+    assert ustat_core._evaluate_many(kern, points[:10], [10]) == [90.0]
+    calls.clear()
+    with pytest.raises(CapacityError, match="an exhaustive order-2 sum over 12 points takes 46 kernel tuples, above the budget of 45"):
+        ustat_core._evaluate_many(kern, points, [10, 2])
+    assert calls == []
+    # a local kernel sums over its cell grid, which the budget does not count,
+    # unless the sum is exhaustive
+    local = UStatKernel(2, counted, name="pairs", locality=2.0)
+    assert ustat_core._evaluate_many(local, points, [10, 2]) == [90.0, 2.0]
+    with pytest.raises(CapacityError, match="46 kernel tuples"):
+        ustat_core._evaluate_many(local, points, [10, 2], exhaustive=True)
 
 
 def test_combine_se_rescales_squares_whose_fsum_overflows():
@@ -627,9 +652,15 @@ def test_variance_term_and_norm_se_is_calibrated(case):
     z, sizes = [], set()
     for seed in range(200):
         integ = Integrator(samples=128, seed=seed)
-        got = variance_terms(kern, window, integ)
-        if len(exact) > 2:
-            got += _fourth_power_norms(kern, window, integ)
+        if kern.locality is not None:
+            terms, norms = variance_terms(kern, window, integ, with_norms=True)
+            got = terms + norms
+        else:
+            got = variance_terms(kern, window, integ)
+            if len(exact) > 2:
+                # a kernel without locality reads no norms; declaring one no
+                # smaller than the window keeps uniform draws and reads them
+                got += variance_terms(replace(kern, locality=1.0), window, integ, with_norms=True)[1]
         z.append([(est.value - value) / est.se for est, value in zip(got, exact)])
         sizes.add(_chosen_size(got[0], 128))
     z = np.array(z)
@@ -652,15 +683,17 @@ def test_nested_local_integral_gathers_the_inner_variates_of_its_live_rows():
     exact = 2.0 * chaos_kernels_simple(fn, model)[1].norm_sq(model)
     kern = fn.as_kernel(locality=3.0 / 8.0)
     for strata in (1, 2):
-        est = _variance_term(kern, model.window, Integrator(samples=2048, seed=0, strata=strata), 2)
+        est = _variance_term(kern, model.window, Integrator(samples=2048, seed=0, strata=strata), 2)[0]
         assert abs(est.value - exact) <= 4.0 * est.se, (strata, est, exact)
 
 
 # T_1 and T_2 of small fixed-seed configs, pinned float for float: reading
 # the mean off T_1's pass must move no draw of any variance term; T_1's
 # pilot picks inner batches of 2 (4 under strata 2, its smallest stratified
-# size), so its n is 128 * samples / M outer points (2,560 = 20 shifts of a
-# 128-point rule at strata 1); the strata-2 case pins tensor stratification
+# size, and for gilbert, whose pass also reads the norms), so its n is
+# 128 * samples / M outer points (2,560 = 20 shifts of a 128-point rule at
+# strata 1); gilbert's top-order T_2 draws 8 batches of samples tuples
+# (320 = 20 shifts of 16 points); the strata-2 case pins tensor stratification
 PINNED_VARIANCE_TERMS = {
     "pairwise-distance": (
         pairwise_distance_kernel(), Integrator(samples=40, seed=11),
@@ -668,7 +701,7 @@ PINNED_VARIANCE_TERMS = {
     ),
     "gilbert-0.2": (
         gilbert_kernel(0.2), Integrator(samples=40, seed=11),
-        [(0.011652301696036125, 0.00010905852632360403, 2560), (0.051836278784231596, 0.003437666743322638, 40)],
+        [(0.01155154948444167, 8.526997805821187e-05, 1280), (0.05419247327442391, 0.000927547198098417, 320)],
     ),
     "pairwise-distance-strata-2": (
         pairwise_distance_kernel(), Integrator(samples=64, seed=11, strata=2),
@@ -718,12 +751,12 @@ DECAY = UStatKernel(1, lambda t: np.exp(-np.abs(t).sum(axis=(1, 2))))
 VIEW_CASES = {
     "orbit record": (LINE_KERNEL, lambda kern, integ: chaos_algebra._m_orbit_integrals(kern, LINES, integ)),
     "lines nested T_1": (LINE_KERNEL, lambda kern, integ: _variance_term(kern, LINES, integ, 1, first_mean=True)),
-    "lines pilot": (LINE_KERNEL, lambda kern, integ: _pilot_batch_size(kern, 2, LINES, integ, 1, [([0], 2, 1)], ("view",), None)),
+    "lines pilot": (LINE_KERNEL, lambda kern, integ: _pilot_batch_size(kern, 2, LINES, integ, 1, [([0], 2, 1, 2)], ("view",), None)),
     "gilbert local T_1": (GILBERT, lambda kern, integ: _variance_term(kern, UNIT_SQUARE, integ, 1, first_mean=True)),
-    "gilbert local norms": (GILBERT, lambda kern, integ: _fourth_power_norms(kern, UNIT_SQUARE, integ)),
-    "gilbert pilot": (GILBERT, lambda kern, integ: _pilot_batch_size(kern, 2, UNIT_SQUARE, integ, 1, [([0], 4, 1)], ("view",), 0.2)),
+    "gilbert local norms": (GILBERT, lambda kern, integ: variance_terms(kern, UNIT_SQUARE, integ, with_norms=True)),
+    "gilbert pilot": (GILBERT, lambda kern, integ: _pilot_batch_size(kern, 2, UNIT_SQUARE, integ, 1, [([0], 2, 1, 4)], ("view",), 0.2)),
     "gilbert strata-2 record": (GILBERT, lambda kern, integ: estimate_ingredients(kern, UNIT_SQUARE, replace(integ, strata=2), "local")),
-    "first mean of two slot lists": (DECAY, lambda kern, integ: _product_integral(kern, 1, UNIT_SQUARE, integ, 2, [[0], [1]], ("view",), first_mean=True)),
+    "first mean of two slot lists": (DECAY, lambda kern, integ: _product_integral(kern, 1, UNIT_SQUARE, integ, 2, [[0], [1]], ("view",), reads=(1,))),
     "chunked plain integral": (LINE_KERNEL, lambda kern, integ: Integrator(40_000, 3).integrate(kern, LINES, 2)),
     "chunked local integral": (GILBERT, lambda kern, integ: Integrator(40_000, 3).integrate(kern, UNIT_SQUARE, 2, locality=kern.locality)),
 }
@@ -954,12 +987,14 @@ def test_pilot_variance_rule_is_exact(pairs):
 def test_a_family_without_pilot_spread_keeps_its_inner_batches(monkeypatch):
     # convex position of 3 points is 1 almost surely, and a constant kernel
     # on a window of area 2 has equal inner values: no pilot spread, so T_1
-    # and the first norm keep M = NESTED_INNER
+    # keeps M = NESTED_INNER, and so does the first norm read off T_1's pass
+    # when the kernel declares a locality (3, no smaller than the window)
     half = BoxWindow(((0.0, 2.0), (0.0, 1.0)))
     constant = UStatKernel(2, lambda t: np.full(len(t), 0.7), name="constant")
     for kern, window in ((make_kernel("convex-position-3"), UNIT_SQUARE), (constant, half)):
         integ = Integrator(samples=64, seed=3)
-        for est in (variance_terms(kern, window, integ)[0], _fourth_power_norms(kern, window, integ)[0]):
+        terms, norms = variance_terms(replace(kern, locality=3.0), window, integ, with_norms=True)
+        for est in (variance_terms(kern, window, integ)[0], terms[0], norms[0]):
             assert est.n == NESTED_REPEAT * 64 and est.se <= 1e-12 * est.value
     # a kernel of small support whose pilot values are all 0: the main pass
     # keeps inner batches of NESTED_INNER, pinned float for float (a lattice
@@ -974,7 +1009,7 @@ def test_a_family_without_pilot_spread_keeps_its_inner_batches(monkeypatch):
             pilot_values.append(out)
         return out
 
-    t_1, mean = _variance_term(UStatKernel(2, near, name="near"), UNIT_SQUARE, Integrator(samples=40, seed=3), 1, first_mean=True)
+    t_1, mean, _ = _variance_term(UStatKernel(2, near, name="near"), UNIT_SQUARE, Integrator(samples=40, seed=3), 1, first_mean=True)
     assert len(pilot_values) == 1 and not np.any(pilot_values[0])
     assert (t_1.value, t_1.se, t_1.n) == (0.0, 0.0, 320)
     assert (mean.value, mean.se, mean.n) == (0.00078125, 0.00078125, 320)
@@ -985,8 +1020,11 @@ def test_variance_terms_cost_is_linear_in_samples(monkeypatch):
     # with one inner batch of 16 each, then a main pass, a lattice family of
     # 128 * samples / M outer points with one shared inner batch of M each,
     # which keeps whole shifts of its rule: at most 128 * samples kernel rows
-    # whatever M; the top-order T_2 draws a family of samples tuples; the
-    # fourth-power norm of T_1's slot list spends the same as T_1
+    # whatever M; the top-order T_2 draws a family of samples tuples; a
+    # kernel that declares locality (here 2, no smaller than the window, so
+    # its draws stay uniform) reads its fourth-power norms off those rows,
+    # with inner batches of M >= 4 and no row of their own, and its T_2
+    # draws 8 * samples
     rows = {"pilot": 0, "main": 0}
     phase = _mark_pilot(monkeypatch)
 
@@ -996,15 +1034,18 @@ def test_variance_terms_cost_is_linear_in_samples(monkeypatch):
 
     kern = UStatKernel(2, gap, name="gap")
     for samples in (100, 300):
-        for family in (lambda integ: variance_terms(kern, UNIT_SQUARE, integ), lambda integ: _fourth_power_norms(kern, UNIT_SQUARE, integ)):
+        for family, least, top_batches in (
+            (lambda integ: variance_terms(kern, UNIT_SQUARE, integ), 2, 1),
+            (lambda integ: variance_terms(replace(kern, locality=2.0), UNIT_SQUARE, integ, with_norms=True)[1], 4, NESTED_REPEAT),
+        ):
             rows.update(pilot=0, main=0)
             nested, top = family(Integrator(samples=samples, seed=1))
             size = _chosen_size(nested, samples)
-            assert size in (2, 4, 8, 16)
+            assert least <= size <= NESTED_INNER
             assert rows["pilot"] == NESTED_INNER * samples
             assert nested.n == _drawn(NESTED_REPEAT * NESTED_INNER * samples // size)
-            assert rows["main"] == nested.n * size + top.n <= NESTED_REPEAT * NESTED_INNER * samples + samples
-            assert top.n == _drawn(samples)
+            assert rows["main"] == nested.n * size + top.n <= NESTED_REPEAT * NESTED_INNER * samples + top_batches * samples
+            assert top.n == _drawn(top_batches * samples)
     # at 300 samples the families drop a remainder: 300 draws keep 18 shifts
     # of 16 points, and 19,200 outer points (M = 2) keep 18 shifts of 1,024
     assert _drawn(300) == 18 * 16 and _drawn(NESTED_REPEAT * NESTED_INNER * 300 // 2) == 18 * 1024
@@ -1043,27 +1084,45 @@ LOCAL_CASES = [
 def test_local_draws_agree_with_uniform_draws(window, delta):
     # the same kernel with and without its locality: mean, T_1, T_2 and the
     # fourth-power norms agree within combined standard errors, and the local
-    # draws have the smaller ones
+    # draws have the smaller ones; the kernel without locality reads no
+    # norms, so its reference norms are the four-copy product integrals on
+    # their own streams (_separate_norms)
     local = gilbert_kernel(delta, mode="euclidean")
+    uniform = replace(local, locality=None)
     integ = Integrator(samples=3000, seed=21)
-
-    def ingredients(kern):
-        mean = expectation(kern, IntensityModel(1.0, window), integ)
-        return [mean, *variance_terms(kern, window, integ), *_fourth_power_norms(kern, window, integ)]
-
-    for x, y in zip(ingredients(local), ingredients(replace(local, locality=None))):
+    model = IntensityModel(1.0, window)
+    terms, norms = variance_terms(local, window, integ, with_norms=True)
+    got = [expectation(local, model, integ), *terms, *norms]
+    reference = [expectation(uniform, model, integ), *variance_terms(uniform, window, integ), *_separate_norms(uniform, window, integ)]
+    for x, y in zip(got, reference):
         assert abs(x.value - y.value) <= 4.0 * math.hypot(x.se, y.se)
         assert x.se < y.se
 
 
+def _separate_norms(kern: UStatKernel, window, integ: Integrator) -> list:
+    """The fourth-power norms C(k,i)^4 int (int f dtheta^(k-i))^4 dtheta^i,
+    each by its own pilot-sized product integral of four kernel copies on
+    stream ("fourth-power", i): an estimate independent of the T_i passes,
+    for any kernel."""
+    k = kern.order
+    return [
+        _product_integral(kern, k, window, integ, i, [range(i)] * 4, ("fourth-power", i), scale=math.comb(k, i) ** 4, locality=kern.locality)
+        for i in range(1, k + 1)
+    ]
+
+
 def test_local_draws_need_a_ball_smaller_than_the_window():
-    # omega_d delta^d >= theta(W): the uniform draws are kept, bit for bit
+    # omega_d delta^d >= theta(W): the uniform draws are kept, at the local
+    # inner-batch floor (M >= 4, for the norms read off each pass), bit for
+    # bit those of any other ball no smaller than the window
     local = gilbert_kernel(0.6)
-    plain = replace(local, locality=None)
+    wider = replace(local, locality=2.0)
     integ = Integrator(samples=500, seed=2)
-    assert variance_terms(local, UNIT_SQUARE, integ) == variance_terms(plain, UNIT_SQUARE, integ)
+    terms, norms = variance_terms(local, UNIT_SQUARE, integ, with_norms=True)
+    assert (terms, norms) == variance_terms(wider, UNIT_SQUARE, integ, with_norms=True)
+    assert _chosen_size(terms[0], 500) >= 4
     model = IntensityModel(1.0, UNIT_SQUARE)
-    assert expectation(local, model, integ) == expectation(plain, model, integ)
+    assert expectation(local, model, integ) == expectation(wider, model, integ)
     # on the unit square delta 0.55 takes local draws: its cube, 1.21, is
     # larger than the window, but its ball, 0.95, is smaller; the mean still
     # meets the closed form of test_gilbert_mean_matches_the_closed_form
@@ -1317,9 +1376,9 @@ def test_inner_batches_below_their_stratum_count_are_drawn_unstratified(monkeypa
         replace(fine, samples=NESTED_INNER).integrate(lambda t: t[:, 0, 0], UNIT_SQUARE, 1)
     # no inner batch size up to NESTED_INNER stratifies 25 strata, so T_1's
     # pilot keeps M = NESTED_INNER; at level 2 only M >= 4 is a candidate
-    est = _variance_term(pairwise_distance_kernel(), UNIT_SQUARE, fine, 1)
+    est = _variance_term(pairwise_distance_kernel(), UNIT_SQUARE, fine, 1)[0]
     assert _chosen_size(est, 400) == NESTED_INNER and est.n == NESTED_REPEAT * 400 and math.isfinite(est.se)
-    est = _variance_term(pairwise_distance_kernel(), UNIT_SQUARE, replace(fine, strata=2), 1)
+    est = _variance_term(pairwise_distance_kernel(), UNIT_SQUARE, replace(fine, strata=2), 1)[0]
     assert _chosen_size(est, 400) in (4, 8, 16) and est.n * _chosen_size(est, 400) == NESTED_REPEAT * NESTED_INNER * 400
 
 
@@ -1379,7 +1438,7 @@ def test_the_draw_pipeline_matches_the_retired_draw(dim, monkeypatch):
         for q in (1, 2):
             integ = Integrator(samples=groups, seed=groups)
             maps.clear()
-            _pilot_batch_size(ones, q + 1, window, integ, q, [(list(range(q)), 1, 1)], ("oracle",), radius)
+            _pilot_batch_size(ones, q + 1, window, integ, q, [(list(range(q)), 1, 1, 1)], ("oracle",), radius)
             rng = integ.rng("oracle", "pilot")
             ys, weights = _retired_draw(window, q, groups, rng, radius=radius)
             _assert_same_draws(maps[0], (ys, weights))
